@@ -20,7 +20,7 @@ def main():
     print("\nextension by diag(1, 1, 2):")
     print("  generator-generator block:", block.ff)
     print("  nilpotent block:\n", block.nn)
-    print("  mixed row:", block.fn_row, " star correction:", block.star)
+    print("  mixed row:", block.fn_row)
     print("  spectrum:", np.sort(block.eigenvalues()))
 
     oracle = koszul_oracle(extension_bracket(D, h3.to_float()))

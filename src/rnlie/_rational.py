@@ -128,12 +128,3 @@ def det(rows):
                 f = mat[i][c] * inv
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
     return result * sign
-
-
-def matmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def matvec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]

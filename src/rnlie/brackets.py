@@ -95,11 +95,6 @@ class Bracket:
         C = self.tensor()
         return C[i].T.copy()
 
-    def apply(self, x, y):
-        """mu(x, y) for float coordinate vectors x, y."""
-        C = self.tensor()
-        return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float), C)
-
     def to_float(self) -> "Bracket":
         if self.scalar_kind == FLOAT:
             return self

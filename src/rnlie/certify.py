@@ -20,10 +20,11 @@ import numpy as np
 from ._exactlp import solve_lp
 from .brackets import Bracket, center
 from .curvature import MetricParams, is_ricci_negative
-from .derivations import Derivation, diagonal_torus, is_derivation
+from .derivations import Derivation, diag_entries, diagonal_torus, is_derivation
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
-                     nice_basis_check, weight_vector)
+                     centralizer_blocks, nice_basis_check, pack_blocks,
+                     unpack_blocks, weight_vector)
 from .rng import default_seed, generator
 
 MARGIN_THRESHOLD = Fraction(1, 10_000_000)  # 1e-7
@@ -92,22 +93,6 @@ class SearchFailure:
     evaluations: int
 
 
-def _diag_of(D, n=None):
-    if isinstance(D, Derivation):
-        M = D.matrix
-    else:
-        M = np.asarray(D, dtype=float)
-    if M.ndim == 1:
-        M = np.diag(M)
-    if n is not None and M.shape != (n, n):
-        raise PreconditionError(f"derivation shape {M.shape} does not match")
-    off = M - np.diag(np.diag(M))
-    scale = max(1.0, float(np.abs(M).max()))
-    if off.size and np.abs(off).max() > 1e-9 * scale:
-        raise PreconditionError("this certifier needs a diagonal derivation")
-    return np.diag(M).copy()
-
-
 def _margin_lp(d_entries, points, cap=None, mass_penalty=Fraction(0)):
     """Maximize eps - penalty*sum(coeffs) with coeffs >= 0 and
     D - sum coeff*point >= eps entrywise.
@@ -147,12 +132,17 @@ def certify_srn_nice(D, b: Bracket):
             "the margin test over weight matrices needs a nice basis; "
             f"violations: {report.multiple_targets + report.overlapping_pairs}")
     torus = diagonal_torus(b)
-    diag = _diag_of(D, b.dim)
-    if torus.coords_of([float(v) for v in diag.tolist()]) is None:
+    diag = diag_entries(D, b.dim)
+    if torus.coords_of([float(v) for v in diag]) is None:
         raise PreconditionError("D must lie in the diagonal derivation torus")
-    if float(diag.sum()) <= 1e-10:
+    if float(sum(diag)) <= 1e-10:
         raise PreconditionError("certification needs trace(D) > 0")
-    d_exact = [Fraction(v) for v in diag.tolist()]
+    return _nice_margin([Fraction(v) for v in diag], b)
+
+
+def _nice_margin(d_exact, b: Bracket):
+    """The exact margin program of certify_srn_nice on the exact diagonal
+    entries of a derivation its callers have already checked."""
     triples = tuple(sorted(b.constants))
     points = [weight_vector(t, b.dim) for t in triples]
     res = _margin_lp(d_exact, points)
@@ -188,10 +178,10 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
     if sample.group_tag not in (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER):
         raise PreconditionError(
             "sampled certification wants a centralizer orbit sample")
-    diag = _diag_of(D, b.dim)
-    if float(diag.sum()) <= 1e-10:
+    diag = diag_entries(D, b.dim)
+    if float(sum(diag)) <= 1e-10:
         raise PreconditionError("certification needs trace(D) > 0")
-    Dm = np.diag(diag)
+    Dm = np.diag([float(v) for v in diag])
     dscale = max(1.0, float(np.abs(Dm).max()))
     for g, _ in sample.points:
         if np.abs(g @ Dm - Dm @ g).max() > 1e-6 * dscale:
@@ -203,8 +193,8 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
         if off.size and np.abs(off).max() > 1e-8 * max(1.0, np.abs(M).max()):
             raise PreconditionError(
                 "sample moment values must lie on the diagonal slice")
-    blocks = _centralizer_blocks(diag)
-    d_exact = [Fraction(v) for v in diag.tolist()]
+    blocks = centralizer_blocks(diag)
+    d_exact = [Fraction(v) for v in diag]
     points = []
     for _, mv in sample.points:
         p = [Fraction(float(x)) for x in np.diag(mv.matrix)]
@@ -252,7 +242,8 @@ def constructive_nonneg(D, b: Bracket):
     report = nice_basis_check(b)
     if not report.ok:
         raise PreconditionError("constructive certification needs a nice basis")
-    diag = _diag_of(D, b.dim)
+    d_exact = [Fraction(v) for v in diag_entries(D, b.dim)]
+    diag = np.array([float(v) for v in d_exact])
     if diag.min() < -1e-12:
         raise PreconditionError("entries must be nonnegative")
     if not is_derivation(np.diag(diag), b):
@@ -290,7 +281,6 @@ def constructive_nonneg(D, b: Bracket):
         m_diag[p] -= mult
         m_diag[q] -= mult
         m_diag[k] += mult
-    d_exact = [Fraction(v) for v in diag.tolist()]
     # one-variable margin program: maximize t with t <= D_r - eps*M_r, eps >= 0
     a_ub = [[Fraction(1), Fraction(m_diag[r])] for r in range(n)]
     b_ub = [d_exact[r] for r in range(n)]
@@ -303,20 +293,6 @@ def constructive_nonneg(D, b: Bracket):
         raise NumericalError("no positive margin; hypotheses not satisfied")
     coeffs = {trip: eps * mult for trip, mult in chosen.items()}
     return SrnCertificate(coeffs, t_star, "Constructive")
-
-
-def _centralizer_blocks(diag_entries, tol=1e-9):
-    blocks, reps = [], []
-    scale = max(1.0, float(np.abs(diag_entries).max()))
-    for i, v in enumerate(diag_entries):
-        for bi, r in enumerate(reps):
-            if abs(v - r) <= tol * scale:
-                blocks[bi].append(i)
-                break
-        else:
-            reps.append(v)
-            blocks.append([i])
-    return [tuple(blk) for blk in blocks]
 
 
 def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
@@ -343,29 +319,19 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     off = M - np.diag(np.diag(M))
     diagonal_d = not off.size or np.abs(off).max() <= 1e-9 * max(1.0, np.abs(M).max())
     if diagonal_d:
-        blocks = _centralizer_blocks(np.diag(M))
+        blocks = centralizer_blocks(np.diag(M))
     else:
         blocks = [tuple(range(n))]
-    slots = [(blk, len(blk)) for blk in blocks]
-    asize = sum(k * k for _, k in slots)
+    asize = sum(len(blk) ** 2 for blk in blocks)
 
     state = {"evals": 0, "best": math.inf, "best_params": MetricParams.identity(n)}
-
-    def unpack(x):
-        A = np.zeros((n, n))
-        pos = 0
-        for blk, k in slots:
-            A[np.ix_(blk, blk)] = np.asarray(x[pos:pos + k * k]).reshape(k, k)
-            pos += k * k
-        return A, np.asarray(x[asize:asize + n])
 
     def evaluate(x):
         if state["evals"] >= budget:
             return None
         state["evals"] += 1
-        A, X = unpack(x)
         try:
-            params = MetricParams(1.0, X, expm(A))
+            params = MetricParams(1.0, x[asize:], expm(unpack_blocks(x, blocks, n)))
             lam = is_ricci_negative(M, b, params)[1]
         except (PreconditionError, NumericalError, np.linalg.LinAlgError):
             return math.inf
@@ -382,11 +348,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     lam = evaluate(np.zeros(dim))
     if lam is not None and not finished():
         for s in np.linspace(0.25, 25.0, 50):
-            x = np.zeros(dim)
-            pos = 0
-            for blk, k in slots:
-                x[pos:pos + k * k] = (s * np.eye(k)).ravel()
-                pos += k * k
+            x = np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
             if evaluate(x) is None or finished():
                 break
 
@@ -396,10 +358,10 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
             base = state["best_params"]
             with np.errstate(all="ignore"):
                 try:
-                    A0 = _matrix_log_blocks(base.h, slots)
+                    A0 = _matrix_log_blocks(base.h, blocks)
                 except NumericalError:
                     A0 = np.zeros((n, n))
-            x = np.concatenate([_pack_blocks(A0, slots), base.X])
+            x = np.concatenate([pack_blocks(A0, blocks), base.X])
         else:
             x = 0.6 * rng.standard_normal(dim)
         _compass_descent(x, evaluate, finished, state, budget)
@@ -414,19 +376,12 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     return SearchFailure(state["best"], state["best_params"], state["evals"])
 
 
-def _pack_blocks(A, slots):
-    parts = []
-    for blk, k in slots:
-        parts.append(A[np.ix_(blk, blk)].ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def _matrix_log_blocks(h, slots):
+def _matrix_log_blocks(h, blocks):
     from scipy.linalg import logm
 
     n = h.shape[0]
     A = np.zeros((n, n))
-    for blk, k in slots:
+    for blk in blocks:
         sub = h[np.ix_(blk, blk)]
         L = logm(sub)
         if np.abs(L.imag).max() > 1e-8:

@@ -25,7 +25,7 @@ from .certify import (Infeasible, SrnCertificate, Unknown, certify_srn_nice,
                       necessary_condition)
 from .cone import EXACT, cone_section, weyl_invariance_check
 from .corpus import _NEEDS_PARAM, corpus, corpus_names
-from .curvature import koszul_oracle, ricci_extension
+from .curvature import extension_bracket, koszul_oracle, ricci_extension
 from .degeneration import (PREDICATES, PinchingResult, diagonal_power_curve,
                            heintze_degeneration, pinching_transfer, trajectory)
 from .derivations import derivation_space, diagonal_torus
@@ -115,10 +115,11 @@ def _cmd_ricci(args) -> int:
         return EXIT_OK
     D = _parse_derivation(args.derivation)
     block = ricci_extension(D, b)
+    oracle = koszul_oracle(extension_bracket(D, b)).ricci
     _emit({"ricci": _mat(block.assembled()),
            "eigenvalues": _vec(block.eigenvalues()),
            "lambda_max": _scalar(block.lambda_max),
-           "oracle_delta": _scalar(block.oracle_delta)})
+           "oracle_delta": _scalar(np.abs(oracle - block.assembled()).max())})
     return EXIT_OK
 
 
@@ -310,12 +311,9 @@ def build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: RNL_SEED or a fixed constant)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="upper bound on internal parallelism")
     sub = p.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
 
     def cmd(name, func, help_text):
         q = sub.add_parser(name, help=help_text, parents=[common])

@@ -15,9 +15,10 @@ import numpy as np
 
 from ._hull import exact_hull, hrep_vertices
 from .brackets import Bracket
-from .certify import (Infeasible, RnWitness, SrnCertificate,
-                      certify_srn_nice, certify_srn_sampled, search_rn_metric)
-from .derivations import Torus, diagonal_torus, weyl_coordinate_actions
+from .certify import (Infeasible, RnWitness, SrnCertificate, _nice_margin,
+                      certify_srn_sampled, search_rn_metric)
+from .derivations import (Torus, diag_entries, diagonal_torus,
+                          weyl_coordinate_actions)
 from .errors import NumericalError, PreconditionError
 from .moment import (TORUS_CENTRALIZER, nice_basis_check, orbit_sample,
                      weight_vector)
@@ -48,13 +49,13 @@ def cone_membership(D, b: Bracket, seed=None, sample_count: int = 48) -> str:
     not positive, or exact infeasibility in the exact regime.
     """
     torus = diagonal_torus(b)
-    diag = _coerce_diag(D, b.dim)
-    if torus.coords_of([float(v) for v in diag.tolist()]) is None:
+    diag = diag_entries(D, b.dim)
+    if torus.coords_of([float(v) for v in diag]) is None:
         raise PreconditionError("D must lie in the diagonal derivation torus")
-    if float(diag.sum()) <= 1e-10:
+    if float(sum(diag)) <= 1e-10:
         return OUT  # the cone sits inside the open half space tr > 0
     if _exact_regime(b, torus):
-        res = certify_srn_nice(diag, b)
+        res = _nice_margin([Fraction(v) for v in diag], b)
         if isinstance(res, SrnCertificate):
             return IN
         assert isinstance(res, Infeasible)
@@ -62,20 +63,6 @@ def cone_membership(D, b: Bracket, seed=None, sample_count: int = 48) -> str:
     sample = orbit_sample(TORUS_CENTRALIZER, b, count=sample_count, seed=seed)
     res = certify_srn_sampled(diag, b, sample)
     return IN if isinstance(res, SrnCertificate) else UNKNOWN
-
-
-def _coerce_diag(D, n):
-    from .derivations import Derivation
-
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, dtype=float)
-    if M.ndim == 1:
-        M = np.diag(M)
-    if M.shape != (n, n):
-        raise PreconditionError(f"derivation shape {M.shape} does not match")
-    off = M - np.diag(np.diag(M))
-    if off.size and np.abs(off).max() > 1e-9 * max(1.0, np.abs(M).max()):
-        raise PreconditionError("cone operations need a diagonal derivation")
-    return np.diag(M).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +86,6 @@ class ConeSection:
             total = sum(f * x for f, x in zip(tr, v))
             if abs(float(total) - float(self.trace_level)) > 1e-8:
                 raise NumericalError("section vertex off the trace level")
-
-    @property
-    def torus_coords(self):
-        return self.torus.basis
-
-    def vertex_derivations(self):
-        return [np.diag([float(x) for x in self.torus.diagonal_entries(v)])
-                for v in self.vertices]
 
 
 def _fm_eliminate(rows, keep, drop):

@@ -262,7 +262,7 @@ def is_generic(D, torus: Torus, tol: float = 1e-9) -> bool:
     D may be a Derivation, a diagonal matrix, or a vector of diagonal
     entries; it must lie in the torus span.
     """
-    entries = _diag_entries_of(D, torus.ambient_dim)
+    entries = diag_entries(D, torus.ambient_dim)
     coords = torus.coords_of(entries)
     if coords is None:
         raise PreconditionError("derivation is not in the torus span")
@@ -276,18 +276,25 @@ def is_generic(D, torus: Torus, tol: float = 1e-9) -> bool:
     return True
 
 
-def _diag_entries_of(D, n):
-    if isinstance(D, Derivation):
-        M = D.matrix
-    else:
-        M = np.asarray(D, float) if not isinstance(D, (list, tuple)) else None
-    if M is not None and M.ndim == 2:
-        if np.abs(M - np.diag(np.diag(M))).max() > 1e-12:
-            raise PreconditionError("matrix is not diagonal")
-        return list(np.diag(M))
-    if M is not None and M.ndim == 1:
-        return list(M)
-    return list(D)
+def diag_entries(D, n: int) -> list:
+    """Diagonal entries of D, given as a Derivation, an n x n matrix or a
+    vector of n entries.
+
+    int and Fraction entries come back as exact Fractions, all others as
+    floats, so rational input reaches the exact programs unrounded.
+    Off-diagonal entries above 1e-9 relative to the largest entry raise.
+    """
+    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, dtype=object)
+    if M.ndim == 1:
+        M = np.diag(M)
+    if M.shape != (n, n):
+        raise PreconditionError(f"derivation shape {M.shape} does not match")
+    F = M.astype(float)
+    off = F - np.diag(np.diag(F))
+    if off.size and np.abs(off).max() > 1e-9 * max(1.0, float(np.abs(F).max())):
+        raise PreconditionError("this operation needs a diagonal derivation")
+    return [Fraction(x) if isinstance(x, (int, Fraction)) else float(x)
+            for x in np.diag(M).tolist()]
 
 
 def is_positive_derivation(D, b: Bracket | None = None, tol: float = 1e-10) -> bool:
@@ -323,10 +330,6 @@ class JordanParts:
     real_part: np.ndarray
     imaginary_part: np.ndarray
     nilpotent_part: np.ndarray
-
-    @property
-    def semisimple(self) -> np.ndarray:
-        return self.real_part + self.imaginary_part
 
 
 def _cluster_eigenvalues(vals, tol):

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._hull import Hull, exact_hull
 from .brackets import Bracket, BasisChange, act
-from .derivations import Derivation, diagonal_torus, is_derivation
+from .derivations import (Derivation, diag_entries, diagonal_torus,
+                          is_derivation)
 from .errors import NumericalError, PreconditionError
 from .rng import default_seed, generator
 
@@ -240,25 +241,47 @@ def _group_blocks(tag, b, derivation=None):
         D = np.asarray(D, dtype=float)
         if not is_derivation(D, b):
             raise PreconditionError("centralizer base point is not a derivation")
-        diag = np.diag(D)
-        scale = max(1.0, float(np.abs(diag).max()))
-        off = D - np.diag(diag)
-        if off.size and np.abs(off).max() > 1e-9 * scale:
-            raise PreconditionError(
-                "block structure requires a diagonal derivation in this basis")
-        blocks, reps = [], []
-        for i in range(n):
-            placed = False
-            for bi, r in enumerate(reps):
-                if abs(diag[i] - r) <= 1e-9 * scale:
-                    blocks[bi] = blocks[bi] + (i,)
-                    placed = True
-                    break
-            if not placed:
-                reps.append(diag[i])
-                blocks.append((i,))
-        return blocks
+        return centralizer_blocks(diag_entries(D, n))
     raise PreconditionError(f"unknown group tag {tag!r}")
+
+
+def centralizer_blocks(entries) -> list:
+    """Index blocks of equal diagonal entries, each block in index order
+    and the blocks in order of first index: the block structure of the
+    centralizer of a diagonal matrix.  Entries within 1e-9 of a block's
+    first entry, relative to the largest entry, join that block."""
+    vals = [float(v) for v in entries]
+    scale = max([1.0] + [abs(v) for v in vals])
+    blocks, reps = [], []
+    for i, v in enumerate(vals):
+        for blk, r in zip(blocks, reps):
+            if abs(v - r) <= 1e-9 * scale:
+                blk.append(i)
+                break
+        else:
+            reps.append(v)
+            blocks.append([i])
+    return [tuple(blk) for blk in blocks]
+
+
+def pack_blocks(A, blocks) -> np.ndarray:
+    """The entries of A inside the diagonal blocks, block by block, each
+    block row-major; unpack_blocks inverts it."""
+    if not blocks:
+        return np.zeros(0)
+    return np.concatenate([A[np.ix_(blk, blk)].ravel() for blk in blocks])
+
+
+def unpack_blocks(x, blocks, n: int) -> np.ndarray:
+    """The n x n matrix, zero off the blocks, whose blocks are read from
+    the front of x in the layout of pack_blocks."""
+    A = np.zeros((n, n))
+    pos = 0
+    for blk in blocks:
+        k = len(blk)
+        A[np.ix_(blk, blk)] = np.asarray(x[pos:pos + k * k]).reshape(k, k)
+        pos += k * k
+    return A
 
 
 def _draw_block_element(rng, blocks, n):
@@ -299,19 +322,10 @@ def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):
     n = b.dim
     C = b.tensor()
     iu = np.triu_indices(n, 1)
-    slots = [(blk, len(blk)) for blk in blocks]
-    size = sum(k * k for _, k in slots)
-
-    def unpack(x):
-        A = np.zeros((n, n))
-        pos = 0
-        for blk, k in slots:
-            A[np.ix_(blk, blk)] = np.asarray(x[pos:pos + k * k]).reshape(k, k)
-            pos += k * k
-        return A
+    size = sum(len(blk) ** 2 for blk in blocks)
 
     def element(x):
-        return expm(unpack(x)) @ g0
+        return expm(unpack_blocks(x, blocks, n)) @ g0
 
     def resid(x):
         return _acted_moment_matrix(C, element(x))[iu]

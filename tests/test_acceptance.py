@@ -200,8 +200,8 @@ def test_03_block_ricci_matches_oracle():
         corpus("abelian", 4),
     ]
     rng = np.random.default_rng(20260803)
-    worst_ricci = worst_star = 0.0
-    pairs = normal_pairs = 0
+    worst_ricci = worst_mixed = 0.0
+    pairs = non_normal_pairs = 0
     for entry in entries:
         bf = entry.bracket.to_float()
         basis = derivation_space(bf, scalars="float")
@@ -217,19 +217,20 @@ def test_03_block_ricci_matches_oracle():
             block = ricci_extension(D, bf)
             oracle = koszul_oracle(extension_bracket(D, bf))
             sym = 0.5 * (oracle.ricci + oracle.ricci.T)
-            worst_ricci = max(worst_ricci, float(np.abs(block.assembled() - sym).max()))
-            if float(np.abs(D @ D.T - D.T @ D).max()) <= 1e-12:
-                normal_pairs += 1
-                worst_star = max(worst_star, float(np.abs(block.star).max()))
+            gap = np.abs(block.assembled() - sym)
+            worst_ricci = max(worst_ricci, float(gap.max()))
+            worst_mixed = max(worst_mixed, float(gap[0, 1:].max()))
+            non_normal_pairs += float(np.abs(D @ D.T - D.T @ D).max()) > 1e-12
             pairs += 1
 
     dt = time.perf_counter() - t0
-    ok = pairs == 200 and worst_ricci <= 1e-9 and normal_pairs >= 40 and worst_star <= 1e-9 and dt < 60.0
+    ok = pairs == 200 and worst_ricci <= 1e-9 and non_normal_pairs >= 40 and dt < 60.0
     _report(
         "acceptance 03 block Ricci vs oracle",
         ok,
-        "{} pairs agree entrywise (worst {:.1e}); star block vanishes on {} normal "
-        "derivations (worst {:.1e}), {:.1f}s".format(pairs, worst_ricci, normal_pairs, worst_star, dt),
+        "{} closed-form pairs agree entrywise with the oracle (worst {:.1e}), {} with "
+        "non-normal derivations; worst mixed-row gap {:.1e}, {:.1f}s".format(
+            pairs, worst_ricci, non_normal_pairs, worst_mixed, dt),
     )
 
 

@@ -51,6 +51,10 @@ class TestNiceLp:
     def test_h5_margin(self):
         res = certify_srn_nice(diag(1, 1, 1, 1, 2), h5)
         assert res.margin == Fraction(4, 3)
+        # rational entries stay exact: no float holds -1/5 or 8/15
+        F = Fraction
+        res = certify_srn_nice([F(-1, 5), F(8, 15), F(-1, 5), F(8, 15), F(1, 3)], h5)
+        assert isinstance(res, Infeasible) and res.margin == F(-1, 45)
 
     def test_trace_gate(self):
         with pytest.raises(PreconditionError):
@@ -76,6 +80,9 @@ class TestNiceLp:
                 expected = Fraction(min(2 * a8 + b8, a8 + 2 * b8), 16)
                 assert res.margin == expected
                 assert isinstance(res, SrnCertificate) == (expected > 0)
+        # and exactly at entries no float holds
+        third = Fraction(1, 3)
+        assert certify_srn_nice([third, third, 2 * third], h3).margin == Fraction(1, 2)
 
     def test_scaling_and_monotonicity(self):
         base = certify_srn_nice(diag(1, 1, 2), h3)

@@ -110,6 +110,10 @@ class TestExactSections:
             res = certify_srn_nice(D, h3)
             assert not isinstance(res, SrnCertificate)
             assert res.margin == 0
+        # a heisenberg(5) boundary point in thirds has margin exactly 0
+        # only when its entries stay exact, and is then definitively Out
+        F = Fraction
+        assert cone_membership([F(-1, 3), F(4, 3), F(5, 3), F(-2, 3), F(1)], h5) == OUT
 
     def test_midpoint_concavity_of_margin(self):
         s = cone_section(h5, 1)
