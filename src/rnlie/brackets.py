@@ -172,19 +172,31 @@ def act(h: BasisChange, b: Bracket) -> Bracket:
                             new[key] = new.get(key, Fraction(0)) + w * hm[k][r]
         return Bracket(b.dim, {t: c for t, c in new.items() if c != 0}, RATIONAL)
 
-    H = h.as_array().astype(float)
-    Hinv = np.linalg.inv(H)
-    C = b.tensor()
-    Cp = np.einsum("pi,qj,kr,pqr->ijk", Hinv, Hinv, H, C)
-    new = {}
-    n = b.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                v = Cp[i, j, k]
-                if abs(v) > 1e-14 * max(1.0, np.abs(Cp).max()):
-                    new[(i, j, k)] = float(v)
+    Cp = act_tensor(b.tensor(), h.as_array())
+    cut = 1e-14 * max(1.0, float(np.abs(Cp).max(initial=0.0)))
+    iu, ju = np.triu_indices(b.dim, 1)
+    upper = Cp[iu, ju]  # rows are the pairs i < j in order, so keys come out sorted
+    rows, ks = np.nonzero(np.abs(upper) > cut)
+    new = {(int(iu[r]), int(ju[r]), int(k)): float(upper[r, k]) for r, k in zip(rows, ks)}
     return Bracket(b.dim, new, FLOAT)
+
+
+def act_tensor(C: np.ndarray, H) -> np.ndarray:
+    """Dense action (H . C)[i, j, k] = sum_pqr Hi[p, i] Hi[q, j] H[k, r] C[p, q, r]
+    on an (n, n, n) structure tensor, with Hi the inverse of H."""
+    H = np.asarray(H, float)
+    Hi = np.linalg.inv(H)
+    out = np.tensordot(C, H, axes=([2], [1]))             # [p, q, k]
+    out = np.tensordot(Hi, out, axes=([0], [0]))          # [i, q, k]
+    return np.tensordot(out, Hi, axes=([1], [0])).transpose(0, 2, 1)  # [i, k, j] -> [i, j, k]
+
+
+def gram_difference(C: np.ndarray) -> np.ndarray:
+    """T - 2S with T[a,b] = sum_ij C[i,j,a]C[i,j,b] (targets) and S[a,b] =
+    sum_jk C[a,j,k]C[b,j,k] (sources): |C|^2 times the moment value, and
+    4 times the nilpotent Ricci operator."""
+    return (np.tensordot(C, C, axes=([0, 1], [0, 1]))
+            - 2.0 * np.tensordot(C, C, axes=([1, 2], [1, 2])))
 
 
 def jacobiator(b: Bracket, i: int, j: int, k: int):

@@ -133,7 +133,7 @@ def certify_srn_nice(D, b: Bracket):
             f"violations: {report.multiple_targets + report.overlapping_pairs}")
     torus = diagonal_torus(b)
     diag = diag_entries(D, b.dim)
-    if torus.coords_of([float(v) for v in diag]) is None:
+    if torus.coords_of(diag) is None:
         raise PreconditionError("D must lie in the diagonal derivation torus")
     if float(sum(diag)) <= 1e-10:
         raise PreconditionError("certification needs trace(D) > 0")

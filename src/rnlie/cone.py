@@ -50,7 +50,7 @@ def cone_membership(D, b: Bracket, seed=None, sample_count: int = 48) -> str:
     """
     torus = diagonal_torus(b)
     diag = diag_entries(D, b.dim)
-    if torus.coords_of([float(v) for v in diag]) is None:
+    if torus.coords_of(diag) is None:
         raise PreconditionError("D must lie in the diagonal derivation torus")
     if float(sum(diag)) <= 1e-10:
         return OUT  # the cone sits inside the open half space tr > 0

@@ -5,8 +5,9 @@ Two independent computations are kept side by side.  The Ricci operator
 of an extension comes from closed-form blocks, with no curvature tensor.
 The Koszul-formula oracle evaluates the full curvature tensor of any
 left-invariant metric from structure constants alone; it is the
-independent reference that the closed forms are tested against, and
-the Ricci-negativity test reads its spectrum.
+independent reference that the closed forms are tested against; the
+Ricci-negativity test reads the same formula on the dense transported
+structure tensor, with no Bracket in between.
 
 Convention: the basis is orthonormal and squared norms sum over ordered
 index pairs, so a single basis bracket e_i ^ e_j -> e_k has squared norm
@@ -21,27 +22,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .brackets import BasisChange, Bracket, act
+from .brackets import BasisChange, Bracket, act, act_tensor, gram_difference
 from .derivations import Derivation, is_derivation, leibniz_residual
 from .errors import NumericalError, PreconditionError
-
-
-def sym_part(D: np.ndarray) -> np.ndarray:
-    return 0.5 * (D + D.T)
 
 
 def ricci_nilpotent(b: Bracket) -> np.ndarray:
     """Ricci operator of the nilpotent metric Lie algebra (orthonormal basis).
 
-    Ric = -1/2 sum_ik C[a,i,k]C[b,i,k] + 1/4 sum_ij C[i,j,a]C[i,j,b].
-    Returns the zero matrix for the zero bracket (flat).
+    Ric = -1/2 sum_ik C[a,i,k]C[b,i,k] + 1/4 sum_ij C[i,j,a]C[i,j,b]
+    = gram_difference(C)/4, the zero matrix for the zero bracket (flat).
     """
-    C = b.tensor()
-    if not b.constants:
-        return np.zeros((b.dim, b.dim))
-    r1 = -0.5 * np.einsum("aik,bik->ab", C, C)
-    r2 = 0.25 * np.einsum("ija,ijb->ab", C, C)
-    return r1 + r2
+    return 0.25 * gram_difference(b.tensor())
 
 
 def extension_bracket(D, b: Bracket, t: float = 1.0) -> Bracket:
@@ -139,23 +131,17 @@ def transport_metric(p: MetricParams, D, b: Bracket):
     output pair with the standard metric has the same spectrum as the
     Ricci of (D, b) with the metric p.
     """
+    return _transported_derivation(p, D, b.tensor()), act(BasisChange(p.h), b)
+
+
+def _transported_derivation(p: MetricParams, D, C: np.ndarray) -> np.ndarray:
+    """c h (D - ad Y) h^{-1} with Y = h^{-1}X, on the structure tensor C."""
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
-    n = b.dim
-    if p.h.shape[0] != n:
+    if p.h.shape[0] != C.shape[0]:
         raise PreconditionError("metric parameter dimension mismatch")
     hinv = np.linalg.inv(p.h)
-    Y = hinv @ p.X
-    Dnew = p.c * (p.h @ (M - ad_vector(b, Y)) @ hinv)
-    bnew = act(BasisChange(p.h), b)
-    return Dnew, bnew
-
-
-def ad_vector(b: Bracket, Y) -> np.ndarray:
-    """Matrix of ad Y on the bracket: (ad Y)Z = [Y, Z]."""
-    C = b.tensor()
-    Y = np.asarray(Y, float)
     # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:]
-    return np.einsum("i,ijk->kj", Y, C)
+    return p.c * (p.h @ (M - np.tensordot(hinv @ p.X, C, axes=1).T) @ hinv)
 
 
 @dataclass(frozen=True)
@@ -203,11 +189,12 @@ def ricci_extension(D, b: Bracket) -> RicciBlock:
     if not is_derivation(M, b):
         raise PreconditionError(
             f"not a derivation, Leibniz residual {leibniz_residual(M, b):.3e}")
-    S = sym_part(M)
+    S = 0.5 * (M + M.T)
     ff = -float(np.trace(S @ S))
     nn = ricci_nilpotent(b) + 0.5 * (M @ M.T - M.T @ M) - float(np.trace(M)) * S
-    # 0 - t rather than -t, so that a vanishing entry is +0.0, not -0.0
-    fn = 0.0 - np.array([float(np.trace(S @ b.ad(i))) for i in range(b.dim)])
+    # tr(S ad e_i) = sum_ab S[a,b] C[i,a,b]; 0 - t rather than -t, so that
+    # a vanishing entry is +0.0, not -0.0
+    fn = 0.0 - np.tensordot(b.tensor(), S, axes=([1, 2], [0, 1]))
     return RicciBlock(ff, fn, nn)
 
 
@@ -232,9 +219,9 @@ def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
     coordinates (same spectrum either way).
     """
     n = b.dim
+    C = b.tensor()
     if metric is None:
         V = np.eye(n)
-        bb = b
     else:
         G = np.asarray(metric, float)
         if G.shape != (n, n):
@@ -246,35 +233,42 @@ def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
         except np.linalg.LinAlgError as exc:
             raise PreconditionError("metric must be positive definite") from exc
         V = np.linalg.inv(L.T)  # columns: G-orthonormal frame
-        bb = act(BasisChange(np.linalg.inv(V)), b)
-    C = bb.tensor()
-    # Gamma[i,j,k] = <nabla_{e_i} e_j, e_k> in the orthonormal frame:
-    # 2 Gamma_ijk = C_ijk - C_jki + C_kij
-    gamma = 0.5 * (C - np.transpose(C, (2, 0, 1)) + np.transpose(C, (1, 2, 0)))
-    # R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>
-    term = np.einsum("jkm,iml->ijkl", gamma, gamma)
-    riemann = term - np.transpose(term, (1, 0, 2, 3)) - np.einsum(
-        "ijm,mkl->ijkl", C, gamma)
-    ric_frame = np.einsum("ikli->kl", riemann)
-    ric_frame = 0.5 * (ric_frame + ric_frame.T)
-    sec = np.einsum("ijji->ij", riemann)
-    sec = sec.copy()
+        C = act_tensor(C, np.linalg.inv(V))
+    riemann, ric_frame = _koszul(C)
+    sec = np.einsum("ijji->ij", riemann).copy()
     np.fill_diagonal(sec, np.nan)
     ricci = V @ ric_frame @ np.linalg.inv(V)
     return KoszulReport(riemann, sec, ricci, float(np.trace(ric_frame)), V)
+
+
+def _koszul(C: np.ndarray):
+    """Riemann tensor R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> and the symmetrised
+    Ricci operator of the structure tensor C, in its orthonormal frame."""
+    # Gamma[i,j,k] = <nabla_{e_i} e_j, e_k> in the orthonormal frame:
+    # 2 Gamma_ijk = C_ijk - C_jki + C_kij
+    gamma = 0.5 * (C - np.transpose(C, (2, 0, 1)) + np.transpose(C, (1, 2, 0)))
+    term = np.einsum("jkm,iml->ijkl", gamma, gamma)
+    riemann = term - np.transpose(term, (1, 0, 2, 3)) - np.einsum(
+        "ijm,mkl->ijkl", C, gamma)
+    ric = np.einsum("ikli->kl", riemann)
+    return riemann, 0.5 * (ric + ric.T)
 
 
 def is_ricci_negative(D, b: Bracket, p: MetricParams | None = None):
     """Whether the extension of b by D is Ricci negative in the metric p.
 
     Returns (flag, lambda_max) where lambda_max is the top eigenvalue of
-    the oracle's Ricci operator of the transported pair; the flag is
-    lambda_max < -1e-9.
+    the Ricci operator that the oracle's Koszul formula reads on the dense
+    (n+1)^3 structure tensor of the transported pair (no Bracket is
+    built); the flag is lambda_max < -1e-9.
     """
     if p is None:
         p = MetricParams.identity(b.dim)
-    Dn, bn = transport_metric(p, D, b)
-    full = extension_bracket(Dn, bn)
-    rep = koszul_oracle(full)
-    lam = float(np.linalg.eigvalsh(0.5 * (rep.ricci + rep.ricci.T)).max())
+    C = b.tensor()
+    Dn = _transported_derivation(p, D, C)
+    E = np.zeros((b.dim + 1,) * 3)
+    E[0, 1:, 1:] = Dn.T  # [f, e_i] = sum_j Dn[j, i] e_j
+    E[1:, 0, 1:] = -Dn.T
+    E[1:, 1:, 1:] = act_tensor(C, p.h)
+    lam = float(np.linalg.eigvalsh(_koszul(E)[1]).max())
     return lam < -1e-9, lam

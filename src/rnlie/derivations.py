@@ -203,10 +203,9 @@ class Torus:
                        for x in entries)
             return () if zero else None
         if all(isinstance(x, (int, Fraction)) for x in entries):
-            cols = [[self.basis[l][i] for l in range(self.dim)] for i in range(n)]
-            sol = _rational.solve(cols, [Fraction(x) for x in entries])
-            if sol is None:
-                return None
+            # each rref row is 1 at its pivot column and the others are 0 there
+            sol = [Fraction(entries[next(i for i, v in enumerate(row) if v)])
+                   for row in self.basis]
             recon = self.diagonal_entries(sol)
             if any(r != Fraction(e) for r, e in zip(recon, entries)):
                 return None

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._hull import Hull, exact_hull
-from .brackets import Bracket, BasisChange, act
+from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
 from .derivations import (Derivation, diag_entries, diagonal_torus,
                           is_derivation)
 from .errors import NumericalError, PreconditionError
@@ -95,10 +95,7 @@ def moment_map(b: Bracket) -> MomentValue:
         mat = np.array([[float(x) for x in row] for row in exact])
         return MomentValue(mat, exact)
     C = b.tensor()
-    norm = float(np.einsum("ijk,ijk->", C, C))
-    tgt = np.einsum("ija,ijb->ab", C, C)
-    src = np.einsum("ajk,bjk->ab", C, C)
-    return MomentValue((tgt - 2.0 * src) / norm)
+    return MomentValue(gram_difference(C) / float(np.vdot(C, C)))
 
 
 def weight_vector(triple, dim):
@@ -300,12 +297,8 @@ def _draw_block_element(rng, blocks, n):
 
 def _acted_moment_matrix(C, g):
     """Moment matrix of the transformed structure tensor, all dense."""
-    gi = np.linalg.inv(g)
-    Cp = np.einsum("pi,qj,kr,pqr->ijk", gi, gi, g, C)
-    norm = float(np.einsum("ijk,ijk->", Cp, Cp))
-    tgt = np.einsum("ija,ijb->ab", Cp, Cp)
-    src = np.einsum("ajk,bjk->ab", Cp, Cp)
-    return (tgt - 2.0 * src) / norm
+    Cp = act_tensor(C, g)
+    return gram_difference(Cp) / float(np.vdot(Cp, Cp))
 
 
 def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):

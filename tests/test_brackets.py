@@ -6,6 +6,7 @@ import pytest
 from rnlie.brackets import (BasisChange, Bracket, act, center, direct_sum,
                             is_lie, jacobiator, lower_central_series,
                             nilpotency_step, validate_jacobi)
+from rnlie.corpus import corpus
 from rnlie.errors import PreconditionError
 
 
@@ -120,6 +121,23 @@ class TestAction:
         hinv = BasisChange([[F(1), F(-1), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
         b = act(hinv, act(h, h3()))
         assert b.constants == h3().constants
+
+    def test_float_path_matches_exact(self):
+        rng = np.random.default_rng(5)
+        for b in (tricky5(), corpus("filiform", 6).bracket):
+            n = b.dim
+            for _ in range(3):
+                # unit triangular factors: invertible, rational, not diagonal
+                lo = np.tril(rng.integers(-2, 3, size=(n, n)), -1) + np.eye(n, dtype=int)
+                up = np.triu(rng.integers(-2, 3, size=(n, n)), 1) + np.eye(n, dtype=int)
+                h = [[F(int(x), 2 + i) for x in row] for i, row in enumerate(lo @ up)]
+                exact = act(BasisChange(h), b)
+                approx = act(BasisChange(np.array(h, dtype=float)), b.to_float())
+                # same key set, and the float keys come in (i < j, k) order
+                assert list(approx.constants) == sorted(exact.constants)
+                scale = max(abs(float(c)) for c in exact.constants.values())
+                for t, c in exact.constants.items():
+                    assert abs(approx.constants[t] - float(c)) <= 1e-12 * scale
 
     def test_action_preserves_lie(self):
         rng = np.random.default_rng(3)

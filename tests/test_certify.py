@@ -63,6 +63,10 @@ class TestNiceLp:
     def test_torus_membership_gate(self):
         with pytest.raises(PreconditionError):
             certify_srn_nice(diag(1, 1, 1), h3)
+        # off the torus by 1e-11: inside the float gate's tolerance, but
+        # exact input must take the exact gate
+        with pytest.raises(PreconditionError):
+            certify_srn_nice([Fraction(1), Fraction(1), 2 + Fraction(1, 10**11)], h3)
 
     def test_nice_basis_gate(self):
         with pytest.raises(PreconditionError):

@@ -32,6 +32,9 @@ class TestMembership:
     def test_torus_gate(self):
         with pytest.raises(PreconditionError):
             cone_membership(diag(1, 1, 1), h3)
+        # within the float gate's tolerance, outside the exact one
+        with pytest.raises(PreconditionError):
+            cone_membership([Fraction(1), Fraction(1), 2 + Fraction(1, 10**11)], h3)
 
     def test_sampled_route(self):
         assert cone_membership(diag(1, 1, 2, 2, 3), t5, seed=7) == IN

@@ -8,7 +8,7 @@ from rnlie.corpus import corpus
 from rnlie.curvature import (MetricParams, extension_bracket, is_ricci_negative,
                              koszul_oracle, ricci_extension, ricci_nilpotent,
                              transport_metric)
-from rnlie.derivations import derivation_space
+from rnlie.derivations import derivation_space, is_derivation
 from rnlie.errors import PreconditionError
 
 
@@ -182,16 +182,22 @@ class TestTransport:
         oracle's spectrum for the original pair."""
         rng = np.random.default_rng(7)
         b = h3()
-        D = np.diag([1.0, 1.0, 2.0])
+        # a diagonal derivation and a non-normal one
+        derivations = [np.diag([1.0, 1.0, 2.0]),
+                       np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])]
+        assert all(is_derivation(D, b) for D in derivations)
         for _ in range(10):
             p = MetricParams(float(np.exp(0.5 * rng.normal())),
                              0.5 * rng.normal(size=3),
                              np.eye(3) + 0.3 * rng.normal(size=(3, 3)))
-            Dn, bn = transport_metric(p, D, b)
-            s1 = np.sort(ricci_extension(Dn, bn).eigenvalues())
-            R = koszul_oracle(extension_bracket(D, b), metric=p.gram()).ricci
-            s2 = np.sort(np.linalg.eigvals(R).real)
-            assert np.abs(s1 - s2).max() < 1e-8
+            for D in derivations:
+                Dn, bn = transport_metric(p, D, b)
+                s1 = np.sort(ricci_extension(Dn, bn).eigenvalues())
+                R = koszul_oracle(extension_bracket(D, b), metric=p.gram()).ricci
+                s2 = np.sort(np.linalg.eigvals(R).real)
+                assert np.abs(s1 - s2).max() < 1e-8
+                # the dense evaluation reads the same top eigenvalue
+                assert abs(is_ricci_negative(D, b, p)[1] - s2[-1]) < 1e-8
 
     def test_rejects_singular(self):
         with pytest.raises(PreconditionError):
@@ -203,6 +209,19 @@ class TestTransport:
 class TestRicciNegative:
     def test_h3_positive_case(self):
         ok, lam = is_ricci_negative(np.diag([1.0, 1.0, 2.0]), h3())
+        assert ok
+        assert lam == pytest.approx(-4.5, abs=1e-10)
+
+    def test_evaluation_builds_no_bracket(self, monkeypatch):
+        b = h3()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_ricci_negative went through a Bracket")
+
+        for name in ("extension_bracket", "transport_metric", "koszul_oracle", "act"):
+            monkeypatch.setattr(f"rnlie.curvature.{name}", refuse)
+        monkeypatch.setattr(Bracket, "__post_init__", refuse)
+        ok, lam = is_ricci_negative(np.diag([1.0, 1.0, 2.0]), b)
         assert ok
         assert lam == pytest.approx(-4.5, abs=1e-10)
 
