@@ -175,18 +175,3 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None):
     objective = sum(ci * xi for ci, xi in zip(c, x))
     return LpResult(OPTIMAL, x=x, objective=objective,
                     dual_ub=duals[:n_ub], dual_eq=duals[n_ub:])
-
-
-def feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None, nvars=None):
-    """Exact feasibility check; returns (bool, farkas_certificate_or_None)."""
-    if nvars is None:
-        if a_ub:
-            nvars = len(a_ub[0])
-        elif a_eq:
-            nvars = len(a_eq[0])
-        else:
-            return True, None
-    res = solve_lp([Fraction(0)] * nvars, a_ub, b_ub, a_eq, b_eq, nonneg)
-    if res.status == INFEASIBLE:
-        return False, res.certificate
-    return True, None

@@ -1,18 +1,29 @@
-"""Exact convex hulls of small rational point sets.
+"""Exact convex hulls and polytope vertices by double description.
 
-Everything here runs in Fraction arithmetic so that face identifications
-are combinatorial facts, not tolerance calls.  Sized for the polytopes
-that show up in weight-space computations: at most 16 distinct points,
-ambient dimension at most 8.
+Both entry points reduce to one routine, `_extreme_rays`: the extreme
+rays of a pointed cone {z : G z >= 0} by the double description method
+(Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon, "Double
+description method revisited", 1996), in Python integers.
+
+- `hrep_vertices` homogenises {x : A x <= b, E x = f}; its vertices are
+  the rays with t > 0.
+- `exact_hull` reads the facets of conv(points) off the rays of the cone
+  of valid inequalities {(beta, phi) : beta - phi . q >= 0 for every q}.
+
+Face identifications are therefore combinatorial facts, not tolerance
+calls.  The cone routine grows with its ray count, not with the number
+of row subsets; what stays exponential is the face lattice that
+`exact_hull` closes under intersection (up to 2^m faces of m points),
+and MAX_POINTS bounds that.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _exactlp, _rational
+from . import _rational
 from .errors import PreconditionError
 
 MAX_POINTS = 16
@@ -73,52 +84,65 @@ def _affine_coordinates(unique):
     return d, coords
 
 
-def _hyperplane_through(coords, subset, d):
-    """Normal/offset of the hyperplane spanned by a d-subset, or None."""
-    q0 = coords[subset[0]]
-    rows = [[coords[s][t] - q0[t] for t in range(d)] for s in subset[1:]]
-    kernel = _rational.nullspace(rows, ncols=d)
-    if len(kernel) != 1:
-        return None
-    phi = [v for v in kernel[0]]
-    beta = sum(phi[t] * q0[t] for t in range(d))
-    return phi, beta
-
-
-def _enumerate_facets(coords, d):
-    m = len(coords)
-    facets = set()
-    for subset in itertools.combinations(range(m), d):
-        hp = _hyperplane_through(coords, subset, d)
-        if hp is None:
-            continue
-        phi, beta = hp
-        values = [sum(phi[t] * q[t] for t in range(d)) - beta for q in coords]
-        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-            facets.add(frozenset(i for i, v in enumerate(values) if v == 0))
-    return facets
-
-
-def _extreme_indices(coords):
-    out = []
-    m = len(coords)
-    if m == 1:
-        return (0,)
-    d = len(coords[0])
-    for r in range(m):
-        others = [coords[i] for i in range(m) if i != r]
-        a_eq = [[q[t] for q in others] for t in range(d)]
-        a_eq.append([Fraction(1)] * len(others))
-        b_eq = [coords[r][t] for t in range(d)] + [Fraction(1)]
-        ok, _ = _exactlp.feasible(a_eq=a_eq, b_eq=b_eq,
-                                  nonneg=[True] * len(others), nvars=len(others))
-        if not ok:
-            out.append(r)
-    return tuple(out)
-
-
 def _face_sort_key(face):
     return (len(face), tuple(sorted(face)))
+
+
+def _primitive(ints):
+    """An integer vector divided by the gcd of its entries."""
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _integer_row(row):
+    """A rational row scaled to coprime integers."""
+    den = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _extreme_rays(G):
+    """Extreme rays of the cone {z : G z >= 0}, as (ray, zero set) pairs.
+
+    A ray is a tuple of coprime integers; its zero set is a bitmask of
+    the rows of G that vanish on it.  Empty unless G has full column
+    rank, that is unless the cone is pointed.  The rays of the simplex
+    cone cut out by rank-many independent rows are the columns of their
+    inverse; each further row keeps the rays on its nonnegative side and
+    joins every adjacent pair it separates.  Two rays are adjacent when
+    no third ray vanishes on every row that both vanish on.
+    """
+    rows = [_integer_row([Fraction(x) for x in r]) for r in G]
+    n = len(rows[0])
+    _, basis = _rational.rref(list(zip(*rows)))
+    if len(basis) < n:
+        return []
+    inv = _rational.inverse([rows[i] for i in basis])
+    rays = [(_integer_row([inv[i][j] for i in range(n)]),
+             sum(1 << basis[i] for i in range(n) if i != j)) for j in range(n)]
+    for k, row in enumerate(rows):
+        if k in basis:
+            continue
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for ray, zero in rays:
+            s = sum(a * x for a, x in zip(row, ray))
+            if s > 0:
+                pos.append((ray, zero, s))
+                kept.append((ray, zero))
+            elif s < 0:
+                neg.append((ray, zero, s))
+            else:
+                kept.append((ray, zero | bit))
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < n - 2 or any(
+                        z & common == common and z != zp and z != zn for _, z in rays):
+                    continue
+                kept.append((_primitive([sp * b - sn * a for a, b in zip(rp, rn)]),
+                             common | bit))
+        rays = kept
+    return rays
 
 
 def exact_hull(points) -> Hull:
@@ -144,7 +168,9 @@ def exact_hull(points) -> Hull:
     if d == 0:
         return Hull(pts, unique, tuple(to_unique), 0, (0,), (), (full,))
 
-    facets = _enumerate_facets(coords, d)
+    # a facet phi . x <= beta holds the points of its ray's zero set
+    rays = _extreme_rays([(Fraction(1),) + tuple(-x for x in q) for q in coords])
+    facets = {frozenset(i for i in full if zero >> i & 1) for _, zero in rays}
     faces = set(facets)
     frontier = set(facets)
     while frontier:
@@ -158,17 +184,22 @@ def exact_hull(points) -> Hull:
         frontier = fresh
     faces.add(full)
     faces = tuple(sorted(faces, key=_face_sort_key))
-    extreme = _extreme_indices(coords)
+    # a point is extreme when the facets through it meet in it alone,
+    # that is when it is a face by itself
+    extreme = tuple(sorted(i for f in faces if len(f) == 1 for i in f))
     return Hull(pts, unique, tuple(to_unique), d, extreme,
                 tuple(sorted(facets, key=_face_sort_key)), faces)
 
 
 def hrep_vertices(a_ub, b_ub, a_eq=None, b_eq=None):
-    """Vertices of the polytope {x : a_ub x <= b_ub, a_eq x = b_eq}.
+    """Vertices of the polyhedron {x : a_ub x <= b_ub, a_eq x = b_eq}.
 
-    Exact basis enumeration: every vertex is the unique solution of the
-    equality rows plus some choice of active inequality rows.  The input
-    is assumed bounded; unbounded directions are silently ignored.
+    The equality rows are solved exactly, x = x0 + N y with N a null
+    space basis, and {y : a_ub (x0 + N y) <= b_ub} is homogenised to the
+    cone of (y, t) with t >= 0.  Its extreme rays with t > 0 are the
+    vertices, returned sorted; the rays with t = 0 are the unbounded
+    directions, which are dropped.  An empty polyhedron, or one that
+    contains a line, has no vertex and gives ().
     """
     a_ub = [_fraction_point(r) for r in a_ub]
     b_ub = [Fraction(v) for v in b_ub]
@@ -177,24 +208,19 @@ def hrep_vertices(a_ub, b_ub, a_eq=None, b_eq=None):
     if not a_ub and not a_eq:
         raise PreconditionError("no constraints given")
     n = len(a_ub[0]) if a_ub else len(a_eq[0])
-    need = n - len(a_eq)
-    if need < 0:
+    if len(a_eq) > n:
         raise PreconditionError("more equality rows than variables")
+    x0 = _rational.solve(a_eq, b_eq) if a_eq else [Fraction(0)] * n
+    if x0 is None:
+        return ()
+    null = _rational.nullspace(a_eq, ncols=n)
+    cone = [[-sum(r[t] * v[t] for t in range(n)) for v in null]
+            + [bv - sum(r[t] * x0[t] for t in range(n))] for r, bv in zip(a_ub, b_ub)]
+    cone.append([0] * len(null) + [1])
     vertices = []
-    seen = set()
-    for chosen in itertools.combinations(range(len(a_ub)), need):
-        rows = a_eq + [a_ub[i] for i in chosen]
-        rhs = b_eq + [b_ub[i] for i in chosen]
-        sol = _rational.solve(rows, rhs)
-        if sol is None:
-            continue
-        if _rational.rank(rows) < n:
-            continue
-        x = tuple(sol)
-        if x in seen:
-            continue
-        if all(sum(r[t] * x[t] for t in range(n)) <= bv
-               for r, bv in zip(a_ub, b_ub)):
-            seen.add(x)
-            vertices.append(x)
+    for ray, _ in _extreme_rays(cone):
+        t = ray[-1]
+        if t > 0:
+            vertices.append(tuple(x0[s] + sum(Fraction(y, t) * v[s] for y, v in zip(ray, null))
+                                  for s in range(n)))
     return tuple(sorted(vertices))

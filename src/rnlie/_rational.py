@@ -45,11 +45,6 @@ def rref(rows):
     return mat, pivots
 
 
-def rank(rows):
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
 def nullspace(rows, ncols=None):
     """Basis of the right null space of a rational matrix.
 
@@ -102,29 +97,3 @@ def inverse(rows):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
-
-
-def det(rows):
-    """Exact determinant via fraction-free-ish elimination (small n)."""
-    n = len(rows)
-    mat = _as_fraction_rows(rows)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            sign = -sign
-        result *= mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return result * sign

@@ -87,14 +87,6 @@ class Bracket:
     def is_rational(self) -> bool:
         return self.scalar_kind == RATIONAL
 
-    def triples(self):
-        return sorted(self.constants)
-
-    def ad(self, i: int) -> np.ndarray:
-        """Matrix of ad(e_i) = [e_i, .] acting on R^dim."""
-        C = self.tensor()
-        return C[i].T.copy()
-
     def to_float(self) -> "Bracket":
         if self.scalar_kind == FLOAT:
             return self

@@ -20,7 +20,7 @@ import numpy as np
 from ._exactlp import solve_lp
 from .brackets import Bracket, center
 from .curvature import MetricParams, is_ricci_negative
-from .derivations import Derivation, diag_entries, diagonal_torus, is_derivation
+from .derivations import Derivation, diag_entries, diagonal_torus, require_derivation
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
                      centralizer_blocks, nice_basis_check, pack_blocks,
@@ -246,8 +246,7 @@ def constructive_nonneg(D, b: Bracket):
     diag = np.array([float(v) for v in d_exact])
     if diag.min() < -1e-12:
         raise PreconditionError("entries must be nonnegative")
-    if not is_derivation(np.diag(diag), b):
-        raise PreconditionError("not a derivation of the bracket")
+    require_derivation(np.diag(diag), b)
     Z = center(b)
     if Z.shape[1]:
         zmin = float(np.linalg.eigvals(Z.T @ np.diag(diag) @ Z).real.min())
@@ -303,7 +302,10 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     and h = exp(A) with A commuting with D when D is diagonal (full
     otherwise).  Phases: the identity metric, a pure-scaling line, then
     restarted compass descent.  Returns the first witness below -1e-6,
-    or the best value found once the evaluation budget runs out.
+    or the best value found once the evaluation budget runs out.  D must
+    pass the Leibniz gate of ricci_extension, checked once here: the
+    extension by anything else is no Lie algebra, and a search over it
+    would decide nothing.
     """
     from scipy.linalg import expm
 
@@ -313,6 +315,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     n = b.dim
     if M.shape != (n, n):
         raise PreconditionError(f"derivation shape {M.shape} does not match")
+    require_derivation(M, b)
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, 21)
 

@@ -1,9 +1,17 @@
 """The open convex cone of certifiably Ricci-negative diagonal derivations.
 
-Membership goes through the certificate routes; cross-sections at a
-trace level are computed exactly (multiplier elimination plus vertex
-enumeration) when the basis is nice with a multiplicity-free torus,
-and as seeded inner approximations by support probes otherwise.
+Membership goes through the certificate routes.  A cross-section at a
+trace level is exact when the basis is nice with a multiplicity-free
+torus: Fourier-Motzkin elimination of the multipliers gives the facet
+rows, and double description (`_hull.hrep_vertices`) their vertices.
+Otherwise it is a seeded inner approximation by support probes.
+
+MAX_EXACT_TORUS_DIM bounds the exact regime.  What it protects now is
+the elimination, whose row count can square with each multiplier it
+drops, and the vertex count, which double description pays for (3^k
+rows and k 2^k vertices on heisenberg(2k+1), torus dimension k + 1).
+Raising it turns a refusal into a section, which is a verdict change of
+its own.
 """
 
 from __future__ import annotations
@@ -237,9 +245,10 @@ def cone_section(b: Bracket, t, resolution: int = 64, seed=None) -> ConeSection:
     torus coordinates.
 
     Exact when the basis is nice with a multiplicity-free torus of
-    dimension at most 4 (multiplier elimination, then exact vertex
-    enumeration); otherwise a seeded inner approximation from support
-    probes over a sampled orbit.
+    dimension at most MAX_EXACT_TORUS_DIM (Fourier-Motzkin elimination of
+    the multipliers, then the vertices by exact double description).
+    Any torus of larger dimension raises PreconditionError.  Otherwise a
+    seeded inner approximation from support probes over a sampled orbit.
     """
     if float(t) <= 0:
         raise PreconditionError("the cone meets only positive trace levels")

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .brackets import BasisChange, Bracket, act, act_tensor, gram_difference
-from .derivations import Derivation, is_derivation, leibniz_residual
+from .derivations import Derivation, require_derivation
 from .errors import NumericalError, PreconditionError
 
 
@@ -186,9 +186,7 @@ def ricci_extension(D, b: Bracket) -> RicciBlock:
     the tests hold these blocks to.
     """
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
-    if not is_derivation(M, b):
-        raise PreconditionError(
-            f"not a derivation, Leibniz residual {leibniz_residual(M, b):.3e}")
+    require_derivation(M, b)
     S = 0.5 * (M + M.T)
     ff = -float(np.trace(S @ S))
     nn = ricci_nilpotent(b) + 0.5 * (M @ M.T - M.T @ M) - float(np.trace(M)) * S

@@ -21,7 +21,7 @@ from . import _exactlp
 from .brackets import (FLOAT, RATIONAL, BasisChange, Bracket, act, is_lie,
                        validate_jacobi)
 from .curvature import extension_bracket, koszul_oracle
-from .derivations import Derivation, is_derivation, leibniz_residual
+from .derivations import Derivation, require_derivation
 from .errors import NumericalError, PreconditionError
 from .moment import weight_polytope, weight_vector
 
@@ -120,9 +120,7 @@ def heintze_curve(D, b: Bracket, t=1.0) -> Bracket:
     generator sits at index 0.  At t = 1 this is the standard extension.
     """
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
-    if not is_derivation(M, b):
-        raise PreconditionError(
-            f"not a derivation, Leibniz residual {leibniz_residual(M, b):.3e}")
+    require_derivation(M, b)
     return extension_bracket(D, b, t)
 
 

@@ -37,6 +37,13 @@ def is_derivation(D, b: Bracket, tol: float = 1e-9) -> bool:
     return leibniz_residual(D, b) <= max(1e-12, tol * scale)
 
 
+def require_derivation(D, b: Bracket) -> None:
+    """Raise PreconditionError unless D passes the relative Leibniz gate."""
+    if not is_derivation(D, b):
+        raise PreconditionError(
+            f"not a derivation, Leibniz residual {leibniz_residual(D, b):.3e}")
+
+
 @dataclass(frozen=True)
 class Derivation:
     """A matrix together with the bracket it differentiates."""
@@ -49,9 +56,7 @@ class Derivation:
         object.__setattr__(self, "matrix", M)
         if M.shape != (self.base.dim, self.base.dim):
             raise PreconditionError("derivation shape does not match the bracket")
-        if not is_derivation(M, self.base):
-            raise PreconditionError(
-                f"Leibniz residual {leibniz_residual(M, self.base):.3e} too large")
+        require_derivation(M, self.base)
 
     @staticmethod
     def diagonal(entries, base: Bracket) -> "Derivation":

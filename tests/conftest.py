@@ -1,8 +1,15 @@
 """Shared pytest scaffolding.
 
 Collects the acceptance verdict lines and replays them in the terminal
-summary, where they survive output capture.
+summary, where they survive output capture, and loads a derandomized
+hypothesis profile so that every property test draws the same examples
+on every run.
 """
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 _verdicts = []
 

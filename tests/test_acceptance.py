@@ -502,9 +502,9 @@ def test_09_necessary_gate_blocks_search():
     cases = [
         (h3, (-1, 1, 0)),
         (h3, (1, -1, 0)),
-        (h3, (1, 1, 0)),
+        (h3, (-2, 2, 0)),
         (h3, (2, -2, 0)),
-        (h5, (1, 1, -1, -1, 0)),
+        (h5, (1, -1, 1, -1, 0)),
         (h5, (1, -1, 2, -2, 0)),
         (f5, (4, -7, -3, 1, 5)),
         (h3_plus_line, (1, 0, 1, 0)),

@@ -150,12 +150,3 @@ def test_direct_sum_block_structure():
     assert s.dim == 4
     assert lower_central_series(s) == [4, 1, 0]
     assert center(s).shape[1] == 2
-
-
-def test_ad_matrix():
-    b = h3()
-    ad0 = b.ad(0)
-    e2 = np.zeros(3)
-    e2[1] = 1
-    assert np.allclose(ad0 @ e2, [0, 0, 1])
-    assert np.allclose(b.ad(1) @ np.array([1.0, 0, 0]), [0, 0, -1])

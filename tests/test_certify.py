@@ -236,6 +236,13 @@ class TestSearch:
         assert res.evaluations == 2000
         assert res.lambda_best > -1e-6
 
+    def test_non_derivation_refused(self):
+        # d1 + d2 = 2 but the centre entry is 0, so the "extension" by this
+        # matrix is no Lie algebra and a search over it would decide nothing
+        h5 = corpus("heisenberg", 5).bracket
+        with pytest.raises(PreconditionError, match="not a derivation"):
+            search_rn_metric(diag(1, 1, -1, -1, 0), h5, seed=504)
+
     def test_deterministic(self):
         D = diag(-0.4, 0.9, 0.5)
         a = search_rn_metric(D, h3, seed=5)

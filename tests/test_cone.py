@@ -1,15 +1,18 @@
 """Cone membership, sections, Weyl invariance and audits."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rnlie import _rational
 from rnlie.cone import (EXACT, IN, OUT, SAMPLED_INNER, ConeSection,
-                        cone_membership, cone_section, containment_audit,
-                        weyl_invariance_check)
+                        _exact_section, cone_membership, cone_section,
+                        containment_audit, weyl_invariance_check)
 from rnlie.certify import SrnCertificate, certify_srn_nice
 from rnlie.corpus import corpus
+from rnlie.derivations import diagonal_torus
 from rnlie.errors import PreconditionError
 
 h3 = corpus("heisenberg", 3).bracket
@@ -20,6 +23,33 @@ ab3 = corpus("abelian", 3).bracket
 
 def diag(*entries):
     return np.diag(np.array(entries, dtype=float))
+
+
+def _heisenberg_section_closed_form(k):
+    """Diagonals of the vertices of sum f(a_i) <= T on heisenberg(2k+1),
+    T = 1/(k+1) and f(x) = max(0, -x, x - T), built from the pieces of f
+    as acceptance 07 builds the octagon.
+
+    The region is cut out by the rows sum p_i(a_i) <= T over every tuple
+    of pieces p_i of f; a point of it where k independent rows are tight
+    is a vertex.  The tight rows at a point combine the pieces active at
+    each entry, so k independent ones need k - 1 entries at a break point
+    0 or T and, to reach the level T, the last at -T or 2T: the grid
+    {-T, 0, T, 2T}^k holds every vertex.  Worked in units of T.
+    """
+    pieces = ((-1, 0), (0, 0), (1, -1))  # x -> slope * x + offset
+    rows = [(tuple(p[0] for p in ps), 1 - sum(p[1] for p in ps))
+            for ps in itertools.product(pieces, repeat=k)]
+    T = Fraction(1, k + 1)
+    out = set()
+    for a in itertools.product((-1, 0, 1, 2), repeat=k):
+        values = [(slope, sum(s * x for s, x in zip(slope, a)), r) for slope, r in rows]
+        if any(v > r for _, v, r in values):
+            continue
+        tight = [slope for slope, v, r in values if v == r]
+        if tight and len(_rational.rref(tight)[1]) == k:
+            out.add(tuple(e for x in a for e in (x * T, T - x * T)) + (T,))
+    return out
 
 
 class TestMembership:
@@ -104,6 +134,19 @@ class TestExactSections:
         h9 = corpus("heisenberg", 9).bracket
         with pytest.raises(PreconditionError):
             cone_section(h9, 1)
+
+    @pytest.mark.parametrize("k, facets, vertices", [(4, 81, 64), (5, 243, 160)])
+    def test_heisenberg_past_the_torus_bound(self, k, facets, vertices):
+        # cone_section refuses these tori (test_torus_dimension_guard);
+        # the exact routine itself gives the closed form sum f(a_i) <= T
+        b = corpus("heisenberg", 2 * k + 1).bracket
+        torus = diagonal_torus(b)
+        s = _exact_section(b, torus, 1)
+        assert len(s.halfspaces) == facets
+        assert len(s.vertices) == vertices
+        closed = _heisenberg_section_closed_form(k)
+        assert len(closed) == vertices
+        assert set(s.vertices) == {torus.coords_of(e) for e in closed}
 
     def test_vertices_certify_only_as_boundary(self):
         # section vertices sit on the boundary: their exact margin is 0

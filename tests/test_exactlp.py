@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 from scipy.optimize import linprog
 
-from rnlie._exactlp import solve_lp, feasible
+from rnlie._exactlp import solve_lp
 
 
 def test_margin_lp_feasible_hand_case():
@@ -37,11 +37,11 @@ def test_unbounded():
 
 
 def test_infeasible_farkas():
-    ok, cert = feasible(a_ub=[[F(1)], [F(-1)]], b_ub=[F(-2), F(1)], nonneg=[True])
-    assert not ok
-    assert cert is not None
+    res = solve_lp([F(0)], a_ub=[[F(1)], [F(-1)]], b_ub=[F(-2), F(1)], nonneg=[True])
+    assert res.status == "infeasible"
+    assert res.certificate is not None
     # Farkas: y >= 0 with y^T A >= 0 componentwise on nonneg vars and y.b < 0
-    y = cert
+    y = res.certificate
     assert all(v >= 0 for v in y)
     assert y[0] * F(-2) + y[1] * F(1) < 0
 

@@ -1,9 +1,16 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rnlie._hull import exact_hull, hrep_vertices
+from rnlie import _rational
+from rnlie._exactlp import solve_lp
+from rnlie._hull import Hull, _affine_coordinates, exact_hull, hrep_vertices
+from rnlie.corpus import _NEEDS_PARAM, corpus, corpus_names
 from rnlie.errors import PreconditionError
+from rnlie.moment import MAX_HULL_DIM, weight_polytope, weight_vector
 
 
 def wv(i, j, k, n=5):
@@ -74,3 +81,175 @@ def test_hrep_with_equality():
     vs = hrep_vertices(a_ub, [0, 0, 0], a_eq=[[1, 1, 1]], b_eq=[1])
     assert len(vs) == 3
     assert all(sum(v) == 1 for v in vs)
+    # a dependent equality row cuts nothing more
+    assert hrep_vertices(a_ub, [0, 0, 0], a_eq=[[1, 1, 1], [2, 2, 2]], b_eq=[1, 2]) == vs
+
+
+# -- brute-force reference ------------------------------------------------
+#
+# The subset enumerators that double description replaced: every vertex
+# solves some choice of active rows, and every facet is spanned by some
+# d-subset of the points.  Exponential, but independent of the cone
+# routine, and exact.
+
+def _reference_hrep_vertices(a_ub, b_ub, a_eq=(), b_eq=()):
+    a_ub = [[F(x) for x in r] for r in a_ub]
+    b_ub = [F(v) for v in b_ub]
+    a_eq = [[F(x) for x in r] for r in a_eq]
+    b_eq = [F(v) for v in b_eq]
+    n = len(a_ub[0]) if a_ub else len(a_eq[0])
+    vertices = set()
+    for chosen in itertools.combinations(range(len(a_ub)), n - len(a_eq)):
+        rows = a_eq + [a_ub[i] for i in chosen]
+        sol = _rational.solve(rows, b_eq + [b_ub[i] for i in chosen])
+        if sol is None or len(_rational.rref(rows)[1]) < n:
+            continue
+        x = tuple(sol)
+        if all(sum(r[t] * x[t] for t in range(n)) <= bv for r, bv in zip(a_ub, b_ub)):
+            vertices.add(x)
+    return tuple(sorted(vertices))
+
+
+def _reference_facets(coords, d):
+    facets = set()
+    for subset in itertools.combinations(range(len(coords)), d):
+        q0 = coords[subset[0]]
+        rows = [[coords[s][t] - q0[t] for t in range(d)] for s in subset[1:]]
+        kernel = _rational.nullspace(rows, ncols=d)
+        if len(kernel) != 1:
+            continue
+        phi = kernel[0]
+        values = [sum(phi[t] * (q[t] - q0[t]) for t in range(d)) for q in coords]
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+            facets.add(frozenset(i for i, v in enumerate(values) if v == 0))
+    return facets
+
+
+def _reference_extreme(coords):
+    """Points that are no convex combination of the others, one LP each."""
+    out = []
+    for r, q in enumerate(coords):
+        others = [p for i, p in enumerate(coords) if i != r]
+        a_eq = [[p[t] for p in others] for t in range(len(q))] + [[F(1)] * len(others)]
+        res = solve_lp([F(0)] * len(others), a_eq=a_eq, b_eq=list(q) + [F(1)],
+                       nonneg=[True] * len(others))
+        if res.status == "infeasible":
+            out.append(r)
+    return tuple(out)
+
+
+def _reference_hull(points):
+    pts = tuple(tuple(F(x) for x in p) for p in points)
+    unique = tuple(dict.fromkeys(pts))
+    to_unique = tuple(unique.index(p) for p in pts)
+    d, coords = _affine_coordinates(unique)
+    full = frozenset(range(len(unique)))
+    if d == 0:
+        return Hull(pts, unique, to_unique, 0, (0,), (), (full,))
+    facets = _reference_facets(coords, d)
+    faces = set(facets)
+    while True:
+        meets = {f & g for f in faces for g in facets} - {frozenset()}
+        if meets <= faces:
+            break
+        faces |= meets
+    faces.add(full)
+    key = lambda f: (len(f), tuple(sorted(f)))  # noqa: E731
+    return Hull(pts, unique, to_unique, d, _reference_extreme(coords),
+                tuple(sorted(facets, key=key)), tuple(sorted(faces, key=key)))
+
+
+def _assert_same_hull(points):
+    got, want = exact_hull(points), _reference_hull(points)
+    for field in ("points", "unique", "to_unique", "dim", "extreme", "facets", "faces"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+
+# -- property tests against the reference ---------------------------------
+
+_small = st.integers(-2, 2)
+
+
+@st.composite
+def _polytopes(draw):
+    """A box around the origin cut by a few small integer rows, with an
+    optional equality row; small coefficients make degenerate vertices
+    (more tight rows than the dimension) common."""
+    n = draw(st.integers(1, 4))
+    a_ub, b_ub = [], []
+    for i in range(n):
+        for sign in (1, -1):
+            a_ub.append([sign * int(t == i) for t in range(n)])
+            b_ub.append(draw(st.integers(0, 2)))
+    for _ in range(draw(st.integers(0, 6 - n))):
+        a_ub.append(draw(st.lists(_small, min_size=n, max_size=n)))
+        b_ub.append(draw(st.integers(-1, 3)))
+    eq = draw(st.none() | st.tuples(st.lists(_small, min_size=n, max_size=n)
+                                     .filter(any), _small))
+    a_eq, b_eq = ([eq[0]], [eq[1]]) if eq else ([], [])
+    return a_ub, b_ub, a_eq, b_eq
+
+
+# a square pyramid (four facets through the apex) and a cut square
+# whose corner (1, 0) meets three rows
+@example(([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], [0, 1, 1, 1, 1], [], []))
+@example(([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, 1], [], []))
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [1, 1, 1, 0],
+          [[1, 1, 1]], [1]))
+@settings(max_examples=150)
+@given(_polytopes())
+def test_hrep_matches_subset_enumeration(poly):
+    a_ub, b_ub, a_eq, b_eq = poly
+    got = hrep_vertices(a_ub, b_ub, a_eq=a_eq, b_eq=b_eq)
+    assert repr(got) == repr(_reference_hrep_vertices(a_ub, b_ub, a_eq, b_eq))
+
+
+@st.composite
+def _point_sets(draw):
+    """Integer combinations of a few small generators: lower-dimensional
+    when the generators are fewer than the ambient dimension, with
+    duplicates, and with interior points (midpoints of drawn ones)."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(_small, min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=n))
+    base = draw(st.lists(_small, min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.lists(_small, min_size=len(gens), max_size=len(gens)),
+                           min_size=n + 1, max_size=10))
+    pts = [tuple(F(base[t] + sum(c * g[t] for c, g in zip(cs, gens))) for t in range(n))
+           for cs in coeffs]
+    pts += [tuple((p[t] + q[t]) / 2 for t in range(n))
+            for p, q in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)),
+                                      max_size=3))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return pts
+
+
+@example([(0, 0), (2, 0), (1, 0), (2, 0)])
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 0)])
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (F(1, 4), F(1, 4), F(1, 4))])
+@settings(max_examples=150)
+@given(_point_sets())
+def test_hull_matches_subset_enumeration(points):
+    _assert_same_hull(points)
+
+
+def _corpus_brackets():
+    for name in corpus_names():
+        params = range(1, MAX_HULL_DIM + 1) if name in _NEEDS_PARAM else [None]
+        for param in params:
+            try:
+                b = corpus(name, param).bracket
+            except PreconditionError:
+                continue  # outside the family's range
+            if not b.is_zero() and b.dim <= MAX_HULL_DIM:
+                yield f"{name}:{param}", b
+
+
+def test_corpus_weight_polytopes_match_subset_enumeration():
+    checked = 0
+    for label, b in _corpus_brackets():
+        wp = weight_polytope(b)
+        want = _reference_hull([weight_vector(t, b.dim) for t in sorted(b.constants)])
+        assert repr(wp.hull) == repr(want), label
+        checked += 1
+    assert checked == 19
