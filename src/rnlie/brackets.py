@@ -175,20 +175,39 @@ def act(h: BasisChange, b: Bracket) -> Bracket:
 
 def act_tensor(C: np.ndarray, H) -> np.ndarray:
     """Dense action (H . C)[i, j, k] = sum_pqr Hi[p, i] Hi[q, j] H[k, r] C[p, q, r]
-    on an (n, n, n) structure tensor, with Hi the inverse of H."""
+    on an (n, n, n) structure tensor, with Hi the inverse of H.
+
+    H may carry leading stack axes; the result then carries them too, and
+    each slice is bit-identical to the call on that slice alone.  The
+    three products are the flattened contractions a tensordot chain would
+    make, in the same order and layout.
+    """
     H = np.asarray(H, float)
     Hi = np.linalg.inv(H)
-    out = np.tensordot(C, H, axes=([2], [1]))             # [p, q, k]
-    out = np.tensordot(Hi, out, axes=([0], [0]))          # [i, q, k]
-    return np.tensordot(out, Hi, axes=([1], [0])).transpose(0, 2, 1)  # [i, k, j] -> [i, j, k]
+    n = C.shape[-1]
+    stack = H.shape[:-2]
+    out = C.reshape(n * n, n) @ np.swapaxes(H, -1, -2)                 # [p, q, k]
+    out = np.swapaxes(Hi, -1, -2) @ out.reshape(stack + (n, n * n))    # [i, q, k]
+    out = np.swapaxes(out.reshape(stack + (n, n, n)), -1, -2)          # [i, k, q]
+    out = out.reshape(stack + (n * n, n)) @ Hi                         # [i, k, j]
+    return np.swapaxes(out.reshape(stack + (n, n, n)), -1, -2)         # [i, j, k]
 
 
 def gram_difference(C: np.ndarray) -> np.ndarray:
     """T - 2S with T[a,b] = sum_ij C[i,j,a]C[i,j,b] (targets) and S[a,b] =
     sum_jk C[a,j,k]C[b,j,k] (sources): |C|^2 times the moment value, and
-    4 times the nilpotent Ricci operator."""
-    return (np.tensordot(C, C, axes=([0, 1], [0, 1]))
-            - 2.0 * np.tensordot(C, C, axes=([1, 2], [1, 2])))
+    4 times the nilpotent Ricci operator.
+
+    C may carry leading stack axes, as act_tensor's output does.
+    """
+    n = C.shape[-1]
+    pairs_out = C.reshape(C.shape[:-3] + (n * n, n))   # [(i, j), k]
+    out_pairs = C.reshape(C.shape[:-3] + (n, n * n))   # [a, (j, k)]
+    # contiguous transposed copies, never views: a product of a matrix
+    # with its own transposed view goes to syrk instead of gemm
+    targets = np.ascontiguousarray(np.swapaxes(pairs_out, -1, -2)) @ pairs_out
+    sources = out_pairs @ np.ascontiguousarray(np.swapaxes(out_pairs, -1, -2))
+    return targets - 2.0 * sources
 
 
 def jacobiator(b: Bracket, i: int, j: int, k: int):

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._exactlp import solve_lp
 from .brackets import Bracket, center
-from .curvature import MetricParams, is_ricci_negative
+from .curvature import MetricParams, _top_eigenvalues, is_ricci_negative
 from .derivations import Derivation, diag_entries, diagonal_torus, require_derivation
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
@@ -216,11 +216,15 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
 
 
 def necessary_condition(D, b: Bracket) -> bool:
-    """The one general obstruction: positive trace, and positive real
-    spectrum for the restriction of D to the center."""
+    """The one general obstruction: D or -D has positive trace and a
+    positive real spectrum on the center.  The sign is free because the
+    extension by -D is the same Lie algebra as the extension by D (send
+    the new generator H to -H)."""
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, dtype=float)
     if M.ndim == 1:
         M = np.diag(M)
+    if float(np.trace(M)) < 0:
+        M = -M
     if float(np.trace(M)) <= 1e-10:
         return False
     Z = center(b)
@@ -301,14 +305,25 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     scale is pinned to 1, the shear X ranges over the nilpotent part,
     and h = exp(A) with A commuting with D when D is diagonal (full
     otherwise).  Phases: the identity metric, a pure-scaling line, then
-    restarted compass descent.  Returns the first witness below -1e-6,
-    or the best value found once the evaluation budget runs out.  D must
-    pass the Leibniz gate of ricci_extension, checked once here: the
-    extension by anything else is no Lie algebra, and a search over it
-    would decide nothing.
-    """
-    from scipy.linalg import expm
+    restarted first-improvement compass descent, each restart from the
+    best point so far during the first third of the budget and from a
+    seeded random point after it.  Returns the first witness below
+    -1e-6, or the best value found once the evaluation budget runs out.
 
+    D must pass the Leibniz gate of ricci_extension, checked once here:
+    the extension by anything else is no Lie algebra, and a search over
+    it would decide nothing.  The gate is also what lets every evaluation
+    read the closed-form Ricci blocks of the transported pair, with no
+    curvature tensor.  Points are evaluated as stacks: the scaling line
+    is one, and each compass sweep is one, from the current coordinate
+    to the last (+step, then -step).  The stack's values are consumed in
+    the order a one-point-at-a-time search would make them, up to the
+    first improvement, which starts a new stack at the next coordinate;
+    `evaluations` counts the values consumed, so rows computed past that
+    point, and rows past the budget, which are never computed, do not
+    count.  A witness is confirmed by is_ricci_negative, the independent
+    Koszul-formula evaluation, before it is returned.
+    """
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, dtype=float)
     if M.ndim == 1:
         M = np.diag(M)
@@ -326,95 +341,96 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     else:
         blocks = [tuple(range(n))]
     asize = sum(len(blk) ** 2 for blk in blocks)
+    dim = asize + n
+    C = b.tensor()
+    state = {"evals": 0, "best": math.inf, "best_x": np.zeros(dim)}
 
-    state = {"evals": 0, "best": math.inf, "best_params": MetricParams.identity(n)}
-
-    def evaluate(x):
-        if state["evals"] >= budget:
-            return None
-        state["evals"] += 1
-        try:
-            params = MetricParams(1.0, x[asize:], expm(unpack_blocks(x, blocks, n)))
-            lam = is_ricci_negative(M, b, params)[1]
-        except (PreconditionError, NumericalError, np.linalg.LinAlgError):
-            return math.inf
-        if lam < state["best"]:
-            state["best"] = lam
-            state["best_params"] = params
-        return lam
+    def poll(rows):
+        """Yield (row, value) in order, one evaluation per value taken.
+        The rows the budget allows are evaluated as one stack."""
+        rows = rows[:budget - state["evals"]]
+        if not len(rows):
+            return
+        values = _top_eigenvalues(M, C, rows[:, asize:],
+                                  _metric_factors(rows[:, :asize], blocks, n))
+        for x, lam in zip(rows, values):
+            state["evals"] += 1
+            if lam < state["best"]:
+                state["best"], state["best_x"] = float(lam), x
+            yield x, lam
 
     def finished():
         return state["best"] < NEGATIVITY_THRESHOLD
 
-    dim = asize + n
+    def done():
+        return finished() or state["evals"] >= budget
+
     # identity metric, then the pure-scaling line h = e^s
-    lam = evaluate(np.zeros(dim))
-    if lam is not None and not finished():
-        for s in np.linspace(0.25, 25.0, 50):
-            x = np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
-            if evaluate(x) is None or finished():
+    for _ in poll(np.zeros((1, dim))):
+        pass
+    if not done():
+        line = np.array([np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
+                         for s in np.linspace(0.25, 25.0, 50)])
+        for _ in poll(line):
+            if finished():
                 break
 
-    while not finished() and state["evals"] < budget:
+    while not done():
         if state["best"] < math.inf and state["evals"] < budget // 3:
             # descend from the best point found so far first
-            base = state["best_params"]
-            with np.errstate(all="ignore"):
-                try:
-                    A0 = _matrix_log_blocks(base.h, blocks)
-                except NumericalError:
-                    A0 = np.zeros((n, n))
-            x = np.concatenate([pack_blocks(A0, blocks), base.X])
+            x = state["best_x"].copy()
         else:
             x = 0.6 * rng.standard_normal(dim)
-        _compass_descent(x, evaluate, finished, state, budget)
-        if state["evals"] >= budget:
-            break
+        _compass_descent(x, poll, done)
 
+    x = state["best_x"]
+    params = MetricParams(1.0, x[asize:], _metric_factors(x[None, :asize], blocks, n)[0])
     if finished():
-        params = state["best_params"]
         flag, lam = is_ricci_negative(M, b, params)
         if flag and lam < NEGATIVITY_THRESHOLD:
             return RnWitness(params, lam)
-    return SearchFailure(state["best"], state["best_params"], state["evals"])
+    return SearchFailure(state["best"], params, state["evals"])
 
 
-def _matrix_log_blocks(h, blocks):
-    from scipy.linalg import logm
+def _metric_factors(A, blocks, n):
+    """h = exp(A) for each row of A, packed as pack_blocks lays out the
+    diagonal blocks: one stacked expm, or np.exp of the diagonal when
+    every block is 1 x 1, which is what expm does on a diagonal matrix."""
+    from scipy.linalg import expm
 
-    n = h.shape[0]
-    A = np.zeros((n, n))
-    for blk in blocks:
-        sub = h[np.ix_(blk, blk)]
-        L = logm(sub)
-        if np.abs(L.imag).max() > 1e-8:
-            raise NumericalError("metric factor outside the exp image")
-        A[np.ix_(blk, blk)] = L.real
-    return A
+    with np.errstate(all="ignore"):
+        if len(blocks) < n:
+            return expm(unpack_blocks(A, blocks, n))
+        # 1 x 1 blocks come in index order, so A holds the diagonal
+        h = np.zeros((len(A), n, n))
+        h[:, range(n), range(n)] = np.exp(A)
+        return h
 
 
-def _compass_descent(x0, evaluate, finished, state, budget,
-                     step0=0.5, min_step=1e-3):
-    x = np.asarray(x0, dtype=float).copy()
-    current = evaluate(x)
-    if current is None or finished():
+def _compass_descent(x, poll, done, step=0.5, min_step=1e-3):
+    """First-improvement compass descent from x until the step falls
+    below min_step or done() holds.  A sweep tries +step, then -step, on
+    each coordinate in turn and moves to the first trial that improves;
+    the trials left in the sweep then go to poll as one stack."""
+    for _, current in poll(x[None]):
+        pass
+    if done():
         return
-    step = step0
     dim = len(x)
-    while step >= min_step and state["evals"] < budget and not finished():
+    while step >= min_step and not done():
         improved = False
-        for i in range(dim):
-            for sgn in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sgn * step
-                val = evaluate(trial)
-                if val is None or finished():
+        i = 0
+        while i < dim:
+            coords = np.repeat(np.arange(i, dim), 2)
+            trials = np.repeat(x[None], len(coords), axis=0)
+            trials[np.arange(len(coords)), coords] += np.tile([step, -step], dim - i)
+            i = dim
+            for r, (trial, val) in enumerate(poll(trials)):
+                if done():
                     return
                 if val < current - 1e-12:
-                    x, current = trial, val
-                    improved = True
+                    x, current, improved = trial, val, True
+                    i = coords[r] + 1
                     break
-            if finished():
-                return
         if not improved:
             step *= 0.5

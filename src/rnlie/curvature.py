@@ -2,12 +2,15 @@
 solvable extensions.
 
 Two independent computations are kept side by side.  The Ricci operator
-of an extension comes from closed-form blocks, with no curvature tensor.
-The Koszul-formula oracle evaluates the full curvature tensor of any
-left-invariant metric from structure constants alone; it is the
-independent reference that the closed forms are tested against; the
-Ricci-negativity test reads the same formula on the dense transported
-structure tensor, with no Bracket in between.
+of an extension comes from closed-form blocks, with no curvature tensor;
+the evaluation behind every metric search reads those blocks on stacks of
+transported pairs (_top_eigenvalues).  The Koszul-formula oracle
+evaluates the full curvature tensor of any left-invariant metric from
+structure constants alone; it is the independent reference that the
+closed forms are tested against.  The Ricci-negativity test
+(is_ricci_negative) reads the same formula on the dense transported
+structure tensor, with no Bracket in between, and confirms each search
+witness once.
 
 Convention: the basis is orthonormal and squared norms sum over ordered
 index pairs, so a single basis bracket e_i ^ e_j -> e_k has squared norm
@@ -131,17 +134,23 @@ def transport_metric(p: MetricParams, D, b: Bracket):
     output pair with the standard metric has the same spectrum as the
     Ricci of (D, b) with the metric p.
     """
-    return _transported_derivation(p, D, b.tensor()), act(BasisChange(p.h), b)
+    return (_transported_derivation(D, b.tensor(), p.c, p.X, p.h),
+            act(BasisChange(p.h), b))
 
 
-def _transported_derivation(p: MetricParams, D, C: np.ndarray) -> np.ndarray:
-    """c h (D - ad Y) h^{-1} with Y = h^{-1}X, on the structure tensor C."""
+def _transported_derivation(D, C: np.ndarray, c, X, h) -> np.ndarray:
+    """c h (D - ad Y) h^{-1} with Y = h^{-1}X, on the structure tensor C.
+    X and h may carry the same leading stack axes; each slice is
+    bit-identical to the call on that slice alone."""
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
-    if p.h.shape[0] != C.shape[0]:
+    n = C.shape[0]
+    if h.shape[-1] != n:
         raise PreconditionError("metric parameter dimension mismatch")
-    hinv = np.linalg.inv(p.h)
+    hinv = np.linalg.inv(h)
+    Y = hinv @ X[..., None]
     # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:]
-    return p.c * (p.h @ (M - np.tensordot(hinv @ p.X, C, axes=1).T) @ hinv)
+    adY = (np.swapaxes(Y, -1, -2) @ C.reshape(n, n * n)).reshape(Y.shape[:-2] + (n, n))
+    return c * (h @ (M - np.swapaxes(adY, -1, -2)) @ hinv)
 
 
 @dataclass(frozen=True)
@@ -157,13 +166,7 @@ class RicciBlock:
     nn: np.ndarray
 
     def assembled(self) -> np.ndarray:
-        n = self.nn.shape[0]
-        out = np.zeros((n + 1, n + 1))
-        out[0, 0] = self.ff
-        out[0, 1:] = self.fn_row
-        out[1:, 0] = self.fn_row
-        out[1:, 1:] = self.nn
-        return out
+        return _assembled(self.ff, self.fn_row, self.nn)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.assembled())
@@ -187,13 +190,37 @@ def ricci_extension(D, b: Bracket) -> RicciBlock:
     """
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
     require_derivation(M, b)
-    S = 0.5 * (M + M.T)
-    ff = -float(np.trace(S @ S))
-    nn = ricci_nilpotent(b) + 0.5 * (M @ M.T - M.T @ M) - float(np.trace(M)) * S
+    ff, fn, nn = _ricci_blocks(M, b.tensor())
+    return RicciBlock(float(ff), fn, nn)
+
+
+def _ricci_blocks(M, C):
+    """The closed-form blocks (ff, fn_row, nn) of ricci_extension for the
+    derivation M of the structure tensor C, valid only when M is one.  M
+    and C may carry the same leading stack axes; every product is taken
+    slice by slice, so a slice never depends on the others."""
+    n = C.shape[-1]
+    Mt = np.swapaxes(M, -1, -2)
+    S = 0.5 * (M + Mt)
+    ff = -np.trace(S @ S, axis1=-2, axis2=-1)
+    nn = (0.25 * gram_difference(C) + 0.5 * (M @ Mt - Mt @ M)
+          - np.trace(M, axis1=-2, axis2=-1)[..., None, None] * S)
     # tr(S ad e_i) = sum_ab S[a,b] C[i,a,b]; 0 - t rather than -t, so that
     # a vanishing entry is +0.0, not -0.0
-    fn = 0.0 - np.tensordot(b.tensor(), S, axes=([1, 2], [0, 1]))
-    return RicciBlock(ff, fn, nn)
+    flat = C.reshape(C.shape[:-3] + (n, n * n))
+    fn = 0.0 - (flat @ S.reshape(S.shape[:-2] + (n * n, 1)))[..., 0]
+    return ff, fn, nn
+
+
+def _assembled(ff, fn, nn):
+    """The Ricci operator from its blocks, over any leading stack axes."""
+    n = nn.shape[-1]
+    out = np.zeros(nn.shape[:-2] + (n + 1, n + 1))
+    out[..., 0, 0] = ff
+    out[..., 0, 1:] = fn
+    out[..., 1:, 0] = fn
+    out[..., 1:, 1:] = nn
+    return out
 
 
 @dataclass(frozen=True)
@@ -263,10 +290,40 @@ def is_ricci_negative(D, b: Bracket, p: MetricParams | None = None):
     if p is None:
         p = MetricParams.identity(b.dim)
     C = b.tensor()
-    Dn = _transported_derivation(p, D, C)
+    Dn = _transported_derivation(D, C, p.c, p.X, p.h)
     E = np.zeros((b.dim + 1,) * 3)
     E[0, 1:, 1:] = Dn.T  # [f, e_i] = sum_j Dn[j, i] e_j
     E[1:, 0, 1:] = -Dn.T
     E[1:, 1:, 1:] = act_tensor(C, p.h)
     lam = float(np.linalg.eigvalsh(_koszul(E)[1]).max())
     return lam < -1e-9, lam
+
+
+def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Top Ricci eigenvalue of the extension of C by M under each metric
+    (1, X[r], h[r]) of a stack: X is (K, n) and h is (K, n, n).
+
+    This is the evaluation of every metric search.  It reads the
+    closed-form blocks of ricci_extension on the transported pair
+    (h(M - ad Y)h^{-1}, h.C) with Y = h^{-1}X, which is again a
+    derivation with its bracket, so no curvature tensor is built; the
+    blocks are valid only because the caller has checked M with
+    require_derivation.  A row whose h is not finite or is singular
+    (|det h| < 1e-300), or whose Ricci operator is not finite, reads inf
+    and leaves the other rows as they are.  Each row is bit-identical to
+    the same row evaluated alone.
+    """
+    lam = np.full(len(h), np.inf)
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(h).all(axis=(1, 2))
+        ok[ok] = np.abs(np.linalg.det(h[ok])) >= 1e-300
+        if not ok.any():
+            return lam
+        hk = h[ok]
+        Dn = _transported_derivation(M, C, 1.0, X[ok], hk)
+        ric = _assembled(*_ricci_blocks(Dn, act_tensor(C, hk)))
+        finite = np.isfinite(ric).all(axis=(1, 2))
+        top = np.full(len(hk), np.inf)
+        top[finite] = np.linalg.eigvalsh(ric[finite])[:, -1]
+        lam[ok] = top
+    return lam

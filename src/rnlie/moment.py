@@ -271,12 +271,15 @@ def pack_blocks(A, blocks) -> np.ndarray:
 
 def unpack_blocks(x, blocks, n: int) -> np.ndarray:
     """The n x n matrix, zero off the blocks, whose blocks are read from
-    the front of x in the layout of pack_blocks."""
-    A = np.zeros((n, n))
+    the front of x in the layout of pack_blocks; a stack of them when x
+    has leading axes."""
+    x = np.asarray(x)
+    A = np.zeros(x.shape[:-1] + (n, n))
     pos = 0
     for blk in blocks:
         k = len(blk)
-        A[np.ix_(blk, blk)] = np.asarray(x[pos:pos + k * k]).reshape(k, k)
+        rows, cols = np.ix_(blk, blk)
+        A[..., rows, cols] = x[..., pos:pos + k * k].reshape(x.shape[:-1] + (k, k))
         pos += k * k
     return A
 

@@ -1,19 +1,27 @@
 """Certificate and search routes, checked against hand-solved programs."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, logm
 
+from rnlie import curvature
 from rnlie.brackets import Bracket
-from rnlie.certify import (Infeasible, RnWitness, SearchFailure,
-                           SrnCertificate, Unknown, certify_srn_nice,
-                           certify_srn_sampled, constructive_nonneg,
-                           necessary_condition, search_rn_metric)
+from rnlie.certify import (DEFAULT_BUDGET, NEGATIVITY_THRESHOLD, Infeasible,
+                           RnWitness, SearchFailure, SrnCertificate, Unknown,
+                           certify_srn_nice, certify_srn_sampled,
+                           constructive_nonneg, necessary_condition,
+                           search_rn_metric)
 from rnlie.corpus import corpus
-from rnlie.curvature import is_ricci_negative
-from rnlie.errors import PreconditionError
-from rnlie.moment import DERIVATION_CENTRALIZER, DIAG_POSITIVE, orbit_sample
+from rnlie.curvature import MetricParams, is_ricci_negative
+from rnlie.derivations import require_derivation
+from rnlie.errors import NumericalError, PreconditionError
+from rnlie.moment import (DERIVATION_CENTRALIZER, DIAG_POSITIVE,
+                          centralizer_blocks, orbit_sample, pack_blocks,
+                          unpack_blocks)
+from rnlie.rng import generator
 
 h3 = corpus("heisenberg", 3).bracket
 h5 = corpus("heisenberg", 5).bracket
@@ -191,10 +199,23 @@ class TestConstructive:
 
 class TestNecessaryCondition:
     def test_h3_examples(self):
+        # (2, -3, -1) has trace -2, and -D has trace 2 and centre entry 1
         cases = [((1, 1, 2), True), ((2, -1, 1), True), ((3, -2, 1), True),
-                 ((2, -3, -1), False), ((-1, 1, 0), False)]
+                 ((2, -3, -1), True), ((-1, 1, 0), False), ((0, 0, 0), False)]
         for entries, want in cases:
             assert necessary_condition(diag(*entries), h3) is want
+
+    def test_sign_of_d_is_free(self):
+        # the extension by -D is the extension by D, so a derivation with
+        # negative trace can pass: here -D = diag(-2, 8, 6, 4, 2), positive
+        # on the centre e5, and the search finds a witness for D itself
+        f5 = corpus("filiform", 5).bracket
+        D = diag(2, -8, -6, -4, -2)
+        assert necessary_condition(D, f5) is True
+        assert necessary_condition(-D, f5) is True
+        res = search_rn_metric(D, f5, seed=281444313)
+        assert isinstance(res, RnWitness)
+        assert abs(res.lambda_max + 8.70) < 5e-3
 
     def test_central_kernel_blocks(self):
         # one abelian direction added to the three dimensional Heisenberg
@@ -206,7 +227,7 @@ class TestNecessaryCondition:
     def test_empty_center_vacuous(self):
         e3 = corpus("euclid3").bracket
         assert necessary_condition(np.eye(3), e3) is True
-        assert necessary_condition(-np.eye(3), e3) is False
+        assert necessary_condition(-np.eye(3), e3) is True
 
 
 class TestSearch:
@@ -262,9 +283,161 @@ class TestSearch:
             assert res.lambda_max < -1e-6
 
 
+def reference_search(D, b, budget=DEFAULT_BUDGET, seed=0):
+    """The metric search one point at a time, as it was before stacked
+    evaluation: each point is one is_ricci_negative call on the Koszul
+    tensor, with h = expm of the whole block matrix, and a restart from
+    the best point goes back through logm of its h."""
+    M = np.asarray(D, dtype=float)
+    n = b.dim
+    require_derivation(M, b)
+    rng = generator(int(seed), 21)
+    off = M - np.diag(np.diag(M))
+    if not off.size or np.abs(off).max() <= 1e-9 * max(1.0, np.abs(M).max()):
+        blocks = centralizer_blocks(np.diag(M))
+    else:
+        blocks = [tuple(range(n))]
+    asize = sum(len(blk) ** 2 for blk in blocks)
+    state = {"evals": 0, "best": math.inf, "best_params": MetricParams.identity(n)}
+
+    def evaluate(x):
+        if state["evals"] >= budget:
+            return None
+        state["evals"] += 1
+        try:
+            params = MetricParams(1.0, x[asize:], expm(unpack_blocks(x, blocks, n)))
+            lam = is_ricci_negative(M, b, params)[1]
+        except (PreconditionError, NumericalError, np.linalg.LinAlgError):
+            return math.inf
+        if lam < state["best"]:
+            state["best"], state["best_params"] = lam, params
+        return lam
+
+    def finished():
+        return state["best"] < NEGATIVITY_THRESHOLD
+
+    def descend(x):
+        current = evaluate(x)
+        if current is None or finished():
+            return
+        step = 0.5
+        while step >= 1e-3 and state["evals"] < budget and not finished():
+            improved = False
+            for i in range(len(x)):
+                for sgn in (1.0, -1.0):
+                    trial = x.copy()
+                    trial[i] += sgn * step
+                    val = evaluate(trial)
+                    if val is None or finished():
+                        return
+                    if val < current - 1e-12:
+                        x, current, improved = trial, val, True
+                        break
+            if not improved:
+                step *= 0.5
+
+    dim = asize + n
+    if evaluate(np.zeros(dim)) is not None and not finished():
+        for s in np.linspace(0.25, 25.0, 50):
+            x = np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
+            if evaluate(x) is None or finished():
+                break
+    while not finished() and state["evals"] < budget:
+        if state["best"] < math.inf and state["evals"] < budget // 3:
+            base = state["best_params"]
+            A0 = np.zeros((n, n))
+            for blk in blocks:
+                with np.errstate(all="ignore"):
+                    L = logm(base.h[np.ix_(blk, blk)])
+                if np.abs(L.imag).max() > 1e-8:
+                    A0 = np.zeros((n, n))
+                    break
+                A0[np.ix_(blk, blk)] = L.real
+            x = np.concatenate([pack_blocks(A0, blocks), base.X])
+        else:
+            x = 0.6 * rng.standard_normal(dim)
+        descend(x)
+    if finished():
+        flag, lam = is_ricci_negative(M, b, state["best_params"])
+        if flag and lam < NEGATIVITY_THRESHOLD:
+            return RnWitness(state["best_params"], lam)
+    return SearchFailure(state["best"], state["best_params"], state["evals"])
+
+def _same_params(a, b):
+    return (a.c == b.c and np.allclose(a.X, b.X, rtol=1e-12, atol=1e-12)
+            and np.allclose(a.h, b.h, rtol=1e-12, atol=1e-12))
+
+
+_T5 = 1 / 3
+_NON_DIAGONAL = np.array([[-0.4, 0.3, 0.0], [0.0, 0.9, 0.0], [0.2, 0.0, 0.5]])
+# (bracket, derivation, seed): identity and scaling-line ends, compass
+# descents with restarts, 2 x 2 centralizer blocks (h5 with a repeated
+# pair) and one derivation that is not diagonal
+WITNESS_CASES = [
+    (h3, diag(1, 1, 2), 11),
+    (h3, diag(-0.4, 0.9, 0.5), 11),
+    (h3, diag(2, -0.5, 1.5), 13),
+    (h5, diag(-0.25, _T5 + 0.25, 0.05, _T5 - 0.05, _T5), 700),
+    (h5, diag(-1 / 8, _T5 + 1 / 8, -1 / 8, _T5 + 1 / 8, _T5), 3),
+    (corpus("filiform", 5).bracket, diag(0.75, -0.5, 0.25, 1.0, 1.75), 4),
+    (corpus("filiform", 6).bracket, diag(0.5, -0.25, 0.25, 0.75, 1.25, 1.75), 5),
+    (h3, _NON_DIAGONAL, 6),
+]
+# gate-failing derivations at budget 2000, whose restarts from the best
+# point go through logm in the reference.  Left out: filiform(5)
+# diag(4, -7, -3, 1, 5) and the h3-plus-line diag(1, 0, 1, 0) of
+# acceptance 09, whose best values sit at rounding level around 0, where
+# the Koszul tensor and the closed form break ties between points
+# differently (0.0 against 1.8e-24); both still fail after 2000.
+FAILURE_CASES = [
+    (h3, diag(-1, 1, 0), 11),
+    (h3, diag(2, -2, 0), 503),
+    (h5, diag(1, -1, 1, -1, 0), 504),
+    (h5, diag(1, -1, 2, -2, 0), 505),
+]
+
+
+class TestStackedSearch:
+    """The stacked search against the one-point-at-a-time reference."""
+
+    @pytest.mark.parametrize("b, D, seed", WITNESS_CASES)
+    def test_witness_trajectory(self, b, D, seed):
+        want = reference_search(D, b, seed=seed)
+        got = search_rn_metric(D, b, seed=seed)
+        assert isinstance(want, RnWitness) and isinstance(got, RnWitness)
+        assert _same_params(got.params, want.params)
+        assert abs(got.lambda_max - want.lambda_max) <= 1e-12 * abs(want.lambda_max)
+
+    @pytest.mark.parametrize("b, D, seed", FAILURE_CASES)
+    def test_failure_trajectory(self, b, D, seed):
+        want = reference_search(D, b, budget=2000, seed=seed)
+        got = search_rn_metric(D, b, budget=2000, seed=seed)
+        assert isinstance(want, SearchFailure) and isinstance(got, SearchFailure)
+        assert got.evaluations == want.evaluations == 2000
+        assert _same_params(got.params, want.params)
+
+    def test_hot_path_builds_no_koszul_tensor(self, monkeypatch):
+        calls = []
+        koszul = curvature._koszul
+
+        def counted(C):
+            calls.append(C.shape)
+            return koszul(C)
+
+        monkeypatch.setattr(curvature, "_koszul", counted)
+        res = search_rn_metric(diag(-0.4, 0.9, 0.5), h3, seed=11)
+        assert isinstance(res, RnWitness)
+        assert calls == [(4, 4, 4)]  # the confirmation of the witness
+        calls.clear()
+        res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
+        assert isinstance(res, SearchFailure) and res.evaluations == 2000
+        assert calls == []
+
+
 class TestResultTypes:
     def test_certificate_validation(self):
         with pytest.raises(PreconditionError):
             SrnCertificate({}, Fraction(0), "NiceLP")
         with pytest.raises(PreconditionError):
             SrnCertificate({(0, 1, 2): -1}, Fraction(1), "NiceLP")
+

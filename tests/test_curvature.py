@@ -3,13 +3,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from rnlie.brackets import Bracket
+from rnlie.brackets import Bracket, act_tensor, gram_difference
+from rnlie.certify import _metric_factors
 from rnlie.corpus import corpus
-from rnlie.curvature import (MetricParams, extension_bracket, is_ricci_negative,
-                             koszul_oracle, ricci_extension, ricci_nilpotent,
-                             transport_metric)
-from rnlie.derivations import derivation_space, is_derivation
+from rnlie.curvature import (MetricParams, _top_eigenvalues, extension_bracket,
+                             is_ricci_negative, koszul_oracle, ricci_extension,
+                             ricci_nilpotent, transport_metric)
+from rnlie.derivations import derivation_space, is_derivation, require_derivation
 from rnlie.errors import PreconditionError
+from rnlie.moment import centralizer_blocks, pack_blocks
 
 
 def h3():
@@ -242,3 +244,100 @@ class TestRicciNegative:
                              np.eye(3) + 0.5 * rng.normal(size=(3, 3)))
             ok, _lam = is_ricci_negative(D, b, p)
             assert not ok
+
+
+def tensordot_act(C, H):
+    """act_tensor as a tensordot chain, the form it had before it took a
+    stack axis: the bit-level reference for the matmul chain."""
+    Hi = np.linalg.inv(H)
+    out = np.tensordot(C, H, axes=([2], [1]))
+    out = np.tensordot(Hi, out, axes=([0], [0]))
+    return np.tensordot(out, Hi, axes=([1], [0])).transpose(0, 2, 1)
+
+
+def tensordot_gram_difference(C):
+    """gram_difference as two tensordots, its form before the stack axis."""
+    return (np.tensordot(C, C, axes=([0, 1], [0, 1]))
+            - 2.0 * np.tensordot(C, C, axes=([1, 2], [1, 2])))
+
+
+_NON_DIAGONAL = np.array([[-0.4, 0.3, 0.0], [0.0, 0.9, 0.0], [0.2, 0.0, 0.5]])
+# (algebra, derivation): a 4 x 4 centralizer block on heisenberg(5), and a
+# derivation that is not diagonal, besides plain diagonal ones
+STACK_CASES = [
+    (("heisenberg", 3), np.diag([-0.4, 0.9, 0.5])),
+    (("heisenberg", 5), np.diag([-0.25, 1 / 3 + 0.25, 0.05, 1 / 3 - 0.05, 1 / 3])),
+    (("heisenberg", 5), np.diag([1.0, 1.0, 1.0, 1.0, 2.0])),
+    (("heisenberg", 7), np.diag([0.1, 0.15, -0.05, 0.3, 0.2, 0.05, 0.25])),
+    (("filiform", 5), np.diag([0.75, -0.5, 0.25, 1.0, 1.75])),
+    (("filiform", 6), np.diag([0.5, -0.25, 0.25, 0.75, 1.25, 1.75])),
+    (("heisenberg", 3), _NON_DIAGONAL),
+]
+
+
+def _stack(case, rows=12, seed=0):
+    """The search's view of a case: its blocks, and random packed rows
+    (A blocks, then X) with the metric factors they give."""
+    (name, param), M = case
+    b = corpus(name, param).bracket
+    require_derivation(M, b)
+    n = b.dim
+    diagonal = np.count_nonzero(M - np.diag(np.diag(M))) == 0
+    blocks = centralizer_blocks(np.diag(M)) if diagonal else [tuple(range(n))]
+    asize = sum(len(blk) ** 2 for blk in blocks)
+    rng = np.random.default_rng(seed)
+    xs = 0.5 * rng.standard_normal((rows, asize + n))
+    return b, M, blocks, xs, asize
+
+
+def _evaluate(b, M, blocks, xs, asize):
+    h = _metric_factors(xs[:, :asize], blocks, b.dim)
+    return _top_eigenvalues(M, b.tensor(), xs[:, asize:], h)
+
+
+class TestStackedEvaluation:
+    def test_matmul_chains_match_tensordot_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for name, param in [("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 7),
+                            ("filiform", 6), ("tricky5", None)]:
+            C = corpus(name, param).bracket.tensor()
+            n = C.shape[0]
+            H = np.eye(n) + 0.4 * rng.standard_normal((9, n, n))
+            stacked = act_tensor(C, H)
+            grams = gram_difference(stacked)
+            for k in range(len(H)):
+                one = tensordot_act(C, H[k])
+                assert np.array_equal(act_tensor(C, H[k]), one)
+                assert np.array_equal(stacked[k], one)
+                assert np.array_equal(gram_difference(one), tensordot_gram_difference(one))
+                assert np.array_equal(grams[k], tensordot_gram_difference(one))
+
+    @pytest.mark.parametrize("case", STACK_CASES)
+    def test_agrees_with_koszul_evaluation(self, case):
+        b, M, blocks, xs, asize = _stack(case)
+        lam = _evaluate(b, M, blocks, xs, asize)
+        h = _metric_factors(xs[:, :asize], blocks, b.dim)
+        for x, hr, got in zip(xs, h, lam):
+            want = is_ricci_negative(M, b, MetricParams(1.0, x[asize:], hr))[1]
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("case", STACK_CASES)
+    def test_rows_are_independent(self, case):
+        b, M, blocks, xs, asize = _stack(case)
+        lam = _evaluate(b, M, blocks, xs, asize)
+        for k in range(len(xs)):
+            assert np.array_equal(_evaluate(b, M, blocks, xs[k:k + 1], asize), lam[k:k + 1])
+        # an A that overflows exp, one whose h is singular to 1e-300, and
+        # one whose h is finite and regular but whose Ricci operator
+        # overflows (the centre, the last index, stretched by e^400 against
+        # e^-100) read inf and leave every other row as it was
+        n = b.dim
+        bad = xs.copy()
+        bad[2, :asize] = 1e3
+        bad[5, :asize] = pack_blocks(np.diag([-800.0] + [0.0] * (n - 1)), blocks)
+        bad[7, :asize] = pack_blocks(np.diag([-100.0] * (n - 1) + [400.0]), blocks)
+        got = _evaluate(b, M, blocks, bad, asize)
+        assert got[2] == got[5] == got[7] == np.inf
+        keep = np.ones(len(xs), bool)
+        keep[[2, 5, 7]] = False
+        assert np.array_equal(got[keep], lam[keep])
