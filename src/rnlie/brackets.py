@@ -193,20 +193,28 @@ def act_tensor(C: np.ndarray, H) -> np.ndarray:
     return np.swapaxes(out.reshape(stack + (n, n, n)), -1, -2)         # [i, j, k]
 
 
-def gram_difference(C: np.ndarray) -> np.ndarray:
+def gram_difference(C: np.ndarray, D: np.ndarray = None) -> np.ndarray:
     """T - 2S with T[a,b] = sum_ij C[i,j,a]C[i,j,b] (targets) and S[a,b] =
     sum_jk C[a,j,k]C[b,j,k] (sources): |C|^2 times the moment value, and
     4 times the nilpotent Ricci operator.
 
-    C may carry leading stack axes, as act_tensor's output does.
+    With a second tensor D, the bilinear form B(C, D) whose diagonal
+    B(C, C) is the above: T[a,b] = sum_ij C[i,j,a]D[i,j,b] and S[a,b] =
+    sum_jk C[a,j,k]D[b,j,k], so B(C, D)^T = B(D, C).  C and D may carry
+    leading stack axes, as act_tensor's output does; they broadcast.
     """
     n = C.shape[-1]
-    pairs_out = C.reshape(C.shape[:-3] + (n * n, n))   # [(i, j), k]
-    out_pairs = C.reshape(C.shape[:-3] + (n, n * n))   # [a, (j, k)]
+
+    def layouts(X):
+        return (X.reshape(X.shape[:-3] + (n * n, n)),   # [(i, j), k]
+                X.reshape(X.shape[:-3] + (n, n * n)))   # [a, (j, k)]
+
+    pairs_out, out_pairs = layouts(C)
+    d_pairs_out, d_out_pairs = (pairs_out, out_pairs) if D is None else layouts(D)
     # contiguous transposed copies, never views: a product of a matrix
     # with its own transposed view goes to syrk instead of gemm
-    targets = np.ascontiguousarray(np.swapaxes(pairs_out, -1, -2)) @ pairs_out
-    sources = out_pairs @ np.ascontiguousarray(np.swapaxes(out_pairs, -1, -2))
+    targets = np.ascontiguousarray(np.swapaxes(pairs_out, -1, -2)) @ d_pairs_out
+    sources = out_pairs @ np.ascontiguousarray(np.swapaxes(d_out_pairs, -1, -2))
     return targets - 2.0 * sources
 
 

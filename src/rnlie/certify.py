@@ -23,8 +23,8 @@ from .curvature import MetricParams, _top_eigenvalues, is_ricci_negative
 from .derivations import Derivation, diag_entries, diagonal_torus, require_derivation
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
-                     centralizer_blocks, nice_basis_check, pack_blocks,
-                     unpack_blocks, weight_vector)
+                     _metric_factors, centralizer_blocks, nice_basis_check,
+                     pack_blocks, weight_vector)
 from .rng import default_seed, generator
 
 MARGIN_THRESHOLD = Fraction(1, 10_000_000)  # 1e-7
@@ -390,21 +390,6 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
         if flag and lam < NEGATIVITY_THRESHOLD:
             return RnWitness(params, lam)
     return SearchFailure(state["best"], params, state["evals"])
-
-
-def _metric_factors(A, blocks, n):
-    """h = exp(A) for each row of A, packed as pack_blocks lays out the
-    diagonal blocks: one stacked expm, or np.exp of the diagonal when
-    every block is 1 x 1, which is what expm does on a diagonal matrix."""
-    from scipy.linalg import expm
-
-    with np.errstate(all="ignore"):
-        if len(blocks) < n:
-            return expm(unpack_blocks(A, blocks, n))
-        # 1 x 1 blocks come in index order, so A holds the diagonal
-        h = np.zeros((len(A), n, n))
-        h[:, range(n), range(n)] = np.exp(A)
-        return h
 
 
 def _compass_descent(x, poll, done, step=0.5, min_step=1e-3):

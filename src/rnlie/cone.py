@@ -303,10 +303,6 @@ class AuditReport:
     worst_lambda: float
     failures: tuple = ()
 
-    @property
-    def success_rate(self) -> float:
-        return self.witnesses / self.probes if self.probes else 1.0
-
 
 def containment_audit(b: Bracket, section: ConeSection, probes: int = 50,
                       seed=None, search_budget: int = 4000) -> AuditReport:

@@ -66,10 +66,6 @@ class Derivation:
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
-        M = self.matrix
-        return bool(np.all(np.abs(M - np.diag(np.diag(M))) <= tol))
-
 
 def _leibniz_rows_rational(b: Bracket):
     n = b.dim

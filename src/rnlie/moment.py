@@ -147,9 +147,6 @@ class WeightPolytope:
     def dim(self) -> int:
         return self.hull.dim
 
-    def vertex_matrices(self):
-        return [(t, weight_matrix(t, self.ambient_dim)) for t in self.vertices]
-
     def face_count(self) -> int:
         return len(self.hull_faces)
 
@@ -274,14 +271,10 @@ def unpack_blocks(x, blocks, n: int) -> np.ndarray:
     the front of x in the layout of pack_blocks; a stack of them when x
     has leading axes."""
     x = np.asarray(x)
-    A = np.zeros(x.shape[:-1] + (n, n))
-    pos = 0
-    for blk in blocks:
-        k = len(blk)
-        rows, cols = np.ix_(blk, blk)
-        A[..., rows, cols] = x[..., pos:pos + k * k].reshape(x.shape[:-1] + (k, k))
-        pos += k * k
-    return A
+    flat = [r * n + c for blk in blocks for r in blk for c in blk]
+    A = np.zeros(x.shape[:-1] + (n * n,))
+    A[..., flat] = x[..., :len(flat)]
+    return A.reshape(x.shape[:-1] + (n, n))
 
 
 def _draw_block_element(rng, blocks, n):
@@ -298,21 +291,108 @@ def _draw_block_element(rng, blocks, n):
     raise NumericalError("could not draw a well-conditioned group element")
 
 
+def _metric_factors(A, blocks, n):
+    """exp(A) for each row of A, packed as pack_blocks lays out the
+    diagonal blocks: the metric factors h of the metric search, and the
+    group elements orbit steering applies to its draw.  One stacked
+    expm, or np.exp of the diagonal when every block is 1 x 1, which is
+    what expm does on a diagonal matrix."""
+    from scipy.linalg import expm
+
+    with np.errstate(all="ignore"):
+        if len(blocks) < n:
+            return expm(unpack_blocks(A, blocks, n))
+        # 1 x 1 blocks come in index order, so A holds the diagonal
+        h = np.zeros((len(A), n, n))
+        h[:, range(n), range(n)] = np.exp(A)
+        return h
+
+
+def _exp_directions(x, blocks, n):
+    """The left-trivialised derivatives L_k = dexp_A(E_k) exp(-A) of exp
+    at A = unpack_blocks(x), one (n, n) slice per packed coordinate k:
+    moving x_k by t moves exp(A) to (1 + t L_k) exp(A) to first order.
+
+    A 1 x 1 block gives L_k = E_k.  A k x k block takes its k^2 Frechet
+    derivatives dexp_A(E_t) from one expm of the block-triangular matrix
+    [[A_b, E_1 .. E_{k^2}], [0, I (x) A_b]]: the top-right k x k blocks
+    are dexp_A(E_t) and the top-left one is exp(A_b) (Van Loan,
+    "Computing integrals involving the matrix exponential", IEEE TAC
+    1978)."""
+    from scipy.linalg import expm
+
+    L = np.zeros((len(x), n, n))
+    pos = 0
+    for blk in blocks:
+        k = len(blk)
+        if k == 1:
+            L[pos, blk[0], blk[0]] = 1.0
+        else:
+            M = np.zeros((k + k ** 3, k + k ** 3))
+            for s in range(0, k + k ** 3, k):   # A_b, then I (x) A_b
+                M[s:s + k, s:s + k] = x[pos:pos + k * k].reshape(k, k)
+            # E_t = e_a e_b^T with t = a k + b sits in the columns of block t
+            t = np.arange(k * k)
+            M[t // k, k + t * k + t % k] = 1.0
+            E = expm(M)
+            frechet = np.swapaxes(E[:k, k:].reshape(k, k * k, k), 0, 1)
+            rows, cols = np.ix_(blk, blk)
+            L[pos:pos + k * k][:, rows, cols] = frechet @ np.linalg.inv(E[:k, :k])
+        pos += k * k
+    return L
+
+
+def _steered(g0, blocks, x):
+    """exp(A(x)) g0, the element steering reaches at packed x."""
+    return _metric_factors(x[None], blocks, len(g0))[0] @ g0
+
+
 def _acted_moment_matrix(C, g):
     """Moment matrix of the transformed structure tensor, all dense."""
     Cp = act_tensor(C, g)
     return gram_difference(Cp) / float(np.vdot(Cp, Cp))
 
 
+def _steering_jacobian(C, g0, blocks, x):
+    """Jacobian in x of the upper off-diagonal entries of the moment
+    matrix of nu = exp(A(x)) g0 . C, one column per packed coordinate.
+
+    Along L_k (_exp_directions) the action moves nu by dnu[i,j,c] =
+    sum_r L[c,r] nu[i,j,r] - sum_p L[p,i] nu[p,j,c] - sum_q L[q,j] nu[i,q,c],
+    and the moment m = B(nu, nu) / |nu|^2, with B the bilinear form of
+    gram_difference, by (B(dnu, nu) + B(dnu, nu)^T - 2 <nu, dnu> m) / |nu|^2.
+    """
+    n = C.shape[-1]
+    nu = act_tensor(C, _steered(g0, blocks, x))
+    L = _exp_directions(x, blocks, n)
+    Lt = np.swapaxes(L, -1, -2)
+    dnu = (nu.reshape(n * n, n) @ Lt).reshape(-1, n, n, n)
+    dnu -= (Lt @ nu.reshape(n, n * n)).reshape(-1, n, n, n)
+    dnu -= np.swapaxes((np.swapaxes(nu, 1, 2).reshape(n * n, n) @ L)
+                       .reshape(-1, n, n, n), 2, 3)
+    norm = float(np.vdot(nu, nu))
+    m = gram_difference(nu) / norm
+    B = gram_difference(dnu, nu)
+    inner = dnu.reshape(len(L), -1) @ nu.ravel()
+    dm = (B + np.swapaxes(B, -1, -2) - 2.0 * inner[:, None, None] * m) / norm
+    iu, ju = np.triu_indices(n, 1)
+    return dm[:, iu, ju].T
+
+
 def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):
     """Move g0 within its group until the acted moment value is diagonal.
 
     Solves for the off-diagonal moment entries as a least-squares zero
-    over exp(A) with A in the group's Lie algebra (block matrices);
-    returns the steered element, or None when no attempt lands on the
-    diagonal slice, in which case the caller redraws.
+    over g(x) = exp(A(x)) g0 with A in the group's Lie algebra (block
+    matrices); returns the steered element, or None when no attempt
+    lands on the diagonal slice, in which case the caller redraws.
+
+    least_squares gets the analytic Jacobian of _steering_jacobian, not
+    finite differences: the left-trivialised derivative of exp
+    (dexp_A(E_k) exp(-A), one block-triangular expm per block larger
+    than 1 x 1) pushed through the derivative of the action and of the
+    moment map.
     """
-    from scipy.linalg import expm
     from scipy.optimize import least_squares
 
     n = b.dim
@@ -320,21 +400,21 @@ def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):
     iu = np.triu_indices(n, 1)
     size = sum(len(blk) ** 2 for blk in blocks)
 
-    def element(x):
-        return expm(unpack_blocks(x, blocks, n)) @ g0
-
     def resid(x):
-        return _acted_moment_matrix(C, element(x))[iu]
+        return _acted_moment_matrix(C, _steered(g0, blocks, x))[iu]
+
+    def jac(x):
+        return _steering_jacobian(C, g0, blocks, x)
 
     if np.abs(resid(np.zeros(size))).max() <= tol:
         return g0
     for attempt in range(attempts):
         x0 = np.zeros(size) if attempt == 0 else 0.3 * rng.standard_normal(size)
         with np.errstate(invalid="ignore", divide="ignore"):
-            res = least_squares(resid, x0, xtol=3e-16, ftol=3e-16, gtol=None,
-                                max_nfev=300)
-        if np.abs(resid(res.x)).max() <= tol:
-            return element(res.x)
+            res = least_squares(resid, x0, jac=jac, xtol=3e-16, ftol=3e-16,
+                                gtol=None, max_nfev=300)
+        if np.abs(res.fun).max() <= tol:
+            return _steered(g0, blocks, res.x)
     return None
 
 

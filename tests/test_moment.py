@@ -2,15 +2,20 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import least_squares
 
+from rnlie import moment
 from rnlie.brackets import Bracket, BasisChange, act
 from rnlie.corpus import corpus
 from rnlie.curvature import ricci_nilpotent
 from rnlie.errors import NumericalError, PreconditionError
-from rnlie.moment import (MomentValue, closure_faces, diag_image_check,
+from rnlie.moment import (MomentValue, _acted_moment_matrix,
+                          _draw_block_element, _group_blocks, _steered,
+                          _steering_jacobian, closure_faces, diag_image_check,
                           moment_map, nice_basis_check, orbit_sample,
-                          sample_coordinates, weight_coordinates,
-                          weight_matrix, weight_polytope)
+                          sample_coordinates, unpack_blocks,
+                          weight_coordinates, weight_matrix, weight_polytope)
 
 T5_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4))
 
@@ -109,8 +114,8 @@ class TestWeightPolytope:
         assert p.vertices == ((0, 1, 2),)
         assert p.face_count() == 1
         assert p.dim == 0
-        (_, mat), = p.vertex_matrices()
-        assert np.array_equal(mat, np.diag([-1.0, -1.0, 1.0]))
+        assert np.array_equal(weight_matrix(p.vertices[0], 3),
+                              np.diag([-1.0, -1.0, 1.0]))
 
     def test_h5_segment(self):
         p = weight_polytope(h(5))
@@ -242,6 +247,91 @@ class TestOrbitSample:
         for tag in ("DiagPositive", "TorusCentralizer"):
             s = orbit_sample(tag, t5(), count=4, seed=9)
             assert max(mv.offdiagonal_max() for _, mv in s.points) < 1e-10
+
+
+def reference_steer(b, g0, blocks, rng, attempts=3, tol=1e-11):
+    """Orbit steering with least_squares taking its Jacobian by finite
+    differences: the residual, parametrisation and tolerances of
+    _steer_to_diagonal, with a full-matrix expm for each element."""
+    n = b.dim
+    C = b.tensor()
+    iu = np.triu_indices(n, 1)
+    size = sum(len(blk) ** 2 for blk in blocks)
+
+    def element(x):
+        return expm(unpack_blocks(x, blocks, n)) @ g0
+
+    def resid(x):
+        return _acted_moment_matrix(C, element(x))[iu]
+
+    if np.abs(resid(np.zeros(size))).max() <= tol:
+        return g0
+    for attempt in range(attempts):
+        x0 = np.zeros(size) if attempt == 0 else 0.3 * rng.standard_normal(size)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            res = least_squares(resid, x0, xtol=3e-16, ftol=3e-16, gtol=None,
+                                max_nfev=300)
+        if np.abs(resid(res.x)).max() <= tol:
+            return element(res.x)
+    return None
+
+
+# (group tag, derivation, size of the largest centralizer block)
+STEERING_GROUPS = [
+    ("DiagPositive", None, 1),
+    ("TorusCentralizer", None, 2),
+    ("DerivationCentralizer", np.diag([1.0, 0.0, 1.0, 1.0, 2.0]), 3),
+]
+
+
+class TestSteering:
+    @pytest.mark.parametrize("tag,derivation,largest", STEERING_GROUPS,
+                             ids=[tag for tag, _, _ in STEERING_GROUPS])
+    def test_jacobian_matches_central_differences(self, tag, derivation, largest):
+        b = t5()
+        C, n = b.tensor(), b.dim
+        blocks = _group_blocks(tag, b, derivation)
+        assert max(len(blk) for blk in blocks) == largest
+        size = sum(len(blk) ** 2 for blk in blocks)
+        iu = np.triu_indices(n, 1)
+        rng = np.random.default_rng(41)
+        step = 1e-6
+        for trial in range(6):
+            g0 = _draw_block_element(rng, blocks, n)
+            x = np.zeros(size) if trial < 2 else 0.3 * rng.standard_normal(size)
+            J = _steering_jacobian(C, g0, blocks, x)
+            assert J.shape == (len(iu[0]), size)
+            for k in range(size):
+                e = np.zeros(size)
+                e[k] = step
+                central = (_acted_moment_matrix(C, _steered(g0, blocks, x + e))[iu]
+                           - _acted_moment_matrix(C, _steered(g0, blocks, x - e))[iu])
+                assert np.abs(J[:, k] - central / (2 * step)).max() \
+                    <= 1e-6 * np.abs(J).max()
+
+    @pytest.mark.parametrize("seeds,count", [(range(17, 27), 8), ((123,), 40)],
+                             ids=["seeds17-26", "seed123"])
+    def test_same_draws_as_finite_difference_reference(self, monkeypatch,
+                                                       seeds, count):
+        analytic = moment._steer_to_diagonal
+
+        def sample(steer, seed):
+            kept = []
+
+            def recording(*args, **kwargs):
+                g = steer(*args, **kwargs)
+                kept.append(g is not None)
+                return g
+
+            monkeypatch.setattr(moment, "_steer_to_diagonal", recording)
+            return orbit_sample("TorusCentralizer", t5(), count=count,
+                                seed=seed), kept
+
+        for seed in seeds:
+            new, new_kept = sample(analytic, seed)
+            ref, ref_kept = sample(reference_steer, seed)
+            assert new_kept == ref_kept
+            assert np.abs(new.diagonals() - ref.diagonals()).max() < 1e-5
 
 
 class TestDiagImage:
