@@ -1,18 +1,28 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex with Bland's rule on Fraction tableaus.  Sizes
-here are tiny (tens of rows), so exactness matters far more than speed.
-The solver maximizes c . x subject to A_ub x <= b_ub and A_eq x = b_eq,
-with each variable either free or constrained nonnegative.
+Two-phase primal simplex with Bland's rule.  The solver maximizes c . x
+subject to A_ub x <= b_ub and A_eq x = b_eq, with each variable either
+free or constrained nonnegative, and takes and returns Fractions.
 
-Duals are read off the final tableau: the current column of row i's
-artificial variable is B^-1 e_i, so y = c_B B^-1 comes out as a dot
-product.  For an infeasible system the phase-1 duals form a Farkas
-style refutation vector.
+Each tableau row is kept as Python int numerators over one positive int
+denominator (see `_rational._pivot`), each input row scaled to integers
+once by the lcm of its denominators.  The pivot choices are those of the
+same simplex on Fraction rows: the first allowed column with a negative
+reduced cost enters, and the ratio test compares rhs_r / a_r crosswise,
+since both pivot entries are positive, with exact ties broken on the
+lower basis index.  So are the bases and every returned number.
+
+Duals are read off the final objective row: the current column of row
+i's artificial variable is B^-1 e_i, so its reduced cost is y_i = (c_B
+B^-1)_i less the artificial's own cost.  For an infeasible system the
+phase-1 duals form a Farkas style refutation vector.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from ._rational import _integer_row, _pivot, _reduced
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -29,50 +39,55 @@ class LpResult:
     certificate: list | None = None  # phase-1 duals (ub rows then eq rows) if infeasible
 
 
-def _simplex(tab, basis, ncols, allowed):
-    """Run Bland simplex on tableau rows [coeffs..., rhs], maximizing.
+def _simplex(tab, dens, basis, ncols):
+    """Run Bland simplex on integer tableau rows [coeffs..., rhs], maximizing.
 
-    The objective row is tab[-1] storing reduced costs zbar_j and, in the
-    last entry, the current objective value.  Pivots only on columns in
-    `allowed`.  Returns "optimal" or "unbounded".
+    Row i stands for tab[i] / dens[i] (see `_rational._pivot`).  The
+    objective row tab[-1] stores reduced costs zbar_j and, in the last
+    entry, the current objective value.  Only the first `ncols` columns
+    may enter.  Returns "optimal" or "unbounded".
     """
     m = len(tab) - 1
     while True:
-        enter = None
-        for j in range(ncols):
-            if j in allowed and tab[-1][j] < 0:
-                enter = j
-                break
+        z = tab[-1]
+        enter = next((j for j in range(ncols) if z[j] < 0), None)
         if enter is None:
             return OPTIMAL
+        # both pivot entries are positive, so the ratios compare crosswise
         leave = None
-        best = None
         for r in range(m):
             a = tab[r][enter]
             if a > 0:
-                ratio = tab[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+                if leave is None:
+                    leave, num, den = r, tab[r][-1], a
+                    continue
+                lhs, rhs = tab[r][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, den = r, tab[r][-1], a
         if leave is None:
             return UNBOUNDED
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for r in range(m + 1):
-            if r != leave and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leave])]
+        _pivot(tab, dens, leave, enter)
         basis[leave] = enter
+
+
+def _objective_row(cost, cden, tab, dens, basis):
+    """The reduced-cost row -cost + sum_r cost[basis[r]] tab[r] of the
+    costs cost / cden, as reduced (numerators, denominator); its last
+    entry is the objective value."""
+    active = [r for r in range(len(basis)) if cost[basis[r]] != 0]
+    den = math.lcm(*(dens[r] for r in active))
+    z = [-den * v for v in cost] + [0]
+    for r in active:
+        f = cost[basis[r]] * (den // dens[r])
+        z = [a + f * b for a, b in zip(z, tab[r])]
+    return _reduced(z, cden * den)
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None):
     """Maximize c . x exactly.  nonneg is a per-variable bool list (default all free)."""
-    c = [Fraction(v) for v in c]
     nvars = len(c)
-    a_ub = [list(map(Fraction, r)) for r in (a_ub or [])]
-    b_ub = [Fraction(v) for v in (b_ub or [])]
-    a_eq = [list(map(Fraction, r)) for r in (a_eq or [])]
-    b_eq = [Fraction(v) for v in (b_eq or [])]
+    a_ub, a_eq = list(a_ub or []), list(a_eq or [])
+    rhs_all = list(b_ub or []) + list(b_eq or [])
     if nonneg is None:
         nonneg = [False] * nvars
     n_ub, n_eq = len(a_ub), len(a_eq)
@@ -85,80 +100,53 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None):
         if not nonneg[i]:
             col_of.append((i, -1))
     nstruct = len(col_of)
-    slack0 = nstruct
     art0 = nstruct + n_ub
     ncols = nstruct + n_ub + m
 
-    rows = []
-    row_sign = []
-    rhs_all = b_ub + b_eq
-    for r in range(m):
-        src = a_ub[r] if r < n_ub else a_eq[r - n_ub]
-        coeffs = [src[v] * s for (v, s) in col_of]
-        slacks = [Fraction(0)] * n_ub
+    # each row scaled to integers once; a negative rhs flips the row but
+    # not its artificial
+    tab, dens, row_sign = [], [], []
+    for r, src in enumerate(a_ub + a_eq):
+        nums, den = _integer_row([src[v] for v in range(nvars)] + [rhs_all[r]])
+        sign = -1 if nums[-1] < 0 else 1
+        row = [0] * (ncols + 1)
+        for jj, (v, s) in enumerate(col_of):
+            row[jj] = sign * s * nums[v]
         if r < n_ub:
-            slacks[r] = Fraction(1)
-        rhs = rhs_all[r]
-        sign = 1
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            slacks = [-v for v in slacks]
-            rhs = -rhs
-            sign = -1
-        arts = [Fraction(0)] * m
-        arts[r] = Fraction(1)
-        rows.append(coeffs + slacks + arts + [rhs])
+            row[nstruct + r] = sign * den
+        row[art0 + r] = den
+        row[-1] = sign * nums[-1]
+        tab.append(row)
+        dens.append(den)
         row_sign.append(sign)
 
     basis = [art0 + r for r in range(m)]
 
     # phase 1: minimize sum of artificials == maximize -(sum)
-    obj = [Fraction(0)] * ncols + [Fraction(0)]
-    for r in range(m):
-        obj[art0 + r] = Fraction(1)
-    for r in range(m):
-        obj = [a - b for a, b in zip(obj, rows[r])]
-    tab = [row[:] for row in rows] + [obj]
-    allowed = set(range(ncols))
-    _simplex(tab, basis, ncols, allowed)
-    if tab[-1][-1] != 0:  # stored value is -(objective); nonzero means infeasible
-        phase1_cost = [Fraction(0)] * ncols
-        for r in range(m):
-            phase1_cost[art0 + r] = Fraction(-1)
-        cert = []
-        for r in range(m):
-            col = art0 + r
-            y = sum(phase1_cost[basis[i]] * tab[i][col] for i in range(m))
-            cert.append(row_sign[r] * y)
-        return LpResult(INFEASIBLE, certificate=cert)
+    z, zden = _objective_row([0] * art0 + [-1] * m, 1, tab, dens, basis)
+    tab.append(z)
+    dens.append(zden)
+    _simplex(tab, dens, basis, ncols)
+    z, zden = tab[-1], dens[-1]
+    if z[-1] != 0:  # stored value is -(objective); nonzero means infeasible
+        # the phase-1 duals y = c_B B^-1 sit in the artificial columns, shifted by -cost
+        return LpResult(INFEASIBLE, certificate=[
+            row_sign[r] * Fraction(z[art0 + r] - zden, zden) for r in range(m)])
 
     # drive any lingering artificial out of the basis if possible
     for r in range(m):
         if basis[r] >= art0 and tab[r][-1] == 0:
             for j in range(art0):
                 if tab[r][j] != 0:
-                    piv = tab[r][j]
-                    tab[r] = [v / piv for v in tab[r]]
-                    for rr in range(len(tab)):
-                        if rr != r and tab[rr][j] != 0:
-                            f = tab[rr][j]
-                            tab[rr] = [a - f * b for a, b in zip(tab[rr], tab[r])]
+                    _pivot(tab, dens, r, j)
                     basis[r] = j
                     break
 
-    # phase 2
-    cost = [Fraction(0)] * ncols
-    for jj, (v, s) in enumerate(col_of):
-        cost[jj] = c[v] * s
-    zrow = [-cost[j] for j in range(ncols)] + [Fraction(0)]
-    tab[-1] = zrow
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb != 0:
-            tab[-1] = [a + cb * b for a, b in zip(tab[-1], tab[r])]
-    allowed = set(range(art0))  # artificials may not re-enter
-    status = _simplex(tab, basis, ncols, allowed)
-    if status == UNBOUNDED:
+    # phase 2; artificials may not re-enter
+    cnums, cden = _integer_row(c)
+    cost = [cnums[v] * s for v, s in col_of] + [0] * (ncols - nstruct)
+    tab[-1], dens[-1] = _objective_row(cost, cden, tab, dens, basis)
+    if _simplex(tab, dens, basis, art0) == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
     x = [Fraction(0)] * nvars
@@ -166,12 +154,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None):
         j = basis[r]
         if j < nstruct:
             v, s = col_of[j]
-            x[v] += s * tab[r][-1]
-    duals = []
-    for r in range(m):
-        col = art0 + r
-        y = sum(cost[basis[i]] * tab[i][col] for i in range(m))
-        duals.append(row_sign[r] * y)
-    objective = sum(ci * xi for ci, xi in zip(c, x))
-    return LpResult(OPTIMAL, x=x, objective=objective,
+            x[v] += s * Fraction(tab[r][-1], dens[r])
+    # the artificials cost nothing here, so their reduced costs are the duals
+    z, zden = tab[-1], dens[-1]
+    duals = [row_sign[r] * Fraction(z[art0 + r], zden) for r in range(m)]
+    return LpResult(OPTIMAL, x=x, objective=Fraction(z[-1], zden),
                     dual_ub=duals[:n_ub], dual_eq=duals[n_ub:])

@@ -96,8 +96,7 @@ def _primitive(ints):
 
 def _integer_row(row):
     """A rational row scaled to coprime integers."""
-    den = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
+    return _primitive(_rational._integer_row(row)[0])
 
 
 def _extreme_rays(G):
@@ -111,7 +110,7 @@ def _extreme_rays(G):
     joins every adjacent pair it separates.  Two rays are adjacent when
     no third ray vanishes on every row that both vanish on.
     """
-    rows = [_integer_row([Fraction(x) for x in r]) for r in G]
+    rows = [_integer_row(r) for r in G]
     n = len(rows[0])
     _, basis = _rational.rref(list(zip(*rows)))
     if len(basis) < n:

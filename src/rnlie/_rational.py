@@ -1,15 +1,90 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on lists of lists of Fraction.  Dimensions in this
-package are tiny (n <= 9), so plain Gauss-Jordan with exact pivoting is
-both fast enough and free of conditioning questions.
+Small dense routines that take and return lists of lists of Fraction.
+Dimensions in this package are tiny (n <= 9), so plain Gauss-Jordan
+with exact pivoting is both fast enough and free of conditioning
+questions.
+
+Inside, a row is kept as a list of Python int numerators over one
+positive int denominator, reduced by their common gcd after every
+update, so each pivot costs integer products and one gcd per row
+instead of a normalising gcd per entry (integer-preserving elimination:
+Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  Fractions are
+built only when results are read out.  `_pivot` is the one elimination
+step, shared with the simplex in `_exactlp`.
 """
 
+import math
 from fractions import Fraction
 
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_row(row):
+    """A rational row as (numerators, denominator), the denominator being
+    the lcm of the entries' denominators, so the pair is already reduced."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _reduced(nums, den):
+    """(nums, den) divided by their common gcd; den must be positive."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _pivot(rows, dens, r, c):
+    """Divide row r by its entry in column c, then eliminate column c
+    from every other row.
+
+    Row i stands for the rationals rows[i][j] / dens[i], with dens[i]
+    positive; both lists are updated in place and every row touched
+    leaves reduced.  The pivot entry may have either sign.
+    """
+    piv = rows[r]
+    p = piv[c]
+    if p < 0:
+        piv, p = [-v for v in piv], -p
+    piv, p = _reduced(piv, p)
+    rows[r], dens[r] = piv, p
+    for i, row in enumerate(rows):
+        a = row[c]
+        if i == r or a == 0:
+            continue
+        # row/e - (a/e) piv/p = (p row - a piv) / (e p), after dividing
+        # p and a by their gcd
+        g = math.gcd(a, p)
+        pg, ag = p // g, a // g
+        rows[i], dens[i] = _reduced([pg * u - ag * v for u, v in zip(row, piv)],
+                                    dens[i] * pg)
+
+
+def _rref_integer(rows):
+    """Reduced row echelon form as (numerator rows, denominators, pivot
+    columns), the input scaled to integers row by row."""
+    mat, dens = [], []
+    for row in rows:
+        nums, den = _integer_row(row)
+        mat.append(nums)
+        dens.append(den)
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        for i in range(r, nrows):
+            if mat[i][c] != 0:
+                break
+        else:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        dens[r], dens[i] = dens[i], dens[r]
+        _pivot(mat, dens, r, c)
+        pivots.append(c)
+        r += 1
+    return mat, dens, pivots
 
 
 def rref(rows):
@@ -17,32 +92,8 @@ def rref(rows):
 
     Returns (reduced_rows, pivot_columns).  Input is not modified.
     """
-    mat = _as_fraction_rows(rows)
-    if not mat:
-        return [], []
-    nrows, ncols = len(mat), len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+    mat, dens, pivots = _rref_integer(rows)
+    return [[Fraction(v, den) for v in row] for row, den in zip(mat, dens)], pivots
 
 
 def nullspace(rows, ncols=None):
@@ -57,14 +108,14 @@ def nullspace(rows, ncols=None):
             raise ValueError("need ncols for an empty matrix")
         return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
     ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows)
+    mat, dens, pivots = _rref_integer(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+            vec[pc] = Fraction(-mat[r][fc], dens[r])
         basis.append(vec)
     return basis
 
@@ -77,13 +128,12 @@ def solve(rows, rhs):
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    mat, dens, pivots = _rref_integer([list(row) + [b] for row, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = Fraction(mat[r][ncols], dens[r])
     # rows below the last pivot must be all zero (checked via pivot cols)
     return x
 
@@ -91,9 +141,8 @@ def solve(rows, rhs):
 def inverse(rows):
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
+    mat, dens, pivots = _rref_integer([list(row) + [int(i == j) for j in range(n)]
+                                       for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red]
+    return [[Fraction(v, den) for v in row[n:]] for row, den in zip(mat, dens)]

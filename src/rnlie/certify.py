@@ -298,6 +298,15 @@ def constructive_nonneg(D, b: Bracket):
     return SrnCertificate(coeffs, t_star, "Constructive")
 
 
+def _scaling_line(blocks, n):
+    """The 50 search points of the pure-scaling line h = e^s, s from 0.25
+    to 25: s times the packed identity, then n zeros."""
+    packed = pack_blocks(np.eye(n), blocks)
+    line = np.zeros((50, len(packed) + n))
+    line[:, :len(packed)] = np.outer(np.linspace(0.25, 25.0, 50), packed)
+    return line
+
+
 def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     """Derivative-free search for a metric with negative Ricci.
 
@@ -369,9 +378,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     for _ in poll(np.zeros((1, dim))):
         pass
     if not done():
-        line = np.array([np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
-                         for s in np.linspace(0.25, 25.0, 50)])
-        for _ in poll(line):
+        for _ in poll(_scaling_line(blocks, n)):
             if finished():
                 break
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import _rational
 from .brackets import Bracket
@@ -112,6 +111,8 @@ def derivation_space(b: Bracket, scalars: str = "float"):
         else:
             basis = _rational.nullspace(rows, ncols=n * n)
         return [[[vec[r * n + c] for c in range(n)] for r in range(n)] for vec in basis]
+    from scipy.linalg import null_space
+
     C = b.tensor()
     eye = np.eye(n)
     # rows indexed by (i<j, k), unknown D flattened as D[r, c] -> r*n + c
@@ -136,7 +137,7 @@ def _weight_rows(b: Bracket):
     d -> d_k - d_i - d_j that must vanish on the torus."""
     rows = []
     for (i, j, k) in sorted(b.constants):
-        row = [Fraction(0)] * b.dim
+        row = [0] * b.dim
         row[k] += 1
         row[i] -= 1
         row[j] -= 1
@@ -244,15 +245,13 @@ def diagonal_torus(b: Bracket) -> Torus:
     else:
         basis = ()
     r = len(basis)
+    # classes in order of first index, looked up by (numerator,
+    # denominator) pairs, which hash far faster than Fractions
     cols = {}
-    order = []
     for i in range(n):
         key = tuple(basis[l][i] for l in range(r))
-        if key not in cols:
-            cols[key] = []
-            order.append(key)
-        cols[key].append(i)
-    weights = tuple((key, tuple(cols[key])) for key in order)
+        cols.setdefault(tuple((x.numerator, x.denominator) for x in key), (key, []))[1].append(i)
+    weights = tuple((key, tuple(idx)) for key, idx in cols.values())
     return Torus(b, basis, weights)
 
 

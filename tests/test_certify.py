@@ -11,7 +11,7 @@ from rnlie import curvature
 from rnlie.brackets import Bracket
 from rnlie.certify import (DEFAULT_BUDGET, NEGATIVITY_THRESHOLD, Infeasible,
                            RnWitness, SearchFailure, SrnCertificate, Unknown,
-                           certify_srn_nice, certify_srn_sampled,
+                           _scaling_line, certify_srn_nice, certify_srn_sampled,
                            constructive_nonneg, necessary_condition,
                            search_rn_metric)
 from rnlie.corpus import corpus
@@ -432,6 +432,20 @@ class TestStackedSearch:
         res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
         assert isinstance(res, SearchFailure) and res.evaluations == 2000
         assert calls == []
+
+
+@pytest.mark.parametrize("blocks, n", [
+    ([(i,) for i in range(5)], 5),
+    ([(0, 1, 2, 3), (4,)], 5),
+    ([(0, 1), (2,), (3, 4)], 5),
+])
+def test_scaling_line_matches_per_point_packing(blocks, n):
+    """The scaling line as one outer product holds the same bytes as
+    packing s * I point by point."""
+    want = np.array([np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
+                     for s in np.linspace(0.25, 25.0, 50)])
+    got = _scaling_line(blocks, n)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestResultTypes:

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,17 @@ class TestDeterminism:
         assert first.splitlines()[0] == "index,d1,d2,d3,d4,d5"
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported where a float routine first needs it, so the
+    exact routes and the CLI start without it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, rnlie, rnlie.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

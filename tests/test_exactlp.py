@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 from scipy.optimize import linprog
 
-from rnlie._exactlp import solve_lp
+from rnlie._exactlp import LpResult, solve_lp
 
 
 def test_margin_lp_feasible_hand_case():
@@ -77,3 +77,184 @@ def test_random_cross_check_with_scipy():
             assert ref.status == 3
         else:
             assert ref.status == 2
+
+
+def _reference_simplex(tab, basis, ncols, allowed):
+    m = len(tab) - 1
+    while True:
+        enter = None
+        for j in range(ncols):
+            if j in allowed and tab[-1][j] < 0:
+                enter = j
+                break
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for r in range(m):
+            a = tab[r][enter]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            return "unbounded"
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for r in range(m + 1):
+            if r != leave and tab[r][enter] != 0:
+                f = tab[r][enter]
+                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leave])]
+        basis[leave] = enter
+
+
+def reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None):
+    """The two-phase Bland simplex on Fraction tableaus, as it was before
+    the tableau rows were kept as integers: the same pivots, with the
+    duals and the Farkas certificate read off as dot products."""
+    c = [F(v) for v in c]
+    nvars = len(c)
+    a_ub = [list(map(F, r)) for r in (a_ub or [])]
+    b_ub = [F(v) for v in (b_ub or [])]
+    a_eq = [list(map(F, r)) for r in (a_eq or [])]
+    b_eq = [F(v) for v in (b_eq or [])]
+    if nonneg is None:
+        nonneg = [False] * nvars
+    n_ub, n_eq = len(a_ub), len(a_eq)
+    m = n_ub + n_eq
+    col_of = []
+    for i in range(nvars):
+        col_of.append((i, 1))
+        if not nonneg[i]:
+            col_of.append((i, -1))
+    nstruct = len(col_of)
+    art0 = nstruct + n_ub
+    ncols = nstruct + n_ub + m
+    rows, row_sign = [], []
+    rhs_all = b_ub + b_eq
+    for r in range(m):
+        src = a_ub[r] if r < n_ub else a_eq[r - n_ub]
+        coeffs = [src[v] * s for (v, s) in col_of]
+        slacks = [F(0)] * n_ub
+        if r < n_ub:
+            slacks[r] = F(1)
+        rhs = rhs_all[r]
+        sign = 1
+        if rhs < 0:
+            coeffs = [-v for v in coeffs]
+            slacks = [-v for v in slacks]
+            rhs = -rhs
+            sign = -1
+        arts = [F(0)] * m
+        arts[r] = F(1)
+        rows.append(coeffs + slacks + arts + [rhs])
+        row_sign.append(sign)
+    basis = [art0 + r for r in range(m)]
+    obj = [F(0)] * ncols + [F(0)]
+    for r in range(m):
+        obj[art0 + r] = F(1)
+    for r in range(m):
+        obj = [a - b for a, b in zip(obj, rows[r])]
+    tab = [row[:] for row in rows] + [obj]
+    _reference_simplex(tab, basis, ncols, set(range(ncols)))
+    if tab[-1][-1] != 0:
+        phase1_cost = [F(0)] * ncols
+        for r in range(m):
+            phase1_cost[art0 + r] = F(-1)
+        cert = []
+        for r in range(m):
+            y = sum(phase1_cost[basis[i]] * tab[i][art0 + r] for i in range(m))
+            cert.append(row_sign[r] * y)
+        return LpResult("infeasible", certificate=cert)
+    for r in range(m):
+        if basis[r] >= art0 and tab[r][-1] == 0:
+            for j in range(art0):
+                if tab[r][j] != 0:
+                    piv = tab[r][j]
+                    tab[r] = [v / piv for v in tab[r]]
+                    for rr in range(len(tab)):
+                        if rr != r and tab[rr][j] != 0:
+                            f = tab[rr][j]
+                            tab[rr] = [a - f * b for a, b in zip(tab[rr], tab[r])]
+                    basis[r] = j
+                    break
+    cost = [F(0)] * ncols
+    for jj, (v, s) in enumerate(col_of):
+        cost[jj] = c[v] * s
+    tab[-1] = [-cost[j] for j in range(ncols)] + [F(0)]
+    for r in range(m):
+        cb = cost[basis[r]]
+        if cb != 0:
+            tab[-1] = [a + cb * b for a, b in zip(tab[-1], tab[r])]
+    if _reference_simplex(tab, basis, ncols, set(range(art0))) == "unbounded":
+        return LpResult("unbounded")
+    x = [F(0)] * nvars
+    for r in range(m):
+        j = basis[r]
+        if j < nstruct:
+            v, s = col_of[j]
+            x[v] += s * tab[r][-1]
+    duals = []
+    for r in range(m):
+        y = sum(cost[basis[i]] * tab[i][art0 + r] for i in range(m))
+        duals.append(row_sign[r] * y)
+    objective = sum(ci * xi for ci, xi in zip(c, x))
+    return LpResult("optimal", x=x, objective=objective,
+                    dual_ub=duals[:n_ub], dual_eq=duals[n_ub:])
+
+
+def _random_lp(rng):
+    """A small LP with sparse entries over denominators 1, 2, 3, 7 and 64:
+    inequality and equality rows, right-hand sides of both signs, free
+    and nonnegative variables."""
+    def q():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 64)))
+
+    nvars = rng.randint(1, 4)
+    n_ub, n_eq = rng.randint(0, 5), rng.randint(0, 2)
+    if n_ub + n_eq == 0:
+        n_ub = 1
+    kwargs = {"nonneg": [rng.random() < 0.6 for _ in range(nvars)]}
+    if n_ub:
+        kwargs["a_ub"] = [[q() for _ in range(nvars)] for _ in range(n_ub)]
+        kwargs["b_ub"] = [q() for _ in range(n_ub)]
+    if n_eq:
+        kwargs["a_eq"] = [[q() for _ in range(nvars)] for _ in range(n_eq)]
+        kwargs["b_eq"] = [q() for _ in range(n_eq)]
+    return [q() for _ in range(nvars)], kwargs
+
+
+def test_integer_tableau_matches_fraction_reference():
+    """Same status, solution, objective, duals and certificate, byte for
+    byte, on 2400 seeded LPs covering every outcome."""
+    import random
+    rng = random.Random(9)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(2400):
+        c, kwargs = _random_lp(rng)
+        got = solve_lp(c, **kwargs)
+        assert repr(got) == repr(reference_solve_lp(c, **kwargs)), (c, kwargs)
+        statuses[got.status] += 1
+    assert min(statuses.values()) >= 200, statuses
+
+
+def test_float_derived_margin_lp_matches_fraction_reference():
+    """A sampled-style margin LP: measured diagonals become Fractions with
+    denominators near 2**52, under a mass penalty of 1e-9 and a cap."""
+    from rnlie.certify import SAMPLING_SLACK
+
+    rng = np.random.default_rng(5)
+    d_exact = [F(float(v)) for v in (0.7, 1.3, 2.0, 2.0, 3.3)]
+    points = [[F(float(v)) for v in rng.normal(0.0, 1.0, 5)] for _ in range(8)]
+    assert max(v.denominator for p in points for v in p) >= 2 ** 52
+    a_ub = [[F(1)] + [p[r] for p in points] for r in range(5)]
+    a_ub.append([F(1)] + [F(0)] * len(points))
+    b_ub = d_exact + [1 + 2 * max(abs(v) for v in d_exact)]
+    args = ([F(1)] + [-SAMPLING_SLACK] * len(points),)
+    kwargs = dict(a_ub=a_ub, b_ub=b_ub, nonneg=[False] + [True] * len(points))
+    got = solve_lp(*args, **kwargs)
+    assert got.status == "optimal"
+    assert repr(got) == repr(reference_solve_lp(*args, **kwargs))
