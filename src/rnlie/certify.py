@@ -20,7 +20,8 @@ import numpy as np
 from ._exactlp import solve_lp
 from .brackets import Bracket, center
 from .curvature import MetricParams, _top_eigenvalues, is_ricci_negative
-from .derivations import Derivation, diag_entries, diagonal_torus, require_derivation
+from .derivations import (derivation_matrix, diag_entries, diagonal_torus,
+                          require_derivation)
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
                      _metric_factors, centralizer_blocks, nice_basis_check,
@@ -220,9 +221,7 @@ def necessary_condition(D, b: Bracket) -> bool:
     positive real spectrum on the center.  The sign is free because the
     extension by -D is the same Lie algebra as the extension by D (send
     the new generator H to -H)."""
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, dtype=float)
-    if M.ndim == 1:
-        M = np.diag(M)
+    M = derivation_matrix(D, b.dim)
     if float(np.trace(M)) < 0:
         M = -M
     if float(np.trace(M)) <= 1e-10:
@@ -323,22 +322,22 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     the extension by anything else is no Lie algebra, and a search over
     it would decide nothing.  The gate is also what lets every evaluation
     read the closed-form Ricci blocks of the transported pair, with no
-    curvature tensor.  Points are evaluated as stacks: the scaling line
-    is one, and each compass sweep is one, from the current coordinate
-    to the last (+step, then -step).  The stack's values are consumed in
-    the order a one-point-at-a-time search would make them, up to the
-    first improvement, which starts a new stack at the next coordinate;
-    `evaluations` counts the values consumed, so rows computed past that
-    point, and rows past the budget, which are never computed, do not
-    count.  A witness is confirmed by is_ricci_negative, the independent
-    Koszul-formula evaluation, before it is returned.
+    curvature tensor.  When every centralizer block is 1 x 1 the factors
+    are the diagonals e^A, and the evaluator transports the pair
+    entrywise on the diagonal torus; larger blocks and a non-diagonal D
+    take expm and the dense transport.  Points are evaluated as stacks:
+    the scaling line is one, and each compass sweep is one, from the
+    current coordinate to the last (+step, then -step).  The stack's
+    values are consumed in the order a one-point-at-a-time search would
+    make them, up to the first improvement, which starts a new stack at
+    the next coordinate; `evaluations` counts the values consumed, so
+    rows computed past that point, and rows past the budget, which are
+    never computed, do not count.  A witness is confirmed by
+    is_ricci_negative, the independent Koszul-formula evaluation, before
+    it is returned.
     """
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, dtype=float)
-    if M.ndim == 1:
-        M = np.diag(M)
     n = b.dim
-    if M.shape != (n, n):
-        raise PreconditionError(f"derivation shape {M.shape} does not match")
+    M = derivation_matrix(D, n)
     require_derivation(M, b)
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, 21)
@@ -360,8 +359,14 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
         rows = rows[:budget - state["evals"]]
         if not len(rows):
             return
-        values = _top_eigenvalues(M, C, rows[:, asize:],
-                                  _metric_factors(rows[:, :asize], blocks, n))
+        A = rows[:, :asize]
+        if asize == n:
+            # 1 x 1 blocks: the diagonals _metric_factors would place
+            with np.errstate(all="ignore"):
+                h = np.exp(A)
+        else:
+            h = _metric_factors(A, blocks, n)
+        values = _top_eigenvalues(M, C, rows[:, asize:], h)
         for x, lam in zip(rows, values):
             state["evals"] += 1
             if lam < state["best"]:
@@ -409,20 +414,22 @@ def _compass_descent(x, poll, done, step=0.5, min_step=1e-3):
     if done():
         return
     dim = len(x)
+    # rows 2i and 2i + 1 move coordinate i by +1 and -1
+    moves = np.zeros((2 * dim, dim))
+    moves[0::2] = np.eye(dim)
+    moves[1::2] = -np.eye(dim)
     while step >= min_step and not done():
         improved = False
         i = 0
         while i < dim:
-            coords = np.repeat(np.arange(i, dim), 2)
-            trials = np.repeat(x[None], len(coords), axis=0)
-            trials[np.arange(len(coords)), coords] += np.tile([step, -step], dim - i)
-            i = dim
+            trials = x + step * moves[2 * i:]
+            start, i = i, dim
             for r, (trial, val) in enumerate(poll(trials)):
                 if done():
                     return
                 if val < current - 1e-12:
                     x, current, improved = trial, val, True
-                    i = coords[r] + 1
+                    i = start + r // 2 + 1
                     break
         if not improved:
             step *= 0.5

@@ -4,7 +4,11 @@ solvable extensions.
 Two independent computations are kept side by side.  The Ricci operator
 of an extension comes from closed-form blocks, with no curvature tensor;
 the evaluation behind every metric search reads those blocks on stacks of
-transported pairs (_top_eigenvalues).  The Koszul-formula oracle
+transported pairs (_top_eigenvalues).  On the diagonal torus, with metric
+factors h = diag(e^a), the pair moves entrywise, mu_ij^k to
+e^(a_k - a_i - a_j) mu_ij^k, with no inverse, determinant or dense
+action; centralizer blocks larger than 1 x 1 and non-diagonal
+derivations take the dense products.  The Koszul-formula oracle
 evaluates the full curvature tensor of any left-invariant metric from
 structure constants alone; it is the independent reference that the
 closed forms are tested against.  The Ricci-negativity test
@@ -26,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .brackets import BasisChange, Bracket, act, act_tensor, gram_difference
-from .derivations import Derivation, require_derivation
+from .derivations import Derivation, derivation_matrix, require_derivation
 from .errors import NumericalError, PreconditionError
 
 
@@ -134,15 +138,15 @@ def transport_metric(p: MetricParams, D, b: Bracket):
     output pair with the standard metric has the same spectrum as the
     Ricci of (D, b) with the metric p.
     """
-    return (_transported_derivation(D, b.tensor(), p.c, p.X, p.h),
+    return (_transported_derivation(derivation_matrix(D, b.dim), b.tensor(),
+                                    p.c, p.X, p.h),
             act(BasisChange(p.h), b))
 
 
-def _transported_derivation(D, C: np.ndarray, c, X, h) -> np.ndarray:
-    """c h (D - ad Y) h^{-1} with Y = h^{-1}X, on the structure tensor C.
+def _transported_derivation(M, C: np.ndarray, c, X, h) -> np.ndarray:
+    """c h (M - ad Y) h^{-1} with Y = h^{-1}X, on the structure tensor C.
     X and h may carry the same leading stack axes; each slice is
     bit-identical to the call on that slice alone."""
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
     n = C.shape[0]
     if h.shape[-1] != n:
         raise PreconditionError("metric parameter dimension mismatch")
@@ -188,7 +192,7 @@ def ricci_extension(D, b: Bracket) -> RicciBlock:
     curvature tensor is built; koszul_oracle is the independent reference
     the tests hold these blocks to.
     """
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
+    M = derivation_matrix(D, b.dim)
     require_derivation(M, b)
     ff, fn, nn = _ricci_blocks(M, b.tensor())
     return RicciBlock(float(ff), fn, nn)
@@ -290,7 +294,7 @@ def is_ricci_negative(D, b: Bracket, p: MetricParams | None = None):
     if p is None:
         p = MetricParams.identity(b.dim)
     C = b.tensor()
-    Dn = _transported_derivation(D, C, p.c, p.X, p.h)
+    Dn = _transported_derivation(derivation_matrix(D, b.dim), C, p.c, p.X, p.h)
     E = np.zeros((b.dim + 1,) * 3)
     E[0, 1:, 1:] = Dn.T  # [f, e_i] = sum_j Dn[j, i] e_j
     E[1:, 0, 1:] = -Dn.T
@@ -299,31 +303,84 @@ def is_ricci_negative(D, b: Bracket, p: MetricParams | None = None):
     return lam < -1e-9, lam
 
 
+_LOG_SINGULAR = float(np.log(1e-300))
+
+
 def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Top Ricci eigenvalue of the extension of C by M under each metric
-    (1, X[r], h[r]) of a stack: X is (K, n) and h is (K, n, n).
+    (1, X[r], h[r]) of a stack: X is (K, n), and h is (K, n, n), or (K, n)
+    for diagonal factors h[r] = diag(h[r]).
 
     This is the evaluation of every metric search.  It reads the
     closed-form blocks of ricci_extension on the transported pair
     (h(M - ad Y)h^{-1}, h.C) with Y = h^{-1}X, which is again a
     derivation with its bracket, so no curvature tensor is built; the
     blocks are valid only because the caller has checked M with
-    require_derivation.  A row whose h is not finite or is singular
-    (|det h| < 1e-300), or whose Ricci operator is not finite, reads inf
-    and leaves the other rows as they are.  Each row is bit-identical to
-    the same row evaluated alone.
+    require_derivation.  On the diagonal torus the pair moves entrywise
+    (_torus_transport), with no inverse and no matrix product with h;
+    full (K, n, n) factors, from centralizer blocks larger than 1 x 1 or
+    a non-diagonal M, take the dense products.  A row whose h is not
+    finite or is singular (|det h| < 1e-300), or whose Ricci operator is
+    not finite, reads inf and leaves the other rows as they are.  Each
+    row is bit-identical to the same row evaluated alone, and a row of
+    diagonals to the same row given as the diagonal matrix.
     """
     lam = np.full(len(h), np.inf)
+    torus = h.ndim == 2
     with np.errstate(all="ignore"):
-        ok = np.isfinite(h).all(axis=(1, 2))
-        ok[ok] = np.abs(np.linalg.det(h[ok])) >= 1e-300
+        if torus:
+            # numpy's det is the exponential of the running sum of log|u_ii|
+            # over the LU factor's diagonal, which for a diagonal h is h
+            # itself.  det takes log and exp from the C library, which may
+            # round the last bit apart from np.log and np.exp, so rows at
+            # the threshold ask det.
+            logdet = np.zeros(len(h))
+            for col in np.log(np.abs(h)).T:
+                logdet += col
+            ok = np.isfinite(h).all(axis=1) & (np.exp(logdet) >= 1e-300)
+            edge = np.abs(logdet - _LOG_SINGULAR) < 1e-9
+            if edge.any():
+                diagonal = h[edge][:, :, None] * np.eye(h.shape[1])
+                ok[edge] = np.abs(np.linalg.det(diagonal)) >= 1e-300
+        else:
+            ok = np.isfinite(h).all(axis=(1, 2))
+            ok[ok] = np.abs(np.linalg.det(h[ok])) >= 1e-300
         if not ok.any():
             return lam
         hk = h[ok]
-        Dn = _transported_derivation(M, C, 1.0, X[ok], hk)
-        ric = _assembled(*_ricci_blocks(Dn, act_tensor(C, hk)))
+        if torus:
+            Dn, hC = _torus_transport(M, C, X[ok], hk)
+        else:
+            Dn, hC = _transported_derivation(M, C, 1.0, X[ok], hk), act_tensor(C, hk)
+        ric = _assembled(*_ricci_blocks(Dn, hC))
         finite = np.isfinite(ric).all(axis=(1, 2))
         top = np.full(len(hk), np.inf)
         top[finite] = np.linalg.eigvalsh(ric[finite])[:, -1]
         lam[ok] = top
     return lam
+
+
+def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray):
+    """The transported pair (h(M - ad Y)h^{-1}, h.C) with Y = h^{-1}X for
+    the diagonal factors h = diag(d[r]) of a (K, n) stack, entrywise:
+    mu_ij^k moves to d_k mu_ij^k / (d_i d_j).
+
+    The products are those of _transported_derivation and act_tensor on
+    diag(d), in their order, less the terms with a zero factor of h; only
+    the nonzero structure constants move, and the others stay +0.0.  An
+    exact 1/d is the inverse LAPACK returns for a diagonal matrix.  A
+    matrix product sums from +0.0, so it never returns -0.0; adding 0.0
+    turns a -0.0 into +0.0 as well.  So each entry is bit-identical to
+    the dense one wherever that one is finite; where it is not, a
+    non-finite entry is left in both, and the row reads inf either way.
+    """
+    n = C.shape[-1]
+    dinv = 1.0 / d
+    Y = dinv * X + 0.0
+    # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:], the dense product
+    adY = (Y[:, None, :] @ C.reshape(n, n * n)).reshape(-1, n, n)
+    Dn = d[:, :, None] * (M - np.swapaxes(adY, -1, -2)) * dinv[:, None, :] + 0.0
+    i, j, k = np.nonzero(C)
+    hC = np.zeros((len(d), n, n, n))
+    hC[:, i, j, k] = C[i, j, k] * d[:, k] * dinv[:, i] * dinv[:, j] + 0.0
+    return Dn, hC

@@ -21,7 +21,7 @@ from . import _exactlp
 from .brackets import (FLOAT, RATIONAL, BasisChange, Bracket, act, is_lie,
                        validate_jacobi)
 from .curvature import extension_bracket, koszul_oracle
-from .derivations import Derivation, require_derivation
+from .derivations import derivation_matrix, require_derivation
 from .errors import NumericalError, PreconditionError
 from .moment import weight_polytope, weight_vector
 
@@ -119,8 +119,10 @@ def heintze_curve(D, b: Bracket, t=1.0) -> Bracket:
     Restricted to the original coordinates the bracket is b itself; the
     generator sits at index 0.  At t = 1 this is the standard extension.
     """
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
-    require_derivation(M, b)
+    require_derivation(derivation_matrix(D, b.dim), b)
+    if np.ndim(D) == 1:
+        # a vector: its diagonal matrix, with the entries as given
+        D = [[D[i] if i == j else 0 for j in range(b.dim)] for i in range(b.dim)]
     return extension_bracket(D, b, t)
 
 

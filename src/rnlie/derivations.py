@@ -43,6 +43,18 @@ def require_derivation(D, b: Bracket) -> None:
             f"not a derivation, Leibniz residual {leibniz_residual(D, b):.3e}")
 
 
+def derivation_matrix(D, n: int) -> np.ndarray:
+    """D as an n x n float matrix, given as a Derivation, an n x n matrix
+    or a vector of n entries (its diagonal matrix).  Any other shape
+    raises PreconditionError."""
+    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
+    if M.ndim == 1:
+        M = np.diag(M)
+    if M.shape != (n, n):
+        raise PreconditionError(f"derivation shape {M.shape} does not match")
+    return M
+
+
 @dataclass(frozen=True)
 class Derivation:
     """A matrix together with the bracket it differentiates."""

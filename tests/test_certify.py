@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from rnlie import curvature
+from rnlie import certify, curvature
 from rnlie.brackets import Bracket
 from rnlie.certify import (DEFAULT_BUDGET, NEGATIVITY_THRESHOLD, Infeasible,
                            RnWitness, SearchFailure, SrnCertificate, Unknown,
@@ -432,6 +432,27 @@ class TestStackedSearch:
         res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
         assert isinstance(res, SearchFailure) and res.evaluations == 2000
         assert calls == []
+
+    def test_torus_search_builds_no_dense_factor(self, monkeypatch):
+        """With 1 x 1 centralizer blocks the search evaluates on the
+        diagonals: no act_tensor, and one _metric_factors call, for the
+        parameters it returns."""
+        counts = {"act_tensor": 0, "_metric_factors": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def call(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(curvature, "act_tensor")
+        counted(certify, "_metric_factors")
+        res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
+        assert isinstance(res, SearchFailure) and res.evaluations == 2000
+        assert counts == {"act_tensor": 0, "_metric_factors": 1}
 
 
 @pytest.mark.parametrize("blocks, n", [

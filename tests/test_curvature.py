@@ -275,6 +275,12 @@ STACK_CASES = [
 ]
 
 
+# the cases whose centralizer blocks are all 1 x 1
+TORUS_CASES = [(alg, M) for alg, M in STACK_CASES
+               if np.count_nonzero(M - np.diag(np.diag(M))) == 0
+               and len(centralizer_blocks(np.diag(M))) == len(M)]
+
+
 def _stack(case, rows=12, seed=0):
     """The search's view of a case: its blocks, and random packed rows
     (A blocks, then X) with the metric factors they give."""
@@ -341,3 +347,59 @@ class TestStackedEvaluation:
         keep = np.ones(len(xs), bool)
         keep[[2, 5, 7]] = False
         assert np.array_equal(got[keep], lam[keep])
+
+    @pytest.mark.parametrize("case", TORUS_CASES)
+    def test_torus_diagonals_match_dense_factors(self, case):
+        """With 1 x 1 blocks the (K, n) diagonals of the factors give the
+        bytes of the dense (K, n, n) factors, the inf rows of the three
+        guards included, and so does a factor with det h at 1e-300."""
+        b, M, blocks, xs, asize = _stack(case, rows=40)
+        n = b.dim
+        assert asize == n
+        xs[2, :n] = 1e3
+        xs[5, :n] = [-800.0] + [0.0] * (n - 1)
+        xs[7, :n] = [-100.0] * (n - 1) + [400.0]
+        xs[9, :n] = np.log(1e-300) / n
+        h = _metric_factors(xs[:, :n], blocks, n)
+        d = np.diagonal(h, axis1=1, axis2=2).copy()
+        dense = _top_eigenvalues(M, b.tensor(), xs[:, n:], h)
+        torus = _top_eigenvalues(M, b.tensor(), xs[:, n:], d)
+        assert dense[2] == dense[5] == dense[7] == np.inf
+        assert np.isfinite(np.delete(dense, [2, 5, 7])).all()
+        assert torus.tobytes() == dense.tobytes()
+
+
+class TestVectorDerivation:
+    """A derivation given as its vector of diagonal entries reads as the
+    diagonal matrix; any other shape is refused."""
+
+    def test_is_ricci_negative(self):
+        b = h3()
+        p = MetricParams(1.3, np.array([0.2, -0.1, 0.4]), np.diag([1.5, 0.7, 1.1]))
+        for params in (None, p):
+            assert (is_ricci_negative([1, 1, 2], b, params)
+                    == is_ricci_negative(np.diag([1.0, 1.0, 2.0]), b, params))
+        assert is_ricci_negative([1, 1, 2], b) == (True, pytest.approx(-4.5, abs=1e-10))
+
+    def test_transport_metric(self):
+        b = h3()
+        p = MetricParams(1.3, np.array([0.2, -0.1, 0.4]), np.diag([1.5, 0.7, 1.1]))
+        Dv, bv = transport_metric(p, [1, 1, 2], b)
+        Dm, bm = transport_metric(p, np.diag([1.0, 1.0, 2.0]), b)
+        assert Dv.shape == (3, 3) and Dv.tobytes() == Dm.tobytes()
+        assert bv.tensor().tobytes() == bm.tensor().tobytes()
+
+    def test_ricci_extension(self):
+        b = h3()
+        got = ricci_extension([1, 1, 2], b)
+        want = ricci_extension(np.diag([1.0, 1.0, 2.0]), b)
+        assert got.assembled().tobytes() == want.assembled().tobytes()
+
+    @pytest.mark.parametrize("D", [[1.0, 2.0], np.eye(2), np.ones((3, 4)), np.ones((3, 3, 3))])
+    def test_wrong_shape_raises(self, D):
+        b = h3()
+        for call in (lambda: is_ricci_negative(D, b),
+                     lambda: transport_metric(MetricParams.identity(3), D, b),
+                     lambda: ricci_extension(D, b)):
+            with pytest.raises(PreconditionError):
+                call()

@@ -112,6 +112,13 @@ class TestHeintze:
         assert mu.constants[(0, 3, 3)] == Fraction(20)
         assert mu.constants[(1, 2, 3)] == Fraction(1)
 
+    def test_vector_is_its_diagonal(self):
+        mu = heintze_curve([1, 1, 2], h3, 1)
+        assert mu.constants == heintze_curve([[1, 0, 0], [0, 1, 0], [0, 0, 2]], h3, 1).constants
+        assert mu.is_rational
+        with pytest.raises(PreconditionError):
+            heintze_curve([1, 1], h3, 1)
+
     def test_non_derivation_rejected(self):
         with pytest.raises(PreconditionError):
             heintze_curve(np.diag([1.0, 1.0, 5.0]), h3, 1)
