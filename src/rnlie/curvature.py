@@ -45,10 +45,14 @@ def ricci_nilpotent(b: Bracket) -> np.ndarray:
 
 def extension_bracket(D, b: Bracket, t: float = 1.0) -> Bracket:
     """Rank-one extension bracket on dim n+1 with the new generator at
-    index 0 acting on the nilpotent part as t*D."""
+    index 0 acting on the nilpotent part as t*D.  A vector D is read as
+    its diagonal matrix; int and Fraction entries stay exact."""
     n = b.dim
-    rational = b.is_rational and _is_rational_matrix(D) and _is_exact(t)
     src = D.matrix if isinstance(D, Derivation) else D
+    if np.ndim(src) == 1:
+        # nested lists keep int and Fraction entries as they are
+        src = [[v if r == c else 0 for c in range(n)] for r, v in enumerate(src)]
+    rational = b.is_rational and _is_rational_matrix(src) and _is_exact(t)
     constants: dict = {}
     for (i, j, k), c in b.constants.items():
         constants[(i + 1, j + 1, k + 1)] = c if rational else float(c)
@@ -65,8 +69,6 @@ def extension_bracket(D, b: Bracket, t: float = 1.0) -> Bracket:
 
 
 def _is_rational_matrix(D) -> bool:
-    if isinstance(D, Derivation):
-        return False
     if isinstance(D, (list, tuple)):
         return all(isinstance(x, (int, Fraction)) for row in D for x in row)
     return False

@@ -24,7 +24,7 @@ from .errors import NumericalError, PreconditionError
 def leibniz_residual(D, b: Bracket) -> float:
     """max over basis pairs of |D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]|."""
     C = b.tensor()
-    D = np.asarray(D, float)
+    D = derivation_matrix(D)
     lhs = np.einsum("kl,ijl->ijk", D, C)
     rhs = np.einsum("li,ljk->ijk", D, C) + np.einsum("lj,ilk->ijk", D, C)
     diff = lhs - rhs
@@ -32,7 +32,7 @@ def leibniz_residual(D, b: Bracket) -> float:
 
 
 def is_derivation(D, b: Bracket, tol: float = 1e-9) -> bool:
-    scale = float(np.linalg.norm(np.asarray(D, float))) * float(np.sqrt(float(b.norm_sq())))
+    scale = float(np.linalg.norm(derivation_matrix(D))) * float(np.sqrt(float(b.norm_sq())))
     return leibniz_residual(D, b) <= max(1e-12, tol * scale)
 
 
@@ -43,14 +43,14 @@ def require_derivation(D, b: Bracket) -> None:
             f"not a derivation, Leibniz residual {leibniz_residual(D, b):.3e}")
 
 
-def derivation_matrix(D, n: int) -> np.ndarray:
-    """D as an n x n float matrix, given as a Derivation, an n x n matrix
-    or a vector of n entries (its diagonal matrix).  Any other shape
-    raises PreconditionError."""
+def derivation_matrix(D, n: int | None = None) -> np.ndarray:
+    """D as a float matrix, given as a Derivation, a matrix or a vector of
+    entries (its diagonal matrix).  With n, any shape but n x n raises
+    PreconditionError."""
     M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
     if M.ndim == 1:
         M = np.diag(M)
-    if M.shape != (n, n):
+    if n is not None and M.shape != (n, n):
         raise PreconditionError(f"derivation shape {M.shape} does not match")
     return M
 
@@ -315,10 +315,8 @@ def is_positive_derivation(D, b: Bracket | None = None, tol: float = 1e-10) -> b
     a Derivation instance carries its bracket already.
     """
     if isinstance(D, Derivation):
-        M = D.matrix
         b = D.base if b is None else b
-    else:
-        M = np.asarray(D, float)
+    M = derivation_matrix(D)
     if b is not None and not is_derivation(M, b):
         return False
     if M.size == 0:
@@ -372,9 +370,7 @@ def jordan_decompose(D, tol: float = 1e-7) -> JordanParts:
     Raises NumericalError when the eigenvalue clusters cannot be separated
     to the requested accuracy (the achieved residual is reported).
     """
-    if isinstance(D, Derivation):
-        D = D.matrix
-    D = np.asarray(D, float)
+    D = derivation_matrix(D)
     n = D.shape[0]
     if n == 0:
         z = np.zeros((0, 0))

@@ -9,6 +9,7 @@ small polytopes computed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._hull import Hull, exact_hull
+from ._trf import trf_solve
 from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
-from .derivations import (Derivation, diag_entries, diagonal_torus,
+from .derivations import (derivation_matrix, diag_entries, diagonal_torus,
                           is_derivation)
 from .errors import NumericalError, PreconditionError
 from .rng import default_seed, generator
@@ -231,8 +233,7 @@ def _group_blocks(tag, b, derivation=None):
         if derivation is None:
             raise PreconditionError(
                 "DerivationCentralizer sampling needs the derivation")
-        D = derivation.matrix if isinstance(derivation, Derivation) else derivation
-        D = np.asarray(D, dtype=float)
+        D = derivation_matrix(derivation, n)
         if not is_derivation(D, b):
             raise PreconditionError("centralizer base point is not a derivation")
         return centralizer_blocks(diag_entries(D, n))
@@ -291,21 +292,106 @@ def _draw_block_element(rng, blocks, n):
     raise NumericalError("could not draw a well-conditioned group element")
 
 
+# Taylor coefficients in z = d^2 of cosh(d), sinh(d)/d and
+# (sinh(2d)/(2d) - 1)/(4d^2), highest power first; for |z| < 1 the terms
+# past these fall below the last bit
+_BLOCK2_SERIES = tuple((1.0 / math.factorial(2 * j), 1.0 / math.factorial(2 * j + 1),
+                        4.0 ** j / math.factorial(2 * j + 3)) for j in range(12, -1, -1))
+
+
+def _block2_functions(z):
+    """cosh(d), sinh(d)/d and (sinh(2d)/(2d) - 1)/(4d^2) at d = sqrt(z) for
+    a real float z of either sign (cos and sin of sqrt(-z) when z < 0),
+    by their Taylor series in z when |z| < 1, NaN where they overflow.
+    The third is (sinh(d)/d cosh(d) - 1) / 4z: at |z| >= 1 that difference
+    keeps at least two fifths of the larger term, so it loses few bits.
+    Python floats: a 2 x 2 block is a handful of numbers, and numpy's
+    per-call cost would outweigh the arithmetic."""
+    if abs(z) < 1.0:
+        ch = sh = c2 = 0.0
+        for a, b, c in _BLOCK2_SERIES:
+            ch, sh, c2 = ch * z + a, sh * z + b, c2 * z + c
+        return ch, sh, c2
+    try:
+        r = math.sqrt(abs(z))
+        if z > 0:
+            ch, sh = math.cosh(r), math.sinh(r) / r
+        else:
+            ch, sh = math.cos(r), math.sin(r) / r
+    except (OverflowError, ValueError):
+        return math.nan, math.nan, math.nan
+    return ch, sh, (sh * ch - 1.0) / (4.0 * z)
+
+
+def _block2_split(a, b, c, d):
+    """(tau, h, z) for the 2 x 2 block A = [[a, b], [c, d]]: tau is half
+    its trace, A0 = A - tau I = [[h, b], [c, -h]], and z = h^2 + bc =
+    -det A0, so A0^2 = z I."""
+    h = 0.5 * (a - d)
+    return 0.5 * (a + d), h, h * h + b * c
+
+
+def _block2_exp(a, b, c, d):
+    """exp([[a, b], [c, d]]) = e^tau (cosh(delta) I + sinh(delta)/delta A0),
+    row-major, with A0 = A - tau I and A0^2 = delta^2 I; NaN where it
+    overflows."""
+    tau, half, z = _block2_split(a, b, c, d)
+    ch, sh, _ = _block2_functions(z)
+    try:
+        scale = math.exp(tau)
+    except OverflowError:
+        return math.nan, math.nan, math.nan, math.nan
+    ch, sh = scale * ch, scale * sh
+    return ch + sh * half, sh * b, sh * c, ch - sh * half
+
+
+@functools.lru_cache(maxsize=64)
+def _block_layout(blocks):
+    """Where pack_blocks puts each size of block: the indices and packed
+    offsets of the 1 x 1 blocks; the row and column indices and packed
+    offsets of the entries of the 2 x 2 blocks, one row of four per block;
+    and each larger block with its first offset.  `blocks` is a tuple of
+    index tuples."""
+    ones, pairs, larger = [], [], []
+    pos = 0
+    for blk in blocks:
+        if len(blk) == 1:
+            ones.append((blk[0], pos))
+        elif len(blk) == 2:
+            i, j = blk
+            pairs.append(((i, i, j, j), (i, j, i, j), range(pos, pos + 4)))
+        else:
+            larger.append((blk, pos))
+        pos += len(blk) ** 2
+    return (tuple(np.array(col) for col in zip(*ones)),
+            tuple(np.array(col) for col in zip(*pairs)), tuple(larger))
+
+
 def _metric_factors(A, blocks, n):
     """exp(A) for each row of A, packed as pack_blocks lays out the
     diagonal blocks: the metric factors h of the metric search, and the
-    group elements orbit steering applies to its draw.  One stacked
-    expm, or np.exp of the diagonal when every block is 1 x 1, which is
-    what expm does on a diagonal matrix."""
-    from scipy.linalg import expm
-
-    with np.errstate(all="ignore"):
-        if len(blocks) < n:
-            return expm(unpack_blocks(A, blocks, n))
-        # 1 x 1 blocks come in index order, so A holds the diagonal
-        h = np.zeros((len(A), n, n))
-        h[:, range(n), range(n)] = np.exp(A)
-        return h
+    group elements orbit steering applies to its draw.  np.exp on the 1 x
+    1 blocks, the closed form of _block2_exp on the 2 x 2 blocks, expm on
+    larger blocks.  Each row gives the same bits in any stack."""
+    A = np.asarray(A, dtype=float)
+    h = np.zeros((len(A), n, n))
+    ones, pairs, larger = _block_layout(tuple(blocks))
+    if ones:
+        i, pos = ones
+        with np.errstate(all="ignore"):
+            h[:, i, i] = np.exp(A[:, pos])
+    if pairs:
+        rows, cols, pos = pairs
+        quads = A[:, pos]
+        h[:, rows, cols] = np.reshape([_block2_exp(*q) for q in quads.reshape(-1, 4).tolist()],
+                                      quads.shape)
+    for blk, pos in larger:
+        from scipy.linalg import expm
+        k = len(blk)
+        rows, cols = np.ix_(blk, blk)
+        with np.errstate(all="ignore"):
+            h[:, rows, cols] = expm(A[:, pos:pos + k * k].reshape(-1, k, k))
+    return h
 
 
 def _exp_directions(x, blocks, n):
@@ -313,21 +399,34 @@ def _exp_directions(x, blocks, n):
     at A = unpack_blocks(x), one (n, n) slice per packed coordinate k:
     moving x_k by t moves exp(A) to (1 + t L_k) exp(A) to first order.
 
-    A 1 x 1 block gives L_k = E_k.  A k x k block takes its k^2 Frechet
-    derivatives dexp_A(E_t) from one expm of the block-triangular matrix
-    [[A_b, E_1 .. E_{k^2}], [0, I (x) A_b]]: the top-right k x k blocks
-    are dexp_A(E_t) and the top-left one is exp(A_b) (Van Loan,
+    L = (e^ad_A - 1) / ad_A, as a series in ad_A = ad_A0.  A 1 x 1 block
+    gives L_k = E_k.  On a 2 x 2 block, ad_A0^3 = 4 delta^2 ad_A0, so
+    L(E) = E + c1 [A0, E] + c2 [A0, [A0, E]] with c1 = (cosh(2 delta) - 1)
+    / (4 delta^2) = (sinh(delta)/delta)^2 / 2 and c2 = (sinh(2 delta) /
+    (2 delta) - 1) / (4 delta^2).  A k x k block with k >= 3 takes its k^2
+    Frechet derivatives dexp_A(E_t) from one expm of the block-triangular
+    matrix [[A_b, E_1 .. E_{k^2}], [0, I (x) A_b]]: the top-right k x k
+    blocks are dexp_A(E_t) and the top-left one is exp(A_b) (Van Loan,
     "Computing integrals involving the matrix exponential", IEEE TAC
     1978)."""
-    from scipy.linalg import expm
-
     L = np.zeros((len(x), n, n))
     pos = 0
     for blk in blocks:
         k = len(blk)
+        rows, cols = np.array(blk)[:, None], np.array(blk)   # np.ix_(blk, blk)
         if k == 1:
             L[pos, blk[0], blk[0]] = 1.0
+        elif k == 2:
+            a, b, c, d = x[pos:pos + 4].tolist()
+            _, half, z = _block2_split(a, b, c, d)
+            _, sh, c2 = _block2_functions(z)
+            A0 = np.array([[half, b], [c, -half]])
+            E = np.eye(4).reshape(4, 2, 2)
+            once = A0 @ E - E @ A0
+            twice = A0 @ once - once @ A0
+            L[pos:pos + 4][:, rows, cols] = E + 0.5 * sh * sh * once + c2 * twice
         else:
+            from scipy.linalg import expm
             M = np.zeros((k + k ** 3, k + k ** 3))
             for s in range(0, k + k ** 3, k):   # A_b, then I (x) A_b
                 M[s:s + k, s:s + k] = x[pos:pos + k * k].reshape(k, k)
@@ -336,7 +435,6 @@ def _exp_directions(x, blocks, n):
             M[t // k, k + t * k + t % k] = 1.0
             E = expm(M)
             frechet = np.swapaxes(E[:k, k:].reshape(k, k * k, k), 0, 1)
-            rows, cols = np.ix_(blk, blk)
             L[pos:pos + k * k][:, rows, cols] = frechet @ np.linalg.inv(E[:k, :k])
         pos += k * k
     return L
@@ -347,15 +445,31 @@ def _steered(g0, blocks, x):
     return _metric_factors(x[None], blocks, len(g0))[0] @ g0
 
 
+@functools.lru_cache(maxsize=16)
+def _upper(n):
+    """np.triu_indices(n, 1): the upper off-diagonal entries steering
+    drives to zero."""
+    return np.triu_indices(n, 1)
+
+
+def _steering_state(C, g):
+    """(nu, |nu|^2, m) for nu = g . C: the acted tensor, its squared norm
+    and its moment matrix, which the steering residual and Jacobian at
+    one point share."""
+    nu = act_tensor(C, g)
+    norm = float(np.vdot(nu, nu))
+    return nu, norm, gram_difference(nu) / norm
+
+
 def _acted_moment_matrix(C, g):
     """Moment matrix of the transformed structure tensor, all dense."""
-    Cp = act_tensor(C, g)
-    return gram_difference(Cp) / float(np.vdot(Cp, Cp))
+    return _steering_state(C, g)[2]
 
 
-def _steering_jacobian(C, g0, blocks, x):
+def _steering_jacobian(C, g0, blocks, x, state=None):
     """Jacobian in x of the upper off-diagonal entries of the moment
-    matrix of nu = exp(A(x)) g0 . C, one column per packed coordinate.
+    matrix of nu = exp(A(x)) g0 . C, one column per packed coordinate;
+    `state` is _steering_state at that point when the caller has it.
 
     Along L_k (_exp_directions) the action moves nu by dnu[i,j,c] =
     sum_r L[c,r] nu[i,j,r] - sum_p L[p,i] nu[p,j,c] - sum_q L[q,j] nu[i,q,c],
@@ -363,20 +477,40 @@ def _steering_jacobian(C, g0, blocks, x):
     gram_difference, by (B(dnu, nu) + B(dnu, nu)^T - 2 <nu, dnu> m) / |nu|^2.
     """
     n = C.shape[-1]
-    nu = act_tensor(C, _steered(g0, blocks, x))
+    nu, norm, m = state or _steering_state(C, _steered(g0, blocks, x))
     L = _exp_directions(x, blocks, n)
     Lt = np.swapaxes(L, -1, -2)
     dnu = (nu.reshape(n * n, n) @ Lt).reshape(-1, n, n, n)
     dnu -= (Lt @ nu.reshape(n, n * n)).reshape(-1, n, n, n)
     dnu -= np.swapaxes((np.swapaxes(nu, 1, 2).reshape(n * n, n) @ L)
                        .reshape(-1, n, n, n), 2, 3)
-    norm = float(np.vdot(nu, nu))
-    m = gram_difference(nu) / norm
     B = gram_difference(dnu, nu)
     inner = dnu.reshape(len(L), -1) @ nu.ravel()
     dm = (B + np.swapaxes(B, -1, -2) - 2.0 * inner[:, None, None] * m) / norm
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper(n)
     return dm[:, iu, ju].T
+
+
+def _steering_functions(C, g0, blocks):
+    """The residual of orbit steering from g0, the upper off-diagonal
+    entries of the moment matrix of exp(A(x)) g0 . C, and its Jacobian.
+    A singular element gives a NaN residual.  The Jacobian at the point
+    of the latest residual call reuses that call's _steering_state."""
+    iu = _upper(C.shape[-1])
+    last = [None, None]
+
+    def resid(x):
+        try:
+            state = _steering_state(C, _steered(g0, blocks, x))
+        except np.linalg.LinAlgError:
+            return np.full(len(iu[0]), np.nan)
+        last[:] = x, state
+        return state[2][iu]
+
+    def jac(x):
+        return _steering_jacobian(C, g0, blocks, x, last[1] if last[0] is x else None)
+
+    return resid, jac
 
 
 def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):
@@ -387,32 +521,19 @@ def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):
     matrices); returns the steered element, or None when no attempt
     lands on the diagonal slice, in which case the caller redraws.
 
-    least_squares gets the analytic Jacobian of _steering_jacobian, not
-    finite differences: the left-trivialised derivative of exp
-    (dexp_A(E_k) exp(-A), one block-triangular expm per block larger
-    than 1 x 1) pushed through the derivative of the action and of the
-    moment map.
+    The solver is scipy's trust-region method (_trf), on the analytic
+    Jacobian of _steering_jacobian: the left-trivialised derivative of
+    exp pushed through the derivative of the action and of the moment
+    map.  A trial point whose element is singular is a rejected step.
     """
-    from scipy.optimize import least_squares
-
-    n = b.dim
-    C = b.tensor()
-    iu = np.triu_indices(n, 1)
     size = sum(len(blk) ** 2 for blk in blocks)
-
-    def resid(x):
-        return _acted_moment_matrix(C, _steered(g0, blocks, x))[iu]
-
-    def jac(x):
-        return _steering_jacobian(C, g0, blocks, x)
-
+    resid, jac = _steering_functions(b.tensor(), g0, blocks)
     if np.abs(resid(np.zeros(size))).max() <= tol:
         return g0
     for attempt in range(attempts):
         x0 = np.zeros(size) if attempt == 0 else 0.3 * rng.standard_normal(size)
         with np.errstate(invalid="ignore", divide="ignore"):
-            res = least_squares(resid, x0, jac=jac, xtol=3e-16, ftol=3e-16,
-                                gtol=None, max_nfev=300)
+            res = trf_solve(resid, jac, x0, ftol=3e-16, xtol=3e-16, max_nfev=300)
         if np.abs(res.fun).max() <= tol:
             return _steered(g0, blocks, res.x)
     return None

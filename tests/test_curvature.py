@@ -395,6 +395,17 @@ class TestVectorDerivation:
         want = ricci_extension(np.diag([1.0, 1.0, 2.0]), b)
         assert got.assembled().tobytes() == want.assembled().tobytes()
 
+    def test_extension_bracket(self):
+        b = h3()
+        want = extension_bracket(np.diag([1.0, 1.0, 2.0]), b)
+        assert extension_bracket([1, 1, 2], b).constants == want.constants
+        assert extension_bracket(np.array([1.0, 1.0, 2.0]), b).constants == want.constants
+        # int and Fraction entries with an exact t stay exact
+        exact = extension_bracket([F(1, 3), 1, F(4, 3)], b, 1)
+        assert exact.is_rational
+        assert exact.constants == extension_bracket(
+            [[F(1, 3), 0, 0], [0, 1, 0], [0, 0, F(4, 3)]], b, 1).constants
+
     @pytest.mark.parametrize("D", [[1.0, 2.0], np.eye(2), np.ones((3, 4)), np.ones((3, 3, 3))])
     def test_wrong_shape_raises(self, D):
         b = h3()

@@ -121,6 +121,13 @@ class TestPositivity:
     def test_non_derivation_rejected(self):
         assert not is_positive_derivation(np.eye(3), h3())
 
+    def test_vector_reads_as_its_diagonal(self):
+        assert is_derivation([1, 1, 2], h3()) and not is_derivation([1, 1, 3], h3())
+        assert is_positive_derivation([1, 1, 2], h3())
+        assert is_positive_derivation([F(1, 2), F(1, 3), F(5, 6)], h3())
+        assert not is_positive_derivation([1, 1, 3], h3())   # not a derivation
+        assert not is_positive_derivation([-1, 1, 0], h3())
+
 
 class TestJordan:
     def test_diagonal_is_its_own_real_part(self):
@@ -129,6 +136,12 @@ class TestJordan:
         assert np.allclose(p.real_part, D)
         assert np.abs(p.imaginary_part).max() < 1e-10
         assert np.abs(p.nilpotent_part).max() < 1e-10
+
+    def test_vector_reads_as_its_diagonal(self):
+        p = jordan_decompose([1, 1, 2])
+        assert p.real_part.tobytes() == jordan_decompose(np.diag([1.0, 1.0, 2.0])).real_part.tobytes()
+        assert np.allclose(p.real_part, np.diag([1.0, 1.0, 2.0]))
+        assert not p.imaginary_part.any() and not p.nilpotent_part.any()
 
     def test_rotation_generator(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]])

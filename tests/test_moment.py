@@ -1,17 +1,22 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from rnlie import moment
+from rnlie import _trf, moment
 from rnlie.brackets import Bracket, BasisChange, act
 from rnlie.corpus import corpus
 from rnlie.curvature import ricci_nilpotent
 from rnlie.errors import NumericalError, PreconditionError
 from rnlie.moment import (MomentValue, _acted_moment_matrix,
-                          _draw_block_element, _group_blocks, _steered,
+                          _draw_block_element, _exp_directions, _group_blocks,
+                          _metric_factors, _steered,
                           _steering_jacobian, closure_faces, diag_image_check,
                           moment_map, nice_basis_check, orbit_sample,
                           sample_coordinates, unpack_blocks,
@@ -332,6 +337,184 @@ class TestSteering:
             ref, ref_kept = sample(reference_steer, seed)
             assert new_kept == ref_kept
             assert np.abs(new.diagonals() - ref.diagonals()).max() < 1e-5
+
+
+def _numpy_sums(monkeypatch):
+    """Give the trust-region port the numpy reductions of scipy's
+    solve_lsq_trust_region in place of its Python-float sums."""
+    def phi(alpha, suf, s2, delta):
+        suf, denom = np.array(suf), np.array(s2) + alpha
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+
+    monkeypatch.setattr(_trf, "_norm", np.linalg.norm)
+    monkeypatch.setattr(_trf, "_phi", phi)
+
+
+def _paired_solves(monkeypatch):
+    """Every steering solve of two tricky5 samples, made by the port and
+    by scipy.optimize.least_squares on the same residual, Jacobian and
+    x0: a list of (x0, port result, scipy result).  Steering goes on with
+    the port's result.  The DerivationCentralizer sample (a 3 x 3 block)
+    restarts some draws from a random x0."""
+    runs = []
+    port = moment.trf_solve
+
+    def paired(fun, jac, x0, ftol, xtol, max_nfev):
+        got = port(fun, jac, x0, ftol=ftol, xtol=xtol, max_nfev=max_nfev)
+        want = least_squares(fun, x0, jac=jac, ftol=ftol, xtol=xtol, gtol=None,
+                             max_nfev=max_nfev)
+        runs.append((x0, got, want))
+        return got
+
+    monkeypatch.setattr(moment, "trf_solve", paired)
+    orbit_sample("TorusCentralizer", t5(), count=6, seed=17)
+    orbit_sample("DerivationCentralizer", t5(), count=8, seed=18,
+                 derivation=np.diag([1.0, 0.0, 1.0, 1.0, 2.0]))
+    return runs
+
+
+def _lands(res):
+    return np.abs(res.fun).max() <= 1e-11
+
+
+class TestTrustRegionPort:
+    def test_repeats_least_squares_with_numpy_sums(self, monkeypatch):
+        _numpy_sums(monkeypatch)
+        runs = _paired_solves(monkeypatch)
+        assert len(runs) >= 6
+        assert any(x0.any() and _lands(got) for x0, got, _ in runs)   # a restart
+        for _, got, want in runs:
+            assert (got.nfev, got.njev) == (want.nfev, want.njev)
+            assert np.abs(got.x - want.x).max() <= 1e-12
+
+    def test_python_sums_land_where_least_squares_lands(self, monkeypatch):
+        """With its own Python-float sums the port may stop a few trials
+        apart from scipy, since ftol = xtol = 3e-16 test rounding-level
+        changes, but it lands on the diagonal slice exactly when scipy
+        does."""
+        runs = _paired_solves(monkeypatch)
+        assert [_lands(got) for _, got, _ in runs] == [_lands(want) for _, _, want in runs]
+
+    def test_singular_trial_is_a_rejected_step(self, monkeypatch):
+        """A trial element act_tensor cannot invert is rejected like a
+        non-finite residual: the radius drops to a quarter of the step,
+        and steering still lands."""
+        b = t5()
+        blocks = _group_blocks("TorusCentralizer", b)
+        g0 = _draw_block_element(np.random.default_rng(5), blocks, b.dim)
+        points = []
+        steered = moment._steered
+
+        def singular_first_trial(g0, blocks, x):
+            points.append(x.copy())
+            if len(points) == 3:   # after the zero check and x0
+                raise np.linalg.LinAlgError("Singular matrix")
+            return steered(g0, blocks, x)
+
+        monkeypatch.setattr(moment, "_steered", singular_first_trial)
+        g = moment._steer_to_diagonal(b, g0, blocks, np.random.default_rng(6))
+        assert g is not None
+        assert moment_map(act(BasisChange(g), b)).offdiagonal_max() < 1e-10
+        x0, first, second = points[1:4]
+        assert np.linalg.norm(second - x0) == pytest.approx(
+            0.25 * np.linalg.norm(first - x0), rel=1e-12)
+
+    def test_non_finite_start_returns_at_once(self):
+        res = _trf.trf_solve(lambda x: np.full(3, np.nan), None, np.ones(2),
+                                     ftol=3e-16, xtol=3e-16, max_nfev=300)
+        assert (res.nfev, res.njev) == (1, 0) and np.isnan(res.fun).all()
+
+    def test_orbit_sampling_loads_no_scipy_optimize(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = ("import sys; from rnlie.corpus import corpus; "
+                "from rnlie.moment import orbit_sample; "
+                "orbit_sample('TorusCentralizer', corpus('tricky5').bracket, count=4, seed=17); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+# 2 x 2 blocks [[a, b], [c, d]] by the sign and size of delta^2 = ((a - d)/2)^2 + bc
+BLOCK2_CASES = {
+    "delta2>0": [[0.3, 1.2], [0.7, -0.5]],
+    "delta2<0": [[0.2, -1.5], [0.9, 0.4]],
+    "|delta|<1e-6": [[0.4 + 3e-7, 2e-7], [1e-7, 0.4 - 3e-7]],
+    "delta=0": [[1.0, 1.0], [0.0, 1.0]],
+    "delta2=1": [[1.0, 0.0], [0.0, -1.0]],
+    "delta2 just below 1": [[0.5, 0.75 - 1e-12], [1.0, -0.5]],
+    "large tau": [[40.3, 0.8], [-0.6, 39.7]],
+    "large delta2>0": [[3.0, 4.0], [5.0, -2.0]],
+    "large delta2<0": [[0.0, -6.0], [6.0, 0.0]],
+}
+
+
+def _block_triangular(A, E):
+    M = np.zeros((4, 4))
+    M[:2, :2] = M[2:, 2:] = A
+    M[:2, 2:] = E
+    return M
+
+
+def _van_loan(A, E):
+    """dexp_A(E) exp(-A) from expm of the block-triangular [[A, E], [0, A]]."""
+    X = expm(_block_triangular(A, E))
+    return X[:2, 2:] @ np.linalg.inv(X[:2, :2])
+
+
+def _mp_expm(A, E=None):
+    """exp(A), or with E the Van Loan dexp_A(E) exp(-A), at 50 digits and
+    rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        if E is None:
+            X = mpmath.expm(mpmath.matrix(A.tolist()))
+        else:
+            Y = mpmath.expm(mpmath.matrix(_block_triangular(A, E).tolist()))
+            X = Y[0:2, 2:4] * mpmath.inverse(Y[0:2, 0:2])
+        return np.array(X.tolist(), dtype=float)
+
+
+class TestBlock2Exp:
+    """The closed-form exp and dexp of a 2 x 2 block against 50-digit
+    references, and against scipy's expm and the Van Loan construction,
+    which are themselves off by up to 3e-13 (large tau) and 4e-13 (large
+    delta)."""
+
+    @pytest.mark.parametrize("A", BLOCK2_CASES.values(), ids=BLOCK2_CASES.keys())
+    def test_exp(self, A):
+        A = np.array(A)
+        got = _metric_factors(A.ravel()[None], [(0, 1)], 2)[0]
+        want = _mp_expm(A)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-15 * scale
+        assert np.abs(got - expm(A)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("A", BLOCK2_CASES.values(), ids=BLOCK2_CASES.keys())
+    def test_dexp(self, A):
+        A = np.array(A)
+        L = _exp_directions(A.ravel(), [(0, 1)], 2)
+        for t, E in enumerate(np.eye(4).reshape(4, 2, 2)):
+            want = _mp_expm(A, E)
+            scale = np.abs(want).max()
+            assert np.abs(L[t] - want).max() <= 1e-15 * scale
+            assert np.abs(L[t] - _van_loan(A, E)).max() <= 1e-12 * scale
+
+    def test_rows_of_a_stack_keep_their_bits(self):
+        """The search exponentiates stacks, steering one row at a time."""
+        blocks = [(0, 2), (1, 3), (4,)]
+        xs = 0.8 * np.random.default_rng(4).standard_normal((25, 9))
+        xs[3, :4] = [40.3, 0.8, -0.6, 39.7]
+        xs[7, :4] = [1e3, 0.0, 0.0, 1e3]   # overflows
+        h = _metric_factors(xs, blocks, 5)
+        assert np.isnan(h[7][np.ix_((0, 2), (0, 2))]).all()
+        for k in range(len(xs)):
+            assert h[k].tobytes() == _metric_factors(xs[k:k + 1], blocks, 5)[0].tobytes()
 
 
 class TestDiagImage:
