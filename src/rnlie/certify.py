@@ -20,7 +20,7 @@ import numpy as np
 from ._exactlp import solve_lp
 from .brackets import Bracket, center
 from .curvature import MetricParams, _top_eigenvalues, is_ricci_negative
-from .derivations import (derivation_matrix, diag_entries, diagonal_torus,
+from .derivations import (_is_diagonal, derivation_matrix, diagonal_derivation,
                           require_derivation)
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
@@ -125,17 +125,17 @@ def certify_srn_nice(D, b: Bracket):
     entrywise, exactly.  A margin above 1e-7 certifies that some metric
     makes the extension Ricci negative with D symmetric; the
     Infeasible branch only refutes this sufficient test (it is exact
-    for multiplicity-free tori, an under-approximation otherwise).
+    for multiplicity-free tori, an under-approximation otherwise).  D
+    must pass diagonal_derivation, and b must have rational constants.
     """
     report = nice_basis_check(b)
     if not report.ok:
         raise PreconditionError(
             "the margin test over weight matrices needs a nice basis; "
             f"violations: {report.multiple_targets + report.overlapping_pairs}")
-    torus = diagonal_torus(b)
-    diag = diag_entries(D, b.dim)
-    if torus.coords_of(diag) is None:
-        raise PreconditionError("D must lie in the diagonal derivation torus")
+    if not b.is_rational:
+        raise PreconditionError("the margin test needs rational constants")
+    diag = diagonal_derivation(D, b)
     if float(sum(diag)) <= 1e-10:
         raise PreconditionError("certification needs trace(D) > 0")
     return _nice_margin([Fraction(v) for v in diag], b)
@@ -159,7 +159,9 @@ def _nice_margin(d_exact, b: Bracket):
 def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
     """Margin test over sampled diagonal moment values.
 
-    Success is sound.  Every sampled group element must commute with D
+    Success is sound.  D must pass diagonal_derivation: the extension
+    by anything else is no Lie algebra, and a margin over it would prove
+    nothing.  Every sampled group element must commute with D
     and every sampled moment value must lie on the diagonal slice of
     the orbit.  Each diagonal is then moved into a fixed fundamental
     domain by sorting its entries within blocks of equal D-eigenvalue;
@@ -179,7 +181,7 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
     if sample.group_tag not in (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER):
         raise PreconditionError(
             "sampled certification wants a centralizer orbit sample")
-    diag = diag_entries(D, b.dim)
+    diag = diagonal_derivation(D, b)
     if float(sum(diag)) <= 1e-10:
         raise PreconditionError("certification needs trace(D) > 0")
     Dm = np.diag([float(v) for v in diag])
@@ -245,11 +247,10 @@ def constructive_nonneg(D, b: Bracket):
     report = nice_basis_check(b)
     if not report.ok:
         raise PreconditionError("constructive certification needs a nice basis")
-    d_exact = [Fraction(v) for v in diag_entries(D, b.dim)]
+    d_exact = [Fraction(v) for v in diagonal_derivation(D, b)]
     diag = np.array([float(v) for v in d_exact])
     if diag.min() < -1e-12:
         raise PreconditionError("entries must be nonnegative")
-    require_derivation(np.diag(diag), b)
     Z = center(b)
     if Z.shape[1]:
         zmin = float(np.linalg.eigvals(Z.T @ np.diag(diag) @ Z).real.min())
@@ -324,8 +325,10 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     read the closed-form Ricci blocks of the transported pair, with no
     curvature tensor.  When every centralizer block is 1 x 1 the factors
     are the diagonals e^A, and the evaluator transports the pair
-    entrywise on the diagonal torus; larger blocks and a non-diagonal D
-    take expm and the dense transport.  Points are evaluated as stacks:
+    entrywise on the diagonal torus.  Otherwise the factors are full
+    matrices and take the dense transport: 2 x 2 blocks exponentiate in
+    closed form, and only blocks of 3 x 3 and up, or the one block of a
+    non-diagonal D, take expm.  Points are evaluated as stacks:
     the scaling line is one, and each compass sweep is one, from the
     current coordinate to the last (+step, then -step).  The stack's
     values are consumed in the order a one-point-at-a-time search would
@@ -342,9 +345,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, 21)
 
-    off = M - np.diag(np.diag(M))
-    diagonal_d = not off.size or np.abs(off).max() <= 1e-9 * max(1.0, np.abs(M).max())
-    if diagonal_d:
+    if _is_diagonal(M):
         blocks = centralizer_blocks(np.diag(M))
     else:
         blocks = [tuple(range(n))]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as _io
 from .brackets import Bracket
-from .certify import (Infeasible, SrnCertificate, Unknown, certify_srn_nice,
+from .certify import (Infeasible, SrnCertificate, certify_srn_nice,
                       certify_srn_sampled, constructive_nonneg,
                       necessary_condition)
 from .cone import EXACT, cone_section, weyl_invariance_check
@@ -88,13 +88,16 @@ def _parse_derivation(text: str) -> np.ndarray:
         raise PreconditionError("derivation must be a nonempty JSON list")
 
     def num(x):
-        if isinstance(x, str):
-            return float(Fraction(x))
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
-            return float(x)
+        if isinstance(x, (str, int, float)) and not isinstance(x, bool):
+            try:
+                return float(Fraction(x) if isinstance(x, str) else x)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
         raise PreconditionError(f"bad derivation entry {x!r}")
 
     if isinstance(data[0], list):
+        if any(not isinstance(row, list) or len(row) != len(data[0]) for row in data):
+            raise PreconditionError("derivation rows must be lists of equal length")
         return np.array([[num(x) for x in row] for row in data])
     return np.diag([num(x) for x in data])
 

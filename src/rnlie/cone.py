@@ -16,7 +16,7 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +25,7 @@ from ._hull import exact_hull, hrep_vertices
 from .brackets import Bracket
 from .certify import (Infeasible, RnWitness, SrnCertificate, _nice_margin,
                       certify_srn_sampled, search_rn_metric)
-from .derivations import (Torus, diag_entries, diagonal_torus,
+from .derivations import (Torus, diagonal_derivation, diagonal_torus,
                           weyl_coordinate_actions)
 from .errors import NumericalError, PreconditionError
 from .moment import (TORUS_CENTRALIZER, nice_basis_check, orbit_sample,
@@ -54,12 +54,11 @@ def cone_membership(D, b: Bracket, seed=None, sample_count: int = 48) -> str:
     "In" needs a positive trace and a certificate (exact LP on a nice
     multiplicity-free basis, sampled LP over a torus-centralizer orbit
     otherwise).  "Out" is only asserted when it is definitive: trace
-    not positive, or exact infeasibility in the exact regime.
+    not positive, or exact infeasibility in the exact regime.  D must
+    pass diagonal_derivation.
     """
     torus = diagonal_torus(b)
-    diag = diag_entries(D, b.dim)
-    if torus.coords_of(diag) is None:
-        raise PreconditionError("D must lie in the diagonal derivation torus")
+    diag = diagonal_derivation(D, b)
     if float(sum(diag)) <= 1e-10:
         return OUT  # the cone sits inside the open half space tr > 0
     if _exact_regime(b, torus):

@@ -30,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .brackets import BasisChange, Bracket, act, act_tensor, gram_difference
-from .derivations import Derivation, derivation_matrix, require_derivation
-from .errors import NumericalError, PreconditionError
+from .derivations import _matrix_of, derivation_matrix, require_derivation
+from .errors import PreconditionError
 
 
 def ricci_nilpotent(b: Bracket) -> np.ndarray:
@@ -46,19 +46,18 @@ def ricci_nilpotent(b: Bracket) -> np.ndarray:
 def extension_bracket(D, b: Bracket, t: float = 1.0) -> Bracket:
     """Rank-one extension bracket on dim n+1 with the new generator at
     index 0 acting on the nilpotent part as t*D.  A vector D is read as
-    its diagonal matrix; int and Fraction entries stay exact."""
+    its diagonal matrix, and any other shape raises PreconditionError.
+    With b rational, and every entry of D and t an int or a Fraction, the
+    extension stays exact."""
     n = b.dim
-    src = D.matrix if isinstance(D, Derivation) else D
-    if np.ndim(src) == 1:
-        # nested lists keep int and Fraction entries as they are
-        src = [[v if r == c else 0 for c in range(n)] for r, v in enumerate(src)]
-    rational = b.is_rational and _is_rational_matrix(src) and _is_exact(t)
+    M = _matrix_of(D, n, object)
+    rational = b.is_rational and all(isinstance(v, (int, Fraction)) for v in (*M.flat, t))
     constants: dict = {}
     for (i, j, k), c in b.constants.items():
         constants[(i + 1, j + 1, k + 1)] = c if rational else float(c)
     for i in range(n):
         for j in range(n):
-            v = _entry(src, j, i)
+            v = M[j, i]
             if v == 0:
                 continue
             if rational:
@@ -66,22 +65,6 @@ def extension_bracket(D, b: Bracket, t: float = 1.0) -> Bracket:
             else:
                 constants[(0, i + 1, j + 1)] = float(v) * float(t)
     return Bracket(n + 1, constants, scalar_kind="rational" if rational else "float")
-
-
-def _is_rational_matrix(D) -> bool:
-    if isinstance(D, (list, tuple)):
-        return all(isinstance(x, (int, Fraction)) for row in D for x in row)
-    return False
-
-
-def _is_exact(t) -> bool:
-    return isinstance(t, (int, Fraction))
-
-
-def _entry(src, i, j):
-    if isinstance(src, (list, tuple)):
-        return src[i][j]
-    return src[i, j]
 
 
 @dataclass(frozen=True)

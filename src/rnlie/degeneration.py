@@ -120,9 +120,6 @@ def heintze_curve(D, b: Bracket, t=1.0) -> Bracket:
     generator sits at index 0.  At t = 1 this is the standard extension.
     """
     require_derivation(derivation_matrix(D, b.dim), b)
-    if np.ndim(D) == 1:
-        # a vector: its diagonal matrix, with the entries as given
-        D = [[D[i] if i == j else 0 for j in range(b.dim)] for i in range(b.dim)]
     return extension_bracket(D, b, t)
 
 

@@ -6,11 +6,14 @@ The diagonal torus is computed as the orthogonal complement, inside the
 diagonal matrices, of the weight vectors F_ij^k of the nonzero structure
 constants.  Its basis is kept exact (Fractions) so that torus membership
 and weight multiplicities are decided without tolerances.
+
+Every route reads a derivation argument through derivation_matrix (as
+floats) or diagonal_derivation, the one gate for a diagonal derivation
+of a bracket.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,10 +47,17 @@ def require_derivation(D, b: Bracket) -> None:
 
 
 def derivation_matrix(D, n: int | None = None) -> np.ndarray:
-    """D as a float matrix, given as a Derivation, a matrix or a vector of
-    entries (its diagonal matrix).  With n, any shape but n x n raises
+    """D as a float matrix, given as a matrix or a vector of entries (its
+    diagonal matrix).  With n, any shape but n x n raises
     PreconditionError."""
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, float)
+    return _matrix_of(D, n, float)
+
+
+def _matrix_of(D, n, dtype) -> np.ndarray:
+    """derivation_matrix with entries of dtype.  With object, the entries
+    stay as given, so int and Fraction entries stay exact (an integer
+    array's entries come back as Python ints)."""
+    M = np.asarray(D).astype(dtype, copy=False)
     if M.ndim == 1:
         M = np.diag(M)
     if n is not None and M.shape != (n, n):
@@ -55,27 +65,40 @@ def derivation_matrix(D, n: int | None = None) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """A matrix together with the bracket it differentiates."""
+def _is_diagonal(M: np.ndarray) -> bool:
+    """No off-diagonal entry of the float matrix M above 1e-9 relative to
+    its largest entry."""
+    off = M - np.diag(np.diag(M))
+    return not off.size or float(np.abs(off).max()) <= 1e-9 * max(1.0, float(np.abs(M).max()))
 
-    matrix: np.ndarray
-    base: Bracket
 
-    def __post_init__(self):
-        M = np.asarray(self.matrix, float)
-        object.__setattr__(self, "matrix", M)
-        if M.shape != (self.base.dim, self.base.dim):
-            raise PreconditionError("derivation shape does not match the bracket")
-        require_derivation(M, self.base)
+def diagonal_derivation(D, b: Bracket) -> list:
+    """Diagonal entries of D, which must be a diagonal derivation of b,
+    given as an n x n matrix or a vector of its n diagonal entries.
 
-    @staticmethod
-    def diagonal(entries, base: Bracket) -> "Derivation":
-        return Derivation(np.diag([float(e) for e in entries]), base)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
+    int and Fraction entries come back as exact Fractions, all others as
+    floats, so rational input reaches the exact programs unrounded.
+    Off-diagonal entries above 1e-9 relative to the largest entry raise
+    PreconditionError, and so does a D that is not a derivation.  With
+    every entry exact the test is exact: d_k = d_i + d_j on every nonzero
+    c_ij^k, which is membership in the diagonal torus.  Otherwise it is
+    the relative Leibniz gate of is_derivation.
+    """
+    M = _matrix_of(D, b.dim, object)
+    F = M.astype(float)
+    if not _is_diagonal(F):
+        raise PreconditionError("this operation needs a diagonal derivation")
+    entries = np.diag(M).tolist()
+    if all(isinstance(x, (int, Fraction)) for x in entries):
+        d = [Fraction(x) for x in entries]
+        for (i, j, k) in b.constants:
+            if d[k] != d[i] + d[j]:
+                raise PreconditionError(
+                    f"not a derivation, d_k - d_i - d_j = {d[k] - d[i] - d[j]} "
+                    f"at {(i, j, k)}")
+        return d
+    require_derivation(np.diag(np.diag(F)), b)
+    return [Fraction(x) if isinstance(x, (int, Fraction)) else float(x) for x in entries]
 
 
 def _leibniz_rows_rational(b: Bracket):
@@ -182,10 +205,6 @@ class Torus:
     def multiplicity_free(self) -> bool:
         return all(len(idx) == 1 for _, idx in self.weights)
 
-    def element(self, coords) -> np.ndarray:
-        d = self.diagonal_entries(coords)
-        return np.diag([float(x) for x in d])
-
     def diagonal_entries(self, coords):
         if len(coords) != self.dim:
             raise PreconditionError("coordinate length does not match torus dimension")
@@ -202,14 +221,14 @@ class Torus:
             out += float(x) * np.array([float(v) for v in row])
         return out
 
-    def coords_of(self, diag_entries, tol: float = 1e-9):
+    def coords_of(self, diagonal, tol: float = 1e-9):
         """Coordinates of a diagonal matrix in the torus, or None if outside.
 
         Exact when the entries are rational, least squares with a residual
         gate otherwise.
         """
         n = self.ambient_dim
-        entries = list(diag_entries)
+        entries = list(diagonal)
         if len(entries) != n:
             raise PreconditionError("diagonal length mismatch")
         if self.dim == 0:
@@ -265,63 +284,6 @@ def diagonal_torus(b: Bracket) -> Torus:
         cols.setdefault(tuple((x.numerator, x.denominator) for x in key), (key, []))[1].append(i)
     weights = tuple((key, tuple(idx)) for key, idx in cols.values())
     return Torus(b, basis, weights)
-
-
-def is_generic(D, torus: Torus, tol: float = 1e-9) -> bool:
-    """True when the distinct torus weights take pairwise distinct values at D.
-
-    D may be a Derivation, a diagonal matrix, or a vector of diagonal
-    entries; it must lie in the torus span.
-    """
-    entries = diag_entries(D, torus.ambient_dim)
-    coords = torus.coords_of(entries)
-    if coords is None:
-        raise PreconditionError("derivation is not in the torus span")
-    vals = []
-    for coeffs, _idx in torus.weights:
-        vals.append(sum(float(c) * float(x) for c, x in zip(coeffs, coords)))
-    scale = max(1.0, max((abs(v) for v in vals), default=1.0))
-    for a, bb in itertools.combinations(vals, 2):
-        if abs(a - bb) <= tol * scale:
-            return False
-    return True
-
-
-def diag_entries(D, n: int) -> list:
-    """Diagonal entries of D, given as a Derivation, an n x n matrix or a
-    vector of n entries.
-
-    int and Fraction entries come back as exact Fractions, all others as
-    floats, so rational input reaches the exact programs unrounded.
-    Off-diagonal entries above 1e-9 relative to the largest entry raise.
-    """
-    M = D.matrix if isinstance(D, Derivation) else np.asarray(D, dtype=object)
-    if M.ndim == 1:
-        M = np.diag(M)
-    if M.shape != (n, n):
-        raise PreconditionError(f"derivation shape {M.shape} does not match")
-    F = M.astype(float)
-    off = F - np.diag(np.diag(F))
-    if off.size and np.abs(off).max() > 1e-9 * max(1.0, float(np.abs(F).max())):
-        raise PreconditionError("this operation needs a diagonal derivation")
-    return [Fraction(x) if isinstance(x, (int, Fraction)) else float(x)
-            for x in np.diag(M).tolist()]
-
-
-def is_positive_derivation(D, b: Bracket | None = None, tol: float = 1e-10) -> bool:
-    """Derivation whose eigenvalues all have positive real part.
-
-    When a bracket is supplied the Leibniz identity is checked as well;
-    a Derivation instance carries its bracket already.
-    """
-    if isinstance(D, Derivation):
-        b = D.base if b is None else b
-    M = derivation_matrix(D)
-    if b is not None and not is_derivation(M, b):
-        return False
-    if M.size == 0:
-        return True
-    return bool(np.linalg.eigvals(M).real.min() > tol)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 from ._hull import Hull, exact_hull
 from ._trf import trf_solve
 from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
-from .derivations import (derivation_matrix, diag_entries, diagonal_torus,
-                          is_derivation)
+from .derivations import diagonal_derivation, diagonal_torus
 from .errors import NumericalError, PreconditionError
 from .rng import default_seed, generator
 
@@ -233,10 +232,7 @@ def _group_blocks(tag, b, derivation=None):
         if derivation is None:
             raise PreconditionError(
                 "DerivationCentralizer sampling needs the derivation")
-        D = derivation_matrix(derivation, n)
-        if not is_derivation(D, b):
-            raise PreconditionError("centralizer base point is not a derivation")
-        return centralizer_blocks(diag_entries(D, n))
+        return centralizer_blocks(diagonal_derivation(derivation, b))
     raise PreconditionError(f"unknown group tag {tag!r}")
 
 

@@ -19,8 +19,8 @@ from rnlie.curvature import MetricParams, is_ricci_negative
 from rnlie.derivations import require_derivation
 from rnlie.errors import NumericalError, PreconditionError
 from rnlie.moment import (DERIVATION_CENTRALIZER, DIAG_POSITIVE,
-                          centralizer_blocks, orbit_sample, pack_blocks,
-                          unpack_blocks)
+                          TORUS_CENTRALIZER, centralizer_blocks, orbit_sample,
+                          pack_blocks, unpack_blocks)
 from rnlie.rng import generator
 
 h3 = corpus("heisenberg", 3).bracket
@@ -104,12 +104,6 @@ class TestNiceLp:
         bumped = certify_srn_nice(diag(1 + 1, 1 + 2, 2 + 3), h3)
         assert bumped.margin >= base.margin + 1
 
-    def test_accepts_derivation_objects(self):
-        from rnlie.derivations import Derivation
-        D = Derivation.diagonal([1, 1, 2], h3)
-        res = certify_srn_nice(D, h3)
-        assert res.margin == Fraction(3, 2)
-
 
 class TestSampledLp:
     def test_tricky5_certificate(self):
@@ -151,6 +145,15 @@ class TestSampledLp:
         sample = orbit_sample(DIAG_POSITIVE, t5, count=4, seed=1)
         with pytest.raises(PreconditionError):
             certify_srn_sampled(diag(1, 1, 2, 2, 3), t5, sample)
+
+    def test_non_derivation_refused(self):
+        # diag(1, 1, 1, 1, 3) is not a derivation of tricky5 (the torus is
+        # diag(a, b, a + b, a + b, 2a + b)), yet this sample would certify
+        # it with margin 1 if the derivation were not checked
+        sample = orbit_sample(TORUS_CENTRALIZER, t5, count=8, seed=17)
+        for D in ([1, 1, 1, 1, 3], diag(1, 1, 1, 1, 3)):
+            with pytest.raises(PreconditionError, match="not a derivation"):
+                certify_srn_sampled(D, t5, sample)
 
     def test_commutation_gate(self):
         sample = orbit_sample(DERIVATION_CENTRALIZER, t5, count=6, seed=7,

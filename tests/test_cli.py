@@ -138,6 +138,24 @@ class TestCertify:
                            "--derivation", "[1,1,1]")
         assert code == 2 and json.loads(err)["kind"] == "precondition"
 
+    @pytest.mark.parametrize("text", ['["x", 1, 1]', '["1/0", 1, 1]',
+                                      "[[1,0],[0,1,2],[0,0,2]]"])
+    def test_malformed_derivation_precondition(self, capsys, text):
+        for argv in (("certify", "--algebra", "heisenberg:3", "--derivation", text),
+                     ("degenerate", "--algebra", "heisenberg:3",
+                      "--curve", f"heintze:{text}")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert json.loads(err)["kind"] == "precondition"
+
+    def test_sampled_non_derivation_refused(self, capsys):
+        code, out, err = run(capsys, "certify", "--algebra", "tricky5",
+                             "--derivation", '["1","1","1","1","3"]',
+                             "--method", "sampled", "--sample-count", "8",
+                             "--seed", "17")
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "precondition"
+
 
 class TestCone:
     def test_exact_json(self, capsys):

@@ -9,6 +9,7 @@ from rnlie.corpus import corpus
 from rnlie.curvature import (MetricParams, _top_eigenvalues, extension_bracket,
                              is_ricci_negative, koszul_oracle, ricci_extension,
                              ricci_nilpotent, transport_metric)
+from rnlie.degeneration import heintze_curve
 from rnlie.derivations import derivation_space, is_derivation, require_derivation
 from rnlie.errors import PreconditionError
 from rnlie.moment import centralizer_blocks, pack_blocks
@@ -405,12 +406,17 @@ class TestVectorDerivation:
         assert exact.is_rational
         assert exact.constants == extension_bracket(
             [[F(1, 3), 0, 0], [0, 1, 0], [0, 0, F(4, 3)]], b, 1).constants
+        # so do the entries of an integer array
+        ints = extension_bracket(np.array([1, 1, 2]), b, 1)
+        assert ints.is_rational and ints.constants == want.constants
 
     @pytest.mark.parametrize("D", [[1.0, 2.0], np.eye(2), np.ones((3, 4)), np.ones((3, 3, 3))])
     def test_wrong_shape_raises(self, D):
         b = h3()
         for call in (lambda: is_ricci_negative(D, b),
                      lambda: transport_metric(MetricParams.identity(3), D, b),
-                     lambda: ricci_extension(D, b)):
+                     lambda: ricci_extension(D, b),
+                     lambda: extension_bracket(D, b),
+                     lambda: heintze_curve(D, b)):
             with pytest.raises(PreconditionError):
                 call()

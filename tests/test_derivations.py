@@ -5,9 +5,8 @@ import pytest
 
 from rnlie.brackets import Bracket, act, BasisChange
 from rnlie.corpus import corpus
-from rnlie.derivations import (Derivation, derivation_space, diagonal_torus,
-                               is_derivation, is_generic,
-                               is_positive_derivation, jordan_decompose,
+from rnlie.derivations import (derivation_space, diagonal_derivation,
+                               diagonal_torus, is_derivation, jordan_decompose,
                                leibniz_residual, orthogonal_weyl_group,
                                torus_coordinate_action, weyl_coordinate_actions)
 from rnlie.errors import PreconditionError
@@ -38,13 +37,6 @@ class TestDerivationSpace:
     def test_every_output_is_a_derivation(self):
         for D in derivation_space(tricky5()):
             assert leibniz_residual(D, tricky5()) < 1e-9
-
-    def test_derivation_type_validates(self):
-        with pytest.raises(PreconditionError):
-            Derivation(np.diag([1.0, 1.0, 1.0]), h3())
-        d = Derivation.diagonal([1, 1, 2], h3())
-        assert d.trace == 4.0
-        assert np.array_equal(d.matrix, np.diag(np.diag(d.matrix)))
 
 
 class TestTorus:
@@ -84,49 +76,53 @@ class TestTorus:
                     assert row[k] - row[i] - row[j] == 0
 
 
-class TestGenericity:
-    def test_h3_examples(self):
-        t = diagonal_torus(h3())
-        assert is_generic([1.0, 2.0, 3.0], t)
-        assert not is_generic([1.0, 1.0, 2.0], t)
-
-    def test_outside_span_raises(self):
-        t = diagonal_torus(h3())
-        with pytest.raises(PreconditionError):
-            is_generic([1.0, 1.0, 1.0], t)
-
-    def test_abelian_repeats(self):
-        t = diagonal_torus(Bracket(3, {}))
-        assert not is_generic([2.0, 2.0, 5.0], t)
-        assert is_generic([1.0, 2.0, 5.0], t)
-
-    def test_tricky5_class_level(self):
-        # distinct classes a, b, a+b, 2a+b must take distinct values
-        t = diagonal_torus(tricky5())
-        assert is_generic(t.element((F(1), F(5))), t)
-        assert not is_generic(t.element((F(1), F(1))), t)
-
-
-class TestPositivity:
-    def test_spec_examples(self):
-        assert is_positive_derivation(np.diag([1.0, 1.0, 2.0]), h3())
-        assert not is_positive_derivation(np.diag([-1.0, 1.0, 0.0]), h3())
-
-    def test_nilpotent_derivation_is_not_positive(self):
+class TestDiagonalGate:
+    def test_leibniz_gate(self):
+        assert is_derivation(np.diag([1.0, 1.0, 2.0]), h3())
+        assert is_derivation(np.diag([-1.0, 1.0, 0.0]), h3())
         N = np.zeros((3, 3))
         N[2, 0] = 1.0  # e1 -> e3 extends to a derivation of h3
         assert is_derivation(N, h3())
-        assert not is_positive_derivation(N, h3())
-
-    def test_non_derivation_rejected(self):
-        assert not is_positive_derivation(np.eye(3), h3())
-
-    def test_vector_reads_as_its_diagonal(self):
+        assert not is_derivation(np.eye(3), h3())
         assert is_derivation([1, 1, 2], h3()) and not is_derivation([1, 1, 3], h3())
-        assert is_positive_derivation([1, 1, 2], h3())
-        assert is_positive_derivation([F(1, 2), F(1, 3), F(5, 6)], h3())
-        assert not is_positive_derivation([1, 1, 3], h3())   # not a derivation
-        assert not is_positive_derivation([-1, 1, 0], h3())
+        assert is_derivation([F(1, 2), F(1, 3), F(5, 6)], h3())
+
+    def test_exact_entries_stay_exact(self):
+        got = diagonal_derivation([1, F(1, 3), F(4, 3)], h3())
+        assert got == [1, F(1, 3), F(4, 3)]
+        assert all(type(x) is F for x in got)
+        assert diagonal_derivation(np.array([1, 1, 2]), h3()) == [1, 1, 2]
+        assert diagonal_derivation(np.diag([1, 1, 2]), h3()) == [1, 1, 2]
+        floats = diagonal_derivation(np.diag([1.0, 1.0, 2.0]), h3())
+        assert floats == [1.0, 1.0, 2.0] and all(type(x) is float for x in floats)
+
+    def test_refusals(self):
+        for D in ([1, 1, 3], [F(1), F(1), F(2) + F(1, 10**30)], [1.0, 1.0, 3.0]):
+            with pytest.raises(PreconditionError, match="not a derivation"):
+                diagonal_derivation(D, h3())
+        off = np.diag([1.0, 1.0, 2.0])
+        off[0, 1] = 1e-3
+        for D in (off, [1, 1], np.eye(2)):
+            with pytest.raises(PreconditionError):
+                diagonal_derivation(D, h3())
+
+    def test_exact_gate_is_torus_membership(self):
+        rng = np.random.default_rng(5)
+        for name, param in [("heisenberg", 5), ("tricky5", None), ("filiform", 5)]:
+            b = corpus(name, param).bracket
+            t = diagonal_torus(b)
+            for _ in range(40):
+                coords = [F(int(c), 3) for c in rng.integers(-6, 7, size=t.dim)]
+                d = t.diagonal_entries(coords)
+                if rng.random() < 0.5:
+                    d[int(rng.integers(b.dim))] += F(1, 7)
+                inside = t.coords_of(d) is not None
+                try:
+                    diagonal_derivation(d, b)
+                    accepted = True
+                except PreconditionError:
+                    accepted = False
+                assert accepted == inside
 
 
 class TestJordan:
