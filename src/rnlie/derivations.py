@@ -25,18 +25,24 @@ from .errors import NumericalError, PreconditionError
 
 
 def leibniz_residual(D, b: Bracket) -> float:
-    """max over basis pairs of |D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]|."""
+    """max over basis pairs of |D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]|,
+    inf or nan when it overflows."""
     C = b.tensor()
     D = derivation_matrix(D)
-    lhs = np.einsum("kl,ijl->ijk", D, C)
-    rhs = np.einsum("li,ljk->ijk", D, C) + np.einsum("lj,ilk->ijk", D, C)
-    diff = lhs - rhs
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max()) if diff.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.einsum("kl,ijl->ijk", D, C)
+        rhs = np.einsum("li,ljk->ijk", D, C) + np.einsum("lj,ilk->ijk", D, C)
+        diff = lhs - rhs
+        return float(np.sqrt((diff ** 2).sum(axis=2)).max()) if diff.size else 0.0
 
 
 def is_derivation(D, b: Bracket, tol: float = 1e-9) -> bool:
-    scale = float(np.linalg.norm(derivation_matrix(D))) * float(np.sqrt(float(b.norm_sq())))
-    return leibniz_residual(D, b) <= max(1e-12, tol * scale)
+    """Leibniz residual within tol relative to |D|_F |b|.  A residual
+    that overflows is refused, whatever its scale."""
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(derivation_matrix(D))) * float(np.sqrt(float(b.norm_sq())))
+    residual = leibniz_residual(D, b)
+    return bool(np.isfinite(residual)) and residual <= max(1e-12, tol * scale)
 
 
 def require_derivation(D, b: Bracket) -> None:
@@ -79,26 +85,28 @@ def diagonal_derivation(D, b: Bracket) -> list:
     int and Fraction entries come back as exact Fractions, all others as
     floats, so rational input reaches the exact programs unrounded.
     Off-diagonal entries above 1e-9 relative to the largest entry raise
-    PreconditionError, and so does a D that is not a derivation.  With
-    every entry exact the test is exact: d_k = d_i + d_j on every nonzero
-    c_ij^k, which is membership in the diagonal torus.  Otherwise it is
-    the relative Leibniz gate of is_derivation.
+    PreconditionError, and so does a D off the diagonal torus, one with
+    d_k - d_i - d_j nonzero on some nonzero c_ij^k.  The test is exact
+    when every entry is exact; with a float entry it allows 1e-9 relative
+    to the largest entry, and refuses non-finite entries.  It reads only
+    which constants are nonzero, never their size.
     """
     M = _matrix_of(D, b.dim, object)
     F = M.astype(float)
+    if not np.isfinite(F).all():
+        raise PreconditionError("derivation entries must be finite")
     if not _is_diagonal(F):
         raise PreconditionError("this operation needs a diagonal derivation")
-    entries = np.diag(M).tolist()
-    if all(isinstance(x, (int, Fraction)) for x in entries):
-        d = [Fraction(x) for x in entries]
-        for (i, j, k) in b.constants:
-            if d[k] != d[i] + d[j]:
-                raise PreconditionError(
-                    f"not a derivation, d_k - d_i - d_j = {d[k] - d[i] - d[j]} "
-                    f"at {(i, j, k)}")
-        return d
-    require_derivation(np.diag(np.diag(F)), b)
-    return [Fraction(x) if isinstance(x, (int, Fraction)) else float(x) for x in entries]
+    d = [Fraction(x) if isinstance(x, (int, Fraction)) else float(x)
+         for x in np.diag(M).tolist()]
+    exact = all(isinstance(x, Fraction) for x in d)
+    tol = 0 if exact else 1e-9 * float(np.abs(F).max(initial=1.0))
+    for (i, j, k) in b.constants:
+        r = d[k] - d[i] - d[j]
+        if not abs(r) <= tol:
+            raise PreconditionError(
+                f"not a derivation, d_k - d_i - d_j = {r} at {(i, j, k)}")
+    return d
 
 
 def _leibniz_rows_rational(b: Bracket):

@@ -138,6 +138,16 @@ class TestCertify:
                            "--derivation", "[1,1,1]")
         assert code == 2 and json.loads(err)["kind"] == "precondition"
 
+    def test_overflowing_non_derivation_refused(self, capsys):
+        # d3 = 1 is not d1 + d2; the Leibniz residual overflows to inf
+        for argv in (("certify", "--algebra", "heisenberg:3",
+                      "--derivation", "[1e308, 1, 1]"),
+                     ("degenerate", "--algebra", "heisenberg:3",
+                      "--curve", "heintze:[1e308, 1, 1]")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert json.loads(err)["kind"] == "precondition"
+
     @pytest.mark.parametrize("text", ['["x", 1, 1]', '["1/0", 1, 1]',
                                       "[[1,0],[0,1,2],[0,0,2]]"])
     def test_malformed_derivation_precondition(self, capsys, text):

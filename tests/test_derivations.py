@@ -106,6 +106,41 @@ class TestDiagonalGate:
             with pytest.raises(PreconditionError):
                 diagonal_derivation(D, h3())
 
+    def test_non_finite_refused(self):
+        for D in ([np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0], [1e308, 1.0, 1.0]):
+            with pytest.raises(PreconditionError):
+                diagonal_derivation(D, h3())
+        # the Leibniz residual overflows here; it must not pass as inf <= inf
+        assert not is_derivation([1e308, 1.0, 1.0], h3())
+
+    def test_float_gate_ignores_constant_sizes(self):
+        # [e1, e2] = 10^6 e3, [e1, e3] = 10^-3 e4: the torus asks d4 = d1 + d3
+        # however far apart the two constants are in size
+        b = Bracket(4, {(0, 1, 2): F(10**6), (0, 2, 3): F(1, 1000)})
+        t = diagonal_torus(b)
+        for d in ([1.0, 1.0, 2.0, 3.5], [1.0, 1.0, 2.0, 7.0]):
+            assert t.coords_of(d) is None
+            with pytest.raises(PreconditionError, match="not a derivation"):
+                diagonal_derivation(d, b)
+        assert diagonal_derivation([1.0, 1.0, 2.0, 3.0], b) == [1.0, 1.0, 2.0, 3.0]
+
+    def test_float_gate_is_torus_membership(self):
+        rng = np.random.default_rng(7)
+        disparate = Bracket(4, {(0, 1, 2): F(10**6), (0, 2, 3): F(1, 1000)})
+        for b in (disparate, tricky5(), corpus("filiform", 5).bracket):
+            t = diagonal_torus(b)
+            for _ in range(40):
+                d = t.diagonal_entries([float(c) for c in rng.normal(size=t.dim)])
+                if rng.random() < 0.5:
+                    d[int(rng.integers(b.dim))] += float(rng.choice([1e-3, -0.5]))
+                inside = t.coords_of(d) is not None
+                try:
+                    diagonal_derivation(d, b)
+                    accepted = True
+                except PreconditionError:
+                    accepted = False
+                assert accepted == inside
+
     def test_exact_gate_is_torus_membership(self):
         rng = np.random.default_rng(5)
         for name, param in [("heisenberg", 5), ("tricky5", None), ("filiform", 5)]:
