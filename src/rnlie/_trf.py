@@ -75,10 +75,11 @@ def _svd_terms(J, f):
             -V.dot(uf / s) if full_rank else None)
 
 
-def _trust_region_step(terms, delta, alpha, rtol=0.01, max_iter=10):
+def _trust_region_step(terms, delta, alpha):
     """The step minimising |J p + f| over |p| <= delta, with the
     Levenberg-Marquardt parameter of the previous solve as the first
-    guess; returns (p, alpha).  `terms` is _svd_terms(J, f)."""
+    guess, found to within 1% of delta in at most ten iterations;
+    returns (p, alpha).  `terms` is _svd_terms(J, f)."""
     V, suf, s2, gauss_newton = terms
     full_rank = gauss_newton is not None
     if full_rank and np.linalg.norm(gauss_newton) <= delta:
@@ -91,7 +92,7 @@ def _trust_region_step(terms, delta, alpha, rtol=0.01, max_iter=10):
         alpha_lower = 0.0
     if not full_rank and alpha == 0:
         alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
-    for _ in range(max_iter):
+    for _ in range(10):
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
         phi, slope = _phi(alpha, suf, s2, delta)
@@ -100,7 +101,7 @@ def _trust_region_step(terms, delta, alpha, rtol=0.01, max_iter=10):
         ratio = phi / slope
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + delta) * ratio / delta
-        if abs(phi) < rtol * delta:
+        if abs(phi) < 0.01 * delta:
             break
     p = -V.dot([u / (t + alpha) for u, t in zip(suf, s2)])
     p *= delta / np.linalg.norm(p)

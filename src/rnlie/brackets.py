@@ -225,8 +225,6 @@ def jacobiator(b: Bracket, i: int, j: int, k: int):
     """
     n = b.dim
     if b.is_rational:
-        get = b.constants.get
-
         def mu(a, bb):
             if a == bb:
                 return {}
@@ -278,13 +276,13 @@ def validate_jacobi(b: Bracket):
     return worst
 
 
-def is_lie(b: Bracket, tol: float = 1e-9) -> bool:
-    """Jacobi check; float tolerance is relative to max |c|^2."""
+def is_lie(b: Bracket) -> bool:
+    """Jacobi check; the float tolerance is 1e-9 relative to max |c|^2."""
     r = validate_jacobi(b)
     if b.is_rational:
         return r == 0
     cmax = max((abs(float(c)) for c in b.constants.values()), default=0.0)
-    return float(r) <= tol * max(1.0, cmax * cmax)
+    return float(r) <= 1e-9 * max(1.0, cmax * cmax)
 
 
 def _require_lie(b: Bracket):

@@ -161,12 +161,14 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
 
     Success is sound.  D must pass diagonal_derivation: the extension
     by anything else is no Lie algebra, and a margin over it would prove
-    nothing.  Every sampled group element must commute with D
-    and every sampled moment value must lie on the diagonal slice of
-    the orbit.  Each diagonal is then moved into a fixed fundamental
-    domain by sorting its entries within blocks of equal D-eigenvalue;
-    the permutations doing so commute with D, so the sorted vector is
-    again a genuine point of the slice.  The sort is load-bearing: the
+    nothing.  The sample must have been drawn for b (OrbitSample.verify
+    recomputes every moment value from its group element), every
+    sampled group element must commute with D and every sampled moment
+    value must lie on the diagonal slice of the orbit.  Each diagonal is
+    then moved into a fixed fundamental domain by sorting its entries
+    within blocks of equal D-eigenvalue; the permutations doing so
+    commute with D, so the sorted vector is again a genuine point of
+    the slice.  The sort is load-bearing: the
     attainable diagonal set is convex within one domain but its union
     over domains need not be, and conic combinations that mix domains
     can overshoot it (for paired directions the unsorted test can
@@ -184,6 +186,7 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
     diag = diagonal_derivation(D, b)
     if float(sum(diag)) <= 1e-10:
         raise PreconditionError("certification needs trace(D) > 0")
+    sample.verify(b)
     Dm = np.diag([float(v) for v in diag])
     dscale = max(1.0, float(np.abs(Dm).max()))
     for g, _ in sample.points:
@@ -285,10 +288,7 @@ def constructive_nonneg(D, b: Bracket):
         m_diag[q] -= mult
         m_diag[k] += mult
     # one-variable margin program: maximize t with t <= D_r - eps*M_r, eps >= 0
-    a_ub = [[Fraction(1), Fraction(m_diag[r])] for r in range(n)]
-    b_ub = [d_exact[r] for r in range(n)]
-    res = solve_lp([Fraction(1), Fraction(0)], a_ub=a_ub, b_ub=b_ub,
-                   nonneg=[False, True])
+    res = _margin_lp(d_exact, [m_diag])
     if res.status != "optimal":
         raise NumericalError(f"margin line search ended {res.status}")
     t_star, eps = res.x[0], res.x[1]
@@ -405,11 +405,12 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     return SearchFailure(state["best"], params, state["evals"])
 
 
-def _compass_descent(x, poll, done, step=0.5, min_step=1e-3):
-    """First-improvement compass descent from x until the step falls
-    below min_step or done() holds.  A sweep tries +step, then -step, on
-    each coordinate in turn and moves to the first trial that improves;
-    the trials left in the sweep then go to poll as one stack."""
+def _compass_descent(x, poll, done):
+    """First-improvement compass descent from x, from step 0.5 until the
+    step falls below 1e-3 or done() holds.  A sweep tries +step, then
+    -step, on each coordinate in turn and moves to the first trial that
+    improves; the trials left in the sweep then go to poll as one
+    stack."""
     for _, current in poll(x[None]):
         pass
     if done():
@@ -419,7 +420,8 @@ def _compass_descent(x, poll, done, step=0.5, min_step=1e-3):
     moves = np.zeros((2 * dim, dim))
     moves[0::2] = np.eye(dim)
     moves[1::2] = -np.eye(dim)
-    while step >= min_step and not done():
+    step = 0.5
+    while step >= 1e-3 and not done():
         improved = False
         i = 0
         while i < dim:

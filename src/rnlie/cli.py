@@ -111,7 +111,7 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_ricci(args) -> int:
     b = _load_bracket(args)
     if args.derivation is None:
-        rep = koszul_oracle(b.to_float() if b.is_rational else b)
+        rep = koszul_oracle(b)
         sym = 0.5 * (rep.ricci + rep.ricci.T)
         _emit({"ricci": _mat(rep.ricci), "scalar": _scalar(rep.scalar),
                "eigenvalues": _vec(np.linalg.eigvalsh(sym))})
@@ -213,21 +213,16 @@ def _cmd_certify(args) -> int:
         _emit({"result": "NecessaryCondition",
                "passes": necessary_condition(D, b)})
         return EXIT_OK
+    if method == "auto":
+        method = "nice" if nice_basis_check(b).ok else "sampled"
     if method == "constructive":
         res = constructive_nonneg(D, b)
     elif method == "sampled":
         sample = orbit_sample("TorusCentralizer", b, count=args.sample_count,
                               seed=args.seed)
         res = certify_srn_sampled(D, b, sample)
-    elif method == "nice":
-        res = certify_srn_nice(D, b)
     else:
-        if nice_basis_check(b).ok:
-            res = certify_srn_nice(D, b)
-        else:
-            sample = orbit_sample("TorusCentralizer", b,
-                                  count=args.sample_count, seed=args.seed)
-            res = certify_srn_sampled(D, b, sample)
+        res = certify_srn_nice(D, b)
     payload, code = _certify_payload(res)
     _emit(payload)
     return code

@@ -40,6 +40,8 @@ EXACT = "Exact"
 SAMPLED_INNER = "SampledInner"
 
 MAX_EXACT_TORUS_DIM = 4
+# orbit points drawn for a membership verdict or a sampled section
+SAMPLE_COUNT = 48
 _CONE_STREAM = 31
 _PROBE_MARGIN = 1e-6
 
@@ -48,7 +50,7 @@ def _exact_regime(b: Bracket, torus: Torus) -> bool:
     return nice_basis_check(b).ok and torus.multiplicity_free
 
 
-def cone_membership(D, b: Bracket, seed=None, sample_count: int = 48) -> str:
+def cone_membership(D, b: Bracket, seed=None) -> str:
     """Verdict for a diagonal derivation against the open cone.
 
     "In" needs a positive trace and a certificate (exact LP on a nice
@@ -67,7 +69,7 @@ def cone_membership(D, b: Bracket, seed=None, sample_count: int = 48) -> str:
             return IN
         assert isinstance(res, Infeasible)
         return OUT if res.margin <= 0 else UNKNOWN
-    sample = orbit_sample(TORUS_CENTRALIZER, b, count=sample_count, seed=seed)
+    sample = orbit_sample(TORUS_CENTRALIZER, b, count=SAMPLE_COUNT, seed=seed)
     res = certify_srn_sampled(diag, b, sample)
     return IN if isinstance(res, SrnCertificate) else UNKNOWN
 
@@ -139,9 +141,10 @@ def _exact_section(b: Bracket, torus: Torus, t) -> ConeSection:
     # variables (c_1..c_d, b_1..b_m); closure rows of the margin system
     rows = []
     basis_cols = [[torus.basis[l][i] for l in range(d)] for i in range(b.dim)]
+    weights = [weight_vector(tr, b.dim) for tr in triples]
     for r in range(b.dim):
         a = [-Fraction(v) for v in basis_cols[r]]
-        a += [Fraction(weight_vector(tr, b.dim)[r]) for tr in triples]
+        a += [Fraction(w[r]) for w in weights]
         rows.append((a, Fraction(0)))
     for a_i in range(m):
         a = [Fraction(0)] * (d + m)
@@ -184,7 +187,7 @@ def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSecti
 
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, _CONE_STREAM)
-    sample = orbit_sample(TORUS_CENTRALIZER, b, count=48, seed=seed)
+    sample = orbit_sample(TORUS_CENTRALIZER, b, count=SAMPLE_COUNT, seed=seed)
     pts = sample.diagonals()
     d, n, m = torus.dim, b.dim, len(sample.points)
     basis = np.array([[float(x) for x in row] for row in torus.basis])
@@ -271,12 +274,11 @@ class WeylReport:
     failures: tuple = ()
 
 
-def weyl_invariance_check(section: ConeSection, actions=None) -> WeylReport:
+def weyl_invariance_check(section: ConeSection) -> WeylReport:
     """Check the vertex set is carried to itself by each coordinate
     action of the signed permutation automorphisms (exactly in the
     exact regime, Hausdorff distance below 1e-6 otherwise)."""
-    if actions is None:
-        actions = weyl_coordinate_actions(section.torus.bracket, section.torus)
+    actions = weyl_coordinate_actions(section.torus.bracket, section.torus)
     verts = [np.array([float(x) for x in v]) for v in section.vertices]
     V = np.array(verts)
     worst = 0.0
@@ -304,12 +306,13 @@ class AuditReport:
 
 
 def containment_audit(b: Bracket, section: ConeSection, probes: int = 50,
-                      seed=None, search_budget: int = 4000) -> AuditReport:
+                      seed=None) -> AuditReport:
     """Drive interior points of the section through the metric search.
 
     Every probe must produce a witness with a negative top Ricci
-    eigenvalue; any failure lands in the report and signals that the
-    section over-approximates, which must not happen.
+    eigenvalue within 4000 evaluations; any failure lands in the report
+    and signals that the section over-approximates, which must not
+    happen.
     """
     if probes <= 0:
         raise PreconditionError("need a positive probe count")
@@ -320,13 +323,13 @@ def containment_audit(b: Bracket, section: ConeSection, probes: int = 50,
     worst = -np.inf
     wit = 0
     failures = []
-    for p in range(probes):
+    for _ in range(probes):
         w = rng.dirichlet(np.ones(len(V))) if len(V) > 1 else np.ones(1)
         point = w @ V
         point = 0.85 * point + 0.15 * centroid  # keep strictly interior
         D = np.diag([float(x) for x in
                      section.torus.diagonal_entries([float(c) for c in point])])
-        res = search_rn_metric(D, b, budget=search_budget,
+        res = search_rn_metric(D, b, budget=4000,
                                seed=int(rng.integers(2 ** 32)))
         if isinstance(res, RnWitness):
             wit += 1

@@ -12,6 +12,7 @@ w_k - w_i - w_j, so the limit keeps the exponent-zero constants, kills
 the negative ones, and fails to exist when a positive one is present.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,9 +107,7 @@ def face_steering_curve(source: Bracket, face) -> DegenerationCurve:
                             a_eq=a_eq, b_eq=[Fraction(0)] * len(face))
     if res.status != "optimal":
         raise NumericalError(f"no supporting functional found: {res.status}")
-    denom = 1
-    for v in res.x:
-        denom = denom * v.denominator // np.gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for v in res.x))
     exponents = tuple(int(v * denom) for v in res.x)
     return diagonal_power_curve(source, exponents, label="face-steering")
 
@@ -141,14 +140,13 @@ def _schedule(t_max):
     return ts
 
 
-def limit_bracket(curve: DegenerationCurve, t_max=2 ** 20,
-                  tol: float = CAUCHY_TOL) -> Bracket:
+def limit_bracket(curve: DegenerationCurve, t_max=2 ** 20) -> Bracket:
     """Entrywise limit of the curve, validated as a Lie bracket.
 
     Diagonal power curves on exact sources are resolved in closed form
     from the constant-rescaling exponents; any positively-rescaled
     constant means divergence.  Other curves are sampled on a geometric
-    schedule and must be Cauchy below `tol` at t_max.
+    schedule and must be Cauchy below CAUCHY_TOL at t_max.
     """
     if curve.exponents is not None:
         w = curve.exponents
@@ -173,11 +171,11 @@ def limit_bracket(curve: DegenerationCurve, t_max=2 ** 20,
         gap = max((abs(float(last.constants.get(t, 0))
                        - float(prev.constants.get(t, 0))) for t in keys),
                   default=0.0)
-        if gap >= tol:
+        if gap >= CAUCHY_TOL:
             raise NumericalError(
-                f"curve is not Cauchy at t_max={t_max}: gap {gap:.3e} >= {tol}")
+                f"curve is not Cauchy at t_max={t_max}: gap {gap:.3e} >= {CAUCHY_TOL}")
         kept = {t: float(c) for t, c in last.constants.items()
-                if abs(float(c)) >= tol}
+                if abs(float(c)) >= CAUCHY_TOL}
         limit = Bracket(curve.source.dim, kept, FLOAT)
     if not is_lie(limit):
         raise NumericalError(
@@ -186,7 +184,7 @@ def limit_bracket(curve: DegenerationCurve, t_max=2 ** 20,
 
 
 def _predicate_value(b: Bracket, predicate: str) -> float:
-    rep = koszul_oracle(b.to_float() if b.is_rational else b)
+    rep = koszul_oracle(b)
     if predicate == RICCI_NEGATIVE:
         sym = 0.5 * (rep.ricci + rep.ricci.T)
         return float(np.linalg.eigvalsh(sym).max())
@@ -207,8 +205,7 @@ def trajectory(curve: DegenerationCurve, t_max=2 ** 12):
     rows = []
     for t in _schedule(t_max):
         nu = curve.at(t)
-        nuf = nu.to_float() if nu.is_rational else nu
-        rep = koszul_oracle(nuf)
+        rep = koszul_oracle(nu)
         lam = float(np.linalg.eigvalsh(0.5 * (rep.ricci + rep.ricci.T)).max())
         rows.append(TrajectoryPoint(float(t), float(np.sqrt(float(nu.norm_sq()))),
                                     lam, rep.scalar))

@@ -23,6 +23,18 @@ from . import _rational
 from .brackets import Bracket
 from .errors import NumericalError, PreconditionError
 
+MAX_SIGNED_PERM_DIM = 8
+
+
+def weight_vector(triple, dim):
+    """Diagonal of F_ij^k as a tuple of ints: -1 at i and j, +1 at k."""
+    i, j, k = triple
+    v = [0] * dim
+    v[i] -= 1
+    v[j] -= 1
+    v[k] += 1
+    return tuple(v)
+
 
 def leibniz_residual(D, b: Bracket) -> float:
     """max over basis pairs of |D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]|,
@@ -36,13 +48,13 @@ def leibniz_residual(D, b: Bracket) -> float:
         return float(np.sqrt((diff ** 2).sum(axis=2)).max()) if diff.size else 0.0
 
 
-def is_derivation(D, b: Bracket, tol: float = 1e-9) -> bool:
-    """Leibniz residual within tol relative to |D|_F |b|.  A residual
+def is_derivation(D, b: Bracket) -> bool:
+    """Leibniz residual within 1e-9 relative to |D|_F |b|.  A residual
     that overflows is refused, whatever its scale."""
     with np.errstate(over="ignore"):
         scale = float(np.linalg.norm(derivation_matrix(D))) * float(np.sqrt(float(b.norm_sq())))
     residual = leibniz_residual(D, b)
-    return bool(np.isfinite(residual)) and residual <= max(1e-12, tol * scale)
+    return bool(np.isfinite(residual)) and residual <= max(1e-12, 1e-9 * scale)
 
 
 def require_derivation(D, b: Bracket) -> None:
@@ -175,19 +187,6 @@ def derivation_space(b: Bracket, scalars: str = "float"):
     return [ns[:, i].reshape(n, n) for i in range(ns.shape[1])]
 
 
-def _weight_rows(b: Bracket):
-    """One row per nonzero structure constant: the diagonal functional
-    d -> d_k - d_i - d_j that must vanish on the torus."""
-    rows = []
-    for (i, j, k) in sorted(b.constants):
-        row = [0] * b.dim
-        row[k] += 1
-        row[i] -= 1
-        row[j] -= 1
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class Torus:
     """Diagonal torus Der(b) cap Diag, with an exact canonical basis.
@@ -229,18 +228,18 @@ class Torus:
             out += float(x) * np.array([float(v) for v in row])
         return out
 
-    def coords_of(self, diagonal, tol: float = 1e-9):
+    def coords_of(self, diagonal):
         """Coordinates of a diagonal matrix in the torus, or None if outside.
 
         Exact when the entries are rational, least squares with a residual
-        gate otherwise.
+        gate of 1e-9 relative to the entries otherwise.
         """
         n = self.ambient_dim
         entries = list(diagonal)
         if len(entries) != n:
             raise PreconditionError("diagonal length mismatch")
         if self.dim == 0:
-            zero = all((x == 0 if isinstance(x, (int, Fraction)) else abs(float(x)) <= tol)
+            zero = all((x == 0 if isinstance(x, (int, Fraction)) else abs(float(x)) <= 1e-9)
                        for x in entries)
             return () if zero else None
         if all(isinstance(x, (int, Fraction)) for x in entries):
@@ -254,7 +253,7 @@ class Torus:
         A = np.array([[float(v) for v in row] for row in self.basis]).T
         y = np.array([float(x) for x in entries])
         sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        if np.linalg.norm(A @ sol - y) > tol * max(1.0, np.linalg.norm(y)):
+        if np.linalg.norm(A @ sol - y) > 1e-9 * max(1.0, np.linalg.norm(y)):
             return None
         return tuple(float(v) for v in sol)
 
@@ -273,7 +272,8 @@ def diagonal_torus(b: Bracket) -> Torus:
     if not b.is_rational:
         raise PreconditionError("diagonal torus requires rational constants")
     n = b.dim
-    rows = _weight_rows(b)
+    # one row per nonzero constant: d -> d_k - d_i - d_j vanishes on the torus
+    rows = [weight_vector(t, n) for t in sorted(b.constants)]
     if rows:
         ns = _rational.nullspace(rows, ncols=n)
     else:
@@ -334,12 +334,14 @@ def _cluster_eigenvalues(vals, tol):
     return list(groups.values())
 
 
-def jordan_decompose(D, tol: float = 1e-7) -> JordanParts:
+def jordan_decompose(D) -> JordanParts:
     """Additive Jordan decomposition via clustered generalized eigenspaces.
 
-    Raises NumericalError when the eigenvalue clusters cannot be separated
-    to the requested accuracy (the achieved residual is reported).
+    Eigenvalues within 1e-7 relative to the spectral radius share a
+    cluster.  Raises NumericalError when the clusters cannot be separated
+    to that accuracy (the achieved residual is reported).
     """
+    tol = 1e-7
     D = derivation_matrix(D)
     n = D.shape[0]
     if n == 0:
@@ -382,7 +384,7 @@ def jordan_decompose(D, tol: float = 1e-7) -> JordanParts:
     half = [c for c in cleaned if c[0].imag >= 0]
     for lam, m in half:
         A = np.linalg.matrix_power(D.astype(complex) - lam * eye, m)
-        _u, s, vt = np.linalg.svd(A)
+        vt = np.linalg.svd(A)[2]
         W = vt.conj().T[:, n - m:]
         cols.append(W)
         block_vals.extend([lam] * m)
@@ -432,11 +434,12 @@ def _signed_perm_matrix(perm, signs) -> np.ndarray:
     return M
 
 
-def _automorphism_signed_perms(b: Bracket, max_dim: int = 8):
+def _automorphism_signed_perms(b: Bracket):
     """All signed permutations g with g . mu = mu, by pruned backtracking."""
     n = b.dim
-    if n > max_dim:
-        raise PreconditionError(f"signed permutation search capped at dimension {max_dim}")
+    if n > MAX_SIGNED_PERM_DIM:
+        raise PreconditionError(
+            f"signed permutation search capped at dimension {MAX_SIGNED_PERM_DIM}")
     support = {}
     for (i, j, k), c in b.constants.items():
         support.setdefault((i, j), {})[k] = c
@@ -474,7 +477,6 @@ def _automorphism_signed_perms(b: Bracket, max_dim: int = 8):
 
     def extend(i):
         if i == n:
-            g = list(perm)
             # full verification over every pair
             for a in range(n):
                 for bb in range(a + 1, n):
@@ -487,7 +489,6 @@ def _automorphism_signed_perms(b: Bracket, max_dim: int = 8):
                 continue
             ok = True
             for a in range(i):
-                key = (a, i)
                 prof = pair_profile(a, i)
                 tprof = pair_profile(perm[a], target)
                 if prof != tprof:
@@ -521,7 +522,7 @@ def torus_coordinate_action(g, torus: Torus):
     n = torus.ambient_dim
     G = np.asarray(g)
     perm = [int(np.argmax(np.abs(G[:, i]))) for i in range(n)]
-    rows = _weight_rows(torus.bracket)
+    rows = [weight_vector(t, n) for t in torus.bracket.constants]
     cols_matrix = [[torus.basis[l][i] for l in range(torus.dim)] for i in range(n)]
     action = []
     for row in torus.basis:
@@ -540,7 +541,7 @@ def torus_coordinate_action(g, torus: Torus):
     return [[action[c][r_] for c in range(r)] for r_ in range(r)]
 
 
-def orthogonal_weyl_group(b: Bracket, torus: Torus | None = None, max_dim: int = 8):
+def orthogonal_weyl_group(b: Bracket):
     """Signed permutation automorphisms of the bracket, as a matrix group.
 
     Every signed permutation automorphism normalizes the diagonal torus
@@ -552,9 +553,7 @@ def orthogonal_weyl_group(b: Bracket, torus: Torus | None = None, max_dim: int =
     action on torus coordinates, and weyl_coordinate_actions for the
     deduplicated action list.
     """
-    if torus is None:
-        torus = diagonal_torus(b)
-    autos = _automorphism_signed_perms(b, max_dim=max_dim)
+    autos = _automorphism_signed_perms(b)
     mats = []
     seen_keys = set()
     ident = (tuple(range(b.dim)), (1,) * b.dim)
@@ -566,13 +565,13 @@ def orthogonal_weyl_group(b: Bracket, torus: Torus | None = None, max_dim: int =
     return mats
 
 
-def weyl_coordinate_actions(b: Bracket, torus: Torus | None = None, max_dim: int = 8):
+def weyl_coordinate_actions(b: Bracket, torus: Torus | None = None):
     """Distinct exact actions on torus coordinates induced by the signed
     permutation automorphism group, identity first."""
     if torus is None:
         torus = diagonal_torus(b)
     seen = {}
-    for g in orthogonal_weyl_group(b, torus, max_dim=max_dim):
+    for g in orthogonal_weyl_group(b):
         act_mat = torus_coordinate_action(g, torus)
         if act_mat is None:
             raise NumericalError("automorphism failed to normalize the torus")

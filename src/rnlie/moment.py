@@ -19,7 +19,7 @@ import numpy as np
 from ._hull import Hull, exact_hull
 from ._trf import trf_solve
 from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
-from .derivations import diagonal_derivation, diagonal_torus
+from .derivations import diagonal_derivation, diagonal_torus, weight_vector
 from .errors import NumericalError, PreconditionError
 from .rng import default_seed, generator
 
@@ -97,16 +97,6 @@ def moment_map(b: Bracket) -> MomentValue:
         return MomentValue(mat, exact)
     C = b.tensor()
     return MomentValue(gram_difference(C) / float(np.vdot(C, C)))
-
-
-def weight_vector(triple, dim):
-    """Diagonal of F_ij^k as a tuple of ints: -1 at i and j, +1 at k."""
-    i, j, k = triple
-    v = [0] * dim
-    v[i] -= 1
-    v[j] -= 1
-    v[k] += 1
-    return tuple(v)
 
 
 def weight_matrix(triple, dim) -> np.ndarray:
@@ -210,12 +200,16 @@ class OrbitSample:
     points: tuple
     seed: int
 
-    def verify(self, b: Bracket, tol: float = 1e-10):
-        bf = b
+    def verify(self, b: Bracket):
+        """Raise PreconditionError unless every stored moment value
+        recomputes within 1e-10 from its group element acting on b: a
+        sample drawn for another bracket fails here."""
         for g, mv in self.points:
-            again = moment_map(act(BasisChange(g), bf))
-            if np.abs(again.matrix - mv.matrix).max() > tol:
-                raise NumericalError("stored moment value does not recompute")
+            again = moment_map(act(BasisChange(g), b))
+            if np.abs(again.matrix - mv.matrix).max() > 1e-10:
+                raise PreconditionError(
+                    "stored moment value does not recompute; "
+                    "the sample was drawn for another bracket")
 
     def diagonals(self) -> np.ndarray:
         return np.array([np.diag(mv.matrix) for _, mv in self.points])
@@ -509,13 +503,14 @@ def _steering_functions(C, g0, blocks):
     return resid, jac
 
 
-def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):
+def _steer_to_diagonal(b, g0, blocks, rng):
     """Move g0 within its group until the acted moment value is diagonal.
 
     Solves for the off-diagonal moment entries as a least-squares zero
     over g(x) = exp(A(x)) g0 with A in the group's Lie algebra (block
     matrices); returns the steered element, or None when no attempt
-    lands on the diagonal slice, in which case the caller redraws.
+    lands on the diagonal slice (off-diagonal entries within 1e-11) in
+    three attempts, in which case the caller redraws.
 
     The solver is scipy's trust-region method (_trf), on the analytic
     Jacobian of _steering_jacobian: the left-trivialised derivative of
@@ -524,13 +519,13 @@ def _steer_to_diagonal(b, g0, blocks, rng, attempts=3, tol=1e-11):
     """
     size = sum(len(blk) ** 2 for blk in blocks)
     resid, jac = _steering_functions(b.tensor(), g0, blocks)
-    if np.abs(resid(np.zeros(size))).max() <= tol:
+    if np.abs(resid(np.zeros(size))).max() <= 1e-11:
         return g0
-    for attempt in range(attempts):
+    for attempt in range(3):
         x0 = np.zeros(size) if attempt == 0 else 0.3 * rng.standard_normal(size)
         with np.errstate(invalid="ignore", divide="ignore"):
             res = trf_solve(resid, jac, x0, ftol=3e-16, xtol=3e-16, max_nfev=300)
-        if np.abs(res.fun).max() <= tol:
+        if np.abs(res.fun).max() <= 1e-11:
             return _steered(g0, blocks, res.x)
     return None
 
@@ -573,150 +568,7 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
             continue
         mv = moment_map(act(BasisChange(g), b))
         points.append((g, mv))
-    sample = OrbitSample(tag, tuple(points), seed)
-    sample.verify(b)
-    return sample
-
-
-def sample_coordinates(b: Bracket, sample: OrbitSample):
-    """Hull coordinates of each sampled point over the base weight triples.
-
-    Returns (triples, rows) where rows has one column per base triple
-    plus a trailing residual column for coordinate mass sitting on
-    triples outside the base support (zero when the group action
-    preserves the support).
-    """
-    triples = tuple(sorted(b.constants))
-    rows = []
-    for g, _ in sample.points:
-        bb = act(BasisChange(g), b)
-        coords = weight_coordinates(bb)
-        row = [float(coords.pop(t, 0.0)) for t in triples]
-        row.append(float(sum(coords.values())))
-        rows.append(row)
-    return triples, np.array(rows)
-
-
-@dataclass(frozen=True)
-class DiagImageReport:
-    contained: bool
-    worst_margin: float
-    worst_index: int
-    equality_claimed: bool
-    vertex_coverage: tuple  # ((vertex diagonal as int tuple, best distance), ...)
-    covered: bool
-
-
-def _containment_deficit(diag_vec, vertex_points):
-    from scipy.optimize import linprog
-
-    V = len(vertex_points)
-    n = len(diag_vec)
-    c = [0.0] * V + [1.0]
-    a_ub, b_ub = [], []
-    for r in range(n):
-        row = [float(p[r]) for p in vertex_points]
-        a_ub.append(row + [-1.0])
-        b_ub.append(float(diag_vec[r]))
-        a_ub.append([-v for v in row] + [-1.0])
-        b_ub.append(-float(diag_vec[r]))
-    a_eq = [[1.0] * V + [0.0]]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0.0, None)] * V + [(None, None)], method="highs")
-    if not res.success:
-        raise NumericalError("containment probe did not solve")
-    return float(res.fun)
-
-
-def _vertex_exponent(poly: WeightPolytope, v_unique: int):
-    """Exact diagonal exponent whose weight pairing is maximized only
-    at the given hull vertex."""
-    from ._exactlp import solve_lp
-
-    pts = poly.hull.unique
-    n = poly.ambient_dim
-    pv = pts[v_unique]
-    if len(pts) == 1:
-        return [Fraction(0)] * n
-    a_ub, b_ub = [], []
-    for u, pu in enumerate(pts):
-        if u == v_unique:
-            continue
-        a_ub.append([pu[t] - pv[t] for t in range(n)] + [Fraction(1)])
-        b_ub.append(Fraction(0))
-    for t in range(n):
-        row = [Fraction(0)] * (n + 1)
-        row[t] = Fraction(1)
-        a_ub.append(list(row))
-        b_ub.append(Fraction(1))
-        row2 = [Fraction(0)] * (n + 1)
-        row2[t] = Fraction(-1)
-        a_ub.append(row2)
-        b_ub.append(Fraction(1))
-    c = [Fraction(0)] * n + [Fraction(1)]
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-    if res.status != "optimal" or res.objective <= 0:
-        raise NumericalError("hull vertex admits no separating exponent")
-    return res.x[:n]
-
-
-def _steered_vertex_distance(b: Bracket, poly: WeightPolytope, v_unique: int,
-                             target: float = 1e-3):
-    """Best distance to the vertex moment matrix along the separating
-    diagonal curve; constants are rescaled in log space so the sweep
-    never overflows."""
-    a = _vertex_exponent(poly, v_unique)
-    triples = poly.triples
-    exps = []
-    for (i, j, k) in triples:
-        exps.append(float(a[k] - a[i] - a[j]))
-    F_v = np.diag(np.array([float(x) for x in poly.hull.unique[v_unique]]))
-    best = math.inf
-    for p in range(0, 241, 16):
-        shift = max(e * p for e in exps)
-        consts = {}
-        for t, e in zip(triples, exps):
-            w = float(b.constants[t]) * 2.0 ** (e * p - shift)
-            if abs(w) > 1e-300:
-                consts[t] = w
-        mv = moment_map(Bracket(b.dim, consts, "float"))
-        dist = float(np.abs(mv.matrix - F_v).max())
-        best = min(best, dist)
-        if best <= 0.5 * target:
-            break
-    return best
-
-
-def diag_image_check(b: Bracket, sample: OrbitSample,
-                     margin_tol: float = 1e-9,
-                     coverage_tol: float = 1e-3) -> DiagImageReport:
-    """Check sampled diagonal moment values against the weight hull.
-
-    Containment: every sampled diagonal lies in the hull up to
-    `margin_tol` (linear programming probe per point).  Coverage: each
-    hull vertex is approached within `coverage_tol` by a deterministic
-    diagonal curve that scales the dominating weight up.  Containment
-    failure raises with the worst point; the equality claim (image
-    fills the hull) is only made when the basis is nice.
-    """
-    poly = weight_polytope(b)
-    vertex_points = [poly.hull.unique[u] for u in poly.hull.extreme]
-    worst, worst_idx = 0.0, -1
-    for idx, (_, mv) in enumerate(sample.points):
-        t = _containment_deficit(np.diag(mv.matrix), vertex_points)
-        if t > worst:
-            worst, worst_idx = t, idx
-    if worst > margin_tol:
-        raise NumericalError(
-            f"sampled point #{worst_idx} leaves the weight hull by {worst:.3e}")
-    coverage = []
-    for u in poly.hull.extreme:
-        dist = _steered_vertex_distance(b, poly, u, coverage_tol)
-        key = tuple(int(x) for x in poly.hull.unique[u])
-        coverage.append((key, dist))
-    covered = all(d <= coverage_tol for _, d in coverage)
-    return DiagImageReport(True, worst, worst_idx,
-                           nice_basis_check(b).ok, tuple(coverage), covered)
+    return OrbitSample(tag, tuple(points), seed)
 
 
 @dataclass(frozen=True, eq=False)

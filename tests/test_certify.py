@@ -155,6 +155,19 @@ class TestSampledLp:
             with pytest.raises(PreconditionError, match="not a derivation"):
                 certify_srn_sampled(D, t5, sample)
 
+    def test_foreign_sample_refused(self):
+        # a filiform(5) sample passes the commutation and slice gates for
+        # this derivation of heisenberg(5) and would certify it with margin
+        # about 2/3, though the exact margin program on h5's
+        # multiplicity-free torus refutes it (margin -4/3)
+        f5 = corpus("filiform", 5).bracket
+        sample = orbit_sample(TORUS_CENTRALIZER, f5, count=8, seed=1)
+        D = [-2, 3, -3, 4, 1]
+        assert certify_srn_nice(D, h5).margin == Fraction(-4, 3)
+        with pytest.raises(PreconditionError, match="another bracket"):
+            certify_srn_sampled(D, h5, sample)
+        sample.verify(f5)
+
     def test_commutation_gate(self):
         sample = orbit_sample(DERIVATION_CENTRALIZER, t5, count=6, seed=7,
                               derivation=diag(1, 1, 2, 2, 3))

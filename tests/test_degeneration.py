@@ -1,10 +1,12 @@
 """Degeneration curves, limits, and curvature transfer."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rnlie import degeneration
 from rnlie.brackets import BasisChange, Bracket, act, validate_jacobi
 from rnlie.corpus import corpus
 from rnlie.curvature import koszul_oracle
@@ -93,6 +95,15 @@ class TestFaceSteering:
     def test_full_face_is_identity_curve(self):
         full = tuple(sorted(t5.constants))
         assert limit_bracket(face_steering_curve(t5, full)) == t5
+
+    def test_denominators_past_int64(self, monkeypatch):
+        # a supporting functional whose denominators do not fit an int64
+        # still gives integer exponents
+        x = [Fraction(1, 2 ** 70), Fraction(1, 6), Fraction(0), Fraction(0), Fraction(0)]
+        monkeypatch.setattr(degeneration._exactlp, "solve_lp",
+                            lambda *args, **kwargs: SimpleNamespace(status="optimal", x=x))
+        c = face_steering_curve(t5, ((0, 2, 4), (0, 3, 4)))
+        assert c.exponents == (3, 2 ** 69, 0, 0, 0)
 
     def test_hull_diagonal_rejected(self):
         # the two triples span a diagonal of the weight rectangle, not

@@ -253,7 +253,7 @@ class TestWeylGroup:
         # the coordinate action group contains a non-identity element
         # swapping the two generator pairs
         assert len(actions) >= 2
-        mats = orthogonal_weyl_group(b, t)
+        mats = orthogonal_weyl_group(b)
         pair_swap = [g for g in mats
                      if abs(g[2, 0]) == 1 and abs(g[0, 2]) == 1]
         assert pair_swap
@@ -261,7 +261,7 @@ class TestWeylGroup:
     def test_torus_action_is_exact_permutation(self):
         b = h3()
         t = diagonal_torus(b)
-        for g in orthogonal_weyl_group(b, t):
+        for g in orthogonal_weyl_group(b):
             A = torus_coordinate_action(g, t)
             assert A is not None
             flat = [x for row in A for x in row]
@@ -269,4 +269,4 @@ class TestWeylGroup:
 
     def test_dimension_guard(self):
         with pytest.raises(PreconditionError):
-            orthogonal_weyl_group(Bracket(9, {}), max_dim=8)
+            orthogonal_weyl_group(Bracket(9, {}))

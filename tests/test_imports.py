@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every local variable a function assigns is read."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,48 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _own_scope(fn):
+    """The nodes of fn's body, without the bodies of nested functions,
+    lambdas and classes."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(path):
+    """Names a function assigns in its own scope that nothing in it, or in
+    the functions nested in it, reads.  Loop and unpack targets starting
+    with an underscore are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        read |= {name for node in ast.walk(fn)
+                 if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+        exempt = set()
+        for node in _own_scope(fn):
+            targets = ([node.target] if isinstance(node, (ast.For, ast.AsyncFor,
+                                                          ast.comprehension)) else
+                       [t for t in getattr(node, "targets", ())
+                        if isinstance(t, (ast.Tuple, ast.List))])
+            exempt |= {n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and n.id.startswith("_")}
+        for node in _own_scope(fn):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id not in read and node.id not in exempt):
+                found.append(f"{path.name}:{node.lineno} {fn.name}.{node.id}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert _unread_locals(path) == []
