@@ -11,7 +11,9 @@ refutations.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -317,7 +319,8 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     restarted first-improvement compass descent, each restart from the
     best point so far during the first third of the budget and from a
     seeded random point after it.  Returns the first witness below
-    -1e-6, or the best value found once the evaluation budget runs out.
+    -1e-6, or the best value found once `budget` evaluations, an int of
+    at least 1, run out.
 
     D must pass the Leibniz gate of ricci_extension, checked once here:
     the extension by anything else is no Lie algebra, and a search over
@@ -328,17 +331,30 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     entrywise on the diagonal torus.  Otherwise the factors are full
     matrices and take the dense transport: 2 x 2 blocks exponentiate in
     closed form, and only blocks of 3 x 3 and up, or the one block of a
-    non-diagonal D, take expm.  Points are evaluated as stacks:
-    the scaling line is one, and each compass sweep is one, from the
-    current coordinate to the last (+step, then -step).  The stack's
-    values are consumed in the order a one-point-at-a-time search would
-    make them, up to the first improvement, which starts a new stack at
-    the next coordinate; `evaluations` counts the values consumed, so
-    rows computed past that point, and rows past the budget, which are
-    never computed, do not count.  A witness is confirmed by
-    is_ricci_negative, the independent Koszul-formula evaluation, before
-    it is returned.
+    non-diagonal D, take expm.
+
+    Points are evaluated as stacks, and each row of a stack reads the
+    same bits as it would alone.  The scaling line is one stack, and
+    each compass sweep is one, from the current coordinate to the last
+    (+step, then -step); a descent takes the sweep's values up to its
+    first improvement, which starts a new stack at the next coordinate.
+    The random restarts do not depend on each other, so they run in
+    lockstep: up to eight descents, in the order of their draws, each
+    round evaluating all their pending stacks as one.  A second descent
+    joins once one has finished, and more only while the descents in
+    flight, at the mean length of those finished, leave room in the
+    budget.  The values are then taken in the order a
+    one-point-at-a-time search would make them, descent after descent
+    in draw order, up to the budget or the first value below -1e-6, so
+    the result is that search's to the byte.  `evaluations` counts the
+    values taken; rows that a descent in flight computed past that
+    point are never taken and do not count.  A witness is confirmed by
+    is_ricci_negative, the independent Koszul-formula evaluation,
+    before it is returned.
     """
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        raise PreconditionError(f"budget must be an int of at least 1, not {budget!r}")
+    budget = int(budget)
     n = b.dim
     M = derivation_matrix(D, n)
     require_derivation(M, b)
@@ -354,12 +370,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     C = b.tensor()
     state = {"evals": 0, "best": math.inf, "best_x": np.zeros(dim)}
 
-    def poll(rows):
-        """Yield (row, value) in order, one evaluation per value taken.
-        The rows the budget allows are evaluated as one stack."""
-        rows = rows[:budget - state["evals"]]
-        if not len(rows):
-            return
+    def evaluate(rows):
         A = rows[:, :asize]
         if asize == n:
             # 1 x 1 blocks: the diagonals _metric_factors would place
@@ -367,12 +378,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
                 h = np.exp(A)
         else:
             h = _metric_factors(A, blocks, n)
-        values = _top_eigenvalues(M, C, rows[:, asize:], h)
-        for x, lam in zip(rows, values):
-            state["evals"] += 1
-            if lam < state["best"]:
-                state["best"], state["best_x"] = float(lam), x
-            yield x, lam
+        return _top_eigenvalues(M, C, rows[:, asize:], h)
 
     def finished():
         return state["best"] < NEGATIVITY_THRESHOLD
@@ -380,21 +386,36 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     def done():
         return finished() or state["evals"] >= budget
 
+    def take(values, points):
+        """Take values in order, one evaluation each, until done() holds;
+        points[i] is the point of values[i] wherever that value can set
+        the best.  Returns done()."""
+        for i, lam in enumerate(values):
+            state["evals"] += 1
+            if lam < state["best"]:
+                state["best"], state["best_x"] = float(lam), points[i]
+            if done():
+                return True
+        return False
+
+    def left():
+        return budget - state["evals"]
+
     # identity metric, then the pure-scaling line h = e^s
-    for _ in poll(np.zeros((1, dim))):
-        pass
-    if not done():
-        for _ in poll(_scaling_line(blocks, n)):
-            if finished():
-                break
+    for rows in (np.zeros((1, dim)), _scaling_line(blocks, n)):
+        rows = rows[:left()]
+        if take(evaluate(rows), rows):
+            break
 
     while not done():
-        if state["best"] < math.inf and state["evals"] < budget // 3:
-            # descend from the best point found so far first
-            x = state["best_x"].copy()
+        if state["evals"] < budget // 3:
+            # one descent at a time: each restarts from the best point so far
+            x = (state["best_x"].copy() if state["best"] < math.inf
+                 else 0.6 * rng.standard_normal(dim))
+            _lockstep([x], 1, evaluate, take, left)
         else:
-            x = 0.6 * rng.standard_normal(dim)
-        _compass_descent(x, poll, done)
+            starts = (0.6 * rng.standard_normal(dim) for _ in itertools.count())
+            _lockstep(starts, _LOCKSTEP_WINDOW, evaluate, take, left)
 
     x = state["best_x"]
     params = MetricParams(1.0, x[asize:], _metric_factors(x[None, :asize], blocks, n)[0])
@@ -405,34 +426,136 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     return SearchFailure(state["best"], params, state["evals"])
 
 
-def _compass_descent(x, poll, done):
+# the most descents in flight at once: enough stacks per round that the
+# evaluator's fixed cost per call stops dominating
+_LOCKSTEP_WINDOW = 8
+
+
+def _lockstep(starts, window, evaluate, take, left):
+    """Compass descents from `starts`, in draw order, up to `window` of
+    them in flight.  Each round evaluates the pending stacks of the
+    descents in flight as one stack and sends each descent its values.
+    take(values, points) then receives the values each descent consumed,
+    descent after descent in draw order, and returns True once the search
+    is done; left() is the evaluations the budget has left.
+
+    A descent is cut where its values would run past the budget, since
+    the values kept by the descents ahead of it come first, and after a
+    value below the negativity threshold, where take stops at the latest;
+    no descent after a cut one is advanced or started.  Another descent
+    starts only while the ones in flight, each counted at its length so
+    far or at the mean length of those finished, whichever is longer,
+    leave room in the budget; until one has finished, one runs alone.
+    So a search whose descents outlast its budget computes few rows that
+    never count.  Returns when the search is done or the starts run out.
+    """
+    starts = iter(starts)
+    flight = []
+    lengths = []
+    while True:
+        room = left()
+        stacks = []
+        for k, d in enumerate(flight):
+            room -= len(d.values)
+            if room <= 0 or d.low < NEGATIVITY_THRESHOLD:
+                del flight[k + 1:]
+                room = 0
+                break
+            if d.pending is not None:
+                stacks.append((d, d.pending[:room]))
+        mean = sum(lengths) / len(lengths) if lengths else math.inf
+        while (room > 0 and len(flight) < window
+               and left() > sum(max(d.count, mean) for d in flight)):
+            x = next(starts, None)
+            if x is None:
+                break
+            d = _Descent(x)
+            flight.append(d)
+            stacks.append((d, d.pending[:room]))
+        if not stacks:
+            return
+        values = evaluate(stacks[0][1] if len(stacks) == 1
+                          else np.concatenate([rows for _, rows in stacks]))
+        at = 0
+        for d, rows in stacks:
+            d.send(rows, values[at:at + len(rows)])
+            at += len(rows)
+        while flight:
+            d = flight[0]
+            if take(d.values, d.lows):
+                return
+            d.values, d.lows = [], {}
+            if d.pending is not None:
+                break
+            lengths.append(flight.pop(0).count)
+
+
+class _Descent:
+    """One compass descent in flight: the stack it waits on (None once
+    it has stopped), the number of values it consumed, and those of them
+    that the search has not taken yet.  `lows` keeps, by position in
+    `values`, a copy of each point whose value set the descent's running
+    minimum `low`: only such a point can become the best point of the
+    search."""
+
+    def __init__(self, x):
+        self.steps = _compass_descent(x)
+        self.pending = next(self.steps)[1]
+        self.count = 0
+        self.values = []
+        self.lows = {}
+        self.low = math.inf
+
+    def send(self, rows, values):
+        """Send the values of `rows`, the first rows of the pending
+        stack.  A descent that consumes every row it was sent of a stack
+        cut short stops: its next value lies past the cut."""
+        cut = len(rows) < len(self.pending)
+        try:
+            taken, self.pending = self.steps.send(values)
+        except StopIteration as stop:
+            taken, self.pending = stop.value, None
+        self.count += taken
+        kept = values[:taken].tolist()
+        for i, lam in enumerate(kept):
+            if lam < self.low:
+                self.low = lam
+                self.lows[len(self.values) + i] = rows[i].copy()
+        self.values += kept
+        if (cut and taken == len(rows)) or self.low < NEGATIVITY_THRESHOLD:
+            self.pending = None
+
+
+def _compass_descent(x):
     """First-improvement compass descent from x, from step 0.5 until the
-    step falls below 1e-3 or done() holds.  A sweep tries +step, then
+    step falls below 1e-3, as a coroutine.  It yields (taken, stack):
+    the number of values it consumed of the stack before, and the next
+    stack of trial points, whose values it is then sent; it returns the
+    number it consumed of the last stack.  A sweep tries +step, then
     -step, on each coordinate in turn and moves to the first trial that
-    improves; the trials left in the sweep then go to poll as one
-    stack."""
-    for _, current in poll(x[None]):
-        pass
-    if done():
-        return
+    improves; the next stack starts at the next coordinate."""
+    current = (yield 0, x[None])[0]
+    taken = 1
     dim = len(x)
     # rows 2i and 2i + 1 move coordinate i by +1 and -1
     moves = np.zeros((2 * dim, dim))
     moves[0::2] = np.eye(dim)
     moves[1::2] = -np.eye(dim)
     step = 0.5
-    while step >= 1e-3 and not done():
+    while step >= 1e-3:
         improved = False
         i = 0
         while i < dim:
             trials = x + step * moves[2 * i:]
+            values = yield taken, trials
             start, i = i, dim
-            for r, (trial, val) in enumerate(poll(trials)):
-                if done():
-                    return
+            taken = len(values)
+            for r, val in enumerate(values):
                 if val < current - 1e-12:
-                    x, current, improved = trial, val, True
+                    x, current, improved = trials[r], val, True
                     i = start + r // 2 + 1
+                    taken = r + 1
                     break
         if not improved:
             step *= 0.5
+    return taken

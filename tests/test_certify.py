@@ -273,6 +273,13 @@ class TestSearch:
         assert res.evaluations == 2000
         assert res.lambda_best > -1e-6
 
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, True])
+    def test_invalid_budget_refused(self, budget):
+        # 0 and -5 used to end in a SearchFailure after no evaluation, 2.5
+        # in a TypeError from slicing, and True in one evaluation
+        with pytest.raises(PreconditionError, match="budget"):
+            search_rn_metric(diag(1, 1, 2), h3, budget=budget, seed=11)
+
     def test_non_derivation_refused(self):
         # d1 + d2 = 2 but the centre entry is 0, so the "extension" by this
         # matrix is no Lie algebra and a search over it would decide nothing
@@ -379,6 +386,103 @@ def reference_search(D, b, budget=DEFAULT_BUDGET, seed=0):
             return RnWitness(state["best_params"], lam)
     return SearchFailure(state["best"], state["best_params"], state["evals"])
 
+
+def sequential_search(D, b, budget=DEFAULT_BUDGET, seed=0):
+    """The stacked search with one descent at a time, as it was before
+    its random restarts ran in lockstep: each compass sweep goes to the
+    evaluator as its own stack, its values are taken one by one, and
+    rows past the budget are never computed.  It calls the evaluator
+    through the certify module, so a test may replace it in both."""
+    n = b.dim
+    M = np.asarray(D, dtype=float)
+    require_derivation(M, b)
+    rng = generator(int(seed), 21)
+    if np.count_nonzero(M - np.diag(np.diag(M))) == 0:
+        blocks = centralizer_blocks(np.diag(M))
+    else:
+        blocks = [tuple(range(n))]
+    asize = sum(len(blk) ** 2 for blk in blocks)
+    dim = asize + n
+    C = b.tensor()
+    state = {"evals": 0, "best": math.inf, "best_x": np.zeros(dim)}
+
+    def poll(rows):
+        rows = rows[:budget - state["evals"]]
+        if not len(rows):
+            return
+        A = rows[:, :asize]
+        if asize == n:
+            with np.errstate(all="ignore"):
+                h = np.exp(A)
+        else:
+            h = certify._metric_factors(A, blocks, n)
+        values = certify._top_eigenvalues(M, C, rows[:, asize:], h)
+        for x, lam in zip(rows, values):
+            state["evals"] += 1
+            if lam < state["best"]:
+                state["best"], state["best_x"] = float(lam), x
+            yield x, lam
+
+    def finished():
+        return state["best"] < NEGATIVITY_THRESHOLD
+
+    def done():
+        return finished() or state["evals"] >= budget
+
+    def descend(x):
+        for _, current in poll(x[None]):
+            pass
+        if done():
+            return
+        moves = np.zeros((2 * dim, dim))
+        moves[0::2] = np.eye(dim)
+        moves[1::2] = -np.eye(dim)
+        step = 0.5
+        while step >= 1e-3 and not done():
+            improved = False
+            i = 0
+            while i < dim:
+                trials = x + step * moves[2 * i:]
+                start, i = i, dim
+                for r, (trial, val) in enumerate(poll(trials)):
+                    if done():
+                        return
+                    if val < current - 1e-12:
+                        x, current, improved = trial, val, True
+                        i = start + r // 2 + 1
+                        break
+            if not improved:
+                step *= 0.5
+
+    for _ in poll(np.zeros((1, dim))):
+        pass
+    if not done():
+        for _ in poll(_scaling_line(blocks, n)):
+            if finished():
+                break
+    while not done():
+        if state["best"] < math.inf and state["evals"] < budget // 3:
+            x = state["best_x"].copy()
+        else:
+            x = 0.6 * rng.standard_normal(dim)
+        descend(x)
+    x = state["best_x"]
+    params = MetricParams(1.0, x[asize:],
+                          certify._metric_factors(x[None, :asize], blocks, n)[0])
+    if finished():
+        flag, lam = is_ricci_negative(M, b, params)
+        if flag and lam < NEGATIVITY_THRESHOLD:
+            return RnWitness(params, lam)
+    return SearchFailure(state["best"], params, state["evals"])
+
+
+def _fingerprint(res):
+    """The bytes two equal search results share."""
+    lam = res.lambda_max if isinstance(res, RnWitness) else res.lambda_best
+    return (type(res).__name__, lam, getattr(res, "evaluations", None),
+            res.params.h.tobytes(), res.params.X.tobytes())
+
+
 def _same_params(a, b):
     return (a.c == b.c and np.allclose(a.X, b.X, rtol=1e-12, atol=1e-12)
             and np.allclose(a.h, b.h, rtol=1e-12, atol=1e-12))
@@ -411,6 +515,65 @@ FAILURE_CASES = [
     (h5, diag(1, -1, 1, -1, 0), 504),
     (h5, diag(1, -1, 2, -2, 0), 505),
 ]
+
+
+# the exhaust benchmark's derivations: each fails the necessary
+# condition, so every search spends its whole budget
+EXHAUST_CASES = [
+    (h3, diag(-1, 1, 0)),
+    (h5, diag(1, -1, 2, -2, 0)),
+    (corpus("filiform", 5).bracket, diag(4, -7, -3, 1, 5)),
+]
+
+
+class TestLockstepSearch:
+    """The search with its random restarts in lockstep against the
+    sequential driver: the same bytes at budgets that end inside a
+    lockstep round and at the default budget."""
+
+    @pytest.mark.parametrize("budget", [1001, 4567, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("b, D, seed",
+                             [(b, D, seed) for b, D, seed in FAILURE_CASES + WITNESS_CASES]
+                             + [(b, D, seed) for b, D in EXHAUST_CASES for seed in (1, 2)])
+    def test_same_bytes_as_sequential_driver(self, b, D, seed, budget):
+        want = sequential_search(D, b, budget=budget, seed=seed)
+        got = search_rn_metric(D, b, budget=budget, seed=seed)
+        assert _fingerprint(got) == _fingerprint(want)
+
+    def test_threshold_inside_a_round(self, monkeypatch):
+        """A row-wise evaluator with a shallow well at the origin, where
+        the identity, the scaling line and the restarts from the best
+        point stay at 0 or above, and a deep well that only some random
+        starts reach.  The first value below -1e-6 falls inside a
+        random-phase descent while later descents are in flight, and
+        both drivers stop at it after the same evaluations."""
+        deep = np.array([1.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        stacks = []
+
+        def wells(M, C, X, h):
+            z = np.concatenate([np.log(h), X], axis=1)
+            near = far = np.zeros(len(z))
+            for col, c in zip(z.T, deep):
+                near = near + col * col
+                far = far + (col - c) * (col - c)
+            stacks.append(np.minimum(near, far - 0.5))
+            return stacks[-1]
+
+        monkeypatch.setattr(certify, "_top_eigenvalues", wells)
+        D, budget = diag(-1, 1, 0), 2000
+        want = sequential_search(D, h3, budget=budget, seed=3)
+        stacks.clear()
+        got = search_rn_metric(D, h3, budget=budget, seed=3)
+        assert isinstance(got, SearchFailure)
+        assert budget // 3 < got.evaluations < budget
+        assert got.lambda_best < NEGATIVITY_THRESHOLD
+        assert _fingerprint(got) == _fingerprint(want)
+        # the first value below the threshold came with rows before it, and
+        # with more rows after it than one descent's sweep (2 * dim = 12)
+        # holds, so later descents were in flight
+        crossing = next(v for v in stacks if v.min() < NEGATIVITY_THRESHOLD)
+        at = int(np.argmax(crossing < NEGATIVITY_THRESHOLD))
+        assert at > 0 and len(crossing) - at - 1 >= 12
 
 
 class TestStackedSearch:
@@ -469,6 +632,21 @@ class TestStackedSearch:
         res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
         assert isinstance(res, SearchFailure) and res.evaluations == 2000
         assert counts == {"act_tensor": 0, "_metric_factors": 1}
+
+    def test_lockstep_restarts_share_evaluator_calls(self, monkeypatch):
+        """The random restarts of a full-budget search go to the
+        evaluator together: one descent at a time took 2177 calls here."""
+        calls = []
+        inner = certify._top_eigenvalues
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return inner(*args)
+
+        monkeypatch.setattr(certify, "_top_eigenvalues", counted)
+        res = search_rn_metric(diag(-1, 1, 0), h3, seed=11)
+        assert isinstance(res, SearchFailure) and res.evaluations == DEFAULT_BUDGET
+        assert len(calls) < 1000
 
 
 @pytest.mark.parametrize("blocks, n", [

@@ -349,6 +349,30 @@ class TestStackedEvaluation:
         keep[[2, 5, 7]] = False
         assert np.array_equal(got[keep], lam[keep])
 
+    @pytest.mark.parametrize("case", [
+        TORUS_CASES[0],
+        (("heisenberg", 5), np.diag([1.0, -1.0, 1.0, -1.0, 0.0])),
+        STACK_CASES[2],
+        STACK_CASES[-1],
+    ])
+    def test_rows_are_independent_at_lockstep_sizes(self, case):
+        """A lockstep round of the metric search stacks the sweeps of up
+        to eight descents.  At 256 rows, a stack of torus diagonals, of
+        2 x 2 and of 4 x 4 centralizer blocks, and of a non-diagonal
+        derivation each read, row by row, the bytes of the row alone."""
+        b, M, blocks, xs, asize = _stack(case, rows=256, seed=1)
+        C = b.tensor()
+
+        def values(rows):
+            # the factors the search passes: diagonals on the torus
+            A = rows[:, :asize]
+            h = np.exp(A) if asize == b.dim else _metric_factors(A, blocks, b.dim)
+            return _top_eigenvalues(M, C, rows[:, asize:], h)
+
+        lam = values(xs)
+        for k in range(len(xs)):
+            assert values(xs[k:k + 1]).tobytes() == lam[k:k + 1].tobytes()
+
     @pytest.mark.parametrize("case", TORUS_CASES)
     def test_torus_diagonals_match_dense_factors(self, case):
         """With 1 x 1 blocks the (K, n) diagonals of the factors give the
