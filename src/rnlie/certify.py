@@ -334,10 +334,16 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     non-diagonal D, take expm.
 
     Points are evaluated as stacks, and each row of a stack reads the
-    same bits as it would alone.  The scaling line is one stack, and
-    each compass sweep is one, from the current coordinate to the last
-    (+step, then -step); a descent takes the sweep's values up to its
-    first improvement, which starts a new stack at the next coordinate.
+    same bits as it would alone.  The scaling line is one stack.  A
+    descent polls and moves in a fixed order, so its stacks hold what it
+    will probably take next (_compass_descent): x with its whole first
+    sweep; after a sweep that finds nothing, every sweep left on the
+    step ladder; otherwise the rest of the sweep, from the current
+    coordinate to the last (+step, then -step), or, in the random phase,
+    first only the next coordinate's pair after an improvement.  A
+    descent takes a stack's values up to its first improvement, which
+    starts a new stack from the point it moved to, so the rows past it
+    are computed but never taken.
     The random restarts do not depend on each other, so they run in
     lockstep: up to eight descents, in the order of their draws, each
     round evaluating all their pending stacks as one.  A second descent
@@ -437,7 +443,11 @@ def _lockstep(starts, window, evaluate, take, left):
     descents in flight as one stack and sends each descent its values.
     take(values, points) then receives the values each descent consumed,
     descent after descent in draw order, and returns True once the search
-    is done; left() is the evaluations the budget has left.
+    is done; left() is the evaluations the budget has left.  With a
+    window above one, a descent polls the next coordinate's pair alone
+    after an improvement (_compass_descent): in a shared evaluator call a
+    small stack costs only its rows, where a lone descent would pay the
+    call's fixed cost for it.
 
     A descent is cut where its values would run past the budget, since
     the values kept by the descents ahead of it come first, and after a
@@ -469,7 +479,7 @@ def _lockstep(starts, window, evaluate, take, left):
             x = next(starts, None)
             if x is None:
                 break
-            d = _Descent(x)
+            d = _Descent(x, window > 1)
             flight.append(d)
             stacks.append((d, d.pending[:room]))
         if not stacks:
@@ -498,8 +508,8 @@ class _Descent:
     minimum `low`: only such a point can become the best point of the
     search."""
 
-    def __init__(self, x):
-        self.steps = _compass_descent(x)
+    def __init__(self, x, pairs):
+        self.steps = _compass_descent(x, pairs)
         self.pending = next(self.steps)[1]
         self.count = 0
         self.values = []
@@ -526,36 +536,70 @@ class _Descent:
             self.pending = None
 
 
-def _compass_descent(x):
+def _compass_descent(x, pairs):
     """First-improvement compass descent from x, from step 0.5 until the
     step falls below 1e-3, as a coroutine.  It yields (taken, stack):
     the number of values it consumed of the stack before, and the next
     stack of trial points, whose values it is then sent; it returns the
     number it consumed of the last stack.  A sweep tries +step, then
     -step, on each coordinate in turn and moves to the first trial that
-    improves; the next stack starts at the next coordinate."""
-    current = (yield 0, x[None])[0]
-    taken = 1
+    improves; the next sweep goes on from the next coordinate, and a
+    sweep over every coordinate that finds nothing halves the step.
+
+    The order of the trials is fixed, so each stack holds the trials the
+    descent will probably take next:
+    - the first is x together with its whole first sweep;
+    - after a sweep over every coordinate finds nothing, x stays put
+      until a trial improves, so the next stack is every sweep left on
+      the step ladder (step / 2, step / 4, ... while >= 1e-3), in order;
+    - otherwise it is the rest of the sweep.  With `pairs`, for a descent
+      that shares its evaluator calls with others, a stack after an
+      improvement holds only the next coordinate's pair, since most
+      improvements are taken there; the rest of the sweep follows if
+      the pair finds nothing.
+    A stack's values past its first improvement are computed but never
+    consumed: the descent moves there, and the next stack starts from
+    the new point."""
     dim = len(x)
     # rows 2i and 2i + 1 move coordinate i by +1 and -1
     moves = np.zeros((2 * dim, dim))
     moves[0::2] = np.eye(dim)
     moves[1::2] = -np.eye(dim)
-    step = 0.5
-    while step >= 1e-3:
-        improved = False
-        i = 0
-        while i < dim:
-            trials = x + step * moves[2 * i:]
-            values = yield taken, trials
-            start, i = i, dim
+
+    def sweeps(x, steps, lo, hi):
+        # the sweeps over coordinates lo..hi-1 at each of the steps, in order
+        return (x + np.multiply.outer(steps, moves[2 * lo:2 * hi])).reshape(-1, dim)
+
+    steps, lo, hi = [0.5], 0, dim
+    stack = np.concatenate([x[None], sweeps(x, steps, lo, hi)])
+    head, taken, improved = 1, 0, False
+    while True:
+        values = yield taken, stack
+        if head:
+            current = values[0]
+        bar = current - 1e-12
+        r = next((r for r, val in enumerate(values[head:].tolist()) if val < bar), None)
+        if r is None:
             taken = len(values)
-            for r, val in enumerate(values):
-                if val < current - 1e-12:
-                    x, current, improved = trials[r], val, True
-                    i = start + r // 2 + 1
-                    taken = r + 1
-                    break
-        if not improved:
-            step *= 0.5
-    return taken
+            step, i = steps[-1], hi
+        else:
+            taken = head + r + 1
+            x, current = stack[taken - 1], values[taken - 1]
+            span = 2 * (hi - lo)
+            step, i, improved = steps[r // span], lo + r % span // 2 + 1, True
+        head = 0
+        if i == dim and improved:
+            # a new sweep over every coordinate, at the same step
+            i, improved = 0, False
+        if i < dim:
+            steps, lo = [step], i
+            hi = i + 1 if pairs and r is not None else dim
+        else:
+            # a sweep over every coordinate found nothing: the ladder
+            steps = []
+            while (step := step * 0.5) >= 1e-3:
+                steps.append(step)
+            if not steps:
+                return taken
+            lo, hi = 0, dim
+        stack = sweeps(x, steps, lo, hi)

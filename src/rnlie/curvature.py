@@ -310,7 +310,6 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
     row is bit-identical to the same row evaluated alone, and a row of
     diagonals to the same row given as the diagonal matrix.
     """
-    lam = np.full(len(h), np.inf)
     torus = h.ndim == 2
     with np.errstate(all="ignore"):
         if torus:
@@ -330,18 +329,22 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
         else:
             ok = np.isfinite(h).all(axis=(1, 2))
             ok[ok] = np.abs(np.linalg.det(h[ok])) >= 1e-300
-        if not ok.any():
+        if not ok.all():
+            # the valid rows again, as a stack of their own
+            lam = np.full(len(h), np.inf)
+            if ok.any():
+                lam[ok] = _top_eigenvalues(M, C, X[ok], h[ok])
             return lam
-        hk = h[ok]
         if torus:
-            Dn, hC = _torus_transport(M, C, X[ok], hk)
+            Dn, hC = _torus_transport(M, C, X, h)
         else:
-            Dn, hC = _transported_derivation(M, C, 1.0, X[ok], hk), act_tensor(C, hk)
+            Dn, hC = _transported_derivation(M, C, 1.0, X, h), act_tensor(C, h)
         ric = _assembled(*_ricci_blocks(Dn, hC))
+        if np.isfinite(ric).all():
+            return np.linalg.eigvalsh(ric)[:, -1]
         finite = np.isfinite(ric).all(axis=(1, 2))
-        top = np.full(len(hk), np.inf)
-        top[finite] = np.linalg.eigvalsh(ric[finite])[:, -1]
-        lam[ok] = top
+        lam = np.full(len(h), np.inf)
+        lam[finite] = np.linalg.eigvalsh(ric[finite])[:, -1]
     return lam
 
 

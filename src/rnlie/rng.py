@@ -6,6 +6,8 @@ draws use distinct stream indices, so results are reproducible and
 independent of scheduling.
 """
 
+from __future__ import annotations
+
 import os
 
 import numpy as np

@@ -250,12 +250,14 @@ class TestDeterminism:
 
 def test_import_loads_no_scipy():
     """scipy is imported where a float routine first needs it, so the
-    exact routes and the CLI start without it."""
+    exact routes and the CLI start without it; numpy.random likewise
+    loads only where a routine first draws."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, rnlie, rnlie.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.random')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -359,19 +359,48 @@ class TestStackedEvaluation:
         """A lockstep round of the metric search stacks the sweeps of up
         to eight descents.  At 256 rows, a stack of torus diagonals, of
         2 x 2 and of 4 x 4 centralizer blocks, and of a non-diagonal
-        derivation each read, row by row, the bytes of the row alone."""
+        derivation each read, row by row, the bytes of the row alone.  So
+        do they with invalid rows mixed in, which read inf."""
         b, M, blocks, xs, asize = _stack(case, rows=256, seed=1)
         C = b.tensor()
+        n = b.dim
 
         def values(rows):
             # the factors the search passes: diagonals on the torus
             A = rows[:, :asize]
-            h = np.exp(A) if asize == b.dim else _metric_factors(A, blocks, b.dim)
+            with np.errstate(all="ignore"):
+                h = np.exp(A) if asize == n else _metric_factors(A, blocks, n)
             return _top_eigenvalues(M, C, rows[:, asize:], h)
 
         lam = values(xs)
         for k in range(len(xs)):
             assert values(xs[k:k + 1]).tobytes() == lam[k:k + 1].tobytes()
+        # h that overflows, h singular to 1e-300, and a finite regular h
+        # whose Ricci operator overflows read inf; of three factors in the
+        # band next to |det h| = 1e-300, which det decides, the one 1e-12
+        # below in log det reads inf and the one 1e-12 above does not
+        edge = np.log(1e-300) / n
+        invalid = [(np.full(asize, 1e3), True),
+                   (pack_blocks(np.diag([-800.0] + [0.0] * (n - 1)), blocks), True),
+                   (pack_blocks(np.diag([-100.0] * (n - 1) + [400.0]), blocks), True)]
+        band = [(pack_blocks(np.diag([edge + t] + [edge] * (n - 1)), blocks), inf)
+                for t, inf in ((-1e-12, True), (0.0, None), (1e-12, False))]
+        # a stack whose factors are all valid but whose Ricci operator
+        # overflows in some rows, and one with every kind of row
+        for kinds in ([invalid[2]], invalid + band):
+            rows = xs.copy()
+            at = np.arange(5, len(rows), 37)
+            for k, r in enumerate(at):
+                rows[r, :asize] = kinds[k % len(kinds)][0]
+            got = values(rows)
+            valid = np.ones(len(rows), bool)
+            valid[at] = False
+            assert got[valid].tobytes() == lam[valid].tobytes()
+            for k, r in enumerate(at):
+                assert got[r:r + 1].tobytes() == values(rows[r:r + 1]).tobytes()
+                inf = kinds[k % len(kinds)][1]
+                if inf is not None:
+                    assert (got[r] == np.inf) == inf
 
     @pytest.mark.parametrize("case", TORUS_CASES)
     def test_torus_diagonals_match_dense_factors(self, case):
