@@ -22,6 +22,12 @@ and `_phi` it repeats scipy bit for bit.
 A trial point where `fun` is not finite is a rejected step that cuts
 the radius to a quarter of the step, as in scipy.  At the starting
 point, where scipy raises, the result is returned at once.
+
+The solver body is the generator `trf_steps`: it asks for each residual
+and Jacobian it needs and takes the answer back, so that orbit steering
+can run the solves of many draws in lockstep and answer one round of
+requests with one stacked evaluation.  `trf_solve` drives it with a
+residual and a Jacobian function, one request at a time.
 """
 
 from __future__ import annotations
@@ -122,16 +128,19 @@ def _update_radius(delta, actual, predicted, step_norm, bound_hit):
     return delta, ratio
 
 
-def trf_solve(fun, jac, x0, ftol, xtol, max_nfev) -> TrfResult:
-    """Minimise |fun(x)|^2 / 2 from x0.  `jac(x)` is only called at the
-    point of the latest `fun` call, as in scipy's trf, so the two may
-    share the work of one point."""
+def trf_steps(x0, ftol, xtol, max_nfev):
+    """The solve from x0 as a generator, so that a caller can answer the
+    requests of many solves with one stacked evaluation.  It yields
+    ("f", x) and must be sent the residual at x, or ("j", x) and must be
+    sent the Jacobian at x; it returns the TrfResult.  A "j" request is
+    only ever made at the point of the latest "f" request, as in scipy's
+    trf, so the two may share the work of one point."""
     x = np.array(x0, dtype=float)
-    f = fun(x)
+    f = yield "f", x
     nfev = 1
     if not np.all(np.isfinite(f)):
         return TrfResult(x, f, nfev, 0)
-    J = jac(x)
+    J = yield "j", x
     njev = 1
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
@@ -147,7 +156,7 @@ def trf_solve(fun, jac, x0, ftol, xtol, max_nfev) -> TrfResult:
                 Js = J.dot(step)
                 predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
                 x_new = x + step
-                f_new = fun(x_new)
+                f_new = yield "f", x_new
                 nfev += 1
                 step_norm = math.sqrt(step.dot(step))
                 if not np.all(np.isfinite(f_new)):
@@ -170,7 +179,19 @@ def trf_solve(fun, jac, x0, ftol, xtol, max_nfev) -> TrfResult:
             return TrfResult(x, f, max_nfev, njev)
         if actual > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
+            J = yield "j", x
             njev += 1
             g = J.T.dot(f)
     return TrfResult(x, f, nfev, njev)
+
+
+def trf_solve(fun, jac, x0, ftol, xtol, max_nfev) -> TrfResult:
+    """Minimise |fun(x)|^2 / 2 from x0, answering the requests of
+    trf_steps one at a time."""
+    steps = trf_steps(x0, ftol, xtol, max_nfev)
+    try:
+        kind, x = next(steps)
+        while True:
+            kind, x = steps.send(fun(x) if kind == "f" else jac(x))
+    except StopIteration as done:
+        return done.value

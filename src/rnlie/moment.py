@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._hull import Hull, exact_hull
-from ._trf import trf_solve
+from ._trf import trf_steps
 from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
 from .derivations import diagonal_derivation, diagonal_torus, weight_vector
 from .errors import NumericalError, PreconditionError
@@ -442,92 +442,140 @@ def _upper(n):
     return np.triu_indices(n, 1)
 
 
-def _steering_state(C, g):
-    """(nu, |nu|^2, m) for nu = g . C: the acted tensor, its squared norm
-    and its moment matrix, which the steering residual and Jacobian at
-    one point share."""
-    nu = act_tensor(C, g)
-    norm = float(np.vdot(nu, nu))
-    return nu, norm, gram_difference(nu) / norm
+def _acted_states(C, G):
+    """(nu, |nu|^2, m) for nu = g . C at each element g of the stack G:
+    the acted tensor, its squared norm and its moment matrix, which the
+    steering residual and Jacobian at one point share.  Each row gets the
+    bits of a stack of one; act_tensor raises LinAlgError if any g is
+    singular."""
+    nu = act_tensor(C, G)
+    norms = np.array([float(np.vdot(v, v)) for v in nu])
+    return nu, norms, gram_difference(nu) / norms[:, None, None]
 
 
 def _acted_moment_matrix(C, g):
     """Moment matrix of the transformed structure tensor, all dense."""
-    return _steering_state(C, g)[2]
+    return _acted_states(C, np.asarray(g)[None])[2][0]
 
 
-def _steering_jacobian(C, g0, blocks, x, state=None):
-    """Jacobian in x of the upper off-diagonal entries of the moment
-    matrix of nu = exp(A(x)) g0 . C, one column per packed coordinate;
-    `state` is _steering_state at that point when the caller has it.
+def _steering_residuals(C, G0, blocks, X):
+    """The residual of orbit steering at each row x of X, the upper
+    off-diagonal entries of the moment matrix of exp(A(x)) g0 . C with g0
+    the matching row of G0, and the _acted_states there, which the
+    Jacobian at the same points takes.  A singular element gives a NaN
+    row.  Each row gets the bits of a stack of one."""
+    n = C.shape[-1]
+    G = _metric_factors(X, blocks, n) @ G0
+    try:
+        states = _acted_states(C, G)
+    except np.linalg.LinAlgError:
+        # one row at a time, so that only the singular rows are lost
+        states = (np.full((len(G), n, n, n), np.nan), np.full(len(G), np.nan),
+                  np.full((len(G), n, n), np.nan))
+        for k in range(len(G)):
+            try:
+                row = _acted_states(C, G[k:k + 1])
+            except np.linalg.LinAlgError:
+                continue
+            for whole, part in zip(states, row):
+                whole[k] = part[0]
+    iu, ju = _upper(n)
+    return states[2][:, iu, ju], states
+
+
+def _steering_jacobians(C, blocks, X, states):
+    """Jacobian in x of the steering residual at each row x of X, one
+    column per packed coordinate; `states` is the _acted_states of
+    _steering_residuals at those points.  Each row gets the bits of a
+    stack of one.
 
     Along L_k (_exp_directions) the action moves nu by dnu[i,j,c] =
     sum_r L[c,r] nu[i,j,r] - sum_p L[p,i] nu[p,j,c] - sum_q L[q,j] nu[i,q,c],
     and the moment m = B(nu, nu) / |nu|^2, with B the bilinear form of
     gram_difference, by (B(dnu, nu) + B(dnu, nu)^T - 2 <nu, dnu> m) / |nu|^2.
     """
+    nu, norms, m = states
     n = C.shape[-1]
-    nu, norm, m = state or _steering_state(C, _steered(g0, blocks, x))
-    L = _exp_directions(x, blocks, n)
-    Lt = np.swapaxes(L, -1, -2)
-    dnu = (nu.reshape(n * n, n) @ Lt).reshape(-1, n, n, n)
-    dnu -= (Lt @ nu.reshape(n, n * n)).reshape(-1, n, n, n)
-    dnu -= np.swapaxes((np.swapaxes(nu, 1, 2).reshape(n * n, n) @ L)
-                       .reshape(-1, n, n, n), 2, 3)
-    B = gram_difference(dnu, nu)
-    inner = dnu.reshape(len(L), -1) @ nu.ravel()
-    dm = (B + np.swapaxes(B, -1, -2) - 2.0 * inner[:, None, None] * m) / norm
+    L = np.array([_exp_directions(x, blocks, n) for x in X])
+    Lt = L.swapaxes(-1, -2)
+    shape = L.shape[:2] + (n, n, n)   # (row, coordinate, i, j, c)
+    dnu = (nu.reshape(len(X), 1, n * n, n) @ Lt).reshape(shape)
+    dnu -= (Lt @ nu.reshape(len(X), 1, n, n * n)).reshape(shape)
+    dnu -= ((nu.swapaxes(-1, -2).reshape(len(X), 1, n * n, n) @ L)
+            .reshape(shape).swapaxes(-1, -2))
+    B = gram_difference(dnu, nu[:, None])
+    inner = dnu.reshape(shape[:2] + (-1,)) @ nu.reshape(len(X), -1, 1)
+    dm = (B + B.swapaxes(-1, -2) - 2.0 * inner[..., None] * m[:, None]) \
+        / norms[:, None, None, None]
     iu, ju = _upper(n)
-    return dm[:, iu, ju].T
+    return dm[..., iu, ju].swapaxes(-1, -2)
 
 
-def _steering_functions(C, g0, blocks):
-    """The residual of orbit steering from g0, the upper off-diagonal
-    entries of the moment matrix of exp(A(x)) g0 . C, and its Jacobian.
-    A singular element gives a NaN residual.  The Jacobian at the point
-    of the latest residual call reuses that call's _steering_state."""
-    iu = _upper(C.shape[-1])
-    last = [None, None]
+def _steer(C, blocks, G0, X0, check_start=False):
+    """Steer each draw G0[k] from X0[k] towards the diagonal moment slice,
+    all draws in lockstep, and return the steered element of each draw in
+    order: exp(A(x)) G0[k] where the solve lands (off-diagonal entries
+    within 1e-11), None where it does not.  The list ends at the first
+    None, and the solves of the draws after it are cut short as soon as
+    that failure is known.  With `check_start` (X0 = 0), a draw that
+    already lands at the start is its own steered element, and the
+    residual that says so is also its solve's first.
 
-    def resid(x):
-        try:
-            state = _steering_state(C, _steered(g0, blocks, x))
-        except np.linalg.LinAlgError:
-            return np.full(len(iu[0]), np.nan)
-        last[:] = x, state
-        return state[2][iu]
-
-    def jac(x):
-        return _steering_jacobian(C, g0, blocks, x, last[1] if last[0] is x else None)
-
-    return resid, jac
-
-
-def _steer_to_diagonal(b, g0, blocks, rng):
-    """Move g0 within its group until the acted moment value is diagonal.
-
-    Solves for the off-diagonal moment entries as a least-squares zero
-    over g(x) = exp(A(x)) g0 with A in the group's Lie algebra (block
-    matrices); returns the steered element, or None when no attempt
-    lands on the diagonal slice (off-diagonal entries within 1e-11) in
-    three attempts, in which case the caller redraws.
-
-    The solver is scipy's trust-region method (_trf), on the analytic
-    Jacobian of _steering_jacobian: the left-trivialised derivative of
-    exp pushed through the derivative of the action and of the moment
-    map.  A trial point whose element is singular is a rejected step.
+    Each solve is a _trf.trf_steps generator: scipy's trust-region method
+    on the analytic Jacobian of _steering_jacobians, the left-trivialised
+    derivative of exp pushed through the derivative of the action and of
+    the moment map.  A round answers the residual request of every live
+    solve with one stacked _steering_residuals call.  A solve asks for a
+    Jacobian only right after the residual at the same point, so the
+    round answers those requests with one stacked _steering_jacobians
+    call on the rows of its own states.  A trial point whose element is
+    singular is a rejected step.
     """
-    size = sum(len(blk) ** 2 for blk in blocks)
-    resid, jac = _steering_functions(b.tensor(), g0, blocks)
-    if np.abs(resid(np.zeros(size))).max() <= 1e-11:
-        return g0
-    for attempt in range(3):
-        x0 = np.zeros(size) if attempt == 0 else 0.3 * rng.standard_normal(size)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            res = trf_solve(resid, jac, x0, ftol=3e-16, xtol=3e-16, max_nfev=300)
-        if np.abs(res.fun).max() <= 1e-11:
-            return _steered(g0, blocks, res.x)
-    return None
+    solves = [trf_steps(x0, ftol=3e-16, xtol=3e-16, max_nfev=300) for x0 in X0]
+    asked = [next(solve)[1] for solve in solves]   # each solve's residual point, None once ended
+    steered = [None] * len(solves)
+    end = len(solves)   # the first draw known not to land
+    live = list(range(len(solves)))
+
+    def answer(k, value):
+        """Send solve k its answer: its next request, or None once it ends."""
+        nonlocal end
+        try:
+            return solves[k].send(value)
+        except StopIteration as done:
+            res = done.value
+            if np.abs(res.fun).max() <= 1e-11:
+                steered[k] = _steered(G0[k], blocks, res.x)
+            else:
+                end = min(end, k)
+
+    while live:
+        X = np.array([asked[k] for k in live])
+        resid, states = _steering_residuals(
+            C, G0 if len(live) == len(G0) else G0[live], blocks, X)
+        rows = []   # the rows whose solve asks for the Jacobian there
+        for row, k in enumerate(live):   # in draw order, so a failure cuts the later draws
+            asked[k] = None
+            if k > end:
+                continue
+            if check_start and np.abs(resid[row]).max() <= 1e-11:
+                steered[k] = G0[k]
+                continue
+            request = answer(k, resid[row])
+            if request is not None and request[0] == "j":
+                rows.append(row)
+            elif request is not None:
+                asked[k] = request[1]
+        if rows:
+            if len(rows) < len(live):
+                X, states = X[rows], tuple(part[rows] for part in states)
+            for row, J in zip(rows, _steering_jacobians(C, blocks, X, states)):
+                if live[row] < end:
+                    request = answer(live[row], J)   # a residual request, if any
+                    asked[live[row]] = None if request is None else request[1]
+        live = [k for k in live if k < end and asked[k] is not None]
+        check_start = False
+    return steered[:end + 1]
 
 
 _TAG_STREAM = {DIAG_POSITIVE: 11, TORUS_CENTRALIZER: 12, DERIVATION_CENTRALIZER: 13}
@@ -540,10 +588,26 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     Diagonal entries are log-uniform in [e^-6, e^6], off-diagonal block
     entries standard normal, near-singular draws rejected.  Each draw
     is then steered inside the group onto the locus where the acted
-    moment value is diagonal; draws that cannot be steered there (sign
-    obstructions, roughly half the block draws on some inputs) are
-    discarded and redrawn, so the emitted diagonal projections are
-    genuine points of the diagonal image of the orbit.
+    moment value is diagonal, by a least-squares solve over g(x) =
+    exp(A(x)) g0 with A in the group's Lie algebra (block matrices),
+    from x = 0 and then from up to two random x; draws that cannot be
+    steered there (sign obstructions, roughly half the block draws on
+    some inputs) are discarded and redrawn, so the emitted diagonal
+    projections are genuine points of the diagonal image of the orbit.
+
+    The draws are steered in speculative windows, with the same bytes as
+    steering one draw at a time.  A window draws the `count - kept`
+    elements still missing, saving the rng state and the remaining
+    budget after each draw, and steers all of them from x = 0 in
+    lockstep (_steer), which takes no randomness.  The walk then keeps
+    the window's draws in draw order up to the first whose solve does
+    not land.  That draw rewinds the rng and the budget to its
+    checkpoint, takes its random restarts there, and the draws after it
+    are dropped: the next window draws them again from the same rng
+    state.  An error met while drawing (budget spent, no well-conditioned
+    element) is raised only when the walk reaches it.  Groups with a
+    block larger than 2 x 2 draw windows of one: about half their draws
+    do not land from x = 0, so wider windows would mostly be dropped.
     """
     if tag not in GROUP_TAGS:
         raise PreconditionError(f"unknown group tag {tag!r}; "
@@ -553,21 +617,41 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     blocks = _group_blocks(tag, b, derivation)
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, _TAG_STREAM[tag])
-    n = b.dim
+    C, n = b.tensor(), b.dim
+    size = sum(len(blk) ** 2 for blk in blocks)
+    speculate = max(len(blk) for blk in blocks) <= 2
     points = []
     budget = 80 * count
     while len(points) < count:
-        budget -= 1
-        if budget < 0:
-            raise NumericalError(
-                "steering onto the diagonal moment slice kept failing; "
-                "the orbit may have no diagonal moment values")
-        g0 = _draw_block_element(rng, blocks, n)
-        g = _steer_to_diagonal(b, g0, blocks, rng)
-        if g is None:
-            continue
-        mv = moment_map(act(BasisChange(g), b))
-        points.append((g, mv))
+        draws, error = [], None   # (g0, rng state, budget) after each draw
+        while len(draws) < (count - len(points) if speculate else 1):
+            budget -= 1
+            try:
+                if budget < 0:
+                    raise NumericalError(
+                        "steering onto the diagonal moment slice kept failing; "
+                        "the orbit may have no diagonal moment values")
+                g0 = _draw_block_element(rng, blocks, n)
+            except NumericalError as err:
+                error = err
+                break
+            draws.append((g0, rng.bit_generator.state, budget))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            steered = _steer(C, blocks, np.array([g0 for g0, _, _ in draws]).reshape(-1, n, n),
+                             np.zeros((len(draws), size)), check_start=True)
+        for g, (g0, state, left) in zip(steered, draws):
+            if g is None:
+                rng.bit_generator.state, budget = state, left
+                for _ in range(2):
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        (g,) = _steer(C, blocks, g0[None],
+                                      (0.3 * rng.standard_normal(size))[None])
+                    if g is not None:
+                        break
+            if g is not None:
+                points.append((g, moment_map(act(BasisChange(g), b))))
+        if error is not None and (not steered or steered[-1] is not None):
+            raise error
     return OrbitSample(tag, tuple(points), seed)
 
 
