@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._hull import Hull, exact_hull
-from ._trf import trf_steps
+from ._trf import trf_stack
 from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
 from .derivations import diagonal_derivation, diagonal_torus, weight_vector
 from .errors import NumericalError, PreconditionError
@@ -388,6 +388,8 @@ def _exp_directions(x, blocks, n):
     """The left-trivialised derivatives L_k = dexp_A(E_k) exp(-A) of exp
     at A = unpack_blocks(x), one (n, n) slice per packed coordinate k:
     moving x_k by t moves exp(A) to (1 + t L_k) exp(A) to first order.
+    For a stack of rows x, a stack of them; each row gets the bits of a
+    stack of one.
 
     L = (e^ad_A - 1) / ad_A, as a series in ad_A = ad_A0.  A 1 x 1 block
     gives L_k = E_k.  On a 2 x 2 block, ad_A0^3 = 4 delta^2 ad_A0, so
@@ -398,36 +400,41 @@ def _exp_directions(x, blocks, n):
     matrix [[A_b, E_1 .. E_{k^2}], [0, I (x) A_b]]: the top-right k x k
     blocks are dexp_A(E_t) and the top-left one is exp(A_b) (Van Loan,
     "Computing integrals involving the matrix exponential", IEEE TAC
-    1978)."""
-    L = np.zeros((len(x), n, n))
+    1978), one row at a time."""
+    x = np.asarray(x)
+    X = x.reshape(-1, x.shape[-1])
+    L = np.zeros((len(X), X.shape[1], n, n))
     pos = 0
     for blk in blocks:
         k = len(blk)
         rows, cols = np.array(blk)[:, None], np.array(blk)   # np.ix_(blk, blk)
         if k == 1:
-            L[pos, blk[0], blk[0]] = 1.0
+            L[:, pos, blk[0], blk[0]] = 1.0
         elif k == 2:
-            a, b, c, d = x[pos:pos + 4].tolist()
-            _, half, z = _block2_split(a, b, c, d)
-            _, sh, c2 = _block2_functions(z)
-            A0 = np.array([[half, b], [c, -half]])
-            E = np.eye(4).reshape(4, 2, 2)
+            coef = []   # A0 and c1, c2 of each row
+            for a, b, c, d in X[:, pos:pos + 4].tolist():
+                _, half, z = _block2_split(a, b, c, d)
+                _, sh, c2 = _block2_functions(z)
+                coef.append((half, b, c, -half, 0.5 * sh * sh, c2))
+            coef = np.array(coef)[:, None, :, None, None]
+            A0, E = coef[:, :, :4].reshape(-1, 1, 2, 2), np.eye(4).reshape(4, 2, 2)
             once = A0 @ E - E @ A0
             twice = A0 @ once - once @ A0
-            L[pos:pos + 4][:, rows, cols] = E + 0.5 * sh * sh * once + c2 * twice
+            L[:, pos:pos + 4, rows, cols] = E + coef[:, :, 4] * once + coef[:, :, 5] * twice
         else:
             from scipy.linalg import expm
             M = np.zeros((k + k ** 3, k + k ** 3))
-            for s in range(0, k + k ** 3, k):   # A_b, then I (x) A_b
-                M[s:s + k, s:s + k] = x[pos:pos + k * k].reshape(k, k)
             # E_t = e_a e_b^T with t = a k + b sits in the columns of block t
             t = np.arange(k * k)
             M[t // k, k + t * k + t % k] = 1.0
-            E = expm(M)
-            frechet = np.swapaxes(E[:k, k:].reshape(k, k * k, k), 0, 1)
-            L[pos:pos + k * k][:, rows, cols] = frechet @ np.linalg.inv(E[:k, :k])
+            for r, xb in enumerate(X[:, pos:pos + k * k].reshape(-1, k, k)):
+                for s in range(0, k + k ** 3, k):   # A_b, then I (x) A_b
+                    M[s:s + k, s:s + k] = xb
+                E = expm(M)
+                frechet = np.swapaxes(E[:k, k:].reshape(k, k * k, k), 0, 1)
+                L[r, pos:pos + k * k][:, rows, cols] = frechet @ np.linalg.inv(E[:k, :k])
         pos += k * k
-    return L
+    return L.reshape(x.shape[:-1] + L.shape[1:])
 
 
 def _steered(g0, blocks, x):
@@ -449,7 +456,8 @@ def _acted_states(C, G):
     bits of a stack of one; act_tensor raises LinAlgError if any g is
     singular."""
     nu = act_tensor(C, G)
-    norms = np.array([float(np.vdot(v, v)) for v in nu])
+    flat = nu.reshape(len(nu), -1)
+    norms = np.vecdot(flat, flat)
     return nu, norms, gram_difference(nu) / norms[:, None, None]
 
 
@@ -496,7 +504,7 @@ def _steering_jacobians(C, blocks, X, states):
     """
     nu, norms, m = states
     n = C.shape[-1]
-    L = np.array([_exp_directions(x, blocks, n) for x in X])
+    L = _exp_directions(X, blocks, n)
     Lt = L.swapaxes(-1, -2)
     shape = L.shape[:2] + (n, n, n)   # (row, coordinate, i, j, c)
     dnu = (nu.reshape(len(X), 1, n * n, n) @ Lt).reshape(shape)
@@ -511,6 +519,10 @@ def _steering_jacobians(C, blocks, X, states):
     return dm[..., iu, ju].swapaxes(-1, -2)
 
 
+def _lands(f):
+    return np.abs(f).max() <= 1e-11
+
+
 def _steer(C, blocks, G0, X0, check_start=False):
     """Steer each draw G0[k] from X0[k] towards the diagonal moment slice,
     all draws in lockstep, and return the steered element of each draw in
@@ -521,61 +533,33 @@ def _steer(C, blocks, G0, X0, check_start=False):
     already lands at the start is its own steered element, and the
     residual that says so is also its solve's first.
 
-    Each solve is a _trf.trf_steps generator: scipy's trust-region method
-    on the analytic Jacobian of _steering_jacobians, the left-trivialised
+    The solves are one _trf.trf_stack: scipy's trust-region method on
+    the analytic Jacobian of _steering_jacobians, the left-trivialised
     derivative of exp pushed through the derivative of the action and of
-    the moment map.  A round answers the residual request of every live
-    solve with one stacked _steering_residuals call.  A solve asks for a
-    Jacobian only right after the residual at the same point, so the
-    round answers those requests with one stacked _steering_jacobians
-    call on the rows of its own states.  A trial point whose element is
-    singular is a rejected step.
+    the moment map.  A round answers the residual requests of every live
+    draw with one stacked _steering_residuals call, and the Jacobian
+    requests that follow at the same points with one stacked
+    _steering_jacobians call on the rows of its states.  A trial point
+    whose element is singular is a rejected step.
     """
-    solves = [trf_steps(x0, ftol=3e-16, xtol=3e-16, max_nfev=300) for x0 in X0]
-    asked = [next(solve)[1] for solve in solves]   # each solve's residual point, None once ended
-    steered = [None] * len(solves)
-    end = len(solves)   # the first draw known not to land
-    live = list(range(len(solves)))
+    latest = []   # the points and states of the latest residual call
 
-    def answer(k, value):
-        """Send solve k its answer: its next request, or None once it ends."""
-        nonlocal end
-        try:
-            return solves[k].send(value)
-        except StopIteration as done:
-            res = done.value
-            if np.abs(res.fun).max() <= 1e-11:
-                steered[k] = _steered(G0[k], blocks, res.x)
-            else:
-                end = min(end, k)
-
-    while live:
-        X = np.array([asked[k] for k in live])
+    def residuals(rows, X):
         resid, states = _steering_residuals(
-            C, G0 if len(live) == len(G0) else G0[live], blocks, X)
-        rows = []   # the rows whose solve asks for the Jacobian there
-        for row, k in enumerate(live):   # in draw order, so a failure cuts the later draws
-            asked[k] = None
-            if k > end:
-                continue
-            if check_start and np.abs(resid[row]).max() <= 1e-11:
-                steered[k] = G0[k]
-                continue
-            request = answer(k, resid[row])
-            if request is not None and request[0] == "j":
-                rows.append(row)
-            elif request is not None:
-                asked[k] = request[1]
-        if rows:
-            if len(rows) < len(live):
-                X, states = X[rows], tuple(part[rows] for part in states)
-            for row, J in zip(rows, _steering_jacobians(C, blocks, X, states)):
-                if live[row] < end:
-                    request = answer(live[row], J)   # a residual request, if any
-                    asked[live[row]] = None if request is None else request[1]
-        live = [k for k in live if k < end and asked[k] is not None]
-        check_start = False
-    return steered[:end + 1]
+            C, G0 if len(rows) == len(G0) else G0[rows], blocks, X)
+        latest[:] = X, states
+        return resid
+
+    def jacobians(positions):
+        X, states = latest
+        if len(positions) < len(X):
+            X, states = X[positions], tuple(part[positions] for part in states)
+        return _steering_jacobians(C, blocks, X, states)
+
+    results = trf_stack(residuals, jacobians, X0, ftol=3e-16, xtol=3e-16, max_nfev=300,
+                        lands=_lands, check_start=check_start)
+    return [None if not _lands(res.fun) else G0[k] if res.njev == 0
+            else _steered(G0[k], blocks, res.x) for k, res in enumerate(results)]
 
 
 _TAG_STREAM = {DIAG_POSITIVE: 11, TORUS_CENTRALIZER: 12, DERIVATION_CENTRALIZER: 13}
@@ -599,7 +583,9 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     steering one draw at a time.  A window draws the `count - kept`
     elements still missing, saving the rng state and the remaining
     budget after each draw, and steers all of them from x = 0 in
-    lockstep (_steer), which takes no randomness.  The walk then keeps
+    lockstep, as the rows of one stacked solver (_steer), which takes no
+    randomness and gives each row the bits of a solve of its own.  The
+    walk then keeps
     the window's draws in draw order up to the first whose solve does
     not land.  That draw rewinds the rng and the budget to its
     checkpoint, takes its random restarts there, and the draws after it

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, svd
 from scipy.optimize import least_squares
 
 from rnlie import _trf, moment
@@ -270,6 +271,141 @@ def lands(fun):
     return np.abs(fun).max() <= 1e-11
 
 
+# -- the per-draw reference solver ------------------------------------------
+#
+# _trf.trf_stack as it ran before its solves were stacked: one generator
+# per solve, which yields ("f", x) or ("j", x) and is sent the residual or
+# the Jacobian at x, on np.dot products and scipy.linalg.svd.  Each row of
+# trf_stack must take the bits of trf_solve on that row alone.
+
+def ref_norm(v):
+    return math.sqrt(sum(t * t for t in v))
+
+
+def ref_phi(alpha, suf, s2, delta):
+    sq = slope = 0.0
+    for u, t in zip(suf, s2):
+        d = t + alpha
+        q = u / d
+        sq += q * q
+        slope += q * q / d
+    p_norm = math.sqrt(sq)
+    return p_norm - delta, -slope / p_norm
+
+
+def ref_svd_terms(J, f):
+    m, n = J.shape
+    U, s, Vt = svd(J, full_matrices=False)
+    V, uf = Vt.T, U.T.dot(f)
+    full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
+    s_list = s.tolist()
+    return (V, [t * u for t, u in zip(s_list, uf.tolist())], [t * t for t in s_list],
+            -V.dot(uf / s) if full_rank else None)
+
+
+def ref_trust_region_step(terms, delta, alpha):
+    V, suf, s2, gauss_newton = terms
+    full_rank = gauss_newton is not None
+    if full_rank and np.linalg.norm(gauss_newton) <= delta:
+        return gauss_newton, 0.0
+    alpha_upper = ref_norm(suf) / delta
+    if full_rank:
+        phi, slope = ref_phi(0.0, suf, s2, delta)
+        alpha_lower = -phi / slope
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, slope = ref_phi(alpha, suf, s2, delta)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / slope
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if abs(phi) < 0.01 * delta:
+            break
+    p = -V.dot([u / (t + alpha) for u, t in zip(suf, s2)])
+    p *= delta / np.linalg.norm(p)
+    return p, alpha
+
+
+def ref_update_radius(delta, actual, predicted, step_norm, bound_hit):
+    if predicted > 0:
+        ratio = actual / predicted
+    elif predicted == actual == 0:
+        ratio = 1
+    else:
+        ratio = 0
+    if ratio < 0.25:
+        delta = 0.25 * step_norm
+    elif ratio > 0.75 and bound_hit:
+        delta *= 2.0
+    return delta, ratio
+
+
+def trf_steps(x0, ftol, xtol, max_nfev):
+    x = np.array(x0, dtype=float)
+    f = yield "f", x
+    nfev = 1
+    if not np.all(np.isfinite(f)):
+        return _trf.TrfResult(x, f, nfev, 0)
+    J = yield "j", x
+    njev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    delta = float(np.linalg.norm(x)) or 1.0
+    alpha = 0.0
+    converged = False
+    while not converged and nfev < max_nfev:
+        terms = ref_svd_terms(J, f)
+        actual = -1
+        try:
+            while actual <= 0 and nfev < max_nfev:
+                step, alpha = ref_trust_region_step(terms, delta, alpha)
+                Js = J.dot(step)
+                predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+                x_new = x + step
+                f_new = yield "f", x_new
+                nfev += 1
+                step_norm = math.sqrt(step.dot(step))
+                if not np.all(np.isfinite(f_new)):
+                    delta = 0.25 * step_norm
+                    continue
+                cost_new = 0.5 * np.dot(f_new, f_new)
+                actual = cost - cost_new
+                new_delta, ratio = ref_update_radius(delta, actual, predicted,
+                                                     step_norm, step_norm > 0.95 * delta)
+                converged = (actual < ftol * cost and ratio > 0.25
+                             or step_norm < xtol * (xtol + np.linalg.norm(x)))
+                if converged:
+                    break
+                alpha *= delta / new_delta
+                delta = new_delta
+        except ZeroDivisionError:
+            return _trf.TrfResult(x, f, max_nfev, njev)
+        if actual > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = yield "j", x
+            njev += 1
+            g = J.T.dot(f)
+    return _trf.TrfResult(x, f, nfev, njev)
+
+
+def trf_solve(fun, jac, x0, ftol, xtol, max_nfev):
+    """Minimise |fun(x)|^2 / 2 from x0, answering the requests of
+    trf_steps one at a time."""
+    steps = trf_steps(x0, ftol, xtol, max_nfev)
+    try:
+        kind, x = next(steps)
+        while True:
+            kind, x = steps.send(fun(x) if kind == "f" else jac(x))
+    except StopIteration as done:
+        return done.value
+
+
 def steering_state(C, g):
     """(nu, |nu|^2, m) for nu = g . C, one element at a time."""
     nu = act_tensor(C, g)
@@ -323,7 +459,7 @@ def steering_functions(C, g0, blocks, poisoned=None):
 
 def steer_to_diagonal(C, g0, blocks, rng, poisoned=None):
     """Steering of one draw: g0 itself when it lands at x = 0, else the
-    first of three _trf.trf_solve attempts that lands, from x = 0 and then
+    first of three trf_solve attempts that lands, from x = 0 and then
     from two random x; None when none does."""
     size = sum(len(blk) ** 2 for blk in blocks)
     resid, jac = steering_functions(C, g0, blocks, poisoned)
@@ -332,7 +468,7 @@ def steer_to_diagonal(C, g0, blocks, rng, poisoned=None):
     for attempt in range(3):
         x0 = np.zeros(size) if attempt == 0 else 0.3 * rng.standard_normal(size)
         with np.errstate(invalid="ignore", divide="ignore"):
-            res = _trf.trf_solve(resid, jac, x0, ftol=3e-16, xtol=3e-16, max_nfev=300)
+            res = trf_solve(resid, jac, x0, ftol=3e-16, xtol=3e-16, max_nfev=300)
         if lands(res.fun):
             return _steered(g0, blocks, res.x)
     return None
@@ -662,21 +798,29 @@ class TestLockstepSteering:
         """A solve that ends off the slice right after its Jacobian answer
         ends the solves of the later draws in the same round, so they take
         no further residual rows."""
+        C, blocks, G0, X = _steering_stack("TorusCentralizer", None, 41, 3)
         made = []
 
-        def steps(x0, ftol, xtol, max_nfev):   # the first solve ends off the slice
-            first = not made
-            made.append(x0)
-            x = np.array(x0, dtype=float)
-            f = yield "f", x
-            if first:
-                yield "j", x
-                return _trf.TrfResult(x, np.ones_like(f), 1, 1)
-            while True:
-                yield "f", x
+        class Solve(_trf._Solve):
+            """The first solve asks for the Jacobian at its start and ends
+            there, off the slice; the others ask for the residual at the same
+            point again and again (a zero step)."""
+            __slots__ = ("first",)
 
-        C, blocks, G0, X = _steering_stack("TorusCentralizer", None, 41, 3)
-        monkeypatch.setattr(moment, "trf_steps", steps)
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.first = not made
+                made.append(self)
+
+            def take_residual(self, finite, cost):
+                self.nfev += 1
+                self.step = (np.zeros(X.shape[1]), 0.0, False)
+                return "j" if self.first else "f"
+
+            def take_jacobian(self, J, f, x_norm, finite):
+                self.njev += 1
+
+        monkeypatch.setattr(_trf, "_Solve", Solve)
         out = []
         (_, f_rows), (_, j_rows) = self.evaluator_counts(
             monkeypatch, lambda: out.append(moment._steer(C, blocks, G0, X)))
@@ -684,8 +828,9 @@ class TestLockstepSteering:
 
 
 def _numpy_sums(monkeypatch):
-    """Give the trust-region port the numpy reductions of scipy's
-    solve_lsq_trust_region in place of its Python-float sums."""
+    """Give the trust-region port, both trf_stack and the reference
+    trf_solve, the numpy reductions of scipy's solve_lsq_trust_region in
+    place of their Python-float sums."""
     def phi(alpha, suf, s2, delta):
         suf, denom = np.array(suf), np.array(s2) + alpha
         p_norm = np.linalg.norm(suf / denom)
@@ -693,6 +838,8 @@ def _numpy_sums(monkeypatch):
 
     monkeypatch.setattr(_trf, "_norm", np.linalg.norm)
     monkeypatch.setattr(_trf, "_phi", phi)
+    monkeypatch.setitem(globals(), "ref_norm", np.linalg.norm)
+    monkeypatch.setitem(globals(), "ref_phi", phi)
 
 
 def _paired_solves(monkeypatch):
@@ -713,7 +860,7 @@ def _paired_solves(monkeypatch):
         if check_start and lands(fun(x0)):
             continue
         with np.errstate(invalid="ignore", divide="ignore"):
-            got = _trf.trf_solve(fun, jac, x0, ftol=3e-16, xtol=3e-16, max_nfev=300)
+            got = trf_solve(fun, jac, x0, ftol=3e-16, xtol=3e-16, max_nfev=300)
             want = least_squares(fun, x0, jac=jac, ftol=3e-16, xtol=3e-16, gtol=None,
                                  max_nfev=300)
         runs.append((x0, g, got, want))
@@ -769,8 +916,9 @@ class TestTrustRegionPort:
             0.25 * np.linalg.norm(first - x0), rel=1e-12)
 
     def test_non_finite_start_returns_at_once(self):
-        res = _trf.trf_solve(lambda x: np.full(3, np.nan), None, np.ones(2),
-                                     ftol=3e-16, xtol=3e-16, max_nfev=300)
+        (res,) = _trf.trf_stack(lambda rows, X: np.full((len(X), 3), np.nan), None,
+                                np.ones((1, 2)), ftol=3e-16, xtol=3e-16, max_nfev=300,
+                                lands=lambda f: False)
         assert (res.nfev, res.njev) == (1, 0) and np.isnan(res.fun).all()
 
     def test_orbit_sampling_loads_no_scipy_optimize(self):
@@ -786,6 +934,211 @@ class TestTrustRegionPort:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+_FIT_T = np.linspace(0.0, 1.0, 8)
+_FIT_Y = 2.0 * np.exp(-1.3 * _FIT_T) + 0.05 * np.sin(7.0 * _FIT_T)
+_ZERO_COLUMN = np.column_stack([np.linspace(-1.0, 2.0, 8), np.zeros(8), np.cos(np.arange(8.0))])
+
+
+def _exp_fit(fence=None):
+    """x0 exp(x1 t) + x2 - y, whose Jacobian has full column rank; with a
+    fence, the residual is NaN where x1 < fence."""
+    def fun(x):
+        if fence is not None and x[1] < fence:
+            return np.full(len(_FIT_T), np.nan)
+        return x[0] * np.exp(x[1] * _FIT_T) + x[2] - _FIT_Y
+
+    def jac(x):
+        e = np.exp(x[1] * _FIT_T)
+        return np.stack([e, x[0] * _FIT_T * e, np.ones_like(e)], axis=1)
+
+    return fun, jac
+
+
+def _zero_column(x):
+    """A sin(x) - 1 with a zero column in A: one singular value of the
+    Jacobian is exactly zero, and so is its term of s U^T f."""
+    return _ZERO_COLUMN @ np.sin(x) - 1.0, _ZERO_COLUMN * np.cos(x)
+
+
+# (id, fun, jac, x0), 8 residuals in 3 unknowns: each takes the branch of
+# the method in its id
+SOLVER_PROBLEMS = [
+    ("gauss-newton", *_exp_fit(), [1.0, 0.0, 0.0]),
+    ("gauss-newton-far", *_exp_fit(), [3.0, -2.0, 0.5]),
+    ("non-finite-trials", *_exp_fit(fence=-1.0), [1.0, -0.9, 0.0]),
+    ("non-finite-start", *_exp_fit(fence=0.0), [1.0, -0.5, 0.0]),
+    ("zero-radius", lambda x: np.arange(1.0, 9.0), lambda x: np.zeros((8, 3)), [0.5, 0.5, 0.5]),
+    # a start of infinite norm makes the first radius infinite and the
+    # first alpha zero, where the zero term divides by zero
+    ("pruning-guard", lambda x: _zero_column(x)[0], lambda x: _zero_column(x)[1],
+     [1e308, 1e308, 1e308]),
+    ("rank-deficient", lambda x: _zero_column(x)[0], lambda x: _zero_column(x)[1],
+     [0.3, -0.2, 0.1]),
+]
+
+
+def _row_functions(funs, jacs):
+    """fun and jac for trf_stack from each row's own functions."""
+    latest = []
+
+    def fun(rows, X):
+        latest[:] = [(k, x) for k, x in zip(rows, X)]
+        return np.array([funs[k](x) for k, x in latest])
+
+    def jac(positions):
+        return np.array([jacs[k](x) for k, x in (latest[i] for i in positions)])
+
+    return fun, jac
+
+
+def _traced(fun, jac, trace):
+    """fun and jac for trf_stack that record each point asked of row k in
+    trace[k], as ("f" or "j", the point's bytes)."""
+    latest = []
+
+    def traced_fun(rows, X):
+        latest[:] = rows, X
+        for k, x in zip(rows, X):
+            trace[k].append(("f", x.tobytes()))
+        return fun(rows, X)
+
+    def traced_jac(positions):
+        rows, X = latest
+        for i in positions:
+            trace[rows[i]].append(("j", X[i].tobytes()))
+        return jac(positions)
+
+    return traced_fun, traced_jac
+
+
+def assert_rows_match(fun, jac, funs, jacs, X0, max_nfev):
+    """Run trf_stack on the stacked fun and jac, and the reference
+    trf_solve on each row's own funs[k] and jacs[k]: each row must ask for
+    the same points and end with the same result, byte for byte.  Returns
+    the results and the points each row asked."""
+    traces = [[] for _ in X0]
+    with np.errstate(all="ignore"):
+        got = _trf.trf_stack(*_traced(fun, jac, traces), X0, ftol=3e-16, xtol=3e-16,
+                             max_nfev=max_nfev, lands=lambda f: True)
+    assert len(got) == len(X0)
+    for k, (x0, res) in enumerate(zip(X0, got)):
+        trace = []
+
+        def f(x, k=k):
+            trace.append(("f", x.tobytes()))
+            return funs[k](x)
+
+        def j(x, k=k):   # in the column-major layout trf_stack reads
+            trace.append(("j", x.tobytes()))
+            return np.asfortranarray(jacs[k](x))
+
+        with np.errstate(all="ignore"):
+            want = trf_solve(f, j, x0, ftol=3e-16, xtol=3e-16, max_nfev=max_nfev)
+        assert traces[k] == trace
+        assert (res.x.tobytes(), res.fun.tobytes(), res.nfev, res.njev) == \
+            (want.x.tobytes(), want.fun.tobytes(), want.nfev, want.njev)
+    return got, traces
+
+
+class TestStackedSolver:
+    """Each row of _trf.trf_stack against the per-draw reference trf_solve
+    on that row alone."""
+
+    @pytest.mark.parametrize("max_nfev", [300, 5])
+    def test_rows_match_reference(self, monkeypatch, max_nfev):
+        """Every branch of the method, on rows that end in different rounds,
+        and with a budget that ends most of them."""
+        gauss_newton = []
+        step = _trf._trust_region_step
+
+        def recording(terms, delta, alpha):
+            out = step(terms, delta, alpha)
+            gauss_newton.append(not out[2])
+            return out
+
+        monkeypatch.setattr(_trf, "_trust_region_step", recording)
+        ids, funs, jacs, X0 = zip(*SOLVER_PROBLEMS)
+        got, traces = assert_rows_match(*_row_functions(funs, jacs), funs, jacs,
+                                        np.array(X0), max_nfev)
+        res, trace = dict(zip(ids, got)), dict(zip(ids, traces))
+        assert len({len(t) for t in traces}) > 3   # rows end in different rounds
+        assert any(gauss_newton)
+        assert res["non-finite-start"].njev == 0
+        fenced = dict(zip(ids, funs))["non-finite-trials"]
+        assert sum(not np.isfinite(fenced(np.frombuffer(x))).all()
+                   for kind, x in trace["non-finite-trials"] if kind == "f") >= 2
+        # the zero-radius exits: the start, its Jacobian and no trial
+        for name in ("zero-radius", "pruning-guard"):
+            assert res[name].nfev == max_nfev and len(trace[name]) == 2
+        if max_nfev == 5:   # most rows run out, the fenced one on a non-finite trial
+            assert sum(r.nfev == max_nfev for r in got) >= 5
+            kind, x = trace["non-finite-trials"][-1]
+            assert kind == "f" and not np.isfinite(fenced(np.frombuffer(x))).all()
+
+    @pytest.mark.parametrize("tag,derivation,largest", STEERING_GROUPS,
+                             ids=[tag for tag, _, _ in STEERING_GROUPS])
+    def test_steering_rows_match_reference(self, tag, derivation, largest):
+        """Steering solves on the stacked evaluators, against the one-point
+        reference functions row by row."""
+        C, blocks, G0, X0 = _steering_stack(tag, derivation, 47, 5)
+        assert max(len(blk) for blk in blocks) == largest
+        latest = []
+
+        def fun(rows, X):
+            resid, states = _steering_residuals(C, G0[rows], blocks, X)
+            latest[:] = X, states
+            return resid
+
+        def jac(positions):
+            X, states = latest
+            return _steering_jacobians(C, blocks, X[positions],
+                                       tuple(part[positions] for part in states))
+
+        funs, jacs = zip(*(steering_functions(C, g0, blocks) for g0 in G0))
+        _, traces = assert_rows_match(fun, jac, funs, jacs, X0, 300)
+        assert len({len(t) for t in traces}) > 1
+
+    def test_start_check_and_cut(self):
+        """With check_start, a row whose first residual lands ends there.
+        The first row that ends off `lands` ends the list, and the rows
+        after it ask for nothing more."""
+        ids, funs, jacs, X0 = zip(*SOLVER_PROBLEMS)
+        X0 = np.array(X0)
+        traces = [[] for _ in X0]
+        fun, jac = _traced(*_row_functions(funs, jacs), traces)
+
+        def near(f):   # rows 0 and 2 start within 1.5 of zero, row 1 does not
+            return bool(np.isfinite(f).all() and np.abs(f).max() < 1.5)
+
+        with np.errstate(all="ignore"):
+            got = _trf.trf_stack(fun, jac, X0, ftol=3e-16, xtol=3e-16, max_nfev=300,
+                                 lands=near, check_start=True)
+        assert ids[3] == "non-finite-start" and len(got) == 4
+        for k in (0, 2, 3):
+            assert (got[k].nfev, got[k].njev, got[k].x.tobytes()) == (1, 0, X0[k].tobytes())
+        assert near(got[0].fun) and near(got[2].fun) and not near(got[3].fun)
+        assert [len(t) for t in traces[4:]] == [1, 1, 1]
+        trace = []
+        with np.errstate(all="ignore"):
+            want = trf_solve(lambda x: trace.append(x.tobytes()) or funs[1](x),
+                             lambda x: np.asfortranarray(jacs[1](x)), X0[1],
+                             ftol=3e-16, xtol=3e-16, max_nfev=300)
+        assert near(want.fun) and len(trace) > 1
+        assert [x for kind, x in traces[1] if kind == "f"] == trace
+        assert (got[1].x.tobytes(), got[1].fun.tobytes(), got[1].nfev, got[1].njev) == \
+            (want.x.tobytes(), want.fun.tobytes(), want.nfev, want.njev)
+
+    def test_zero_terms_at_nan_alpha(self):
+        """Where alpha is NaN the secular sums take the zero terms too: with
+        every term zero, the nonzero ones alone would divide by a zero norm,
+        while the full sums give the NaN step of the reference."""
+        J, f = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0, 1.0])
+        w, alpha, scaled = _trf._trust_region_step(_trf._svd_terms(J, f), math.nan, 0.0)
+        p, want = ref_trust_region_step(ref_svd_terms(J, f), math.nan, 0.0)
+        assert scaled and np.isnan(w).all() and np.isnan(p).all()
+        assert math.isnan(alpha) and math.isnan(want)
 
 
 # 2 x 2 blocks [[a, b], [c, d]] by the sign and size of delta^2 = ((a - d)/2)^2 + bc
