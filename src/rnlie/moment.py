@@ -282,54 +282,34 @@ def _draw_block_element(rng, blocks, n):
     raise NumericalError("could not draw a well-conditioned group element")
 
 
-# Taylor coefficients in z = d^2 of cosh(d), sinh(d)/d and
-# (sinh(2d)/(2d) - 1)/(4d^2), highest power first; for |z| < 1 the terms
-# past these fall below the last bit
-_BLOCK2_SERIES = tuple((1.0 / math.factorial(2 * j), 1.0 / math.factorial(2 * j + 1),
-                        4.0 ** j / math.factorial(2 * j + 3)) for j in range(12, -1, -1))
-
-
-def _block2_functions(z):
-    """cosh(d), sinh(d)/d and (sinh(2d)/(2d) - 1)/(4d^2) at d = sqrt(z) for
-    a real float z of either sign (cos and sin of sqrt(-z) when z < 0),
-    by their Taylor series in z when |z| < 1, NaN where they overflow.
-    The third is (sinh(d)/d cosh(d) - 1) / 4z: at |z| >= 1 that difference
-    keeps at least two fifths of the larger term, so it loses few bits.
-    Python floats: a 2 x 2 block is a handful of numbers, and numpy's
-    per-call cost would outweigh the arithmetic."""
-    if abs(z) < 1.0:
-        ch = sh = c2 = 0.0
-        for a, b, c in _BLOCK2_SERIES:
-            ch, sh, c2 = ch * z + a, sh * z + b, c2 * z + c
-        return ch, sh, c2
-    try:
-        r = math.sqrt(abs(z))
-        if z > 0:
-            ch, sh = math.cosh(r), math.sinh(r) / r
-        else:
-            ch, sh = math.cos(r), math.sin(r) / r
-    except (OverflowError, ValueError):
-        return math.nan, math.nan, math.nan
-    return ch, sh, (sh * ch - 1.0) / (4.0 * z)
-
-
-def _block2_split(a, b, c, d):
-    """(tau, h, z) for the 2 x 2 block A = [[a, b], [c, d]]: tau is half
-    its trace, A0 = A - tau I = [[h, b], [c, -h]], and z = h^2 + bc =
-    -det A0, so A0^2 = z I."""
-    h = 0.5 * (a - d)
-    return 0.5 * (a + d), h, h * h + b * c
+# Taylor coefficients in z = d^2 of cosh(d) and sinh(d)/d, highest power
+# first; for |z| < 1 the terms past these fall below the last bit
+_BLOCK2_SERIES = tuple((1.0 / math.factorial(2 * j), 1.0 / math.factorial(2 * j + 1))
+                       for j in range(12, -1, -1))
 
 
 def _block2_exp(a, b, c, d):
     """exp([[a, b], [c, d]]) = e^tau (cosh(delta) I + sinh(delta)/delta A0),
-    row-major, with A0 = A - tau I and A0^2 = delta^2 I; NaN where it
-    overflows."""
-    tau, half, z = _block2_split(a, b, c, d)
-    ch, sh, _ = _block2_functions(z)
+    row-major, with tau half the trace, A0 = A - tau I = [[h, b], [c, -h]]
+    and A0^2 = delta^2 I, where z = delta^2 = h^2 + bc has either sign
+    (cos and sin of sqrt(-z) when z < 0).  Taylor series in z when |z| <
+    1; NaN where it overflows.  Python floats: a 2 x 2 block is a handful
+    of numbers, and numpy's per-call cost would outweigh the arithmetic."""
+    half = 0.5 * (a - d)
+    z = half * half + b * c
     try:
-        scale = math.exp(tau)
-    except OverflowError:
+        if abs(z) < 1.0:
+            ch = sh = 0.0
+            for p, q in _BLOCK2_SERIES:
+                ch, sh = ch * z + p, sh * z + q
+        elif z > 0:
+            r = math.sqrt(z)
+            ch, sh = math.cosh(r), math.sinh(r) / r
+        else:
+            r = math.sqrt(-z)
+            ch, sh = math.cos(r), math.sin(r) / r
+        scale = math.exp(0.5 * (a + d))
+    except (OverflowError, ValueError):
         return math.nan, math.nan, math.nan, math.nan
     ch, sh = scale * ch, scale * sh
     return ch + sh * half, sh * b, sh * c, ch - sh * half
@@ -388,53 +368,12 @@ def _exp_directions(x, blocks, n):
     """The left-trivialised derivatives L_k = dexp_A(E_k) exp(-A) of exp
     at A = unpack_blocks(x), one (n, n) slice per packed coordinate k:
     moving x_k by t moves exp(A) to (1 + t L_k) exp(A) to first order.
-    For a stack of rows x, a stack of them; each row gets the bits of a
-    stack of one.
-
-    L = (e^ad_A - 1) / ad_A, as a series in ad_A = ad_A0.  A 1 x 1 block
-    gives L_k = E_k.  On a 2 x 2 block, ad_A0^3 = 4 delta^2 ad_A0, so
-    L(E) = E + c1 [A0, E] + c2 [A0, [A0, E]] with c1 = (cosh(2 delta) - 1)
-    / (4 delta^2) = (sinh(delta)/delta)^2 / 2 and c2 = (sinh(2 delta) /
-    (2 delta) - 1) / (4 delta^2).  A k x k block with k >= 3 takes its k^2
-    Frechet derivatives dexp_A(E_t) from one expm of the block-triangular
-    matrix [[A_b, E_1 .. E_{k^2}], [0, I (x) A_b]]: the top-right k x k
-    blocks are dexp_A(E_t) and the top-left one is exp(A_b) (Van Loan,
-    "Computing integrals involving the matrix exponential", IEEE TAC
-    1978), one row at a time."""
-    x = np.asarray(x)
-    X = x.reshape(-1, x.shape[-1])
-    L = np.zeros((len(X), X.shape[1], n, n))
-    pos = 0
-    for blk in blocks:
-        k = len(blk)
-        rows, cols = np.array(blk)[:, None], np.array(blk)   # np.ix_(blk, blk)
-        if k == 1:
-            L[:, pos, blk[0], blk[0]] = 1.0
-        elif k == 2:
-            coef = []   # A0 and c1, c2 of each row
-            for a, b, c, d in X[:, pos:pos + 4].tolist():
-                _, half, z = _block2_split(a, b, c, d)
-                _, sh, c2 = _block2_functions(z)
-                coef.append((half, b, c, -half, 0.5 * sh * sh, c2))
-            coef = np.array(coef)[:, None, :, None, None]
-            A0, E = coef[:, :, :4].reshape(-1, 1, 2, 2), np.eye(4).reshape(4, 2, 2)
-            once = A0 @ E - E @ A0
-            twice = A0 @ once - once @ A0
-            L[:, pos:pos + 4, rows, cols] = E + coef[:, :, 4] * once + coef[:, :, 5] * twice
-        else:
-            from scipy.linalg import expm
-            M = np.zeros((k + k ** 3, k + k ** 3))
-            # E_t = e_a e_b^T with t = a k + b sits in the columns of block t
-            t = np.arange(k * k)
-            M[t // k, k + t * k + t % k] = 1.0
-            for r, xb in enumerate(X[:, pos:pos + k * k].reshape(-1, k, k)):
-                for s in range(0, k + k ** 3, k):   # A_b, then I (x) A_b
-                    M[s:s + k, s:s + k] = xb
-                E = expm(M)
-                frechet = np.swapaxes(E[:k, k:].reshape(k, k * k, k), 0, 1)
-                L[r, pos:pos + k * k][:, rows, cols] = frechet @ np.linalg.inv(E[:k, :k])
-        pos += k * k
-    return L.reshape(x.shape[:-1] + L.shape[1:])
+    For a stack of rows x, a stack of them.  Steering's blocks are 1 x 1,
+    where A is diagonal, commutes with every E_k and gives L_k = E_k."""
+    index = [i for (i,) in blocks]
+    L = np.zeros(np.shape(x) + (n, n))
+    L[..., np.arange(len(index)), index, index] = 1.0
+    return L
 
 
 def _steered(g0, blocks, x):
@@ -524,23 +463,23 @@ def _lands(f):
 
 
 def _steer(C, blocks, G0, X0, check_start=False):
-    """Steer each draw G0[k] from X0[k] towards the diagonal moment slice,
-    all draws in lockstep, and return the steered element of each draw in
-    order: exp(A(x)) G0[k] where the solve lands (off-diagonal entries
-    within 1e-11), None where it does not.  The list ends at the first
-    None, and the solves of the draws after it are cut short as soon as
-    that failure is known.  With `check_start` (X0 = 0), a draw that
-    already lands at the start is its own steered element, and the
-    residual that says so is also its solve's first.
+    """Steer each DiagPositive draw G0[k] from X0[k] towards the diagonal
+    moment slice, all draws in lockstep, and return the steered element
+    of each draw in order: exp(diag(x)) G0[k] where the solve lands
+    (off-diagonal entries within 1e-11), None where it does not.  The list
+    ends at the first None, and the solves of the draws after it are cut
+    short as soon as that failure is known.  With `check_start` (X0 = 0),
+    a draw that already lands at the start is its own steered element,
+    and the residual that says so is also its solve's first.
 
     The solves are one _trf.trf_stack: scipy's trust-region method on
-    the analytic Jacobian of _steering_jacobians, the left-trivialised
-    derivative of exp pushed through the derivative of the action and of
-    the moment map.  A round answers the residual requests of every live
-    draw with one stacked _steering_residuals call, and the Jacobian
-    requests that follow at the same points with one stacked
-    _steering_jacobians call on the rows of its states.  A trial point
-    whose element is singular is a rejected step.
+    the analytic Jacobian of _steering_jacobians, the derivative of exp
+    pushed through the derivative of the action and of the moment map.
+    A round answers the residual requests of every live draw with one
+    stacked _steering_residuals call, and the Jacobian requests that
+    follow at the same points with one stacked _steering_jacobians call
+    on the rows of its states.  A trial point whose element is singular
+    is a rejected step.
     """
     latest = []   # the points and states of the latest residual call
 
@@ -562,6 +501,88 @@ def _steer(C, blocks, G0, X0, check_start=False):
             else _steered(G0[k], blocks, res.x) for k, res in enumerate(results)]
 
 
+def _nearest_identity(V):
+    """The columns of the orthogonal V, permuted and signed so that each
+    sits at the basis vector it leans on most, with a positive entry
+    there: largest |entry| first, each row and column taken once."""
+    W, free = np.empty_like(V), np.ones(V.shape, bool)
+    for flat in np.argsort(-np.abs(V), axis=None, kind="stable").tolist():
+        r, c = divmod(flat, len(V))
+        if free[r, c]:
+            W[:, r] = V[:, c] if V[r, c] > 0 else -V[:, c]
+            free[r], free[:, c] = False, False
+    return W
+
+
+def _rotated_onto_slice(C, g0, blocks):
+    """K g0 for the block-diagonal orthogonal K that diagonalises the
+    moment matrix m of g0 . C, as m(K . nu) = K m(nu) K^T.  For g0 in a
+    centralizer group m is block diagonal, exactly: every product off the
+    blocks has an exactly zero factor.  K's blocks are eigenvectors of
+    m's, in the order nearest the identity, not eigh's ascending one."""
+    m = _acted_moment_matrix(C, g0)
+    K = np.eye(len(g0))
+    for blk in blocks:
+        if len(blk) > 1:
+            block = np.ix_(blk, blk)
+            K[block] = _nearest_identity(np.linalg.eigh(m[block])[1]).T
+    return K @ g0
+
+
+_SPENT = ("steering onto the diagonal moment slice kept failing; "
+          "the orbit may have no diagonal moment values")
+
+
+def _rotated_points(rng, b, blocks, count):
+    """`count` (g, moment value) pairs of a centralizer group: each draw
+    rotated onto the slice, and kept if its moment value is within 1e-11
+    of diagonal."""
+    C, points = b.tensor(), []
+    for _ in range(80 * count):
+        g = _rotated_onto_slice(C, _draw_block_element(rng, blocks, b.dim), blocks)
+        mv = moment_map(act(BasisChange(g), b))
+        if mv.offdiagonal_max() <= 1e-11:
+            points.append((g, mv))
+        if len(points) == count:
+            return points
+    raise NumericalError(_SPENT)
+
+
+def _steered_points(rng, b, blocks, count):
+    """orbit_sample's points for DiagPositive, steered in lockstep windows."""
+    C, n = b.tensor(), b.dim
+    points = []
+    budget = 80 * count
+    while len(points) < count:
+        draws, error = [], None   # (g0, rng state, budget) after each draw
+        while len(draws) < count - len(points):
+            budget -= 1
+            try:
+                if budget < 0:
+                    raise NumericalError(_SPENT)
+                g0 = _draw_block_element(rng, blocks, n)
+            except NumericalError as err:
+                error = err
+                break
+            draws.append((g0, rng.bit_generator.state, budget))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            steered = _steer(C, blocks, np.array([g0 for g0, _, _ in draws]).reshape(-1, n, n),
+                             np.zeros((len(draws), n)), check_start=True)
+        for g, (g0, state, left) in zip(steered, draws):
+            if g is None:
+                rng.bit_generator.state, budget = state, left
+                for _ in range(2):
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        (g,) = _steer(C, blocks, g0[None], (0.3 * rng.standard_normal(n))[None])
+                    if g is not None:
+                        break
+            if g is not None:
+                points.append((g, moment_map(act(BasisChange(g), b))))
+        if error is not None and (not steered or steered[-1] is not None):
+            raise error
+    return points
+
+
 _TAG_STREAM = {DIAG_POSITIVE: 11, TORUS_CENTRALIZER: 12, DERIVATION_CENTRALIZER: 13}
 
 
@@ -570,30 +591,33 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     """Sample `count` group elements and the moment values they induce.
 
     Diagonal entries are log-uniform in [e^-6, e^6], off-diagonal block
-    entries standard normal, near-singular draws rejected.  Each draw
-    is then steered inside the group onto the locus where the acted
-    moment value is diagonal, by a least-squares solve over g(x) =
-    exp(A(x)) g0 with A in the group's Lie algebra (block matrices),
-    from x = 0 and then from up to two random x; draws that cannot be
-    steered there (sign obstructions, roughly half the block draws on
-    some inputs) are discarded and redrawn, so the emitted diagonal
-    projections are genuine points of the diagonal image of the orbit.
+    entries standard normal, near-singular draws rejected.  Each draw g0
+    is then moved inside the group onto the locus where the acted moment
+    value is diagonal, so the emitted diagonal projections are genuine
+    points of the diagonal image of the orbit.  Every draw spends one of
+    80 * count; NumericalError is raised once they are spent.
 
-    The draws are steered in speculative windows, with the same bytes as
-    steering one draw at a time.  A window draws the `count - kept`
-    elements still missing, saving the rng state and the remaining
-    budget after each draw, and steers all of them from x = 0 in
-    lockstep, as the rows of one stacked solver (_steer), which takes no
-    randomness and gives each row the bits of a solve of its own.  The
-    walk then keeps
-    the window's draws in draw order up to the first whose solve does
-    not land.  That draw rewinds the rng and the budget to its
-    checkpoint, takes its random restarts there, and the draws after it
-    are dropped: the next window draws them again from the same rng
-    state.  An error met while drawing (budget spent, no well-conditioned
-    element) is raised only when the walk reaches it.  Groups with a
-    block larger than 2 x 2 draw windows of one: about half their draws
-    do not land from x = 0, so wider windows would mostly be dropped.
+    On TorusCentralizer and DerivationCentralizer one rotation inside
+    the group's blocks diagonalises the moment value in closed form
+    (_rotated_onto_slice).  Every rotated draw lands; one whose emitted
+    moment value were off-diagonal by more than 1e-11 would be redrawn.
+
+    DiagPositive draws, whose moment value on a basis that is not nice is
+    not diagonal, are steered by a least-squares solve over g(x) =
+    exp(diag(x)) g0, from x = 0 and then from up to two random x; a draw
+    that cannot be steered there is discarded and redrawn.  They are
+    steered in speculative windows, with the same bytes as steering one
+    draw at a time.  A window draws the `count - kept` elements still
+    missing, saving the rng state and the remaining budget after each
+    draw, and steers all of them from x = 0 in lockstep, as the rows of
+    one stacked solver (_steer), which takes no randomness and gives each
+    row the bits of a solve of its own.  The walk keeps the window's
+    draws in draw order up to the first whose solve does not land.  That
+    draw rewinds the rng and the budget to its checkpoint and takes its
+    random restarts there; the draws after it are dropped, and the next
+    window draws them again from the same rng state.  An error met while
+    drawing (budget spent, no well-conditioned element) is raised only
+    when the walk reaches it.
     """
     if tag not in GROUP_TAGS:
         raise PreconditionError(f"unknown group tag {tag!r}; "
@@ -603,42 +627,8 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     blocks = _group_blocks(tag, b, derivation)
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, _TAG_STREAM[tag])
-    C, n = b.tensor(), b.dim
-    size = sum(len(blk) ** 2 for blk in blocks)
-    speculate = max(len(blk) for blk in blocks) <= 2
-    points = []
-    budget = 80 * count
-    while len(points) < count:
-        draws, error = [], None   # (g0, rng state, budget) after each draw
-        while len(draws) < (count - len(points) if speculate else 1):
-            budget -= 1
-            try:
-                if budget < 0:
-                    raise NumericalError(
-                        "steering onto the diagonal moment slice kept failing; "
-                        "the orbit may have no diagonal moment values")
-                g0 = _draw_block_element(rng, blocks, n)
-            except NumericalError as err:
-                error = err
-                break
-            draws.append((g0, rng.bit_generator.state, budget))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            steered = _steer(C, blocks, np.array([g0 for g0, _, _ in draws]).reshape(-1, n, n),
-                             np.zeros((len(draws), size)), check_start=True)
-        for g, (g0, state, left) in zip(steered, draws):
-            if g is None:
-                rng.bit_generator.state, budget = state, left
-                for _ in range(2):
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        (g,) = _steer(C, blocks, g0[None],
-                                      (0.3 * rng.standard_normal(size))[None])
-                    if g is not None:
-                        break
-            if g is not None:
-                points.append((g, moment_map(act(BasisChange(g), b))))
-        if error is not None and (not steered or steered[-1] is not None):
-            raise error
-    return OrbitSample(tag, tuple(points), seed)
+    draw = _steered_points if tag == DIAG_POSITIVE else _rotated_points
+    return OrbitSample(tag, tuple(draw(rng, b, blocks, count)), seed)
 
 
 @dataclass(frozen=True, eq=False)
