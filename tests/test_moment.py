@@ -578,13 +578,14 @@ def steer_to_diagonal(C, g0, blocks, rng, poisoned=None):
     return None
 
 
-def sequential_sample(b, count, seed, poisoned=None):
-    """A DiagPositive orbit_sample one draw at a time, each draw steered to
-    the end before the next is drawn: the reference that the lockstep
-    windows must match byte for byte.  Returns the (g, moment matrix)
-    pairs."""
-    blocks = _group_blocks("DiagPositive", b)
-    rng = generator(seed, moment._TAG_STREAM["DiagPositive"])
+def sequential_sample(b, count, seed, poisoned=None, tag="DiagPositive", derivation=None):
+    """orbit_sample one draw at a time: a DiagPositive draw steered to the
+    end before the next is drawn, a centralizer-group draw rotated onto
+    the slice and kept if it lands.  The reference that the lockstep
+    windows, and the rotated draws, must match byte for byte.  Returns
+    the (g, moment matrix) pairs."""
+    blocks = _group_blocks(tag, b, derivation)
+    rng = generator(seed, moment._TAG_STREAM[tag])
     C, n = b.tensor(), b.dim
     points = []
     budget = 80 * count
@@ -595,7 +596,12 @@ def sequential_sample(b, count, seed, poisoned=None):
                 "steering onto the diagonal moment slice kept failing; "
                 "the orbit may have no diagonal moment values")
         g0 = moment._draw_block_element(rng, blocks, n)
-        g = steer_to_diagonal(C, g0, blocks, rng, poisoned)
+        if tag == "DiagPositive":
+            g = steer_to_diagonal(C, g0, blocks, rng, poisoned)
+        else:
+            g = moment._rotated_onto_slice(C, g0, blocks)
+            if moment_map(act(BasisChange(g), b)).offdiagonal_max() > 1e-11:
+                g = None
         if g is not None:
             points.append((g, moment_map(act(BasisChange(g), b)).matrix))
     return points
@@ -781,27 +787,34 @@ def _outcome(run):
 
 
 class TestLockstepSteering:
-    """orbit_sample steers its draws in lockstep windows; every sample must
-    have the bytes of sequential_sample, which steers one draw at a time."""
+    """orbit_sample steers DiagPositive draws in lockstep windows; every
+    sample must have the bytes of sequential_sample, which steers one draw
+    at a time.  Centralizer-group draws are rotated onto the slice one at
+    a time and take no steering solve."""
 
-    # (id, bracket, count, seed, hook, fewest windows whose first failing
-    # draw is not their last, fewest random restarts)
+    # (id, group tag, bracket, derivation, count, seed, hook, fewest
+    # windows whose first failing draw is not their last, fewest random
+    # restarts)
     CASES = [
-        ("DiagPositive", t5, 12, 3, None, 0, 0),
-        ("DiagPositive-filiform5", f5_sheared, 16, 5, None, 0, 0),
-        ("first-attempts-fail", t5, 12, 7, "poison", 3, 3),
-        ("singular-trials", t5, 8, 9, "singular", 0, 0),
+        ("DiagPositive", "DiagPositive", t5, None, 12, 3, None, 0, 0),
+        ("DiagPositive-filiform5", "DiagPositive", f5_sheared, None, 16, 5, None, 0, 0),
+        ("TorusCentralizer", "TorusCentralizer", t5, None, 16, 5, None, 0, 0),
+        ("DerivationCentralizer-pairs", "DerivationCentralizer", t5, D_PAIRS, 8, 12, None, 0, 0),
+        ("DerivationCentralizer-triple", "DerivationCentralizer", t5, D_TRIPLE, 8, 20, None,
+         0, 0),
+        ("first-attempts-fail", "DiagPositive", t5, None, 12, 7, "poison", 3, 3),
+        ("singular-trials", "DiagPositive", t5, None, 8, 9, "singular", 0, 0),
         # two points kept, then the budget runs out, and every failing
         # draw takes both random restarts
-        ("budget-spent", t5, 3, 4, "nan", 144, 476),
+        ("budget-spent", "DiagPositive", t5, None, 3, 4, "nan", 144, 476),
         # raising draws are drawn and dropped before one is reached
-        ("draw-raises", t5, 24, 7, "raise", 2, 4),
+        ("draw-raises", "DiagPositive", t5, None, 24, 7, "raise", 2, 4),
     ]
 
-    @pytest.mark.parametrize("bracket,count,seed,hook,rewinds,restarts",
+    @pytest.mark.parametrize("tag,bracket,derivation,count,seed,hook,rewinds,restarts",
                              [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-    def test_same_bytes_as_sequential_driver(self, monkeypatch, bracket, count, seed, hook,
-                                             rewinds, restarts):
+    def test_same_bytes_as_sequential_driver(self, monkeypatch, tag, bracket, derivation, count,
+                                             seed, hook, rewinds, restarts):
         b = bracket()
         poisoned, mixed, drawn = None, [], []
         if hook == "poison":
@@ -824,12 +837,12 @@ class TestLockstepSteering:
 
         monkeypatch.setattr(moment, "_steer", watching)
         got = _outcome(lambda: [(g, mv.matrix) for g, mv in orbit_sample(
-            "DiagPositive", b, count=count, seed=seed).points])
+            tag, b, count=count, seed=seed, derivation=derivation).points])
         last_drawn = drawn[-1].tobytes() if drawn else None
         if hook == "raise":
             assert sum(_crc(g0, 23) == 0 for g0 in drawn) > 1
         drawn.clear()
-        want = _outcome(lambda: sequential_sample(b, count, seed, poisoned))
+        want = _outcome(lambda: sequential_sample(b, count, seed, poisoned, tag, derivation))
         assert got == want
         assert (drawn[-1].tobytes() if drawn else None) == last_drawn
         if hook in ("nan", "raise"):
@@ -841,6 +854,8 @@ class TestLockstepSteering:
         assert sum(1 for start, *_ in windows if not start) >= restarts
         if hook == "singular":
             assert mixed
+        if tag != "DiagPositive":
+            assert windows == []
 
     @staticmethod
     def evaluator_counts(monkeypatch, run):
