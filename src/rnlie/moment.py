@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from ._hull import Hull, exact_hull
-from ._trf import trf_stack
 from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
 from .derivations import diagonal_derivation, diagonal_torus, weight_vector
 from .errors import NumericalError, PreconditionError
@@ -192,7 +191,7 @@ class OrbitSample:
     """Group elements paired with the moment values of the acted bracket.
 
     Every stored element has been driven onto the part of the orbit
-    where the moment value is diagonal (up to 1e-10), so the diagonal
+    where the moment value is diagonal (up to 1e-11), so the diagonal
     projections are faithful points of the diagonal image.
     """
 
@@ -339,10 +338,9 @@ def _block_layout(blocks):
 
 def _metric_factors(A, blocks, n):
     """exp(A) for each row of A, packed as pack_blocks lays out the
-    diagonal blocks: the metric factors h of the metric search, and the
-    group elements orbit steering applies to its draw.  np.exp on the 1 x
-    1 blocks, the closed form of _block2_exp on the 2 x 2 blocks, expm on
-    larger blocks.  Each row gives the same bits in any stack."""
+    diagonal blocks: the metric factors h of the metric search.  np.exp on
+    the 1 x 1 blocks, the closed form of _block2_exp on the 2 x 2 blocks,
+    expm on larger blocks.  Each row gives the same bits in any stack."""
     A = np.asarray(A, dtype=float)
     h = np.zeros((len(A), n, n))
     ones, pairs, larger = _block_layout(tuple(blocks))
@@ -364,141 +362,75 @@ def _metric_factors(A, blocks, n):
     return h
 
 
-def _exp_directions(x, blocks, n):
-    """The left-trivialised derivatives L_k = dexp_A(E_k) exp(-A) of exp
-    at A = unpack_blocks(x), one (n, n) slice per packed coordinate k:
-    moving x_k by t moves exp(A) to (1 + t L_k) exp(A) to first order.
-    For a stack of rows x, a stack of them.  Steering's blocks are 1 x 1,
-    where A is diagonal, commutes with every E_k and gives L_k = E_k."""
-    index = [i for (i,) in blocks]
-    L = np.zeros(np.shape(x) + (n, n))
-    L[..., np.arange(len(index)), index, index] = 1.0
-    return L
-
-
-def _steered(g0, blocks, x):
-    """exp(A(x)) g0, the element steering reaches at packed x."""
-    return _metric_factors(x[None], blocks, len(g0))[0] @ g0
+def _acted_moment_matrix(C, g):
+    """Moment matrix of the transformed structure tensor, all dense."""
+    nu = act_tensor(C, g)
+    flat = nu.ravel()
+    return gram_difference(nu) / np.vecdot(flat, flat)
 
 
 @functools.lru_cache(maxsize=16)
-def _upper(n):
-    """np.triu_indices(n, 1): the upper off-diagonal entries steering
-    drives to zero."""
-    return np.triu_indices(n, 1)
+def _slice_layout(n):
+    """W with W[i, j, k] = e_k - e_i - e_j, so that diag(e^s) . C is C
+    scaled entrywise by e^(W s) and its derivative in s_l is W[..., l]
+    times it; and np.triu_indices(n, 1), the upper off-diagonal entries
+    of the residual, kept since building them costs about as much as the
+    residual."""
+    eye = np.eye(n)
+    return eye[None, None] - eye[:, None, None] - eye[None, :, None], np.triu_indices(n, 1)
 
 
-def _acted_states(C, G):
-    """(nu, |nu|^2, m) for nu = g . C at each element g of the stack G:
-    the acted tensor, its squared norm and its moment matrix, which the
-    steering residual and Jacobian at one point share.  Each row gets the
-    bits of a stack of one; act_tensor raises LinAlgError if any g is
-    singular."""
-    nu = act_tensor(C, G)
-    flat = nu.reshape(len(nu), -1)
-    norms = np.vecdot(flat, flat)
-    return nu, norms, gram_difference(nu) / norms[:, None, None]
+def _slice_residual(C, s):
+    """The residual r(s) that DiagPositive sampling drives to zero, the
+    upper off-diagonal part of the moment matrix m of nu = diag(e^s) . C,
+    and the state (nu, |nu|^2, m) that its Jacobian takes."""
+    W, upper = _slice_layout(len(s))
+    nu = C * np.exp(W @ s)
+    flat = nu.ravel()
+    norm = np.vecdot(flat, flat)
+    m = gram_difference(nu) / norm
+    return m[upper], (nu, norm, m)
 
 
-def _acted_moment_matrix(C, g):
-    """Moment matrix of the transformed structure tensor, all dense."""
-    return _acted_states(C, np.asarray(g)[None])[2][0]
+def _slice_jacobian(nu, norm, m):
+    """The Jacobian in s of _slice_residual, from its state.  Along s_l,
+    nu moves by dnu = W_l * nu (_slice_layout), and m = B(nu, nu) /
+    |nu|^2, with B the bilinear form of gram_difference, by (B(dnu, nu) +
+    B(dnu, nu)^T - 2 <nu, dnu> m) / |nu|^2."""
+    W, (iu, ju) = _slice_layout(len(m))
+    dnu = np.moveaxis(W, -1, 0) * nu
+    B = gram_difference(dnu, nu)
+    inner = dnu.reshape(len(m), -1) @ nu.ravel()
+    dm = (B + B.swapaxes(-1, -2) - 2.0 * inner[:, None, None] * m) / norm
+    return dm[:, iu, ju].T
 
 
-def _steering_residuals(C, G0, blocks, X):
-    """The residual of orbit steering at each row x of X, the upper
-    off-diagonal entries of the moment matrix of exp(A(x)) g0 . C with g0
-    the matching row of G0, and the _acted_states there, which the
-    Jacobian at the same points takes.  A singular element gives a NaN
-    row.  Each row gets the bits of a stack of one."""
-    n = C.shape[-1]
-    G = _metric_factors(X, blocks, n) @ G0
-    try:
-        states = _acted_states(C, G)
-    except np.linalg.LinAlgError:
-        # one row at a time, so that only the singular rows are lost
-        states = (np.full((len(G), n, n, n), np.nan), np.full(len(G), np.nan),
-                  np.full((len(G), n, n), np.nan))
-        for k in range(len(G)):
-            try:
-                row = _acted_states(C, G[k:k + 1])
-            except np.linalg.LinAlgError:
-                continue
-            for whole, part in zip(states, row):
-                whole[k] = part[0]
-    iu, ju = _upper(n)
-    return states[2][:, iu, ju], states
+def _scaled_onto_slice(C, g0, blocks):
+    """diag(e^s) with s moved from log diag g0 towards the diagonal moment
+    slice, for a draw g0 of the DiagPositive group, whose `blocks` are all
+    1 x 1; g0 itself when its moment matrix is already within 1e-11 of
+    diagonal.
 
-
-def _steering_jacobians(C, blocks, X, states):
-    """Jacobian in x of the steering residual at each row x of X, one
-    column per packed coordinate; `states` is the _acted_states of
-    _steering_residuals at those points.  Each row gets the bits of a
-    stack of one.
-
-    Along L_k (_exp_directions) the action moves nu by dnu[i,j,c] =
-    sum_r L[c,r] nu[i,j,r] - sum_p L[p,i] nu[p,j,c] - sum_q L[q,j] nu[i,q,c],
-    and the moment m = B(nu, nu) / |nu|^2, with B the bilinear form of
-    gram_difference, by (B(dnu, nu) + B(dnu, nu)^T - 2 <nu, dnu> m) / |nu|^2.
+    Minimum-norm Gauss-Newton on _slice_residual: each step solves J ds =
+    -r by lstsq, which takes no step along the directions that leave r
+    unchanged (the overall scale, and exp of the diagonal derivations), so
+    the scales stay near the draw's.  It stops at max |r| <= 1e-13, at a
+    non-finite r or J, or after 60 steps; the caller checks whether the
+    element it returns lands.
     """
-    nu, norms, m = states
-    n = C.shape[-1]
-    L = _exp_directions(X, blocks, n)
-    Lt = L.swapaxes(-1, -2)
-    shape = L.shape[:2] + (n, n, n)   # (row, coordinate, i, j, c)
-    dnu = (nu.reshape(len(X), 1, n * n, n) @ Lt).reshape(shape)
-    dnu -= (Lt @ nu.reshape(len(X), 1, n, n * n)).reshape(shape)
-    dnu -= ((nu.swapaxes(-1, -2).reshape(len(X), 1, n * n, n) @ L)
-            .reshape(shape).swapaxes(-1, -2))
-    B = gram_difference(dnu, nu[:, None])
-    inner = dnu.reshape(shape[:2] + (-1,)) @ nu.reshape(len(X), -1, 1)
-    dm = (B + B.swapaxes(-1, -2) - 2.0 * inner[..., None] * m[:, None]) \
-        / norms[:, None, None, None]
-    iu, ju = _upper(n)
-    return dm[..., iu, ju].swapaxes(-1, -2)
-
-
-def _lands(f):
-    return np.abs(f).max() <= 1e-11
-
-
-def _steer(C, blocks, G0, X0, check_start=False):
-    """Steer each DiagPositive draw G0[k] from X0[k] towards the diagonal
-    moment slice, all draws in lockstep, and return the steered element
-    of each draw in order: exp(diag(x)) G0[k] where the solve lands
-    (off-diagonal entries within 1e-11), None where it does not.  The list
-    ends at the first None, and the solves of the draws after it are cut
-    short as soon as that failure is known.  With `check_start` (X0 = 0),
-    a draw that already lands at the start is its own steered element,
-    and the residual that says so is also its solve's first.
-
-    The solves are one _trf.trf_stack: scipy's trust-region method on
-    the analytic Jacobian of _steering_jacobians, the derivative of exp
-    pushed through the derivative of the action and of the moment map.
-    A round answers the residual requests of every live draw with one
-    stacked _steering_residuals call, and the Jacobian requests that
-    follow at the same points with one stacked _steering_jacobians call
-    on the rows of its states.  A trial point whose element is singular
-    is a rejected step.
-    """
-    latest = []   # the points and states of the latest residual call
-
-    def residuals(rows, X):
-        resid, states = _steering_residuals(
-            C, G0 if len(rows) == len(G0) else G0[rows], blocks, X)
-        latest[:] = X, states
-        return resid
-
-    def jacobians(positions):
-        X, states = latest
-        if len(positions) < len(X):
-            X, states = X[positions], tuple(part[positions] for part in states)
-        return _steering_jacobians(C, blocks, X, states)
-
-    results = trf_stack(residuals, jacobians, X0, ftol=3e-16, xtol=3e-16, max_nfev=300,
-                        lands=_lands, check_start=check_start)
-    return [None if not _lands(res.fun) else G0[k] if res.njev == 0
-            else _steered(G0[k], blocks, res.x) for k, res in enumerate(results)]
+    s = np.log(np.diag(g0))
+    for step in range(61):
+        r, state = _slice_residual(C, s)
+        worst = np.abs(r).max(initial=0.0)
+        if step == 0 and worst <= 1e-11:
+            return g0
+        if not np.isfinite(worst) or worst <= 1e-13 or step == 60:
+            break
+        J = _slice_jacobian(*state)
+        if not np.isfinite(J).all():
+            break
+        s -= np.linalg.lstsq(J, r, rcond=None)[0]
+    return np.diag(np.exp(s))
 
 
 def _nearest_identity(V):
@@ -533,54 +465,31 @@ _SPENT = ("steering onto the diagonal moment slice kept failing; "
           "the orbit may have no diagonal moment values")
 
 
-def _rotated_points(rng, b, blocks, count):
-    """`count` (g, moment value) pairs of a centralizer group: each draw
-    rotated onto the slice, and kept if its moment value is within 1e-11
-    of diagonal."""
+def _sliced_points(rng, b, blocks, count, onto_slice):
+    """`count` (g, moment value) pairs: each draw moved onto the slice by
+    onto_slice(C, g0, blocks), and kept if g and its acted bracket are
+    finite, the bracket is nonzero and its moment value is within 1e-11 of
+    diagonal."""
     C, points = b.tensor(), []
     for _ in range(80 * count):
-        g = _rotated_onto_slice(C, _draw_block_element(rng, blocks, b.dim), blocks)
-        mv = moment_map(act(BasisChange(g), b))
+        g0 = _draw_block_element(rng, blocks, b.dim)
+        try:
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                g = onto_slice(C, g0, blocks)
+                acted = act(BasisChange(g), b)
+        except np.linalg.LinAlgError:   # a singular g, or an SVD that failed
+            continue
+        # act's cut, which compares NaN as false, keeps the finite part of
+        # a non-finite g . b, and it keeps an infinite constant
+        if (not np.isfinite(g).all() or acted.is_zero()
+                or not all(map(math.isfinite, acted.constants.values()))):
+            continue
+        mv = moment_map(acted)
         if mv.offdiagonal_max() <= 1e-11:
             points.append((g, mv))
-        if len(points) == count:
-            return points
+            if len(points) == count:
+                return points
     raise NumericalError(_SPENT)
-
-
-def _steered_points(rng, b, blocks, count):
-    """orbit_sample's points for DiagPositive, steered in lockstep windows."""
-    C, n = b.tensor(), b.dim
-    points = []
-    budget = 80 * count
-    while len(points) < count:
-        draws, error = [], None   # (g0, rng state, budget) after each draw
-        while len(draws) < count - len(points):
-            budget -= 1
-            try:
-                if budget < 0:
-                    raise NumericalError(_SPENT)
-                g0 = _draw_block_element(rng, blocks, n)
-            except NumericalError as err:
-                error = err
-                break
-            draws.append((g0, rng.bit_generator.state, budget))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            steered = _steer(C, blocks, np.array([g0 for g0, _, _ in draws]).reshape(-1, n, n),
-                             np.zeros((len(draws), n)), check_start=True)
-        for g, (g0, state, left) in zip(steered, draws):
-            if g is None:
-                rng.bit_generator.state, budget = state, left
-                for _ in range(2):
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        (g,) = _steer(C, blocks, g0[None], (0.3 * rng.standard_normal(n))[None])
-                    if g is not None:
-                        break
-            if g is not None:
-                points.append((g, moment_map(act(BasisChange(g), b))))
-        if error is not None and (not steered or steered[-1] is not None):
-            raise error
-    return points
 
 
 _TAG_STREAM = {DIAG_POSITIVE: 11, TORUS_CENTRALIZER: 12, DERIVATION_CENTRALIZER: 13}
@@ -594,30 +503,19 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     entries standard normal, near-singular draws rejected.  Each draw g0
     is then moved inside the group onto the locus where the acted moment
     value is diagonal, so the emitted diagonal projections are genuine
-    points of the diagonal image of the orbit.  Every draw spends one of
-    80 * count; NumericalError is raised once they are spent.
+    points of the diagonal image of the orbit.  A draw is kept if its
+    element and acted bracket are finite, the bracket is nonzero and its
+    emitted moment value is within 1e-11 of diagonal; else it is redrawn.
+    Every draw spends one of 80 * count; NumericalError is raised once
+    they are spent.
 
     On TorusCentralizer and DerivationCentralizer one rotation inside
     the group's blocks diagonalises the moment value in closed form
-    (_rotated_onto_slice).  Every rotated draw lands; one whose emitted
-    moment value were off-diagonal by more than 1e-11 would be redrawn.
-
-    DiagPositive draws, whose moment value on a basis that is not nice is
-    not diagonal, are steered by a least-squares solve over g(x) =
-    exp(diag(x)) g0, from x = 0 and then from up to two random x; a draw
-    that cannot be steered there is discarded and redrawn.  They are
-    steered in speculative windows, with the same bytes as steering one
-    draw at a time.  A window draws the `count - kept` elements still
-    missing, saving the rng state and the remaining budget after each
-    draw, and steers all of them from x = 0 in lockstep, as the rows of
-    one stacked solver (_steer), which takes no randomness and gives each
-    row the bits of a solve of its own.  The walk keeps the window's
-    draws in draw order up to the first whose solve does not land.  That
-    draw rewinds the rng and the budget to its checkpoint and takes its
-    random restarts there; the draws after it are dropped, and the next
-    window draws them again from the same rng state.  An error met while
-    drawing (budget spent, no well-conditioned element) is raised only
-    when the walk reaches it.
+    (_rotated_onto_slice), and every draw lands.  A DiagPositive draw,
+    whose moment value on a basis that is not nice is not diagonal, is
+    moved by minimum-norm Gauss-Newton in its log scales
+    (_scaled_onto_slice): diag(e^s) . C is C scaled entrywise, so the
+    residual and its Jacobian are closed forms in s.
     """
     if tag not in GROUP_TAGS:
         raise PreconditionError(f"unknown group tag {tag!r}; "
@@ -627,8 +525,8 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     blocks = _group_blocks(tag, b, derivation)
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, _TAG_STREAM[tag])
-    draw = _steered_points if tag == DIAG_POSITIVE else _rotated_points
-    return OrbitSample(tag, tuple(draw(rng, b, blocks, count)), seed)
+    onto_slice = _scaled_onto_slice if tag == DIAG_POSITIVE else _rotated_onto_slice
+    return OrbitSample(tag, tuple(_sliced_points(rng, b, blocks, count, onto_slice)), seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,3 +73,37 @@ def _unread_locals(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert _unread_locals(path) == []
+
+
+def _unreferenced_private_names():
+    """Module-level private names (functions, classes and constants whose
+    name starts with one underscore) in the package that no module of it
+    reads, as a name or as an attribute."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                sides = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for side in sides for n in ast.walk(side)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(name, node.lineno, t) for t in targets
+                        if t.startswith("_") and not t.startswith("__")]
+    return sorted(f"{name}:{line} {target}" for name, line, target in defined
+                  if target not in read)
+
+
+def test_no_unreferenced_private_names():
+    assert _unreferenced_private_names() == []
