@@ -138,7 +138,9 @@ def act(h: BasisChange, b: Bracket) -> Bracket:
     """Basis-change action (h . mu)(x, y) = h mu(h^-1 x, h^-1 y).
 
     This is a left action: act(h1 @ h2, mu) = act(h1, act(h2, mu)).
-    Rational h on a rational bracket stays exact.
+    Rational h on a rational bracket stays exact.  A float h with a
+    non-finite entry raises PreconditionError: its bracket would be NaN
+    wherever that entry reaches, and the cut below drops NaN constants.
     """
     if not isinstance(h, BasisChange):
         h = BasisChange(h)
@@ -164,7 +166,10 @@ def act(h: BasisChange, b: Bracket) -> Bracket:
                             new[key] = new.get(key, Fraction(0)) + w * hm[k][r]
         return Bracket(b.dim, {t: c for t, c in new.items() if c != 0}, RATIONAL)
 
-    Cp = act_tensor(b.tensor(), h.as_array())
+    H = h.as_array()
+    if not np.isfinite(H).all():
+        raise PreconditionError("basis change matrix has a non-finite entry")
+    Cp = act_tensor(b.tensor(), H)
     cut = 1e-14 * max(1.0, float(np.abs(Cp).max(initial=0.0)))
     iu, ju = np.triu_indices(b.dim, 1)
     upper = Cp[iu, ju]  # rows are the pairs i < j in order, so keys come out sorted

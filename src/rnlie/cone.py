@@ -4,7 +4,9 @@ Membership goes through the certificate routes.  A cross-section at a
 trace level is exact when the basis is nice with a multiplicity-free
 torus: Fourier-Motzkin elimination of the multipliers gives the facet
 rows, and double description (`_hull.hrep_vertices`) their vertices.
-Otherwise it is a seeded inner approximation by support probes.
+Otherwise it is a seeded inner approximation by support probes: float
+LPs over a sampled orbit, which a dense two-phase simplex with Bland's
+rule solves here (one phase 1 per section, one phase 2 per probe).
 
 MAX_EXACT_TORUS_DIM bounds the exact regime.  What it protects now is
 the elimination, whose row count can square with each multiplier it
@@ -183,8 +185,20 @@ def _probe_directions(d: int, resolution: int, rng) -> np.ndarray:
 
 
 def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSection:
-    from scipy.optimize import linprog
+    """Inner approximation of the section at trace level t.  Each probe
+    direction u (2^d sign vectors, the 2d signed axes, then `resolution`
+    seeded ones) gives the c of an optimal (c, a) for: maximise
+    u . c - 1e-9 sum(a) subject to B^T c - P^T a >= _PROBE_MARGIN,
+    sum(a) <= 1e4, tr c = t and a >= 0, with P the diagonals of a
+    48-point TorusCentralizer orbit sample.  Points within 1e-7 of an
+    earlier one are dropped, and the extreme ones are the vertices.
 
+    The region does not depend on u, so _probe_points runs phase 1 once
+    and a phase 2 per direction.  Where a probe's optimum is a whole
+    face, any optimal vertex of the (c, a) program may come back: two LP
+    solvers can give different points for one section, each a valid
+    optimum with the same support value u . c.
+    """
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, _CONE_STREAM)
     sample = orbit_sample(TORUS_CENTRALIZER, b, count=SAMPLE_COUNT, seed=seed)
@@ -202,23 +216,193 @@ def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSecti
     a_eq = np.zeros((1, d + m))
     a_eq[0, :d] = trace_row
     b_eq = np.array([float(t)])
-    bounds = [(None, None)] * d + [(0, None)] * m
-    found = []
-    for u in _probe_directions(d, resolution, rng):
-        c_obj = np.concatenate([-u, 1e-9 * np.ones(m)])
-        res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if res.status == 0:
-            found.append(res.x[:d])
+    found = _probe_points(a_ub, b_ub, a_eq, b_eq,
+                          _probe_directions(d, resolution, rng))
     if not found:
         raise NumericalError("no certified probe point at this trace level")
-    found = np.array(found)
     keep = []
     for row in found:
         if not any(np.abs(row - k).max() <= 1e-7 for k in keep):
             keep.append(row)
     verts = _extreme_subset(np.array(keep))
     return ConeSection(torus, float(t), verts, SAMPLED_INNER, None)
+
+
+# The probes' float simplex works on rows scaled to unit max |coefficient|.
+# A column enters on a reduced cost below -_COST_TOL, well under the mass
+# cost, and is pivoted on only where its entry exceeds _PIVOT_TOL.
+_COST_TOL = 1e-12
+_PIVOT_TOL = 1e-9
+_FEAS_TOL = 1e-12   # basic values below -_FEAS_TOL are repaired
+_MASS_COST = 1e-9
+_MAX_PIVOTS = 1000
+_PHASE2_RUNS = 3    # per direction: the first run, then two after a rebuild
+
+
+def _probe_points(a_ub, b_ub, a_eq, b_eq, directions) -> list:
+    """The c part of an optimal vertex of: maximise u . c - 1e-9 sum(a)
+    over A_ub (c, a) <= b_ub, A_eq (c, a) = b_eq, c free, a >= 0, for
+    each direction u (c has len(u) entries).
+
+    Dense two-phase simplex with Bland's rule.  Phase 1 runs once
+    (_feasible_basis); each u runs phase 2 on a copy of the feasible
+    tableau.  The final tableau is rebuilt from its basis, and its
+    vertex, coefficients clipped at zero, is kept if it meets the
+    unscaled rows within 1e-9 and the equalities within
+    1e-9 max(1, |b_eq|).  Pivots on small entries let a tableau drift
+    from the basis it stands for, so a final basis can be slightly
+    infeasible or look unbounded; then dual simplex steps on the rebuilt
+    tableau restore feasibility and phase 2 runs again, _PHASE2_RUNS
+    runs in all.  A u that stays unbounded or never passes gives no
+    point.  An empty region and a phase that reaches _MAX_PIVOTS pivots
+    raise NumericalError.
+    """
+    d = len(directions[0])
+    m = a_ub.shape[1] - d
+    rows, rhs, basis = _feasible_basis(*_standard_rows(a_ub, b_ub, a_eq, b_eq, d))
+    start = _tableau(rows, rhs, basis)
+    if start is None:
+        raise NumericalError("phase 1 ended on a singular basis")
+    eq_tol = 1e-9 * np.maximum(1.0, np.abs(b_eq))
+    points = []
+    for u in directions:
+        cost = np.zeros(rows.shape[1])
+        cost[:2 * d + m] = np.concatenate([u, -u, np.full(m, -_MASS_COST)])
+        tab, final = _priced(start.copy(), basis, cost), basis.copy()
+        for _ in range(_PHASE2_RUNS):
+            bounded = _bland(tab, final, len(cost))
+            tab = _tableau(rows, rhs, final)
+            if tab is None:
+                break
+            x = np.zeros(len(cost))
+            x[final] = tab[:-1, -1]
+            c, a = x[:d] - x[d:2 * d], np.maximum(x[2 * d:2 * d + m], 0.0)
+            ca = np.concatenate([c, a])
+            if (bounded and (a_ub @ ca - b_ub <= 1e-9).all()
+                    and (np.abs(a_eq @ ca - b_eq) <= eq_tol).all()):
+                points.append(c)
+                break
+            if not _dual(_priced(tab, final, cost), final, len(cost)):
+                break
+    return points
+
+
+def _standard_rows(a_ub, b_ub, a_eq, b_eq, d):
+    """The rows over (c+, c-, a, slacks), c = c+ - c-, one slack per
+    inequality, each flipped to a nonnegative right-hand side and scaled
+    to unit max |coefficient|; and each row's slack column where that
+    kept a positive sign, else -1."""
+    k, m = len(b_ub), a_ub.shape[1] - d
+    joint = np.vstack([a_ub, a_eq])
+    rows = np.zeros((len(joint), 2 * d + m + k))
+    rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:2 * d + m] = (
+        joint[:, :d], -joint[:, :d], joint[:, d:])
+    rows[:k, 2 * d + m:] = np.eye(k)
+    rhs = np.concatenate([b_ub, b_eq]).astype(float)
+    sign = np.where(rhs < 0, -1.0, 1.0)
+    slack = np.full(len(rows), -1)
+    slack[:k] = np.where(sign[:k] > 0, 2 * d + m + np.arange(k), -1)
+    scale = sign / np.abs(rows).max(axis=1)
+    return rows * scale[:, None], rhs * scale, slack
+
+
+def _feasible_basis(rows, rhs, slack):
+    """Phase 1: a feasible basis of rows x = rhs, x >= 0, and the rows
+    and right-hand sides it spans.  A row starts on its slack where it
+    has one (slack[r] >= 0), else on an artificial.  A row whose
+    artificial cannot leave at zero is redundant and dropped.
+    NumericalError if the artificials keep a sum over 1e-9."""
+    nrows, ncols = rows.shape
+    art = np.flatnonzero(slack < 0)
+    tab = np.zeros((nrows + 1, ncols + len(art) + 1))
+    tab[:-1, :ncols], tab[:-1, -1] = rows, rhs
+    tab[art, ncols + np.arange(len(art))] = 1.0
+    basis = slack.copy()
+    basis[art] = ncols + np.arange(len(art))
+    for r in np.flatnonzero(slack >= 0):
+        tab[r] /= tab[r, slack[r]]
+    tab[-1] = -tab[art].sum(axis=0)  # maximise -sum(artificials)
+    tab[-1, ncols:-1] = 0.0
+    _bland(tab, basis, ncols)
+    if tab[-1, -1] < -1e-9:
+        raise NumericalError("no certified probe point at this trace level")
+    keep = []
+    for r in range(nrows):
+        if basis[r] >= ncols:  # an artificial still basic, at zero
+            j = int(np.argmax(np.abs(tab[r, :ncols])))
+            if abs(tab[r, j]) <= _PIVOT_TOL:
+                continue
+            _pivot(tab, basis, r, j)
+        keep.append(r)
+    return rows[keep], rhs[keep], basis[keep]
+
+
+def _tableau(rows, rhs, basis):
+    """The tableau of `basis` solved afresh from the rows, with an
+    objective row left zero; None if the basis is singular."""
+    tab = np.zeros((len(rows) + 1, rows.shape[1] + 1))
+    try:
+        tab[:-1] = np.linalg.solve(rows[:, basis], np.column_stack([rows, rhs]))
+    except np.linalg.LinAlgError:
+        return None
+    tab[:-1, basis] = np.eye(len(basis))
+    return tab
+
+
+def _priced(tab, basis, cost):
+    """Fill the objective row: reduced costs, zero on the basis, and the
+    objective value last."""
+    tab[-1] = cost[basis] @ tab[:-1]
+    tab[-1, :-1] -= cost
+    tab[-1, basis] = 0.0
+    return tab
+
+
+def _bland(tab, basis, ncols) -> bool:
+    """Primal simplex on a float tableau whose last row holds the reduced
+    costs and the objective value, maximising, from a feasible basis.
+    Bland's rule: the first of the first `ncols` columns with a reduced
+    cost below -_COST_TOL enters, and the least ratio leaves, exact ties
+    on the lower basis index.  False if the entering column is
+    unbounded."""
+    for _ in range(_MAX_PIVOTS):
+        enter = np.flatnonzero(tab[-1, :ncols] < -_COST_TOL)
+        if not enter.size:
+            return True
+        j = enter[0]
+        cand = np.flatnonzero(tab[:-1, j] > _PIVOT_TOL)
+        if not cand.size:
+            return False
+        ratios = np.maximum(tab[cand, -1], 0.0) / tab[cand, j]
+        ties = cand[ratios == ratios.min()]
+        _pivot(tab, basis, ties[np.argmin(basis[ties])], j)
+    raise NumericalError(f"simplex reached {_MAX_PIVOTS} pivots")
+
+
+def _dual(tab, basis, ncols) -> bool:
+    """Dual simplex steps until no basic value is below -_FEAS_TOL: the
+    row of the lowest such basic index leaves, and the column of least
+    ratio reduced cost / -entry enters, ties on the lower index.  False
+    if a row cannot be repaired."""
+    for _ in range(_MAX_PIVOTS):
+        low = np.flatnonzero(tab[:-1, -1] < -_FEAS_TOL)
+        if not low.size:
+            return True
+        r = low[np.argmin(basis[low])]
+        cand = np.flatnonzero(tab[r, :ncols] < -_PIVOT_TOL)
+        if not cand.size:
+            return False
+        ratios = np.maximum(tab[-1, cand], 0.0) / -tab[r, cand]
+        _pivot(tab, basis, r, cand[np.argmin(ratios)])
+    raise NumericalError(f"simplex reached {_MAX_PIVOTS} pivots")
+
+
+def _pivot(tab, basis, r, j):
+    tab[r] /= tab[r, j]
+    col = tab[:, j].copy()
+    col[r] = 0.0
+    tab -= np.outer(col, tab[r])
+    basis[r] = j
 
 
 def _extreme_subset(points: np.ndarray) -> tuple:

@@ -476,13 +476,13 @@ def _sliced_points(rng, b, blocks, count, onto_slice):
         try:
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 g = onto_slice(C, g0, blocks)
+                if not np.isfinite(g).all():   # act refuses it
+                    continue
                 acted = act(BasisChange(g), b)
         except np.linalg.LinAlgError:   # a singular g, or an SVD that failed
             continue
-        # act's cut, which compares NaN as false, keeps the finite part of
-        # a non-finite g . b, and it keeps an infinite constant
-        if (not np.isfinite(g).all() or acted.is_zero()
-                or not all(map(math.isfinite, acted.constants.values()))):
+        # a finite g can still overflow g . b into infinite constants
+        if acted.is_zero() or not all(map(math.isfinite, acted.constants.values())):
             continue
         mv = moment_map(acted)
         if mv.offdiagonal_max() <= 1e-11:

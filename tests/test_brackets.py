@@ -144,6 +144,21 @@ class TestAction:
         g = np.eye(5) + 0.3 * rng.normal(size=(5, 5))
         assert is_lie(act(BasisChange(g), tricky5().to_float()))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_basis_change_is_refused(self, bad):
+        """A non-finite entry would turn the constants it reaches into NaN,
+        which the cut drops: diag(1, 1, inf, 1, 1) used to return
+        [e1,e2]->e4 and [e1,e4]->e5, and a NaN entry the zero bracket."""
+        h = np.eye(5)
+        h[2, 2] = bad
+        for b in (tricky5(), tricky5().to_float()):
+            with pytest.raises(PreconditionError, match="non-finite"):
+                act(BasisChange(h), b)
+        h = np.eye(5)
+        h[0, 3] = bad
+        with pytest.raises(PreconditionError, match="non-finite"):
+            act(h, tricky5())
+
 
 def test_direct_sum_block_structure():
     s = direct_sum(h3(), Bracket(1, {}))

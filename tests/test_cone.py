@@ -6,14 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rnlie import _rational
+from rnlie import _rational, cone
+from rnlie.brackets import direct_sum
 from rnlie.cone import (EXACT, IN, OUT, SAMPLED_INNER, ConeSection,
                         _exact_section, cone_membership, cone_section,
                         containment_audit, weyl_invariance_check)
 from rnlie.certify import SrnCertificate, certify_srn_nice
 from rnlie.corpus import corpus
 from rnlie.derivations import diagonal_torus
-from rnlie.errors import PreconditionError
+from rnlie.errors import NumericalError, PreconditionError
+from rnlie.rng import generator
 
 h3 = corpus("heisenberg", 3).bracket
 h5 = corpus("heisenberg", 5).bracket
@@ -188,6 +190,112 @@ class TestSampledSection:
         a = cone_section(t5, 1, resolution=16, seed=4)
         b = cone_section(t5, 1, resolution=16, seed=4)
         assert a.vertices == b.vertices
+
+
+def _highs_points(a_ub, b_ub, a_eq, b_eq, directions):
+    """The probe points from scipy's HiGHS, the solver the probes used
+    before: the reference for cone._probe_points."""
+    from scipy.optimize import linprog
+    d, m = directions.shape[1], a_ub.shape[1] - directions.shape[1]
+    found = []
+    for u in directions:
+        res = linprog(np.concatenate([-u, 1e-9 * np.ones(m)]), A_ub=a_ub, b_ub=b_ub,
+                      A_eq=a_eq, b_eq=b_eq, bounds=[(None, None)] * d + [(0, None)] * m,
+                      method="highs")
+        if res.status == 0:
+            found.append(res.x[:d])
+    return found
+
+
+def _highs_section(monkeypatch, b, t, resolution, seed):
+    with monkeypatch.context() as patch:
+        patch.setattr(cone, "_probe_points", _highs_points)
+        return cone_section(b, t, resolution=resolution, seed=seed)
+
+
+def _probe_lp(d, rows, rhs, trace_row, level):
+    """A probe program over (c, a) with one coefficient a: the rows
+    rows . c <= rhs, the mass row a <= 1e4 and trace_row . c = level."""
+    a_ub = np.zeros((len(rows) + 1, d + 1))
+    a_ub[:-1, :d] = rows
+    a_ub[-1, d] = 1.0
+    return (a_ub, np.array(list(rhs) + [1e4]), np.array([list(trace_row) + [0.0]]),
+            np.array([float(level)]))
+
+
+class TestProbeSimplex:
+    """cone._probe_points, the float simplex behind sampled sections,
+    against HiGHS.  Where a probe's optimum is a whole face the two
+    solvers may return different optimal points, so tricky5's segment is
+    compared by its vertices and the sections of torus dimension 3 and 4
+    by their support values."""
+
+    @pytest.mark.parametrize("resolution,t", [(12, 1), (64, 3)])
+    def test_tricky5_vertices_match_highs(self, monkeypatch, resolution, t):
+        for seed in range(1, 11):
+            ours = np.array(cone_section(t5, t, resolution=resolution, seed=seed).vertices)
+            ref = np.array(_highs_section(monkeypatch, t5, t, resolution, seed).vertices)
+            dist = np.abs(ours[:, None] - ref[None]).max(axis=2)
+            assert len(ours) == len(ref) == 2
+            assert dist.min(axis=1).max() <= 1e-7 and dist.min(axis=0).max() <= 1e-7
+
+    @pytest.mark.parametrize("summand", [("abelian", 1), ("heisenberg", 3)],
+                             ids=["torus3", "torus4"])
+    @pytest.mark.parametrize("resolution,t", [(12, 1), (64, 3)])
+    def test_support_values_match_highs(self, monkeypatch, summand, resolution, t):
+        """Seeds 23 and 31 on torus dimension 4 lose a vertex, and the
+        support value in its directions by 1.5 to 2.5, unless a drifted
+        final basis is rebuilt and repaired."""
+        b = direct_sum(t5, corpus(*summand).bracket)
+        d = diagonal_torus(b).dim
+        assert d == (3 if summand[0] == "abelian" else 4)
+        for seed in [*range(1, 11), 23, 31]:
+            ours = np.array(cone_section(b, t, resolution=resolution, seed=seed).vertices)
+            ref = np.array(_highs_section(monkeypatch, b, t, resolution, seed).vertices)
+            dirs = cone._probe_directions(d, resolution, generator(seed, cone._CONE_STREAM))
+            gap = np.abs((ours @ dirs.T).max(axis=0) - (ref @ dirs.T).max(axis=0))
+            assert gap.max() <= 1e-8 * t
+
+    @pytest.mark.parametrize("seed", [17, 42])
+    def test_tricky5_segment_at_trace_three(self, seed):
+        """The section is a segment.  HiGHS returned an endpoint 1.1e-7
+        off, just past the 1e-7 dedup, and so three vertices."""
+        s = cone_section(t5, 3, resolution=64, seed=seed)
+        assert s.exactness == SAMPLED_INNER and len(s.vertices) == 2
+
+    def test_empty_region_raises(self):
+        # c1 <= -1 and -c1 <= 0 leave nothing
+        lp = _probe_lp(2, [[1.0, 0.0], [-1.0, 0.0]], [-1.0, 0.0], [1.0, 1.0], 1)
+        with pytest.raises(NumericalError, match="no certified probe point"):
+            cone._probe_points(*lp, np.array([[1.0, 0.0]]))
+
+    def test_unbounded_probes_are_skipped(self):
+        # c1 >= 0 on c1 + c2 = 1: unbounded along (1, 0) and (0, -1)
+        lp = _probe_lp(2, [[-1.0, 0.0]], [0.0], [1.0, 1.0], 1)
+        dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        points = cone._probe_points(*lp, dirs)
+        assert len(points) == 2
+        assert all(np.abs(p - [0.0, 1.0]).max() <= 1e-12 for p in points)
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(cone, "_MAX_PIVOTS", 2)
+        with pytest.raises(NumericalError, match="pivots"):
+            cone_section(t5, 1, resolution=12, seed=5)
+
+    def test_points_off_their_rows_are_not_kept(self, monkeypatch):
+        """Each vertex is checked against the unscaled rows: a rebuilt
+        tableau whose values are shifted by 1e-6 gives no point at all."""
+        rebuild = cone._tableau
+
+        def shifted(rows, rhs, basis):
+            tab = rebuild(rows, rhs, basis)
+            tab[:-1, -1] += 1e-6
+            return tab
+
+        lp = _probe_lp(2, [[-1.0, 0.0]], [0.0], [1.0, 1.0], 1)
+        assert len(cone._probe_points(*lp, np.array([[-1.0, 0.0]]))) == 1
+        monkeypatch.setattr(cone, "_tableau", shifted)
+        assert cone._probe_points(*lp, np.array([[-1.0, 0.0]])) == []
 
 
 class TestWeylInvariance:

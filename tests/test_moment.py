@@ -450,9 +450,11 @@ def sequential_sample(b, count, seed, tag="DiagPositive", derivation=None):
         g0 = moment._draw_block_element(rng, blocks, n)
         with np.errstate(all="ignore"):
             g = move(C, g0, blocks)
+            if not np.isfinite(g).all():   # act refuses a non-finite g
+                continue
             acted = act(BasisChange(g), b)
         constants = list(acted.constants.values())
-        if np.isfinite(g).all() and constants and np.isfinite(constants).all():
+        if constants and np.isfinite(constants).all():
             mv = moment_map(acted)
             if mv.offdiagonal_max() <= 1e-11:
                 points.append((g, mv.matrix))
@@ -692,6 +694,24 @@ class TestTrustRegionPort:
         *_, certify, diagonal = proc.stdout.splitlines()
         assert '"Certificate"' in proc.stdout
         assert (certify, diagonal) == ("[]", "[]")
+
+    def test_sampled_cone_section_loads_no_scipy(self):
+        """Acceptance 10's cone command, a sampled section of tricky5 whose
+        20 support probes the float simplex in cone.py solves, loads no
+        scipy module (it loaded 321 with HiGHS)."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = ("import sys; from rnlie.cli import main; "
+                "main(['cone', '--algebra', 'tricky5', '--trace-level', '1', "
+                "'--resolution', '12', '--seed', '5']); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert '"SampledInner"' in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # 2 x 2 blocks [[a, b], [c, d]] by the sign and size of delta^2 = ((a - d)/2)^2 + bc
