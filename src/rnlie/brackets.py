@@ -169,13 +169,25 @@ def act(h: BasisChange, b: Bracket) -> Bracket:
     H = h.as_array()
     if not np.isfinite(H).all():
         raise PreconditionError("basis change matrix has a non-finite entry")
-    Cp = act_tensor(b.tensor(), H)
-    cut = 1e-14 * max(1.0, float(np.abs(Cp).max(initial=0.0)))
-    iu, ju = np.triu_indices(b.dim, 1)
-    upper = Cp[iu, ju]  # rows are the pairs i < j in order, so keys come out sorted
-    rows, ks = np.nonzero(np.abs(upper) > cut)
-    new = {(int(iu[r]), int(ju[r]), int(k)): float(upper[r, k]) for r, k in zip(rows, ks)}
+    T = cut_tensor(act_tensor(b.tensor(), H))
+    # nonzero entries in (i, j, k) order, so the keys i < j come out sorted
+    new = {(i, j, k): float(T[i, j, k]) for i, j, k in np.argwhere(T).tolist() if i < j}
     return Bracket(b.dim, new, FLOAT)
+
+
+def cut_tensor(Cp: np.ndarray) -> np.ndarray:
+    """The structure tensor of the float bracket act builds from an acted
+    tensor Cp: the constants c_ij^k, i < j, at most 1e-14 times the larger
+    of 1 and max |Cp| in size (NaN ones too) cut to zero, and the rest
+    rebuilt antisymmetric with the bytes of Bracket.tensor.  Cp may carry
+    leading stack axes, each slice cut by its own max."""
+    top = np.abs(Cp).max(axis=(-3, -2, -1), initial=0.0)
+    cut = 1e-14 * np.where(top > 1.0, top, 1.0)   # max(1.0, top), 1.0 for a NaN top
+    i = np.arange(Cp.shape[-1])
+    above = (i[:, None] < i)[:, :, None]
+    upper = np.where(above & (np.abs(Cp) > cut[..., None, None, None]), Cp, 0.0)
+    # c - 0.0 above the diagonal, 0.0 - c below it: +0.0 where cut, as in Bracket.tensor
+    return upper - np.swapaxes(upper, -3, -2)
 
 
 def act_tensor(C: np.ndarray, H) -> np.ndarray:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._hull import Hull, exact_hull
-from .brackets import Bracket, BasisChange, act, act_tensor, gram_difference
+from .brackets import Bracket, act_tensor, cut_tensor, gram_difference
 from .derivations import diagonal_derivation, diagonal_torus, weight_vector
 from .errors import NumericalError, PreconditionError
 from .rng import default_seed, generator
@@ -94,8 +94,7 @@ def moment_map(b: Bracket) -> MomentValue:
         exact = _moment_exact(b)
         mat = np.array([[float(x) for x in row] for row in exact])
         return MomentValue(mat, exact)
-    C = b.tensor()
-    return MomentValue(gram_difference(C) / float(np.vdot(C, C)))
+    return MomentValue(_moment_matrices(b.tensor()))
 
 
 def weight_matrix(triple, dim) -> np.ndarray:
@@ -202,13 +201,18 @@ class OrbitSample:
     def verify(self, b: Bracket):
         """Raise PreconditionError unless every stored moment value
         recomputes within 1e-10 from its group element acting on b: a
-        sample drawn for another bracket fails here."""
-        for g, mv in self.points:
-            again = moment_map(act(BasisChange(g), b))
-            if np.abs(again.matrix - mv.matrix).max() > 1e-10:
-                raise PreconditionError(
-                    "stored moment value does not recompute; "
-                    "the sample was drawn for another bracket")
+        sample drawn for another bracket fails here.  The elements are
+        acted on and measured as one stack, as _sliced_points drew them."""
+        if not self.points:
+            return
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            again = _moment_matrices(cut_tensor(act_tensor(
+                b.tensor(), np.array([g for g, _ in self.points]))))
+            gap = np.abs(again - np.array([mv.matrix for _, mv in self.points])).max()
+        if not gap <= 1e-10:
+            raise PreconditionError(
+                "stored moment value does not recompute; "
+                "the sample was drawn for another bracket")
 
     def diagonals(self) -> np.ndarray:
         return np.array([np.diag(mv.matrix) for _, mv in self.points])
@@ -267,18 +271,39 @@ def unpack_blocks(x, blocks, n: int) -> np.ndarray:
     return A.reshape(x.shape[:-1] + (n, n))
 
 
-def _draw_block_element(rng, blocks, n):
-    for _ in range(64):
-        g = np.zeros((n, n))
-        for blk in blocks:
-            k = len(blk)
-            sub = rng.standard_normal((k, k))
-            for t in range(k):
-                sub[t, t] = math.exp(rng.uniform(-6.0, 6.0))
-            g[np.ix_(blk, blk)] = sub
-        if np.linalg.cond(g) < 1e8:
-            return g
-    raise NumericalError("could not draw a well-conditioned group element")
+def _draw_block_elements(rng, blocks, n, k):
+    """k elements of the block-diagonal group as a (k, n, n) stack, drawn
+    one after another: for each block of size s, standard_normal(s * s)
+    for its entries, then uniform(-6, 6, s) for the logs of its diagonal
+    entries, which replace the normals there (a 1 x 1 block throws its
+    normal away), one math.exp each, as np.exp differs in the last bit.
+    An element whose condition number is 1e8 or more is redrawn in stream
+    order, so the stack holds the first k well-conditioned elements of the
+    stream; 64 such draws in a row raise NumericalError."""
+    sizes = [len(blk) for blk in blocks]
+    diagonal, width = [], 0
+    for s in sizes:
+        diagonal += range(width, width + s * s, s + 1)
+        width += s * s
+    kept, streak = [], 0
+    while len(kept) < k:
+        need = k - len(kept)
+        normals, logs = [], []
+        for _ in range(need):
+            for s in sizes:
+                normals.append(rng.standard_normal(s * s))
+                logs.append(rng.uniform(-6.0, 6.0, s))
+        X = np.concatenate(normals).reshape(need, width)
+        X[:, diagonal] = np.reshape([math.exp(u) for u in np.concatenate(logs).tolist()],
+                                    (need, len(diagonal)))
+        G = unpack_blocks(X, blocks, n)
+        for g, fine in zip(G, np.linalg.cond(G) < 1e8):
+            streak = 0 if fine else streak + 1
+            if fine:
+                kept.append(g)
+            elif streak == 64:
+                raise NumericalError("could not draw a well-conditioned group element")
+    return np.array(kept)
 
 
 # Taylor coefficients in z = d^2 of cosh(d) and sinh(d)/d, highest power
@@ -362,11 +387,18 @@ def _metric_factors(A, blocks, n):
     return h
 
 
+def _moment_matrices(C):
+    """The moment matrix of each structure tensor of the stack C: its
+    gram_difference over its squared norm, the bytes of moment_map on a
+    float bracket."""
+    flat = C.reshape(C.shape[:-3] + (C.shape[-1] ** 3,))
+    return gram_difference(C) / np.vecdot(flat, flat)[..., None, None]
+
+
 def _acted_moment_matrix(C, g):
-    """Moment matrix of the transformed structure tensor, all dense."""
-    nu = act_tensor(C, g)
-    flat = nu.ravel()
-    return gram_difference(nu) / np.vecdot(flat, flat)
+    """Moment matrix of the transformed structure tensor, all dense; a
+    stack of them when g is a stack."""
+    return _moment_matrices(act_tensor(C, g))
 
 
 @functools.lru_cache(maxsize=16)
@@ -446,19 +478,51 @@ def _nearest_identity(V):
     return W
 
 
-def _rotated_onto_slice(C, g0, blocks):
-    """K g0 for the block-diagonal orthogonal K that diagonalises the
-    moment matrix m of g0 . C, as m(K . nu) = K m(nu) K^T.  For g0 in a
-    centralizer group m is block diagonal, exactly: every product off the
-    blocks has an exactly zero factor.  K's blocks are eigenvectors of
-    m's, in the order nearest the identity, not eigh's ascending one."""
-    m = _acted_moment_matrix(C, g0)
-    K = np.eye(len(g0))
+def _scaled_draws(C, G0, blocks):
+    """_scaled_onto_slice on each DiagPositive draw of the stack G0, one at
+    a time, since each solve takes its own number of steps; a row of NaN
+    for a draw whose least-squares step fails."""
+    G = np.full(G0.shape, np.nan)
+    for g, g0 in zip(G, G0):
+        try:
+            g[:] = _scaled_onto_slice(C, g0, blocks)
+        except np.linalg.LinAlgError:   # an SVD that failed
+            pass
+    return G
+
+
+def _rotated_draws(C, G0, blocks):
+    """K g0 for each draw g0 of the stack G0, with K the block-diagonal
+    orthogonal matrix that diagonalises the moment matrix m of g0 . C, as
+    m(K . nu) = K m(nu) K^T.  For g0 in a centralizer group m is block
+    diagonal, exactly: every product off the blocks has an exactly zero
+    factor.  K's blocks are eigenvectors of m's, one stacked eigh per block
+    larger than 1 x 1, in the order nearest the identity, not eigh's
+    ascending one.  A row of NaN for a draw that is not finite, is
+    singular, or whose m is not finite on such a block."""
+    G = np.full(G0.shape, np.nan)
+    ok = _invertible(G0)
+    m = _acted_moment_matrix(C, G0[ok])
+    K = np.broadcast_to(np.eye(G0.shape[-1]), m.shape).copy()
     for blk in blocks:
         if len(blk) > 1:
-            block = np.ix_(blk, blk)
-            K[block] = _nearest_identity(np.linalg.eigh(m[block])[1]).T
-    return K @ g0
+            rows, cols = np.ix_(blk, blk)
+            sub = m[:, rows, cols]
+            fine = np.isfinite(sub).all(axis=(-2, -1))
+            K[~fine] = np.nan
+            for r, V in zip(np.flatnonzero(fine), np.linalg.eigh(sub[fine])[1]):
+                K[r, rows, cols] = _nearest_identity(V).T
+    G[ok] = K @ G0[ok]
+    return G
+
+
+def _invertible(G):
+    """Which matrices of the stack G are finite and invertible by
+    np.linalg.inv, which refuses exactly those whose LU factorisation meets
+    a zero pivot: slogdet's sign is 0 there."""
+    ok = np.isfinite(G).all(axis=(-2, -1))
+    ok[ok] = np.linalg.slogdet(G[ok])[0] != 0
+    return ok
 
 
 _SPENT = ("steering onto the diagonal moment slice kept failing; "
@@ -466,30 +530,39 @@ _SPENT = ("steering onto the diagonal moment slice kept failing; "
 
 
 def _sliced_points(rng, b, blocks, count, onto_slice):
-    """`count` (g, moment value) pairs: each draw moved onto the slice by
-    onto_slice(C, g0, blocks), and kept if g and its acted bracket are
-    finite, the bracket is nonzero and its moment value is within 1e-11 of
-    diagonal."""
+    """`count` (g, moment value) pairs, a stack of draws at a time.  Each
+    round draws the elements still needed (_draw_block_elements), moves the
+    stack onto the slice by onto_slice(C, G0, blocks), acts on b and
+    measures it once, and keeps, in draw order, each g that is finite and
+    invertible, whose acted constants after act's cut (cut_tensor) are
+    finite and not all zero, and whose moment value is within 1e-11 of
+    diagonal.  Every draw spends one of 80 * count.  No draw depends on an
+    earlier outcome, and no draw is taken past the last one kept, so the
+    points, and the rng state after them, are those of drawing one element
+    at a time."""
     C, points = b.tensor(), []
-    for _ in range(80 * count):
-        g0 = _draw_block_element(rng, blocks, b.dim)
-        try:
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                g = onto_slice(C, g0, blocks)
-                if not np.isfinite(g).all():   # act refuses it
-                    continue
-                acted = act(BasisChange(g), b)
-        except np.linalg.LinAlgError:   # a singular g, or an SVD that failed
-            continue
-        # a finite g can still overflow g . b into infinite constants
-        if acted.is_zero() or not all(map(math.isfinite, acted.constants.values())):
-            continue
-        mv = moment_map(acted)
-        if mv.offdiagonal_max() <= 1e-11:
-            points.append((g, mv))
-            if len(points) == count:
-                return points
-    raise NumericalError(_SPENT)
+    budget, diagonal = 80 * count, np.arange(b.dim)
+    while len(points) < count:
+        k = min(count - len(points), budget)
+        if k == 0:
+            raise NumericalError(_SPENT)
+        budget -= k
+        G0 = _draw_block_elements(rng, blocks, b.dim, k)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            G = onto_slice(C, G0, blocks)
+            G = G[_invertible(G)]
+            acted = cut_tensor(act_tensor(C, G))
+            flat = acted.reshape(len(G), C.size)
+            usable = flat.any(axis=-1) & np.isfinite(flat).all(axis=-1)
+            G, M = G[usable], _moment_matrices(acted[usable])
+            off = M.copy()   # m - diag(m), as MomentValue.offdiagonal_max forms it
+            off[:, diagonal, diagonal] -= M[:, diagonal, diagonal]
+            lands = np.abs(off).max(axis=(-2, -1)) <= 1e-11
+            for g, m, keep in zip(G, M, lands):
+                mv = MomentValue(m)   # its checks raise on any usable draw, kept or not
+                if keep:
+                    points.append((g, mv))
+    return points
 
 
 _TAG_STREAM = {DIAG_POSITIVE: 11, TORUS_CENTRALIZER: 12, DERIVATION_CENTRALIZER: 13}
@@ -511,11 +584,13 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
 
     On TorusCentralizer and DerivationCentralizer one rotation inside
     the group's blocks diagonalises the moment value in closed form
-    (_rotated_onto_slice), and every draw lands.  A DiagPositive draw,
-    whose moment value on a basis that is not nice is not diagonal, is
-    moved by minimum-norm Gauss-Newton in its log scales
-    (_scaled_onto_slice): diag(e^s) . C is C scaled entrywise, so the
-    residual and its Jacobian are closed forms in s.
+    (_rotated_draws), and every draw lands.  A DiagPositive draw, whose
+    moment value on a basis that is not nice is not diagonal, is moved by
+    minimum-norm Gauss-Newton in its log scales (_scaled_onto_slice):
+    diag(e^s) . C is C scaled entrywise, so the residual and its Jacobian
+    are closed forms in s.  The draws still needed are drawn, moved, acted
+    on and measured as one stack (_sliced_points), with the bytes of one
+    draw at a time.
     """
     if tag not in GROUP_TAGS:
         raise PreconditionError(f"unknown group tag {tag!r}; "
@@ -525,7 +600,7 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     blocks = _group_blocks(tag, b, derivation)
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, _TAG_STREAM[tag])
-    onto_slice = _scaled_onto_slice if tag == DIAG_POSITIVE else _rotated_onto_slice
+    onto_slice = _scaled_draws if tag == DIAG_POSITIVE else _rotated_draws
     return OrbitSample(tag, tuple(_sliced_points(rng, b, blocks, count, onto_slice)), seed)
 
 

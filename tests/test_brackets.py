@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from rnlie.brackets import (BasisChange, Bracket, act, center, direct_sum,
-                            is_lie, jacobiator, lower_central_series,
-                            nilpotency_step, validate_jacobi)
+from rnlie.brackets import (FLOAT, BasisChange, Bracket, act, act_tensor, center,
+                            cut_tensor, direct_sum, is_lie, jacobiator,
+                            lower_central_series, nilpotency_step, validate_jacobi)
 from rnlie.corpus import corpus
 from rnlie.errors import PreconditionError
 
@@ -138,6 +138,32 @@ class TestAction:
                 scale = max(abs(float(c)) for c in exact.constants.values())
                 for t, c in exact.constants.items():
                     assert abs(approx.constants[t] - float(c)) <= 1e-12 * scale
+
+    def test_cut_tensor_is_acts_cut(self):
+        """cut_tensor on a stack gives, slice by slice, the bytes of the
+        tensor of the bracket that act's cut, written out entry by entry,
+        keeps: constants i < j above 1e-14 max(1, max |entry|) that are not
+        NaN.  act keeps those constants, in key order."""
+        rng = np.random.default_rng(17)
+        b = tricky5()
+        C = b.tensor()
+        H = np.exp(rng.uniform(-9.0, 9.0, (12, 5, 1))) * rng.standard_normal((12, 5, 5))
+        Cp = act_tensor(C, H)
+        Cp[3, 0, 1, 2] = np.nan                  # dropped, the cut reads max(1, NaN) as 1
+        Cp[4, 0, 1, 2], Cp[4, 1, 0, 2] = np.inf, np.nan   # kept, as act's cut keeps it
+        Cp[5, 0, 2, 4] = np.inf                  # an infinite max cuts every constant
+        got = cut_tensor(Cp)
+        iu, ju = np.triu_indices(5, 1)
+        for r in range(len(H)):
+            cut = 1e-14 * max(1.0, float(np.abs(Cp[r]).max()))
+            upper = Cp[r][iu, ju]
+            kept = {(int(iu[i]), int(ju[i]), int(k)): float(upper[i, k])
+                    for i, k in zip(*np.nonzero(np.abs(upper) > cut))}
+            assert got[r].tobytes() == Bracket(5, kept, FLOAT).tensor().tobytes()
+            assert cut_tensor(Cp[r]).tobytes() == got[r].tobytes()
+            if r not in (3, 4, 5):
+                assert list(act(BasisChange(H[r]), b).constants.items()) == list(kept.items())
+        assert np.isinf(got[4]).any() and not got[5].any()
 
     def test_action_preserves_lie(self):
         rng = np.random.default_rng(3)

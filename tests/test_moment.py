@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from rnlie.cone import SAMPLE_COUNT
 from rnlie.corpus import corpus
 from rnlie.curvature import ricci_nilpotent
 from rnlie.errors import NumericalError, PreconditionError
-from rnlie.moment import (_acted_moment_matrix, _draw_block_element, _group_blocks,
+from rnlie.moment import (_acted_moment_matrix, _draw_block_elements, _group_blocks,
                           _metric_factors, _slice_jacobian, _slice_layout, _slice_residual,
                           closure_faces, moment_map, nice_basis_check, orbit_sample,
                           weight_coordinates, weight_matrix, weight_polytope)
@@ -220,6 +221,21 @@ class TestOrbitSample:
         assert np.abs(s.diagonals() - target).max() < 1e-10
         s.verify(h(3))
 
+    def test_verify_rejects_a_swapped_last_point(self):
+        """verify acts on and measures every point as one stack: a sample
+        drawn for another bracket fails, and so does one whose last point
+        alone comes from another bracket's sample."""
+        s = orbit_sample("TorusCentralizer", t5(), count=8, seed=3)
+        other = orbit_sample("TorusCentralizer", h(5), count=8, seed=3)
+        s.verify(t5())
+        other.verify(h(5))
+        with pytest.raises(PreconditionError, match="another bracket"):
+            other.verify(t5())
+        swapped = moment.OrbitSample(s.group_tag, s.points[:-1] + other.points[-1:], s.seed)
+        with pytest.raises(PreconditionError, match="another bracket"):
+            swapped.verify(t5())
+        moment.OrbitSample(s.group_tag, (), s.seed).verify(t5())
+
     def test_determinism(self):
         a = orbit_sample("DiagPositive", t5(), count=4, seed=5)
         b = orbit_sample("DiagPositive", t5(), count=4, seed=5)
@@ -308,7 +324,7 @@ class TestRotatedDraws:
         rng = np.random.default_rng(29)
         C = b.tensor()
         for _ in range(20):
-            m = gram_difference(act_tensor(C, _draw_block_element(rng, blocks, b.dim)))
+            m = gram_difference(act_tensor(C, _draw_block_elements(rng, blocks, b.dim, 1)[0]))
             assert (m[off] == 0.0).all()
             assert np.abs(m).max() > 0.0
 
@@ -348,19 +364,25 @@ class TestRotatedDraws:
     def test_off_slice_draws_are_redrawn(self, monkeypatch):
         """A draw left off the slice is dropped and costs one of the 80 *
         count draws; when none lands, the budget runs out.  Both for the
-        rotation and for DiagPositive's Gauss-Newton."""
-        for tag, name in (("TorusCentralizer", "_rotated_onto_slice"),
-                          ("DiagPositive", "_scaled_onto_slice")):
+        rotation and for DiagPositive's Gauss-Newton.  The stacked move
+        leaves each even-numbered draw where it was drawn."""
+        for tag, name in (("TorusCentralizer", "_rotated_draws"),
+                          ("DiagPositive", "_scaled_draws")):
             with monkeypatch.context() as patch:
                 drawn, move = [], getattr(moment, name)
                 _draws_that_fail(patch, drawn, lambda g0: None)
-                patch.setattr(moment, name, lambda C, g0, blocks: (
-                    move(C, g0, blocks) if len(drawn) % 2 else g0))
+
+                def every_other(C, G0, blocks):
+                    # the stack holds draws len(drawn) - len(G0) + 1 to len(drawn)
+                    odd = np.arange(len(drawn) - len(G0) + 1, len(drawn) + 1) % 2 == 1
+                    return np.where(odd[:, None, None], move(C, G0, blocks), G0)
+
+                patch.setattr(moment, name, every_other)
                 s = orbit_sample(tag, t5(), count=6, seed=37)
                 assert len(s.points) == 6 and len(drawn) == 11
                 assert max(mv.offdiagonal_max() for _, mv in s.points) <= 1e-11
                 drawn.clear()
-                patch.setattr(moment, name, lambda C, g0, blocks: g0)
+                patch.setattr(moment, name, lambda C, G0, blocks: G0)
                 with pytest.raises(NumericalError, match="kept failing"):
                     orbit_sample(tag, t5(), count=2, seed=37)
                 assert len(drawn) == 160
@@ -370,15 +392,22 @@ class TestRotatedDraws:
         to zero, and a singular one each cost a draw and raise nothing.
         diag(1, 1, inf, 1, 1) is the case that needs its own check: act
         keeps the finite part of its bracket, two of tricky5's four
-        constants, and that part's moment value is diagonal."""
-        drawn, move = [], moment._scaled_onto_slice
+        constants, and that part's moment value is diagonal.  Gauss-Newton
+        runs once a draw, in draw order, so its calls number the draws."""
+        moves, move = [], moment._scaled_onto_slice
         unusable = [np.full((5, 5), np.nan), np.diag([1.0, 1.0, np.inf, 1.0, 1.0]),
                     np.diag([1e200, 1.0, 1.0, 1.0, 1.0]), np.zeros((5, 5))]
+
+        def four_in_five_unusable(C, g0, blocks):
+            moves.append(g0)
+            k = len(moves) % 5
+            return move(C, g0, blocks) if k == 0 else unusable[k - 1]
+
+        monkeypatch.setattr(moment, "_scaled_onto_slice", four_in_five_unusable)
+        drawn = []
         _draws_that_fail(monkeypatch, drawn, lambda g0: None)
-        monkeypatch.setattr(moment, "_scaled_onto_slice", lambda C, g0, blocks: (
-            move(C, g0, blocks) if len(drawn) % 5 == 0 else unusable[len(drawn) % 5 - 1]))
         s = orbit_sample("DiagPositive", t5(), count=5, seed=41)
-        assert len(s.points) == 5 and len(drawn) == 25
+        assert len(s.points) == 5 and len(drawn) == len(moves) == 25
         s.verify(t5())
 
     @pytest.mark.parametrize("name,param", [("heisenberg", 3), ("heisenberg", 5),
@@ -427,17 +456,50 @@ def lands(fun):
     return np.abs(fun).max() <= 1e-11
 
 
-def sequential_sample(b, count, seed, tag="DiagPositive", derivation=None):
+def draw_block_element(rng, blocks, n):
+    """One element of the block-diagonal group, drawn as orbit_sample drew
+    them one at a time: per block standard normal entries, then
+    log-uniform diagonal entries in [e^-6, e^6]; redrawn while its
+    condition number is 1e8 or more, at most 64 times."""
+    for _ in range(64):
+        g = np.zeros((n, n))
+        for blk in blocks:
+            k = len(blk)
+            sub = rng.standard_normal((k, k))
+            for t in range(k):
+                sub[t, t] = math.exp(rng.uniform(-6.0, 6.0))
+            g[np.ix_(blk, blk)] = sub
+        if np.linalg.cond(g) < 1e8:
+            return g
+    raise NumericalError("could not draw a well-conditioned group element")
+
+
+def rotated_onto_slice(C, g0, blocks):
+    """K g0 for the block-diagonal orthogonal K that diagonalises the
+    moment matrix of g0 . C block by block, one draw at a time: one eigh
+    per block, its eigenvectors ordered nearest the identity."""
+    m = _acted_moment_matrix(C, g0)
+    K = np.eye(len(g0))
+    for blk in blocks:
+        if len(blk) > 1:
+            block = np.ix_(blk, blk)
+            K[block] = moment._nearest_identity(np.linalg.eigh(m[block])[1]).T
+    return K @ g0
+
+
+def sequential_sample(b, count, seed, tag="DiagPositive", derivation=None,
+                      draw=draw_block_element, rng=None):
     """orbit_sample written out one draw at a time: each draw moved onto
     the slice by its group's move (Gauss-Newton for DiagPositive, the
     block rotation for the centralizer groups), and kept if g and its
     acted bracket are finite, the bracket is nonzero and its moment value
     lands.  The reference that
     samples must match byte for byte.  Returns the (g, moment matrix)
-    pairs."""
+    pairs; `rng`, when given, is the generator it draws from."""
     blocks = _group_blocks(tag, b, derivation)
-    rng = generator(seed, moment._TAG_STREAM[tag])
-    move = moment._scaled_onto_slice if tag == "DiagPositive" else moment._rotated_onto_slice
+    if rng is None:
+        rng = generator(seed, moment._TAG_STREAM[tag])
+    move = moment._scaled_onto_slice if tag == "DiagPositive" else rotated_onto_slice
     C, n = b.tensor(), b.dim
     points = []
     budget = 80 * count
@@ -447,12 +509,15 @@ def sequential_sample(b, count, seed, tag="DiagPositive", derivation=None):
             raise NumericalError(
                 "steering onto the diagonal moment slice kept failing; "
                 "the orbit may have no diagonal moment values")
-        g0 = moment._draw_block_element(rng, blocks, n)
-        with np.errstate(all="ignore"):
-            g = move(C, g0, blocks)
-            if not np.isfinite(g).all():   # act refuses a non-finite g
-                continue
-            acted = act(BasisChange(g), b)
+        g0 = draw(rng, blocks, n)
+        try:
+            with np.errstate(all="ignore"):
+                g = move(C, g0, blocks)
+                if not np.isfinite(g).all():   # act refuses a non-finite g
+                    continue
+                acted = act(BasisChange(g), b)
+        except np.linalg.LinAlgError:   # a singular g
+            continue
         constants = list(acted.constants.values())
         if constants and np.isfinite(constants).all():
             mv = moment_map(acted)
@@ -518,7 +583,7 @@ class TestSteering:
         iu = np.triu_indices(n, 1)
         step = 1e-6
         for trial in range(6):
-            g0 = _draw_block_element(rng, blocks, n)
+            g0 = _draw_block_elements(rng, blocks, n, 1)[0]
             x = np.zeros(n) if trial < 2 else 0.3 * rng.standard_normal(n)
             s = np.log(np.diag(g0)) + x
             nu = act_tensor(C, np.diag(np.exp(s)))
@@ -563,19 +628,22 @@ def _crc(a, modulus):
 
 
 def _draws_that_fail(monkeypatch, drawn, fail):
-    """Record every element drawn in `drawn`; fail(g0) says whether a draw
-    is unusable (NaN), raises NumericalError, or stands (None)."""
-    draw = moment._draw_block_element
+    """Record every element orbit_sample draws in `drawn`, in draw order;
+    fail(g0) says whether a draw is unusable (NaN), singular (zero),
+    raises NumericalError, or stands (None).  Returns the same hook around
+    draw_block_element, for sequential_sample to draw through."""
+    draw = moment._draw_block_elements
 
-    def failing(rng, blocks, n):
-        g0 = draw(rng, blocks, n)
+    def hooked(g0):
         drawn.append(g0)
         how = fail(g0)
         if how == "raise":
             raise NumericalError("could not draw a well-conditioned group element")
-        return g0 * np.nan if how == "nan" else g0
+        return g0 * {"nan": np.nan, "singular": 0.0}.get(how, 1.0)
 
-    monkeypatch.setattr(moment, "_draw_block_element", failing)
+    monkeypatch.setattr(moment, "_draw_block_elements", lambda rng, blocks, n, k: np.array(
+        [hooked(g0) for g0 in draw(rng, blocks, n, k)]))
+    return lambda rng, blocks, n: hooked(draw_block_element(rng, blocks, n))
 
 
 def _outcome(run):
@@ -618,11 +686,12 @@ class TestLockstepSteering:
     def test_same_bytes_as_sequential_driver(self, monkeypatch, tag, bracket, derivation, count,
                                              seed, hook):
         b = bracket()
-        drawn = []
+        drawn, draw = [], draw_block_element
         if hook == "nan":
-            _draws_that_fail(monkeypatch, drawn, lambda g0: None if _crc(g0, 97) == 0 else "nan")
+            draw = _draws_that_fail(monkeypatch, drawn,
+                                    lambda g0: None if _crc(g0, 97) == 0 else "nan")
         elif hook == "raise":
-            _draws_that_fail(monkeypatch, drawn, lambda g0: (
+            draw = _draws_that_fail(monkeypatch, drawn, lambda g0: (
                 "raise" if _crc(g0, 23) == 0 else "nan" if _crc(g0, 7) == 0 else None))
         out = []
         solves = _residual_calls(monkeypatch, lambda: out.append(_outcome(
@@ -633,7 +702,7 @@ class TestLockstepSteering:
         if hook == "raise":
             assert sum(_crc(g0, 23) == 0 for g0 in drawn) == 1
         drawn.clear()
-        want = _outcome(lambda: sequential_sample(b, count, seed, tag, derivation))
+        want = _outcome(lambda: sequential_sample(b, count, seed, tag, derivation, draw))
         assert got == want
         assert (drawn[-1].tobytes() if drawn else None) == last_drawn
         if hook in ("nan", "raise"):
@@ -658,6 +727,123 @@ class TestLockstepSteering:
         calls = _residual_calls(
             monkeypatch, lambda: orbit_sample("DiagPositive", t5(), count=48, seed=5))
         assert len(drawn) == 48 and calls <= 1020
+
+
+# (id, bracket, derivation whose centralizer has a block larger than 1 x 1)
+# of the byte grid
+GRID_ALGEBRAS = [
+    ("tricky5", t5, D_PAIRS),
+    ("heisenberg5", lambda: h(5), np.diag([1.0, 1.0, 1.0, 1.0, 2.0])),
+    ("filiform5", lambda: corpus("filiform", 5).bracket, np.diag([0.0, 1.0, 1.0, 1.0, 1.0])),
+    ("filiform6", lambda: corpus("filiform", 6).bracket, np.diag([1.0, 1.0, 2.0, 3.0, 4.0, 5.0])),
+    ("heisenberg3", lambda: h(3), np.diag([1.0, 1.0, 2.0])),
+]
+
+
+def _state(rng):
+    """The generator's Philox state (counter, key and buffer arrays) as text."""
+    return repr(rng.bit_generator.state)
+
+
+def _captured_generators(monkeypatch):
+    """The generators orbit_sample makes from here on, in order."""
+    made = []
+    monkeypatch.setattr(moment, "generator", lambda *args: made.append(generator(*args))
+                        or made[-1])
+    return made
+
+
+class TestStackedSamples:
+    """_sliced_points draws, moves, acts on and measures the draws a sample
+    still needs as one stack; every sample has the bytes of
+    sequential_sample, and leaves its generator where that leaves it."""
+
+    @pytest.mark.parametrize("tag", ["DiagPositive", "TorusCentralizer", "DerivationCentralizer"])
+    @pytest.mark.parametrize("bracket,derivation", [case[1:] for case in GRID_ALGEBRAS],
+                             ids=[case[0] for case in GRID_ALGEBRAS])
+    def test_same_bytes_and_stream_as_sequential_driver(self, monkeypatch, bracket,
+                                                        derivation, tag):
+        b = bracket()
+        made = _captured_generators(monkeypatch)
+        got, want = hashlib.sha256(), hashlib.sha256()
+        for count in (8, 48):
+            for seed in range(10):
+                sample = orbit_sample(tag, b, count=count, seed=seed, derivation=derivation)
+                rng = generator(seed, moment._TAG_STREAM[tag])
+                ref = sequential_sample(b, count, seed, tag, derivation, rng=rng)
+                assert len(sample.points) == len(ref) == count
+                for (g, mv), (g1, m1) in zip(sample.points, ref):
+                    got.update(g.tobytes() + mv.matrix.tobytes())
+                    want.update(g1.tobytes() + m1.tobytes())
+                assert _state(made[-1]) == _state(rng)
+        assert got.hexdigest() == want.hexdigest()
+
+    def test_drawer_is_the_stream_of_single_draws(self):
+        """A stack of draws is the stack of single draws from the same
+        stream, and leaves the generator in the same state."""
+        for blocks, n in (([(0,), (1,), (2, 3), (4,)], 5), ([(0, 1, 2), (3,), (4,)], 5),
+                          ([(0,), (1, 2, 3, 4, 5)], 6)):
+            a, b = generator(7, 12), generator(7, 12)
+            stack = _draw_block_elements(a, blocks, n, 48)
+            single = np.array([draw_block_element(b, blocks, n) for _ in range(48)])
+            assert stack.tobytes() == single.tobytes()
+            assert _state(a) == _state(b)
+
+    class _Scripted:
+        """A generator whose normals are (0, 1e12, 0, 0), so that the 2 x 2
+        block [[d1, 1e12], [0, d2]] has condition number far above 1e8, on
+        the draws numbered in `bad` (one block, so one normal call a draw);
+        the other values come from a real generator, drawn in any case."""
+
+        def __init__(self, bad):
+            self.rng, self.bad, self.calls = generator(3, 12), bad, 0
+
+        def standard_normal(self, size):
+            self.calls += 1
+            x = self.rng.standard_normal(size)
+            return np.reshape([0.0, 1e12, 0.0, 0.0], x.shape) if self.calls in self.bad else x
+
+        def uniform(self, low, high, size=None):
+            return self.rng.uniform(low, high, size)
+
+    def test_ill_conditioned_draws_are_redrawn_in_stream_order(self):
+        """Draws 2, 3 and 7 are ill-conditioned, or draws 2 to 64: the stack
+        of five skips them as five single draws do, and stops after the
+        last draw it keeps."""
+        for bad in ({2, 3, 7}, set(range(2, 65))):
+            a, b = self._Scripted(bad), self._Scripted(bad)
+            stack = _draw_block_elements(a, [(0, 1)], 2, 5)
+            single = np.array([draw_block_element(b, [(0, 1)], 2) for _ in range(5)])
+            assert stack.tobytes() == single.tobytes()
+            assert a.calls == b.calls == 5 + len(bad)
+            assert _state(a.rng) == _state(b.rng)
+
+    def test_64_ill_conditioned_draws_in_a_row_raise(self):
+        for bad in (set(range(1, 65)), set(range(3, 67))):
+            with pytest.raises(NumericalError, match="well-conditioned"):
+                _draw_block_elements(self._Scripted(bad), [(0, 1)], 2, 4)
+
+    @pytest.mark.parametrize("tag,derivation", [("DiagPositive", None), ("TorusCentralizer", None),
+                                                ("DerivationCentralizer", D_PAIRS)])
+    def test_singular_and_non_finite_rows_are_redrawn(self, monkeypatch, tag, derivation):
+        """In the first stack of six, draw 2 is singular and draw 4 is NaN:
+        both are redrawn, the other four kept, and the sample is
+        sequential_sample's."""
+        drawn = []
+        draw = _draws_that_fail(monkeypatch, drawn, lambda g0: {2: "singular", 4: "nan"}.get(
+            len(drawn)))
+        s = orbit_sample(tag, t5(), count=6, seed=43, derivation=derivation)
+        assert len(drawn) == 8
+        if tag != "DiagPositive":   # each point is K g0, K orthogonal, for the draw it kept
+            kept = [g0 for i, g0 in enumerate(drawn) if i not in (1, 3)]
+            for (g, _), g0 in zip(s.points, kept):
+                Q = g @ np.linalg.inv(g0)
+                assert np.abs(Q @ Q.T - np.eye(5)).max() < 1e-9
+        drawn.clear()
+        want = sequential_sample(t5(), 6, 43, tag, derivation, draw)
+        assert [(g.tobytes(), mv.matrix.tobytes()) for g, mv in s.points] == \
+            [(g.tobytes(), m.tobytes()) for g, m in want]
+        assert len(drawn) == 8
 
 
 class TestTrustRegionPort:
