@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class Bracket:
 
     constants maps (i, j, k) with i < j to a nonzero scalar.  Use
     scalar_kind = "rational" for Fraction constants and "float" for
-    floats; mixed dicts are normalized on construction.
+    floats; mixed dicts are normalized on construction.  The stored
+    constants are a read-only view of the normalized dict.
     """
 
     dim: int
@@ -62,7 +64,7 @@ class Bracket:
                 c = float(c)
             if c != 0:
                 clean[(i, j, k)] = c
-        object.__setattr__(self, "constants", clean)
+        object.__setattr__(self, "constants", MappingProxyType(clean))
 
     # -- basic views ---------------------------------------------------
 
@@ -374,6 +376,17 @@ def nilpotency_step(b: Bracket):
     return len(dims) - 1
 
 
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of a float matrix A: the
+    right singular vectors past the singular values above
+    eps * max(A.shape) * s_max, scipy.linalg.null_space's default cut."""
+    if not np.isfinite(A).all():
+        raise PreconditionError("kernel of a matrix with non-finite entries")
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
+    return vh[np.count_nonzero(s > tol):].T
+
+
 def center(b: Bracket) -> np.ndarray:
     """Orthonormal basis (columns) of the center {x : [x, .] = 0}.
 
@@ -407,9 +420,7 @@ def center(b: Bracket) -> np.ndarray:
     else:
         C = b.tensor()
         A = C.transpose(1, 2, 0).reshape(-1, n)  # rows (j, k), columns i
-        from scipy.linalg import null_space
-
-        M = null_space(A)
+        M = _null_space(A)
         if M.size == 0:
             return np.zeros((n, 0))
     # orthonormalize columns

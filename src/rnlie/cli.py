@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 precondition failure,
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -72,11 +73,23 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _corpus_entry(text: str):
+    """The corpus entry named `name[:param]`, e.g. heisenberg:5 or tricky5."""
+    name, _, param = text.partition(":")
+    if not param:
+        return corpus(name)
+    try:
+        value = int(param)
+    except ValueError as exc:
+        raise PreconditionError(
+            f"bad parameter {param!r} in {text!r}; expected an integer") from exc
+    return corpus(name, value)
+
+
 def _load_bracket(args) -> Bracket:
     if args.file is not None:
         return _io.load_algebra(args.file)
-    name, _, param = args.algebra.partition(":")
-    return corpus(name, int(param) if param else None).bracket
+    return _corpus_entry(args.algebra).bracket
 
 
 def _parse_derivation(text: str) -> np.ndarray:
@@ -298,12 +311,11 @@ def _cmd_corpus(args) -> int:
         _emit({"entries": [{"name": n, "needs_parameter": n in _NEEDS_PARAM}
                            for n in corpus_names()]})
         return EXIT_OK
-    name, _, param = args.name.partition(":")
-    entry = corpus(name, int(param) if param else None)
-    sys.stdout.write(_io.dumps_algebra(entry.bracket))
+    sys.stdout.write(_io.dumps_algebra(_corpus_entry(args.name).bracket))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="rnlie", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -1,11 +1,15 @@
 """Named algebra corpus used by the test suite, demos, and the CLI.
 
 Every entry is constructed with exact rational constants and validated
-(Jacobi identity, recorded nilpotency step) at build time.
+(Jacobi identity, recorded nilpotency step) on its first build.
+`corpus(name, param)` then returns that same entry to every later call
+in the process; its bracket's constants are read-only, so the shared
+entry cannot be changed by one caller under another.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,11 +123,18 @@ def corpus(name: str, param: int | None = None) -> CorpusEntry:
     if name not in _GENERATORS:
         raise PreconditionError(
             f"unknown corpus algebra {name!r}; available: {', '.join(corpus_names())}")
-    gen = _GENERATORS[name]
     if name in _NEEDS_PARAM:
         if param is None:
             raise PreconditionError(f"corpus algebra {name!r} needs a dimension parameter")
-        return gen(int(param))
+        return _built(name, int(param))
     if param is not None:
         raise PreconditionError(f"corpus algebra {name!r} takes no parameter")
-    return gen()
+    return _built(name, None)
+
+
+@functools.lru_cache(maxsize=64)
+def _built(name, param):
+    """The validated entry for a checked (name, param); a generator that
+    raises caches nothing, so a bad dimension raises on every call."""
+    gen = _GENERATORS[name]
+    return gen() if param is None else gen(param)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _rational
-from .brackets import Bracket
+from .brackets import Bracket, _null_space
 from .errors import NumericalError, PreconditionError
 
 MAX_SIGNED_PERM_DIM = 8
@@ -166,8 +166,6 @@ def derivation_space(b: Bracket, scalars: str = "float"):
         else:
             basis = _rational.nullspace(rows, ncols=n * n)
         return [[[vec[r * n + c] for c in range(n)] for r in range(n)] for vec in basis]
-    from scipy.linalg import null_space
-
     C = b.tensor()
     eye = np.eye(n)
     # rows indexed by (i<j, k), unknown D flattened as D[r, c] -> r*n + c
@@ -183,7 +181,7 @@ def derivation_space(b: Bracket, scalars: str = "float"):
     A = np.array(rows)
     if not A.size or not np.abs(A).max():
         return [eye.copy() for eye in np.eye(n * n).reshape(n * n, n, n)]
-    ns = null_space(A)
+    ns = _null_space(A)
     return [ns[:, i].reshape(n, n) for i in range(ns.shape[1])]
 
 

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from rnlie.brackets import (FLOAT, BasisChange, Bracket, act, act_tensor, center,
-                            cut_tensor, direct_sum, is_lie, jacobiator,
+from rnlie import io as rnlie_io
+from rnlie.brackets import (FLOAT, BasisChange, Bracket, _null_space, act, act_tensor,
+                            center, cut_tensor, direct_sum, is_lie, jacobiator,
                             lower_central_series, nilpotency_step, validate_jacobi)
 from rnlie.corpus import corpus
+from rnlie.derivations import derivation_space
 from rnlie.errors import PreconditionError
 
 
@@ -35,6 +37,30 @@ class TestValidation:
     def test_scalar_kind_coercion(self):
         b = Bracket(3, {(0, 1, 2): 0.5}, scalar_kind="float")
         assert isinstance(b.constants[(0, 1, 2)], float)
+
+
+class TestReadOnlyConstants:
+    """The constants are a read-only view, so a corpus entry shared by
+    every caller cannot be changed by one of them."""
+
+    def test_item_assignment_raises(self):
+        constants = corpus("tricky5").bracket.constants
+        with pytest.raises(TypeError):
+            constants[(0, 1, 2)] = F(2)
+        with pytest.raises(TypeError):
+            del constants[(0, 1, 2)]
+        assert corpus("tricky5").bracket.constants[(0, 1, 2)] == 1
+
+    def test_derived_brackets_are_equal(self):
+        b = corpus("tricky5").bracket
+        plain = Bracket(5, dict(b.constants))
+        assert b == plain and plain == b
+        assert act(BasisChange.diagonal([1] * 5), b) == plain
+        assert b.to_float() == Bracket(5, {t: float(c) for t, c in plain.constants.items()},
+                                       FLOAT)
+        assert b.scaled(F(1, 3)) == Bracket(5, {t: c / 3 for t, c in plain.constants.items()})
+        assert b.restricted([(0, 1, 2)]) == Bracket(5, {(0, 1, 2): F(1)})
+        assert rnlie_io.loads_algebra(rnlie_io.dumps_algebra(b)) == b
 
 
 class TestJacobi:
@@ -98,6 +124,67 @@ class TestCenter:
         v = np.array([0, 0, 1, -1, 0]) / np.sqrt(2)
         proj = Z @ (Z.T @ v)
         assert np.allclose(proj, v, atol=1e-10)
+
+
+class TestNullSpace:
+    """The float kernels of center and derivation_space come from numpy's
+    SVD with scipy.linalg.null_space's default cut; scipy stays the
+    reference here."""
+
+    @staticmethod
+    def _projector(Z):
+        return Z @ Z.T
+
+    def test_same_kernel_as_scipy(self):
+        from scipy.linalg import null_space
+
+        # 1e-14 sits above the cut 3 * eps * s_max and 1e-17 below it
+        near_cut = np.diag([1.0, 1e-14, 1e-17])
+        assert _null_space(near_cut).shape == null_space(near_cut).shape == (3, 1)
+        rng = np.random.default_rng(23)
+        for name, param in [("heisenberg", 5), ("filiform", 6), ("tricky5", None),
+                            ("milnor_hyp", 4), ("euclid3", None), ("abelian", 3)]:
+            b = corpus(name, param).bracket
+            n = b.dim
+            for _ in range(4):
+                g = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+                C = act(BasisChange(g), b).tensor()
+                A = C.transpose(1, 2, 0).reshape(-1, n)
+                for M in (A, np.vstack([A, A[:2] + A[-2:]]), np.zeros((4, n))):
+                    got, ref = _null_space(M), null_space(M)
+                    assert got.shape == ref.shape
+                    assert np.allclose(got.T @ got, np.eye(got.shape[1]), atol=1e-12)
+                    assert np.allclose(self._projector(got), self._projector(ref),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_constants_are_refused(self, bad):
+        """scipy refused them too (check_finite); numpy's SVD does not
+        return on some matrices with an infinite entry."""
+        b = Bracket(3, {(0, 1, 2): bad}, FLOAT)
+        for kernel in (center, derivation_space):
+            with pytest.raises(PreconditionError, match="non-finite"):
+                kernel(b)
+
+    def test_float_center_matches_exact(self):
+        rng = np.random.default_rng(29)
+        for b in (h3(), tricky5(), corpus("heisenberg", 5).bracket):
+            n = b.dim
+            g = np.eye(n) + np.triu(rng.integers(-2, 3, size=(n, n)), 1)
+            exact = center(act(BasisChange([[F(int(x)) for x in row] for row in g]), b))
+            approx = center(act(BasisChange(g.astype(float)), b.to_float()))
+            assert approx.shape == exact.shape
+            assert np.allclose(self._projector(approx), self._projector(exact), atol=1e-10)
+
+    def test_float_derivations_span_the_exact_ones(self):
+        for b in (h3(), tricky5(), corpus("filiform", 5).bracket):
+            n = b.dim
+            flat = np.array([D.ravel() for D in derivation_space(b)]).T
+            exact = np.array([[float(x) for row in D for x in row]
+                              for D in derivation_space(b, scalars="rational")]).T
+            q, _ = np.linalg.qr(exact)
+            assert flat.shape == (n * n, q.shape[1])
+            assert np.allclose(self._projector(flat), self._projector(q), atol=1e-10)
 
 
 class TestAction:

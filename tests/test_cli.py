@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rnlie.cli import main
+from rnlie.cli import build_parser, main
+from rnlie.rng import SEED_ENV
 
 
 def run(capsys, *argv):
@@ -42,6 +43,22 @@ class TestPlumbing:
         names = [e["name"] for e in data["entries"]]
         assert "heisenberg" in names and "tricky5" in names
 
+    @pytest.mark.parametrize("argv", [("torus", "--algebra", "heisenberg:x"),
+                                      ("moment", "--algebra", "tricky5:1.5"),
+                                      ("corpus", "--name", "heisenberg:3.0")])
+    def test_non_integer_parameter_is_precondition(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "precondition" and argv[-1] in error["error"]
+
+    def test_non_finite_constant_is_precondition(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"brackets": [[1, 2, [[3, "inf"]]]], "dim": 3, "scalars": "float"}')
+        code, out, err = run(capsys, "derivations", "--file", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "precondition"
+
     def test_corpus_emit_and_file_load(self, capsys, tmp_path):
         code, out, _ = run(capsys, "corpus", "--name", "heisenberg:3")
         assert code == 0
@@ -51,6 +68,41 @@ class TestPlumbing:
         assert code == 0
         assert data["diagonal"] == ["-1", "-1", "1"]
         assert data["trace"] == "-1"
+
+
+class TestSharedParser:
+    """main parses every call with one parser, built on first use; each
+    call gets a namespace of its own."""
+
+    CERTIFY = ("certify", "--algebra", "tricky5", "--derivation", "[1,1,2,2,3]",
+               "--method", "sampled", "--sample-count", "8", "--seed", "17")
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        build_parser.cache_clear()
+        first = run(capsys, *self.CERTIFY)
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--algebra", "tricky5", "--method", "bogus"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        assert run(capsys, *self.CERTIFY) == first
+        assert first[0] == 0 and json.loads(first[1])["result"] == "Certificate"
+
+    def test_seed_does_not_stick(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV, "5")
+        args = ("orbit-sample", "--algebra", "tricky5", "--count", "4")
+        seeded = run(capsys, *args, "--seed", "3")
+        unseeded = run(capsys, *args)
+        assert unseeded == run(capsys, *args, "--seed", "5")
+        assert unseeded != seeded
+
+    def test_seed_before_or_after_the_command(self, capsys):
+        after = run(capsys, *self.CERTIFY)
+        before = run(capsys, "--seed", "17", *self.CERTIFY[:-2])
+        assert before == after
 
 
 class TestReports:
