@@ -459,22 +459,18 @@ class WeylReport:
 
 
 def weyl_invariance_check(section: ConeSection) -> WeylReport:
-    """Check the vertex set is carried to itself by each coordinate
-    action of the signed permutation automorphisms (exactly in the
-    exact regime, Hausdorff distance below 1e-6 otherwise)."""
+    """Check that each coordinate action of the signed permutation
+    automorphisms carries the vertex set to itself: the Hausdorff
+    distance between the vertices and their image, measured in floats on
+    exact and sampled sections alike, must stay within 1e-6."""
     actions = weyl_coordinate_actions(section.torus.bracket, section.torus)
-    verts = [np.array([float(x) for x in v]) for v in section.vertices]
-    V = np.array(verts)
+    V = np.array([[float(x) for x in v] for v in section.vertices])
     worst = 0.0
     failures = []
     for a_i, act in enumerate(actions):
-        M = np.array([[float(x) for x in row] for row in act])
-        img = V @ M.T
-        dist = 0.0
-        for row in img:
-            dist = max(dist, float(np.min(np.linalg.norm(V - row, axis=1))))
-        for row in V:
-            dist = max(dist, float(np.min(np.linalg.norm(img - row, axis=1))))
+        img = V @ np.array([[float(x) for x in row] for row in act]).T
+        d = np.linalg.norm(img[:, None, :] - V[None, :, :], axis=2)
+        dist = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
         worst = max(worst, dist)
         if dist > 1e-6:
             failures.append((a_i, dist))

@@ -10,6 +10,7 @@ entry cannot be changed by one caller under another.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,14 +119,19 @@ def corpus_names():
 
 
 def corpus(name: str, param: int | None = None) -> CorpusEntry:
-    """Look up a corpus entry by name, with an integer parameter for the
-    parametrized families (abelian, heisenberg, filiform, milnor_hyp)."""
+    """Look up a corpus entry by name, with an integral parameter (never
+    a bool) for the families abelian, heisenberg, filiform, milnor_hyp."""
     if name not in _GENERATORS:
         raise PreconditionError(
             f"unknown corpus algebra {name!r}; available: {', '.join(corpus_names())}")
     if name in _NEEDS_PARAM:
         if param is None:
             raise PreconditionError(f"corpus algebra {name!r} needs a dimension parameter")
+        integral = isinstance(param, numbers.Integral) or (
+            isinstance(param, numbers.Real) and float(param).is_integer())
+        if isinstance(param, bool) or not integral:
+            raise PreconditionError(
+                f"corpus algebra {name!r} needs an integer parameter, got {param!r}")
         return _built(name, int(param))
     if param is not None:
         raise PreconditionError(f"corpus algebra {name!r} takes no parameter")

@@ -23,8 +23,6 @@ from . import _rational
 from .brackets import Bracket, _null_space
 from .errors import NumericalError, PreconditionError
 
-MAX_SIGNED_PERM_DIM = 8
-
 
 def weight_vector(triple, dim):
     """Diagonal of F_ij^k as a tuple of ints: -1 at i and j, +1 at k."""
@@ -207,6 +205,11 @@ class Torus:
         return self.bracket.dim
 
     @property
+    def pivots(self) -> list:
+        """Pivot column of each basis row: 1 there, the other rows 0."""
+        return [next(i for i, v in enumerate(row) if v) for row in self.basis]
+
+    @property
     def multiplicity_free(self) -> bool:
         return all(len(idx) == 1 for _, idx in self.weights)
 
@@ -241,9 +244,7 @@ class Torus:
                        for x in entries)
             return () if zero else None
         if all(isinstance(x, (int, Fraction)) for x in entries):
-            # each rref row is 1 at its pivot column and the others are 0 there
-            sol = [Fraction(entries[next(i for i, v in enumerate(row) if v)])
-                   for row in self.basis]
+            sol = [Fraction(entries[p]) for p in self.pivots]
             recon = self.diagonal_entries(sol)
             if any(r != Fraction(e) for r, e in zip(recon, entries)):
                 return None
@@ -423,159 +424,174 @@ def jordan_decompose(D) -> JordanParts:
 # ---------------------------------------------------------------------------
 # signed permutation Weyl group
 
-
-def _signed_perm_matrix(perm, signs) -> np.ndarray:
-    n = len(perm)
-    M = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        M[perm[i], i] = signs[i]
-    return M
+# Partial permutations, the empty one included, that the Weyl group
+# search may visit: heisenberg:11 takes 18 992, abelian:8 109 601.
+MAX_PERM_SEARCH_NODES = 50_000
 
 
-def _automorphism_signed_perms(b: Bracket):
-    """All signed permutations g with g . mu = mu, by pruned backtracking."""
+def _gf2_rref(masks):
+    """Reduced row echelon form over GF(2) of the bitmask rows masks:
+    (pivots, dependencies), the pivots as (pivot bit, row, combination)
+    and, for each row that reduces to zero, its combination, the bitmask
+    of the input rows that sum to it."""
+    pivots, dependencies = [], []
+    for t, row in enumerate(masks):
+        comb = 1 << t
+        for bit, prow, pcomb in pivots:
+            if row & bit:
+                row, comb = row ^ prow, comb ^ pcomb
+        if not row:
+            dependencies.append(comb)
+            continue
+        bit = row & -row
+        pivots = [(pb, pr ^ row, pc ^ comb) if pr & bit else (pb, pr, pc)
+                  for pb, pr, pc in pivots]
+        pivots.append((bit, row, comb))
+    return pivots, dependencies
+
+
+def _lifting_permutations(b: Bracket):
+    """The permutations pi of the basis that lift to automorphisms
+    e_i -> s_i e_pi(i), s_i = +-1, each with the signs of one lift as a
+    bitmask (bit i set when s_i = -1), and a basis of the sign bitmasks
+    that every lift may be multiplied by.
+
+    Backtracking over permutations, pruned by the multiset of |c_ij^k|
+    over k of each pair.  A leaf lifts when each constant c_ij^k meets a
+    constant of the same size at (pi i, pi j, pi k); its signs then solve,
+    over GF(2), s_i + s_j + s_k = [c_ij^k and its image have opposite
+    signs], with the image's sign flipped when pi i > pi j.  Raises
+    PreconditionError past MAX_PERM_SEARCH_NODES search nodes.
+    """
     n = b.dim
-    if n > MAX_SIGNED_PERM_DIM:
-        raise PreconditionError(
-            f"signed permutation search capped at dimension {MAX_SIGNED_PERM_DIM}")
-    support = {}
-    for (i, j, k), c in b.constants.items():
-        support.setdefault((i, j), {})[k] = c
-    abs_profile = {}
-    for (i, j), sup in support.items():
-        abs_profile[(i, j)] = sorted(abs(Fraction(c)) for c in sup.values())
+    sizes = {}
+    consts = [(i, j, k, sizes.setdefault(abs(c), len(sizes)), c < 0)
+              for (i, j, k), c in b.constants.items()]
+    image_of = {(i, j, k): (size, neg) for i, j, k, size, neg in consts}
+    prof = [[()] * n for _ in range(n)]  # sorted sizes over k of each pair
+    for i, j, _, size, _ in sorted(consts, key=lambda t: t[3]):
+        prof[i][j] = prof[j][i] = prof[i][j] + (size,)
+    pivots, dependencies = _gf2_rref(
+        [(1 << i) ^ (1 << j) ^ (1 << k) for i, j, k, _, _ in consts])
+    pivot_bits = sum(bit for bit, _, _ in pivots)
+    kernel = [f + sum(bit for bit, row, _ in pivots if row & f)
+              for f in (1 << v for v in range(n)) if not f & pivot_bits]
+    found = []
+    perm, used, nodes = [0] * n, [False] * n, 0
 
-    def pair_profile(i, j):
-        key = (i, j) if i < j else (j, i)
-        return abs_profile.get(key, [])
-
-    results = []
-    perm = [-1] * n
-    signs = [0] * n
-    used = [False] * n
-
-    def images_consistent(i, j):
-        """Exact check of g[e_i,e_j] = [ge_i, ge_j] when fully assigned."""
-        key = (i, j) if i < j else (j, i)
-        flip = 1 if i < j else -1
-        sup = support.get(key, {})
-        a, bb = perm[i], perm[j]
-        sgn = signs[i] * signs[j] * flip
-        tkey = (a, bb) if a < bb else (bb, a)
-        tflip = 1 if a < bb else -1
-        tsup = support.get(tkey, {})
-        # lhs: sum_k c_ij^k s_k e_{perm k}; rhs: sgn * tflip * c'_{tkey}
-        lhs = {}
-        for k, c in sup.items():
-            if perm[k] < 0:
-                return True  # defer until the support is mapped
-            lhs[perm[k]] = Fraction(flip) * Fraction(c) * signs[k]
-        rhs = {r: Fraction(sgn) * Fraction(tflip) * Fraction(c) for r, c in tsup.items()}
-        return lhs == rhs
+    def leaf():
+        rhs = 0
+        for t, (i, j, k, size, neg) in enumerate(consts):
+            a, c = perm[i], perm[j]
+            image = image_of.get((a, c, perm[k]) if a < c else (c, a, perm[k]))
+            if image is None or image[0] != size:
+                return
+            if image[1] ^ (a > c) ^ neg:
+                rhs |= 1 << t
+        if any((comb & rhs).bit_count() & 1 for comb in dependencies):
+            return
+        found.append((tuple(perm),
+                      sum(bit for bit, _, comb in pivots if (comb & rhs).bit_count() & 1)))
 
     def extend(i):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_PERM_SEARCH_NODES:
+            raise PreconditionError(
+                f"Weyl group search passed {MAX_PERM_SEARCH_NODES} nodes")
         if i == n:
-            # full verification over every pair
-            for a in range(n):
-                for bb in range(a + 1, n):
-                    if not images_consistent(a, bb):
-                        return
-            results.append((tuple(perm), tuple(signs)))
+            leaf()
             return
-        for target in range(n):
-            if used[target]:
-                continue
-            ok = True
-            for a in range(i):
-                prof = pair_profile(a, i)
-                tprof = pair_profile(perm[a], target)
-                if prof != tprof:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            perm[i] = target
-            used[target] = True
-            for s in (1, -1):
-                signs[i] = s
-                good = True
-                for a in range(i):
-                    if not images_consistent(a, i):
-                        good = False
-                        break
-                if good:
-                    extend(i + 1)
-            signs[i] = 0
-            perm[i] = -1
-            used[target] = False
+        for t in range(n):
+            if not used[t] and all(prof[a][i] == prof[perm[a]][t] for a in range(i)):
+                perm[i], used[t] = t, True
+                extend(i + 1)
+                used[t] = False
 
     extend(0)
-    return results
+    return found, kernel
+
+
+def _conjugate_pivots(perm, torus: Torus, rows):
+    """The indices pi^-1(p) of the torus basis's pivot columns p, or None
+    when a lift of the permutation pi, which carries diag(d) to the
+    diagonal with d_i at pi(i), moves the torus off itself; rows are the
+    basis rows scaled to integers.  Each conjugated row is tested exactly
+    against d_k - d_i - d_j = 0 on every constant; the basis being in
+    RREF, its torus coordinates are its entries at the pivots."""
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    for row in rows:
+        for i, j, k in torus.bracket.constants:
+            if row[inv[k]] != row[inv[i]] + row[inv[j]]:
+                return None
+    return [inv[p] for p in torus.pivots]
 
 
 def torus_coordinate_action(g, torus: Torus):
     """Matrix of T -> g T g^-1 on torus coordinates, or None if g does
-    not normalize the torus.  g is a signed permutation matrix; the
-    computation is exact."""
-    n = torus.ambient_dim
-    G = np.asarray(g)
-    perm = [int(np.argmax(np.abs(G[:, i]))) for i in range(n)]
-    rows = [weight_vector(t, n) for t in torus.bracket.constants]
-    cols_matrix = [[torus.basis[l][i] for l in range(torus.dim)] for i in range(n)]
-    action = []
-    for row in torus.basis:
-        conj = [Fraction(0)] * n
-        for i in range(n):
-            conj[perm[i]] = row[i]
-        for wrow in rows:
-            if sum(a * bb for a, bb in zip(wrow, conj)) != 0:
-                return None
-        coords = _rational.solve(cols_matrix, conj)
-        if coords is None:
-            return None
-        action.append(coords)
-    # columns of the action matrix are images of basis coordinates
-    r = torus.dim
-    return [[action[c][r_] for c in range(r)] for r_ in range(r)]
+    not normalize the torus.  g is a signed permutation matrix, of which
+    only the permutation is read; the computation is exact."""
+    perm = np.abs(np.asarray(g)).argmax(axis=0).tolist()
+    rows = [_rational._integer_row(row)[0] for row in torus.basis]
+    pre = _conjugate_pivots(perm, torus, rows)
+    if pre is None:
+        return None
+    return [[row[i] for row in torus.basis] for i in pre]
 
 
 def orthogonal_weyl_group(b: Bracket):
-    """Signed permutation automorphisms of the bracket, as a matrix group.
+    """Signed permutation automorphisms of the bracket, as a matrix group,
+    identity first and then by (permutation, signs).
 
     Every signed permutation automorphism normalizes the diagonal torus
     (conjugation preserves both Diag and the derivation algebra), so the
-    returned list is closed under products and inverses and contains the
-    identity.  This is an under-approximation of the full orthogonal
-    normalizer: continuous families of orthogonal automorphisms are not
-    searched.  Use torus_coordinate_action to read off the induced exact
-    action on torus coordinates, and weyl_coordinate_actions for the
-    deduplicated action list.
+    returned list is closed under products and inverses.  This is an
+    under-approximation of the full orthogonal normalizer: continuous
+    families of orthogonal automorphisms are not searched.  The lifts of
+    each permutation are one solution of its sign equations plus every
+    sum of a kernel basis.  Past MAX_PERM_SEARCH_NODES search nodes,
+    raises PreconditionError.  torus_coordinate_action reads off the
+    exact action on torus coordinates, and weyl_coordinate_actions lists
+    the distinct ones.
     """
-    autos = _automorphism_signed_perms(b)
+    n = b.dim
+    found, kernel = _lifting_permutations(b)
+    lifts = []
+    for perm, signs in found:
+        masks = [signs]
+        for k in kernel:
+            masks += [m ^ k for m in masks]
+        lifts += [(perm, tuple(-1 if m >> i & 1 else 1 for i in range(n))) for m in masks]
+    ident = (tuple(range(n)), (1,) * n)
     mats = []
-    seen_keys = set()
-    ident = (tuple(range(b.dim)), (1,) * b.dim)
-    for perm, signs in sorted(autos, key=lambda ps: (ps != ident, ps)):
-        if (perm, signs) in seen_keys:
-            continue
-        seen_keys.add((perm, signs))
-        mats.append(_signed_perm_matrix(perm, signs))
+    for perm, signs in sorted(lifts, key=lambda ps: (ps != ident, ps)):
+        mats.append(np.zeros((n, n), dtype=int))
+        mats[-1][perm, range(n)] = signs
     return mats
 
 
 def weyl_coordinate_actions(b: Bracket, torus: Torus | None = None):
     """Distinct exact actions on torus coordinates induced by the signed
-    permutation automorphism group, identity first."""
+    permutation automorphism group, identity first, then in order.
+
+    Signs commute with the torus, so each permutation that lifts gives
+    one action, whose row l is the torus basis column at pi^-1 of the
+    l-th pivot; actions are told apart and sorted by those columns' ranks.
+    """
     if torus is None:
         torus = diagonal_torus(b)
-    seen = {}
-    for g in orthogonal_weyl_group(b):
-        act_mat = torus_coordinate_action(g, torus)
-        if act_mat is None:
+    columns = [tuple(row[i] for row in torus.basis) for i in range(b.dim)]
+    distinct = sorted(set(columns))
+    ranks = [distinct.index(col) for col in columns]
+    rows = [_rational._integer_row(row)[0] for row in torus.basis]
+    keys = set()
+    for perm, _ in _lifting_permutations(b)[0]:
+        pre = _conjugate_pivots(perm, torus, rows)
+        if pre is None:
             raise NumericalError("automorphism failed to normalize the torus")
-        key = tuple(tuple(row) for row in act_mat)
-        if key not in seen:
-            seen[key] = act_mat
-    ident = tuple(tuple(Fraction(int(i == j)) for j in range(torus.dim)) for i in range(torus.dim))
-    keys = sorted(seen, key=lambda k: (k != ident, k))
-    return [seen[k] for k in keys]
+        keys.add(tuple(ranks[i] for i in pre))
+    ident = tuple(ranks[p] for p in torus.pivots)
+    return [[list(distinct[r]) for r in key]
+            for key in sorted(keys, key=lambda k: (k != ident, k))]

@@ -8,6 +8,7 @@ digits.  Only i < j rows are accepted.
 """
 
 import json
+import math
 from fractions import Fraction
 
 from .brackets import FLOAT, RATIONAL, Bracket
@@ -25,11 +26,12 @@ def _parse_scalar(text, kind: str, where: str):
         raise PreconditionError(f"{where}: scalar must be a string, got "
                                 f"{type(text).__name__}")
     try:
-        if kind == RATIONAL:
-            return Fraction(text)
-        return float(text)
+        c = Fraction(text) if kind == RATIONAL else float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"{where}: bad scalar {text!r}: {exc}") from exc
+    if not math.isfinite(c):
+        raise PreconditionError(f"{where}: scalar {text!r} is not finite")
+    return c
 
 
 def dumps_algebra(b: Bracket) -> str:

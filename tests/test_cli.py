@@ -59,6 +59,18 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert json.loads(err)["kind"] == "precondition"
 
+    @pytest.mark.parametrize("command", ["moment", "ricci"])
+    @pytest.mark.parametrize("text", ["inf", "nan", "1e999"])
+    def test_non_finite_constant_is_refused_where_it_stands(self, capsys, tmp_path,
+                                                           command, text):
+        path = tmp_path / "bad.json"
+        path.write_text('{"brackets": [[1, 2, [[3, "%s"]]]], "dim": 3, "scalars": "float"}' % text)
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "precondition"
+        assert error["error"] == f"brackets[0].targets[0]: scalar '{text}' is not finite"
+
     def test_corpus_emit_and_file_load(self, capsys, tmp_path):
         code, out, _ = run(capsys, "corpus", "--name", "heisenberg:3")
         assert code == 0

@@ -1,5 +1,7 @@
 import importlib
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rnlie.brackets import center, nilpotency_step, validate_jacobi
@@ -56,6 +58,17 @@ def test_param_validation():
         corpus("heisenberg", 4)
     with pytest.raises(PreconditionError):
         corpus("tricky5", 5)
+
+
+@pytest.mark.parametrize("param", [3.7, Fraction(7, 2), "3", True, float("nan")])
+def test_non_integral_param_refused(param):
+    with pytest.raises(PreconditionError, match="integer parameter"):
+        corpus("heisenberg", param)
+
+
+def test_integer_params_accepted():
+    for param in (3, np.int64(3), np.int32(3)):
+        assert corpus("heisenberg", param) is corpus("heisenberg", 3)
 
 
 def test_names_listing():

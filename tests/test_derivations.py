@@ -1,8 +1,11 @@
+import itertools
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from rnlie import _rational
 from rnlie.brackets import Bracket, act, BasisChange
 from rnlie.corpus import corpus
 from rnlie.derivations import (derivation_space, diagonal_derivation,
@@ -270,3 +273,89 @@ class TestWeylGroup:
     def test_dimension_guard(self):
         with pytest.raises(PreconditionError):
             orthogonal_weyl_group(Bracket(9, {}))
+
+
+# every corpus entry of dimension at most 5, then sl(2, R), whose sign
+# equations are inconsistent for some permutations that keep every |c|,
+# and a pair bracketing to two targets of different sizes
+SMALL_BRACKETS = [corpus(name, param).bracket for name, param in [
+    ("tricky5", None), ("heisenberg", 3), ("heisenberg", 5), ("filiform", 4),
+    ("filiform", 5), ("abelian", 3), ("abelian", 4), ("euclid3", None),
+    ("milnor_heis", None), ("milnor_hyp", 3)]] + [
+    Bracket(3, {(0, 1, 2): 1, (0, 2, 1): 1, (1, 2, 0): -1}),
+    Bracket(4, {(0, 1, 2): 1, (0, 1, 3): 2})]
+
+
+def brute_force_automorphisms(b):
+    """Every signed permutation e_i -> s_i e_pi(i) that fixes the bracket,
+    among all 2^n n! of them, as (pi, s): identity first, then in order."""
+    n = b.dim
+    found = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((-1, 1), repeat=n):
+            moved = {}
+            for (i, j, k), c in b.constants.items():
+                value = c * signs[i] * signs[j] * signs[k]
+                if perm[i] < perm[j]:
+                    moved[(perm[i], perm[j], perm[k])] = value
+                else:
+                    moved[(perm[j], perm[i], perm[k])] = -value
+            if moved == dict(b.constants):
+                found.append((perm, signs))
+    ident = (tuple(range(n)), (1,) * n)
+    return sorted(found, key=lambda ps: (ps != ident, ps))
+
+
+def reference_action(perm, t):
+    """T -> g T g^-1 on torus coordinates for g e_i = +-e_pi(i), each
+    conjugated basis row solved for its coordinates; None off the torus."""
+    n, r = len(perm), t.dim
+    columns = [[t.basis[l][i] for l in range(r)] for i in range(n)]
+    coords = []
+    for row in t.basis:
+        conj = [F(0)] * n
+        for i in range(n):
+            conj[perm[i]] = row[i]
+        x = _rational.solve(columns, conj)
+        if x is None:
+            return None
+        coords.append(x)
+    return [[coords[c][l] for c in range(r)] for l in range(r)]
+
+
+class TestWeylReference:
+    @pytest.mark.parametrize("b", SMALL_BRACKETS)
+    def test_matches_brute_force(self, b):
+        autos = brute_force_automorphisms(b)
+        mats = orthogonal_weyl_group(b)
+        assert len(mats) == len(autos)
+        for g, (perm, signs) in zip(mats, autos):
+            want = np.zeros((b.dim, b.dim), dtype=int)
+            want[list(perm), range(b.dim)] = signs
+            assert np.array_equal(g, want)
+        t = diagonal_torus(b)
+        actions = {tuple(map(tuple, reference_action(perm, t))) for perm, _ in autos}
+        ident = tuple(tuple(F(int(i == j)) for j in range(t.dim)) for i in range(t.dim))
+        want = [list(map(list, a)) for a in sorted(actions, key=lambda a: (a != ident, a))]
+        assert weyl_coordinate_actions(b) == want
+
+    @pytest.mark.parametrize("b", SMALL_BRACKETS)
+    def test_torus_action_of_every_permutation(self, b):
+        t = diagonal_torus(b)
+        for perm in itertools.permutations(range(b.dim)):
+            g = np.zeros((b.dim, b.dim), dtype=int)
+            g[list(perm), range(b.dim)] = 1
+            assert torus_coordinate_action(g, t) == reference_action(perm, t)
+
+
+class TestWeylSearchBudget:
+    def test_heisenberg9_actions(self):
+        assert len(weyl_coordinate_actions(corpus("heisenberg", 9).bracket)) == 384
+
+    def test_heisenberg13_refused_quickly(self):
+        b = corpus("heisenberg", 13).bracket
+        t = diagonal_torus(b)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="nodes"):
+            weyl_coordinate_actions(b, t)
+        assert time.perf_counter() - start < 1.0

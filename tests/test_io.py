@@ -96,3 +96,10 @@ def test_rejects_schema_violations():
 def test_bad_json_reports_position():
     with pytest.raises(PreconditionError, match="line 2"):
         loads_algebra('{"dim": 3,\n "scalars": }')
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+def test_rejects_non_finite_float_scalar(text):
+    with pytest.raises(PreconditionError, match=r"brackets\[0\]\.targets\[1\].*not finite"):
+        loads_algebra('{"dim": 3, "scalars": "float", '
+                      f'"brackets": [[1, 2, [[3, "1"], [1, "{text}"]]]]}}')
