@@ -143,6 +143,8 @@ def act(h: BasisChange, b: Bracket) -> Bracket:
     Rational h on a rational bracket stays exact.  A float h with a
     non-finite entry raises PreconditionError: its bracket would be NaN
     wherever that entry reaches, and the cut below drops NaN constants.
+    So does a finite h whose action overflows a constant: the cut, taken
+    relative to an infinite largest constant, would drop every constant.
     """
     if not isinstance(h, BasisChange):
         h = BasisChange(h)
@@ -171,7 +173,10 @@ def act(h: BasisChange, b: Bracket) -> Bracket:
     H = h.as_array()
     if not np.isfinite(H).all():
         raise PreconditionError("basis change matrix has a non-finite entry")
-    T = cut_tensor(act_tensor(b.tensor(), H))
+    T = act_tensor(b.tensor(), H)
+    if not np.isfinite(T).all():
+        raise PreconditionError("basis change overflows the structure constants")
+    T = cut_tensor(T)
     # nonzero entries in (i, j, k) order, so the keys i < j come out sorted
     new = {(i, j, k): float(T[i, j, k]) for i, j, k in np.argwhere(T).tolist() if i < j}
     return Bracket(b.dim, new, FLOAT)

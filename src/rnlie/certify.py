@@ -27,7 +27,7 @@ from .derivations import (_is_diagonal, derivation_matrix, diagonal_derivation,
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
                      _metric_factors, centralizer_blocks, nice_basis_check,
-                     pack_blocks, weight_vector)
+                     weight_vector)
 from .rng import default_seed, generator
 
 MARGIN_THRESHOLD = Fraction(1, 10_000_000)  # 1e-7
@@ -302,10 +302,16 @@ def constructive_nonneg(D, b: Bracket):
 
 def _scaling_line(blocks, n):
     """The 50 search points of the pure-scaling line h = e^s, s from 0.25
-    to 25: s times the packed identity, then n zeros."""
-    packed = pack_blocks(np.eye(n), blocks)
-    line = np.zeros((50, len(packed) + n))
-    line[:, :len(packed)] = np.outer(np.linspace(0.25, 25.0, 50), packed)
+    to 25: s times the packed identity, then n zeros.  The packed
+    identity of pack_blocks holds a 1 at each block's diagonal and +0.0
+    elsewhere, so s is written at those places of a zero array."""
+    at, ones = 0, []
+    for blk in blocks:
+        size = len(blk)
+        ones += range(at, at + size * size, size + 1)
+        at += size * size
+    line = np.zeros((50, at + n))
+    line[:, ones] = np.linspace(0.25, 25.0, 50)[:, None]
     return line
 
 
@@ -334,8 +340,10 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     non-diagonal D, take expm.
 
     Points are evaluated as stacks, and each row of a stack reads the
-    same bits as it would alone.  The scaling line is one stack.  A
-    descent polls and moves in a fixed order, so its stacks hold what it
+    same bits as it would alone.  The identity metric and the 50 points
+    of the scaling line are one stack of 51 rows, cut to the budget, so
+    a search that ends on the line makes one evaluator call.  A descent
+    polls and moves in a fixed order, so its stacks hold what it
     will probably take next (_compass_descent): x with its whole first
     sweep; after a sweep that finds nothing, every sweep left on the
     step ladder; otherwise the rest of the sweep, from the current
@@ -356,7 +364,9 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     values taken; rows that a descent in flight computed past that
     point are never taken and do not count.  A witness is confirmed by
     is_ricci_negative, the independent Koszul-formula evaluation,
-    before it is returned.
+    before it is returned.  The seeded generator is made at the first
+    random start, so a search that ends before one never makes it; the
+    seed is still checked against Philox's key range at the start.
     """
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
         raise PreconditionError(f"budget must be an int of at least 1, not {budget!r}")
@@ -365,7 +375,8 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     M = derivation_matrix(D, n)
     require_derivation(M, b)
     seed = default_seed() if seed is None else int(seed)
-    rng = generator(seed, 21)
+    np.uint64(seed)  # a seed outside Philox's key range raises here, not late
+    rng = None
 
     if _is_diagonal(M):
         blocks = centralizer_blocks(np.diag(M))
@@ -407,20 +418,23 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     def left():
         return budget - state["evals"]
 
-    # identity metric, then the pure-scaling line h = e^s
-    for rows in (np.zeros((1, dim)), _scaling_line(blocks, n)):
-        rows = rows[:left()]
-        if take(evaluate(rows), rows):
-            break
+    def random_start():
+        nonlocal rng
+        if rng is None:
+            rng = generator(seed, 21)
+        return 0.6 * rng.standard_normal(dim)
+
+    # the identity metric, then the pure-scaling line h = e^s, as one stack
+    rows = np.concatenate([np.zeros((1, dim)), _scaling_line(blocks, n)])[:budget]
+    take(evaluate(rows), rows)
 
     while not done():
         if state["evals"] < budget // 3:
             # one descent at a time: each restarts from the best point so far
-            x = (state["best_x"].copy() if state["best"] < math.inf
-                 else 0.6 * rng.standard_normal(dim))
+            x = state["best_x"].copy() if state["best"] < math.inf else random_start()
             _lockstep([x], 1, evaluate, take, left)
         else:
-            starts = (0.6 * rng.standard_normal(dim) for _ in itertools.count())
+            starts = (random_start() for _ in itertools.count())
             _lockstep(starts, _LOCKSTEP_WINDOW, evaluate, take, left)
 
     x = state["best_x"]

@@ -24,6 +24,7 @@ index pairs, so a single basis bracket e_i ^ e_j -> e_k has squared norm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -291,6 +292,17 @@ def is_ricci_negative(D, b: Bracket, p: MetricParams | None = None):
 _LOG_SINGULAR = float(np.log(1e-300))
 
 
+def _clearly_nonsingular(d: np.ndarray) -> bool:
+    """Whether every row of the (K, n) stack of diagonal factors d is
+    finite and passes the singularity test of _top_eigenvalues by a wide
+    margin: n log min |d| bounds each row's log |det| from below, and
+    lying 1 above log(1e-300) puts it beyond any rounding of the running
+    sum and outside the window where det is asked."""
+    low = float(np.abs(d).min(initial=np.inf))
+    return bool(low > 0.0 and d.shape[-1] * math.log(low) > _LOG_SINGULAR + 1.0
+                and np.isfinite(d).all())
+
+
 def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Top Ricci eigenvalue of the extension of C by M under each metric
     (1, X[r], h[r]) of a stack: X is (K, n), and h is (K, n, n), or (K, n)
@@ -306,13 +318,19 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
     full (K, n, n) factors, from centralizer blocks larger than 1 x 1 or
     a non-diagonal M, take the dense products.  A row whose h is not
     finite or is singular (|det h| < 1e-300), or whose Ricci operator is
-    not finite, reads inf and leaves the other rows as they are.  Each
-    row is bit-identical to the same row evaluated alone, and a row of
-    diagonals to the same row given as the diagonal matrix.
+    not finite, reads inf and leaves the other rows as they are.  A
+    stack of diagonals that _clearly_nonsingular passes, every factor
+    finite and n log min|h| more than 1 above log(1e-300), skips the
+    per-row log det, exp and det of that test, which no row of it could
+    fail; any other stack takes them.  Each row is bit-identical to the
+    same row evaluated alone, and a row of diagonals to the same row
+    given as the diagonal matrix.
     """
     torus = h.ndim == 2
     with np.errstate(all="ignore"):
-        if torus:
+        if torus and _clearly_nonsingular(h):
+            ok = np.ones(len(h), dtype=bool)
+        elif torus:
             # numpy's det is the exponential of the running sum of log|u_ii|
             # over the LU factor's diagonal, which for a diagonal h is h
             # itself.  det takes log and exp from the C library, which may

@@ -425,7 +425,9 @@ def jordan_decompose(D) -> JordanParts:
 # signed permutation Weyl group
 
 # Partial permutations, the empty one included, that the Weyl group
-# search may visit: heisenberg:11 takes 18 992, abelian:8 109 601.
+# search may visit: heisenberg:11 takes 18 992, abelian:8 109 601.  Also
+# the most signed permutations orthogonal_weyl_group lists: abelian:6 has
+# 46 080, abelian:7 645 120.
 MAX_PERM_SEARCH_NODES = 50_000
 
 
@@ -551,13 +553,17 @@ def orthogonal_weyl_group(b: Bracket):
     under-approximation of the full orthogonal normalizer: continuous
     families of orthogonal automorphisms are not searched.  The lifts of
     each permutation are one solution of its sign equations plus every
-    sum of a kernel basis.  Past MAX_PERM_SEARCH_NODES search nodes,
-    raises PreconditionError.  torus_coordinate_action reads off the
-    exact action on torus coordinates, and weyl_coordinate_actions lists
-    the distinct ones.
+    sum of a kernel basis.  Past MAX_PERM_SEARCH_NODES search nodes, or
+    past as many lifts, raises PreconditionError before any matrix is
+    built.  torus_coordinate_action reads off the exact action on torus
+    coordinates, and weyl_coordinate_actions lists the distinct ones.
     """
     n = b.dim
     found, kernel = _lifting_permutations(b)
+    count = len(found) << len(kernel)
+    if count > MAX_PERM_SEARCH_NODES:
+        raise PreconditionError(
+            f"Weyl group has {count} signed permutations, past {MAX_PERM_SEARCH_NODES}")
     lifts = []
     for perm, signs in found:
         masks = [signs]

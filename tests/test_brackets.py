@@ -203,6 +203,18 @@ class TestAction:
             rhs = act(BasisChange(g), act(BasisChange(k), b))
             assert np.abs(lhs.tensor() - rhs.tensor()).max() < 1e-10
 
+    @pytest.mark.parametrize("H", [
+        np.diag([1e-200, 1e-200, 1e200]),
+        np.array([[1e300, 1e300, 0.0], [0.0, 1e-300, 0.0], [0.0, 0.0, 1e308]]),
+    ])
+    def test_overflowing_action_refused(self, H):
+        # the first used to leave an infinite constant, the second the
+        # zero bracket: an infinite largest constant cut every other one
+        with np.errstate(all="ignore"), pytest.raises(PreconditionError, match="overflows"):
+            act(BasisChange(H), h3().to_float())
+        out = act(BasisChange(np.diag([1e-100, 1e-100, 1e100])), h3().to_float())
+        assert out.constants == {(0, 1, 2): 1e300}
+
     def test_exact_round_trip(self):
         h = BasisChange([[F(1), F(1), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
         hinv = BasisChange([[F(1), F(-1), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])

@@ -583,6 +583,20 @@ class TestLockstepSearch:
         at = int(np.argmax(crossing < NEGATIVITY_THRESHOLD))
         assert at > 0 and len(crossing) - at - 1 >= 12
 
+    @pytest.mark.parametrize("budget", [1, 2, 50, 51, 52])
+    @pytest.mark.parametrize("b, D, seed",
+                             FAILURE_CASES + WITNESS_CASES
+                             + [(b, D, 1) for b, D in EXHAUST_CASES]
+                             + [(h3, diag(0.15, 0.25, 0.4), 11)])
+    def test_same_bytes_around_the_first_stack(self, b, D, seed, budget):
+        """The identity metric and the 50 points of the scaling line go to
+        the evaluator as one stack, which the sequential driver evaluates
+        as two.  Budgets that cut the stack (1, 2, 50), end with it (51)
+        or leave one evaluation past it (52) give the same bytes."""
+        want = sequential_search(D, b, budget=budget, seed=seed)
+        got = search_rn_metric(D, b, budget=budget, seed=seed)
+        assert _fingerprint(got) == _fingerprint(want)
+
 
 class TestStackedSearch:
     """The stacked search against the one-point-at-a-time reference."""
@@ -640,6 +654,49 @@ class TestStackedSearch:
         res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
         assert isinstance(res, SearchFailure) and res.evaluations == 2000
         assert counts == {"act_tensor": 0, "_metric_factors": 1}
+
+    def test_search_ending_on_the_scaling_line_makes_one_evaluator_call(self, monkeypatch):
+        """The identity reads 0.18 here and the first point of the
+        scaling line, h = e^0.25, is a witness: one call of 51 rows."""
+        calls = []
+        inner = certify._top_eigenvalues
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return inner(*args)
+
+        monkeypatch.setattr(certify, "_top_eigenvalues", counted)
+        D = diag(0.15, 0.25, 0.4)
+        assert is_ricci_negative(D, h3)[1] > 0
+        res = search_rn_metric(D, h3, seed=11)
+        assert isinstance(res, RnWitness)
+        assert np.array_equal(res.params.h, np.exp(0.25) * np.eye(3))
+        assert not res.params.X.any()
+        assert calls == [51]
+
+    def test_generator_made_only_at_the_first_random_start(self, monkeypatch):
+        """Searches that end at the identity, on the scaling line or in a
+        descent from the best point never draw, so they make no
+        generator; a search that reaches its random phase makes one."""
+        made = []
+        inner = certify.generator
+
+        def counted(*args):
+            made.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(certify, "generator", counted)
+        for D in (diag(1, 1, 2), diag(0.15, 0.25, 0.4), diag(-0.4, 0.9, 0.5)):
+            assert isinstance(search_rn_metric(D, h3, seed=11), RnWitness)
+        assert made == []
+        res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
+        assert isinstance(res, SearchFailure) and res.evaluations == 2000
+        assert made == [(11, 21)]
+
+    def test_seed_out_of_range_refused_before_evaluating(self):
+        # the generator is made late, but its key is checked at the start
+        with pytest.raises(OverflowError):
+            search_rn_metric(diag(1, 1, 2), h3, seed=-1)
 
     def test_lockstep_restarts_share_evaluator_calls(self, monkeypatch):
         """The random restarts of a full-budget search go to the

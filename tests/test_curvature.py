@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from rnlie import curvature
 from rnlie.brackets import Bracket, act_tensor, gram_difference
 from rnlie.certify import _metric_factors
 from rnlie.corpus import corpus
@@ -421,6 +422,48 @@ class TestStackedEvaluation:
         assert dense[2] == dense[5] == dense[7] == np.inf
         assert np.isfinite(np.delete(dense, [2, 5, 7])).all()
         assert torus.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("case", TORUS_CASES)
+    def test_clearly_nonsingular_stacks_skip_the_checks(self, case, monkeypatch):
+        """A stack of torus diagonals that are finite and whose n log min|h|
+        lies 1 above log(1e-300) skips the log-det checks; one row just
+        below that bound sends its whole stack through them.  Either way
+        every row reads the bytes it reads alone, and the bytes the checks
+        give, which the dense factors give too."""
+        b, M, blocks, xs, asize = _stack(case, rows=40, seed=2)
+        n = b.dim
+        C = b.tensor()
+        bound = (curvature._LOG_SINGULAR + 1.0) / n
+        above = xs.copy()
+        above[3, :n] = [bound + 1e-6] + [0.0] * (n - 1)
+        below = xs.copy()
+        below[3, :n] = [bound - 1e-6] + [0.0] * (n - 1)
+
+        def values(rows):
+            return _top_eigenvalues(M, C, rows[:, n:], np.exp(rows[:, :n]))
+
+        for rows, fast in ((xs, True), (above, True), (below, False)):
+            assert curvature._clearly_nonsingular(np.exp(rows[:, :n])) is fast
+            got = values(rows)
+            assert np.isfinite(got).all()
+            for k in range(len(rows)):
+                assert values(rows[k:k + 1]).tobytes() == got[k:k + 1].tobytes()
+            h = _metric_factors(rows[:, :n], blocks, n)
+            assert _top_eigenvalues(M, C, rows[:, n:], h).tobytes() == got.tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(curvature, "_clearly_nonsingular", lambda d: False)
+                assert values(rows).tobytes() == got.tobytes()
+
+    def test_clearly_nonsingular_refuses_what_the_checks_decide(self):
+        """Zero, non-finite and tiny factors, and the empty row, are left
+        to the checks; so is a tiny factor that a huge one makes up for,
+        since only the smallest factor is read."""
+        bound = curvature._LOG_SINGULAR + 1.0
+        for d in ([[1.0, 0.0]], [[1.0, np.nan]], [[np.inf, 1.0]], [[1.0, -np.inf]],
+                  [[np.exp(bound / 2 - 1e-6)] * 2], [[-1e200, 1e-200]], np.zeros((2, 0))):
+            assert not curvature._clearly_nonsingular(np.array(d, dtype=float))
+        for d in ([[np.exp(bound / 2 + 1e-6)] * 2], [[-1e100, 1e-100]], np.zeros((0, 3))):
+            assert curvature._clearly_nonsingular(np.array(d, dtype=float))
 
 
 class TestVectorDerivation:

@@ -359,3 +359,12 @@ class TestWeylSearchBudget:
         with pytest.raises(PreconditionError, match="nodes"):
             weyl_coordinate_actions(b, t)
         assert time.perf_counter() - start < 1.0
+
+    def test_abelian7_group_refused_before_listing(self):
+        # 13 700 search nodes, but 5 040 permutations times 2^7 signs
+        b = corpus("abelian", 7).bracket
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="645120 signed permutations"):
+            orthogonal_weyl_group(b)
+        assert time.perf_counter() - start < 1.0
+        assert len(orthogonal_weyl_group(corpus("abelian", 6).bracket)) == 46_080
