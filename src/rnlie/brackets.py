@@ -14,6 +14,7 @@ curvature module reproduce the classical Heisenberg spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -41,8 +42,9 @@ class Bracket:
 
     constants maps (i, j, k) with i < j to a nonzero scalar.  Use
     scalar_kind = "rational" for Fraction constants and "float" for
-    floats; mixed dicts are normalized on construction.  The stored
-    constants are a read-only view of the normalized dict.
+    floats; mixed dicts are normalized on construction, and a non-finite
+    float constant is refused.  The stored constants are a read-only view
+    of the normalized dict.
     """
 
     dim: int
@@ -62,6 +64,8 @@ class Bracket:
                 c = Fraction(c)
             else:
                 c = float(c)
+                if not math.isfinite(c):
+                    raise PreconditionError(f"non-finite constant {c} in triple {(i, j, k)}")
             if c != 0:
                 clean[(i, j, k)] = c
         object.__setattr__(self, "constants", MappingProxyType(clean))

@@ -27,8 +27,8 @@ from .derivations import (_is_diagonal, derivation_matrix, diagonal_derivation,
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
                      _metric_factors, centralizer_blocks, nice_basis_check,
-                     weight_vector)
-from .rng import default_seed, generator
+                     _packed_layout, weight_vector)
+from .rng import default_seed, generator, require_seed
 
 MARGIN_THRESHOLD = Fraction(1, 10_000_000)  # 1e-7
 SAMPLING_SLACK = Fraction(1, 10**9)
@@ -41,10 +41,10 @@ class SrnCertificate:
     """Nonnegative coefficients writing D as margin-positive over the
     certificate's moment points.
 
-    `coefficients` maps a weight triple (NiceLP, Constructive) or a
-    sample index (SampledLP) to its coefficient; subtracting the
-    weighted moment points from D leaves every diagonal entry at least
-    `margin`, which is strictly positive.
+    `coefficients` maps a weight triple (NiceLP) or a sample index
+    (SampledLP) to its coefficient; subtracting the weighted moment
+    points from D leaves every diagonal entry at least `margin`, which
+    is strictly positive.
     """
 
     coefficients: dict
@@ -240,78 +240,14 @@ def necessary_condition(D, b: Bracket) -> bool:
     return float(np.linalg.eigvals(restricted).real.min()) > 1e-10
 
 
-def constructive_nonneg(D, b: Bracket):
-    """Certificate for a nonnegative diagonal derivation that is
-    positive on the center of a nice-basis algebra.
-
-    Each kernel index contributes one weight matrix through a bracket
-    pairing it with two strictly positive directions; the margin over
-    the summed weight matrices is then maximized exactly in one
-    variable.
-    """
-    report = nice_basis_check(b)
-    if not report.ok:
-        raise PreconditionError("constructive certification needs a nice basis")
-    d_exact = [Fraction(v) for v in diagonal_derivation(D, b)]
-    diag = np.array([float(v) for v in d_exact])
-    if diag.min() < -1e-12:
-        raise PreconditionError("entries must be nonnegative")
-    Z = center(b)
-    if Z.shape[1]:
-        zmin = float(np.linalg.eigvals(Z.T @ np.diag(diag) @ Z).real.min())
-        if zmin <= 1e-10:
-            raise PreconditionError("must be strictly positive on the center")
-    n = b.dim
-    positive = {i for i in range(n) if diag[i] > 1e-12}
-    kernel = [i for i in range(n) if i not in positive]
-    chosen = {}
-    for i in kernel:
-        pick = None
-        for (p, q, k), c in sorted(b.constants.items()):
-            if c == 0:
-                continue
-            if p == i:
-                j = q
-            elif q == i:
-                j = p
-            else:
-                continue
-            if j in positive and k in positive:
-                pick = (p, q, k)
-                break
-        if pick is None:
-            raise NumericalError(
-                f"no bracket pairs kernel index {i} with two positive "
-                "directions; the center is not inside the positive part")
-        chosen[pick] = chosen.get(pick, 0) + 1
-    m_diag = [Fraction(0)] * n
-    for (p, q, k), mult in chosen.items():
-        m_diag[p] -= mult
-        m_diag[q] -= mult
-        m_diag[k] += mult
-    # one-variable margin program: maximize t with t <= D_r - eps*M_r, eps >= 0
-    res = _margin_lp(d_exact, [m_diag])
-    if res.status != "optimal":
-        raise NumericalError(f"margin line search ended {res.status}")
-    t_star, eps = res.x[0], res.x[1]
-    if t_star <= 0:
-        raise NumericalError("no positive margin; hypotheses not satisfied")
-    coeffs = {trip: eps * mult for trip, mult in chosen.items()}
-    return SrnCertificate(coeffs, t_star, "Constructive")
-
-
 def _scaling_line(blocks, n):
     """The 50 search points of the pure-scaling line h = e^s, s from 0.25
     to 25: s times the packed identity, then n zeros.  The packed
     identity of pack_blocks holds a 1 at each block's diagonal and +0.0
     elsewhere, so s is written at those places of a zero array."""
-    at, ones = 0, []
-    for blk in blocks:
-        size = len(blk)
-        ones += range(at, at + size * size, size + 1)
-        at += size * size
-    line = np.zeros((50, at + n))
-    line[:, ones] = np.linspace(0.25, 25.0, 50)[:, None]
+    _, diagonal, width = _packed_layout(blocks)
+    line = np.zeros((50, width + n))
+    line[:, diagonal] = np.linspace(0.25, 25.0, 50)[:, None]
     return line
 
 
@@ -375,7 +311,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     M = derivation_matrix(D, n)
     require_derivation(M, b)
     seed = default_seed() if seed is None else int(seed)
-    np.uint64(seed)  # a seed outside Philox's key range raises here, not late
+    require_seed(seed)
     rng = None
 
     if _is_diagonal(M):

@@ -22,8 +22,7 @@ import numpy as np
 from . import io as _io
 from .brackets import Bracket
 from .certify import (Infeasible, SrnCertificate, certify_srn_nice,
-                      certify_srn_sampled, constructive_nonneg,
-                      necessary_condition)
+                      certify_srn_sampled, necessary_condition)
 from .cone import EXACT, cone_section, weyl_invariance_check
 from .corpus import _NEEDS_PARAM, corpus, corpus_names
 from .curvature import extension_bracket, koszul_oracle, ricci_extension
@@ -228,9 +227,7 @@ def _cmd_certify(args) -> int:
         return EXIT_OK
     if method == "auto":
         method = "nice" if nice_basis_check(b).ok else "sampled"
-    if method == "constructive":
-        res = constructive_nonneg(D, b)
-    elif method == "sampled":
+    if method == "sampled":
         sample = orbit_sample("TorusCentralizer", b, count=args.sample_count,
                               seed=args.seed)
         res = certify_srn_sampled(D, b, sample)
@@ -362,8 +359,7 @@ def build_parser() -> _Parser:
     _add_algebra_flags(q)
     q.add_argument("--derivation", required=True)
     q.add_argument("--method", default="auto",
-                   choices=["auto", "nice", "sampled", "constructive",
-                            "necessary"])
+                   choices=["auto", "nice", "sampled", "necessary"])
     q.add_argument("--sample-count", type=int, default=32)
 
     q = cmd("cone", _cmd_cone, "certified cone section at a trace level")

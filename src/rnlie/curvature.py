@@ -297,7 +297,7 @@ def _clearly_nonsingular(d: np.ndarray) -> bool:
     finite and passes the singularity test of _top_eigenvalues by a wide
     margin: n log min |d| bounds each row's log |det| from below, and
     lying 1 above log(1e-300) puts it beyond any rounding of the running
-    sum and outside the window where det is asked."""
+    sum of logs that numpy's det takes."""
     low = float(np.abs(d).min(initial=np.inf))
     return bool(low > 0.0 and d.shape[-1] * math.log(low) > _LOG_SINGULAR + 1.0
                 and np.isfinite(d).all())
@@ -321,32 +321,20 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
     not finite, reads inf and leaves the other rows as they are.  A
     stack of diagonals that _clearly_nonsingular passes, every factor
     finite and n log min|h| more than 1 above log(1e-300), skips the
-    per-row log det, exp and det of that test, which no row of it could
-    fail; any other stack takes them.  Each row is bit-identical to the
-    same row evaluated alone, and a row of diagonals to the same row
-    given as the diagonal matrix.
+    per-row det of that test, which no row of it could fail; any other
+    stack of diagonals takes det on its diagonal matrices, as full
+    factors do.  Each row is bit-identical to the same row evaluated
+    alone, and a row of diagonals to the same row given as the diagonal
+    matrix.
     """
     torus = h.ndim == 2
     with np.errstate(all="ignore"):
         if torus and _clearly_nonsingular(h):
             ok = np.ones(len(h), dtype=bool)
-        elif torus:
-            # numpy's det is the exponential of the running sum of log|u_ii|
-            # over the LU factor's diagonal, which for a diagonal h is h
-            # itself.  det takes log and exp from the C library, which may
-            # round the last bit apart from np.log and np.exp, so rows at
-            # the threshold ask det.
-            logdet = np.zeros(len(h))
-            for col in np.log(np.abs(h)).T:
-                logdet += col
-            ok = np.isfinite(h).all(axis=1) & (np.exp(logdet) >= 1e-300)
-            edge = np.abs(logdet - _LOG_SINGULAR) < 1e-9
-            if edge.any():
-                diagonal = h[edge][:, :, None] * np.eye(h.shape[1])
-                ok[edge] = np.abs(np.linalg.det(diagonal)) >= 1e-300
         else:
-            ok = np.isfinite(h).all(axis=(1, 2))
-            ok[ok] = np.abs(np.linalg.det(h[ok])) >= 1e-300
+            full = h[:, :, None] * np.eye(h.shape[1]) if torus else h
+            ok = np.isfinite(full).all(axis=(1, 2))
+            ok[ok] = np.abs(np.linalg.det(full[ok])) >= 1e-300
         if not ok.all():
             # the valid rows again, as a stack of their own
             lam = np.full(len(h), np.inf)

@@ -271,6 +271,18 @@ def unpack_blocks(x, blocks, n: int) -> np.ndarray:
     return A.reshape(x.shape[:-1] + (n, n))
 
 
+def _packed_layout(blocks):
+    """The layout of pack_blocks: the offset at which each block starts,
+    the offsets of the diagonal entries, and the packed length."""
+    starts, diagonal, width = [], [], 0
+    for blk in blocks:
+        size = len(blk)
+        starts.append(width)
+        diagonal += range(width, width + size * size, size + 1)
+        width += size * size
+    return starts, diagonal, width
+
+
 def _draw_block_elements(rng, blocks, n, k):
     """k elements of the block-diagonal group as a (k, n, n) stack, drawn
     one after another: for each block of size s, standard_normal(s * s)
@@ -281,10 +293,7 @@ def _draw_block_elements(rng, blocks, n, k):
     order, so the stack holds the first k well-conditioned elements of the
     stream; 64 such draws in a row raise NumericalError."""
     sizes = [len(blk) for blk in blocks]
-    diagonal, width = [], 0
-    for s in sizes:
-        diagonal += range(width, width + s * s, s + 1)
-        width += s * s
+    _, diagonal, width = _packed_layout(blocks)
     kept, streak = [], 0
     while len(kept) < k:
         need = k - len(kept)
@@ -347,8 +356,7 @@ def _block_layout(blocks):
     and each larger block with its first offset.  `blocks` is a tuple of
     index tuples."""
     ones, pairs, larger = [], [], []
-    pos = 0
-    for blk in blocks:
+    for blk, pos in zip(blocks, _packed_layout(blocks)[0]):
         if len(blk) == 1:
             ones.append((blk[0], pos))
         elif len(blk) == 2:
@@ -356,7 +364,6 @@ def _block_layout(blocks):
             pairs.append(((i, i, j, j), (i, j, i, j), range(pos, pos + 4)))
         else:
             larger.append((blk, pos))
-        pos += len(blk) ** 2
     return (tuple(np.array(col) for col in zip(*ones)),
             tuple(np.array(col) for col in zip(*pairs)), tuple(larger))
 

@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .errors import PreconditionError
+
 SEED_ENV = "RNL_SEED"
 
 
@@ -23,9 +25,17 @@ def default_seed() -> int:
         return 0
 
 
+def require_seed(seed) -> None:
+    """Raise PreconditionError unless seed lies in Philox's key range
+    [0, 2**64)."""
+    if not 0 <= seed < 2 ** 64:
+        raise PreconditionError(f"seed {seed} is outside [0, 2**64)")
+
+
 def generator(seed=None, stream: int = 0) -> np.random.Generator:
     """Philox generator for (seed, stream); same pair, same numbers."""
     if seed is None:
         seed = default_seed()
+    require_seed(seed)
     bg = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stream)])
     return np.random.Generator(bg)

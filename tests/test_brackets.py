@@ -159,12 +159,14 @@ class TestNullSpace:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_constants_are_refused(self, bad):
-        """scipy refused them too (check_finite); numpy's SVD does not
-        return on some matrices with an infinite entry."""
-        b = Bracket(3, {(0, 1, 2): bad}, FLOAT)
-        for kernel in (center, derivation_space):
-            with pytest.raises(PreconditionError, match="non-finite"):
-                kernel(b)
+        """The bracket refuses a non-finite constant, naming its triple, so
+        no kernel sees one.  _null_space refuses non-finite entries on its
+        own: scipy did too (check_finite), and numpy's SVD does not return
+        on some matrices with an infinite entry."""
+        with pytest.raises(PreconditionError, match=r"non-finite .* \(0, 1, 2\)"):
+            Bracket(3, {(0, 1, 2): bad}, FLOAT)
+        with pytest.raises(PreconditionError, match="non-finite"):
+            _null_space(np.array([[1.0, bad], [0.0, 1.0]]))
 
     def test_float_center_matches_exact(self):
         rng = np.random.default_rng(29)
@@ -258,8 +260,17 @@ class TestAction:
             upper = Cp[r][iu, ju]
             kept = {(int(iu[i]), int(ju[i]), int(k)): float(upper[i, k])
                     for i, k in zip(*np.nonzero(np.abs(upper) > cut))}
-            assert got[r].tobytes() == Bracket(5, kept, FLOAT).tensor().tobytes()
+            # Bracket.tensor written out, since a Bracket refuses row 4's inf
+            want = np.zeros((5, 5, 5))
+            for (i, j, k), c in kept.items():
+                want[i, j, k], want[j, i, k] = c, -c
+            assert got[r].tobytes() == want.tobytes()
             assert cut_tensor(Cp[r]).tobytes() == got[r].tobytes()
+            if r == 4:
+                with pytest.raises(PreconditionError, match="non-finite"):
+                    Bracket(5, kept, FLOAT)
+            else:
+                assert Bracket(5, kept, FLOAT).tensor().tobytes() == want.tobytes()
             if r not in (3, 4, 5):
                 assert list(act(BasisChange(H[r]), b).constants.items()) == list(kept.items())
         assert np.isinf(got[4]).any() and not got[5].any()

@@ -12,8 +12,7 @@ from rnlie.brackets import Bracket
 from rnlie.certify import (DEFAULT_BUDGET, NEGATIVITY_THRESHOLD, Infeasible,
                            RnWitness, SearchFailure, SrnCertificate, Unknown,
                            _scaling_line, certify_srn_nice, certify_srn_sampled,
-                           constructive_nonneg, necessary_condition,
-                           search_rn_metric)
+                           necessary_condition, search_rn_metric)
 from rnlie.corpus import corpus
 from rnlie.curvature import MetricParams, is_ricci_negative
 from rnlie.derivations import require_derivation
@@ -176,17 +175,22 @@ class TestSampledLp:
 
 
 class TestConstructive:
+    """Nonnegative derivations, most of them zero on some basis vector.
+    A certificate built from one weight matrix per zero entry is a
+    feasible point of the margin test over every weight matrix, so that
+    test certifies each input with at least its margin."""
+
     def test_h3_half(self):
-        res = constructive_nonneg(diag(0, 1, 1), h3)
-        assert res.method == "Constructive"
+        res = certify_srn_nice(diag(0, 1, 1), h3)
+        assert res.method == "NiceLP"
         assert res.margin == Fraction(1, 2)
         assert res.coefficients == {(0, 1, 2): Fraction(1, 2)}
 
     def test_h5_third(self):
         D = diag(0, 1, 0, 1, 1)
-        res = constructive_nonneg(D, h5)
+        res = certify_srn_nice(D, h5)
         assert res.margin == Fraction(1, 3)
-        assert set(res.coefficients) == {(0, 1, 4), (2, 3, 4)}
+        assert res.coefficients == {(0, 1, 4): Fraction(1, 3), (2, 3, 4): Fraction(1, 3)}
         # the quarter-strength combination is feasible too, margin 1/4:
         remainder = np.diag(D).copy()
         for (i, j, k) in res.coefficients:
@@ -197,20 +201,22 @@ class TestConstructive:
 
     def test_abelian_trivial(self):
         ab = corpus("abelian", 4).bracket
-        res = constructive_nonneg(np.eye(4), ab)
+        res = certify_srn_nice(np.eye(4), ab)
         assert res.margin == 1 and res.coefficients == {}
 
     def test_no_kernel(self):
-        res = constructive_nonneg(diag(1, 1, 2), h3)
-        assert res.margin == 1
+        res = certify_srn_nice(diag(1, 1, 2), h3)
+        assert res.margin == Fraction(3, 2)
 
-    def test_gates(self):
-        with pytest.raises(PreconditionError):
-            constructive_nonneg(diag(-1, 1, 0), h3)  # negative entry
-        with pytest.raises(PreconditionError):
-            constructive_nonneg(diag(0, 0, 0), h3)  # zero on the center
-        with pytest.raises(PreconditionError):
-            constructive_nonneg(diag(1, 1, 1), h3)  # not a derivation
+    def test_margin_threshold_is_absolute(self):
+        """A margin at or below 1e-7 certifies nothing, whatever the scale
+        of D; D and tD extend to the same Lie algebra for t > 0, so a
+        rescaled D gets its certificate."""
+        tiny = [Fraction(0), Fraction(1, 10**8), Fraction(1, 10**8)]
+        res = certify_srn_nice(tiny, h3)
+        assert isinstance(res, Infeasible) and res.margin == Fraction(1, 2 * 10**8)
+        res = certify_srn_nice([10**8 * v for v in tiny], h3)
+        assert isinstance(res, SrnCertificate) and res.margin == Fraction(1, 2)
 
 
 class TestNecessaryCondition:
@@ -693,10 +699,12 @@ class TestStackedSearch:
         assert isinstance(res, SearchFailure) and res.evaluations == 2000
         assert made == [(11, 21)]
 
-    def test_seed_out_of_range_refused_before_evaluating(self):
+    def test_seed_out_of_range_refused_before_evaluating(self, monkeypatch):
         # the generator is made late, but its key is checked at the start
-        with pytest.raises(OverflowError):
-            search_rn_metric(diag(1, 1, 2), h3, seed=-1)
+        monkeypatch.setattr(certify, "_top_eigenvalues", None)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(PreconditionError, match="outside"):
+                search_rn_metric(diag(1, 1, 2), h3, seed=seed)
 
     def test_lockstep_restarts_share_evaluator_calls(self, monkeypatch):
         """The random restarts of a full-budget search go to the

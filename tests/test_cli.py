@@ -71,6 +71,14 @@ class TestPlumbing:
         assert error["kind"] == "precondition"
         assert error["error"] == f"brackets[0].targets[0]: scalar '{text}' is not finite"
 
+    def test_seed_outside_philox_key_range_is_precondition(self, capsys):
+        code, out, err = run(capsys, "certify", "--algebra", "tricky5", "--derivation",
+                             '["-1","2","1","1","0"]', "--method", "sampled",
+                             "--seed", "-1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "seed -1 is outside [0, 2**64)",
+                                   "kind": "precondition"}
+
     def test_corpus_emit_and_file_load(self, capsys, tmp_path):
         code, out, _ = run(capsys, "corpus", "--name", "heisenberg:3")
         assert code == 0
@@ -190,11 +198,18 @@ class TestCertify:
         assert code == 0 and data["passes"] is False
 
     def test_constructive(self, capsys):
+        """constructive is no method, so asking for it is a usage error;
+        NiceLP certifies its old input with the same margin and
+        coefficients."""
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--algebra", "heisenberg:3", "--derivation", "[0,1,1]",
+                  "--method", "constructive"])
+        assert exc.value.code == 1 and "invalid choice" in capsys.readouterr().err
         code, data, _ = run_json(capsys, "certify", "--algebra",
                                  "heisenberg:3", "--derivation", "[0,1,1]",
-                                 "--method", "constructive")
+                                 "--method", "nice")
         assert code == 0
-        assert data["method"] == "Constructive" and data["margin"] == "1/2"
+        assert data["method"] == "NiceLP" and data["margin"] == "1/2"
         assert data["coefficients"] == [[[1, 2, 3], "1/2"]]
 
     def test_bad_derivation_precondition(self, capsys):

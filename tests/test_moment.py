@@ -236,6 +236,11 @@ class TestOrbitSample:
             swapped.verify(t5())
         moment.OrbitSample(s.group_tag, (), s.seed).verify(t5())
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_philox_key_range_is_refused(self, seed):
+        with pytest.raises(PreconditionError, match="outside"):
+            orbit_sample("TorusCentralizer", t5(), count=4, seed=seed)
+
     def test_determinism(self):
         a = orbit_sample("DiagPositive", t5(), count=4, seed=5)
         b = orbit_sample("DiagPositive", t5(), count=4, seed=5)
