@@ -43,8 +43,9 @@ class Bracket:
     constants maps (i, j, k) with i < j to a nonzero scalar.  Use
     scalar_kind = "rational" for Fraction constants and "float" for
     floats; mixed dicts are normalized on construction, and a non-finite
-    float constant is refused.  The stored constants are a read-only view
-    of the normalized dict.
+    float constant is refused in either kind.  The stored constants are a
+    read-only view of the normalized dict, so what diagonal_torus and
+    nice_basis_check store on a bracket cannot go stale.
     """
 
     dim: int
@@ -60,12 +61,12 @@ class Bracket:
                 raise PreconditionError(f"index out of range in triple {(i, j, k)}")
             if i >= j:
                 raise PreconditionError(f"constants must be keyed with i < j, got {(i, j, k)}")
+            if self.scalar_kind == FLOAT:
+                c = float(c)
+            if isinstance(c, float) and not math.isfinite(c):
+                raise PreconditionError(f"non-finite constant {c} in triple {(i, j, k)}")
             if self.scalar_kind == RATIONAL:
                 c = Fraction(c)
-            else:
-                c = float(c)
-                if not math.isfinite(c):
-                    raise PreconditionError(f"non-finite constant {c} in triple {(i, j, k)}")
             if c != 0:
                 clean[(i, j, k)] = c
         object.__setattr__(self, "constants", MappingProxyType(clean))
@@ -113,6 +114,19 @@ class Bracket:
         parts = ", ".join(f"[e{i + 1},e{j + 1}]->e{k + 1}:{c}"
                           for (i, j, k), c in sorted(self.constants.items()))
         return f"Bracket(dim={self.dim}, {parts or 'abelian'})"
+
+
+def _memo(b: Bracket, name: str, build):
+    """build(b), computed on the first call for this Bracket instance and
+    stored in its instance dict under name, as functools.cached_property
+    stores its value; later calls return that same object.  Equality and
+    repr read only the fields, so the stored value changes neither.  If
+    build raises, nothing is stored."""
+    try:
+        return b.__dict__[name]
+    except KeyError:
+        value = b.__dict__[name] = build(b)
+        return value
 
 
 @dataclass(frozen=True)

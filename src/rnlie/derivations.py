@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _rational
-from .brackets import Bracket, _null_space
+from .brackets import Bracket, _memo, _null_space
 from .errors import NumericalError, PreconditionError
 
 
@@ -267,7 +267,16 @@ def diagonal_torus(b: Bracket) -> Torus:
     The torus is the orthogonal complement in Diag(n) of the weight
     vectors F_ij^k of the nonzero constants.  Weight classes partition
     the index set by equality of the functionals D -> D_ii on the torus.
+
+    The result is computed once per Bracket instance and shared by every
+    later call on it, so callers should reuse one bracket, as corpus()
+    and the CLI do; an equal bracket built anew pays for its own.  A
+    float bracket raises PreconditionError on every call.
     """
+    return _memo(b, "_diagonal_torus", _diagonal_torus)
+
+
+def _diagonal_torus(b: Bracket) -> Torus:
     if not b.is_rational:
         raise PreconditionError("diagonal torus requires rational constants")
     n = b.dim

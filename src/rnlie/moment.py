@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._hull import Hull, exact_hull
-from .brackets import Bracket, act_tensor, cut_tensor, gram_difference
+from .brackets import Bracket, _memo, act_tensor, cut_tensor, gram_difference
 from .derivations import diagonal_derivation, diagonal_torus, weight_vector
 from .errors import NumericalError, PreconditionError
 from .rng import default_seed, generator
@@ -168,7 +168,15 @@ class NiceBasisReport:
 
 def nice_basis_check(b: Bracket) -> NiceBasisReport:
     """True iff each bracket hits one direction and pairs sharing a
-    target are disjoint."""
+    target are disjoint.
+
+    The report is computed once per Bracket instance and shared by every
+    later call on it, so callers should reuse one bracket, as corpus()
+    and the CLI do."""
+    return _memo(b, "_nice_basis_check", _nice_basis_check)
+
+
+def _nice_basis_check(b: Bracket) -> NiceBasisReport:
     by_pair, by_target = {}, {}
     for (i, j, k) in sorted(b.constants):
         by_pair.setdefault((i, j), []).append(k)
@@ -609,30 +617,3 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     rng = generator(seed, _TAG_STREAM[tag])
     onto_slice = _scaled_draws if tag == DIAG_POSITIVE else _rotated_draws
     return OrbitSample(tag, tuple(_sliced_points(rng, b, blocks, count, onto_slice)), seed)
-
-
-@dataclass(frozen=True, eq=False)
-class ClosureFace:
-    triples: tuple
-    bracket: Bracket
-
-
-def closure_faces(b: Bracket, require_nice: bool = True):
-    """Degenerate brackets lambda_J, one per face of the weight hull.
-
-    Each face contributes the restriction of the constants to the
-    triples lying on it; the count equals the face count.  With a nice
-    basis these restrictions are exactly the brackets reachable in the
-    closure of the diagonal orbit; without one that reading is not
-    guaranteed, so non-nice input is rejected unless `require_nice` is
-    switched off.
-    """
-    report = nice_basis_check(b)
-    if require_nice and not report.ok:
-        raise PreconditionError(
-            "closure faces are only certified for nice bases; "
-            f"violations: {report.multiple_targets + report.overlapping_pairs}; "
-            "pass require_nice=False for the bare combinatorial restriction")
-    poly = weight_polytope(b)
-    return tuple(ClosureFace(face, b.restricted(face))
-                 for face in poly.hull_faces)

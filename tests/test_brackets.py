@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rnlie import io as rnlie_io
-from rnlie.brackets import (FLOAT, BasisChange, Bracket, _null_space, act, act_tensor,
-                            center, cut_tensor, direct_sum, is_lie, jacobiator,
+from rnlie.brackets import (FLOAT, RATIONAL, BasisChange, Bracket, _null_space, act,
+                            act_tensor, center, cut_tensor, direct_sum, is_lie, jacobiator,
                             lower_central_series, nilpotency_step, validate_jacobi)
 from rnlie.corpus import corpus
 from rnlie.derivations import derivation_space
@@ -159,12 +159,15 @@ class TestNullSpace:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_constants_are_refused(self, bad):
-        """The bracket refuses a non-finite constant, naming its triple, so
-        no kernel sees one.  _null_space refuses non-finite entries on its
-        own: scipy did too (check_finite), and numpy's SVD does not return
-        on some matrices with an infinite entry."""
-        with pytest.raises(PreconditionError, match=r"non-finite .* \(0, 1, 2\)"):
-            Bracket(3, {(0, 1, 2): bad}, FLOAT)
+        """The bracket refuses a non-finite constant in either scalar kind,
+        naming its triple, so no kernel sees one (Fraction(inf) would raise
+        a bare OverflowError, Fraction(nan) a ValueError).  _null_space
+        refuses non-finite entries on its own: scipy did too
+        (check_finite), and numpy's SVD does not return on some matrices
+        with an infinite entry."""
+        for kind in (FLOAT, RATIONAL):
+            with pytest.raises(PreconditionError, match=r"non-finite .* \(0, 1, 2\)"):
+                Bracket(3, {(0, 1, 2): bad}, kind)
         with pytest.raises(PreconditionError, match="non-finite"):
             _null_space(np.array([[1.0, bad], [0.0, 1.0]]))
 

@@ -79,6 +79,54 @@ class TestTorus:
                     assert row[k] - row[i] - row[j] == 0
 
 
+class TestTorusMemo:
+    """diagonal_torus is computed once per Bracket instance."""
+
+    @staticmethod
+    def fresh_h5():
+        # an equal copy of the corpus entry, whose torus other tests may
+        # already have computed
+        return Bracket(5, dict(corpus("heisenberg", 5).bracket.constants))
+
+    def test_repeat_call_returns_the_same_object(self):
+        b = self.fresh_h5()
+        assert diagonal_torus(b) is diagonal_torus(b)
+
+    def test_equal_bracket_gets_an_equal_torus(self):
+        b, again = self.fresh_h5(), self.fresh_h5()
+        assert diagonal_torus(again) == diagonal_torus(b)
+        assert diagonal_torus(again) is not diagonal_torus(b)
+
+    def test_float_bracket_is_refused_on_every_call(self):
+        fb = self.fresh_h5().to_float()
+        before = dict(vars(fb))
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="rational"):
+                diagonal_torus(fb)
+        assert vars(fb) == before
+
+    def test_equality_and_repr_ignore_the_stored_torus(self):
+        b, plain = self.fresh_h5(), self.fresh_h5()
+        text = repr(b)
+        diagonal_torus(b)
+        assert b == plain and plain == b
+        assert repr(b) == text
+
+    def test_memberships_build_the_torus_once(self, monkeypatch):
+        from rnlie import derivations
+        from rnlie.cone import cone_membership
+        built = []
+        build = derivations._diagonal_torus
+        monkeypatch.setattr(derivations, "_diagonal_torus",
+                            lambda b: built.append(b) or build(b))
+        b = self.fresh_h5()
+        points = [[F(t, 8), F(16 - t, 8), 1, 1, 2] for t in range(50)]
+        verdicts = [cone_membership(D, b) for D in points]
+        assert len(built) == 1
+        assert verdicts == [cone_membership(D, self.fresh_h5()) for D in points]
+        assert set(verdicts) == {"In", "Out"}
+
+
 class TestDiagonalGate:
     def test_leibniz_gate(self):
         assert is_derivation(np.diag([1.0, 1.0, 2.0]), h3())

@@ -21,8 +21,8 @@ from rnlie.curvature import ricci_nilpotent
 from rnlie.errors import NumericalError, PreconditionError
 from rnlie.moment import (_acted_moment_matrix, _draw_block_elements, _group_blocks,
                           _metric_factors, _slice_jacobian, _slice_layout, _slice_residual,
-                          closure_faces, moment_map, nice_basis_check, orbit_sample,
-                          weight_coordinates, weight_matrix, weight_polytope)
+                          moment_map, nice_basis_check, orbit_sample, weight_coordinates,
+                          weight_matrix, weight_polytope)
 from rnlie.rng import generator
 
 T5_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4))
@@ -211,6 +211,13 @@ class TestNiceBasis:
         # (0, i) pairs share targets in a chain but overlap in index 0
         rep = nice_basis_check(corpus("filiform", 5).bracket)
         assert rep.ok  # distinct targets, pairs share index 0 but no target clash
+
+    def test_report_is_computed_once_per_bracket(self):
+        b = Bracket(5, dict(t5().constants))
+        assert nice_basis_check(b) is nice_basis_check(b)
+        again = Bracket(5, dict(t5().constants))
+        assert nice_basis_check(again) == nice_basis_check(b)
+        assert again == b and repr(again) == repr(b)
 
 
 class TestOrbitSample:
@@ -950,27 +957,3 @@ class TestBlock2Exp:
         assert np.isnan(h[7][np.ix_((0, 2), (0, 2))]).all()
         for k in range(len(xs)):
             assert h[k].tobytes() == _metric_factors(xs[k:k + 1], blocks, 5)[0].tobytes()
-
-
-class TestClosureFaces:
-    def test_h3_single(self):
-        faces = closure_faces(h(3))
-        assert len(faces) == 1
-        assert faces[0].bracket.constants == h(3).constants
-
-    def test_h5_three(self):
-        faces = closure_faces(h(5))
-        assert len(faces) == 3
-        sizes = sorted(len(f.triples) for f in faces)
-        assert sizes == [1, 1, 2]
-
-    def test_tricky5_needs_override(self):
-        with pytest.raises(PreconditionError):
-            closure_faces(t5())
-        faces = closure_faces(t5(), require_nice=False)
-        assert len(faces) == 9
-        sizes = sorted(len(f.triples) for f in faces)
-        assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 4]
-        from rnlie.brackets import validate_jacobi
-        for f in faces:
-            assert validate_jacobi(f.bracket) == 0
