@@ -22,8 +22,8 @@ import numpy as np
 from ._exactlp import solve_lp
 from .brackets import Bracket, center
 from .curvature import MetricParams, _top_eigenvalues, is_ricci_negative
-from .derivations import (_is_diagonal, derivation_matrix, diagonal_derivation,
-                          require_derivation)
+from .derivations import (_is_diagonal, _positive_trace, derivation_matrix,
+                          diagonal_derivation, require_derivation)
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
                      _metric_factors, centralizer_blocks, nice_basis_check,
@@ -60,11 +60,14 @@ class SrnCertificate:
 
 @dataclass(frozen=True, eq=False)
 class Infeasible:
-    """The margin test came out nonpositive; `dual` certifies the bound.
+    """The exact margin came out at or below MARGIN_THRESHOLD (1e-7);
+    `dual` certifies the bound.
 
-    Refutes this particular sufficient test only.  For tori that are
-    not multiplicity-free the diagonal image can be strictly larger
-    than the polytope the test uses, so srn-ness is not ruled out.
+    A margin at or below zero refutes this particular sufficient test
+    only; a positive margin below the threshold refutes nothing.  For
+    tori that are not multiplicity-free the diagonal image can be
+    strictly larger than the polytope the test uses, so srn-ness is not
+    ruled out.
     """
 
     margin: object
@@ -138,7 +141,7 @@ def certify_srn_nice(D, b: Bracket):
     if not b.is_rational:
         raise PreconditionError("the margin test needs rational constants")
     diag = diagonal_derivation(D, b)
-    if float(sum(diag)) <= 1e-10:
+    if not _positive_trace(diag):
         raise PreconditionError("certification needs trace(D) > 0")
     return _nice_margin([Fraction(v) for v in diag], b)
 
@@ -186,7 +189,7 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
         raise PreconditionError(
             "sampled certification wants a centralizer orbit sample")
     diag = diagonal_derivation(D, b)
-    if float(sum(diag)) <= 1e-10:
+    if not _positive_trace(diag):
         raise PreconditionError("certification needs trace(D) > 0")
     sample.verify(b)
     Dm = np.diag([float(v) for v in diag])

@@ -27,8 +27,8 @@ from ._hull import exact_hull, hrep_vertices
 from .brackets import Bracket
 from .certify import (Infeasible, RnWitness, SrnCertificate, _nice_margin,
                       certify_srn_sampled, search_rn_metric)
-from .derivations import (Torus, diagonal_derivation, diagonal_torus,
-                          weyl_coordinate_actions)
+from .derivations import (Torus, _positive_trace, diagonal_derivation,
+                          diagonal_torus, weyl_coordinate_actions)
 from .errors import NumericalError, PreconditionError
 from .moment import (TORUS_CENTRALIZER, nice_basis_check, orbit_sample,
                      weight_vector)
@@ -63,7 +63,7 @@ def cone_membership(D, b: Bracket, seed=None) -> str:
     """
     torus = diagonal_torus(b)
     diag = diagonal_derivation(D, b)
-    if float(sum(diag)) <= 1e-10:
+    if not _positive_trace(diag):
         return OUT  # the cone sits inside the open half space tr > 0
     if _exact_regime(b, torus):
         res = _nice_margin([Fraction(v) for v in diag], b)

@@ -1,6 +1,7 @@
 """Derivations of a bracket: the full derivation algebra, the diagonal
-torus with its weights, additive Jordan decomposition, and the signed
-permutation approximation of the orthogonal Weyl group.
+torus with its weights, and the exact actions on torus coordinates of
+the signed permutation automorphisms, which a search over permutations
+finds by deciding which of them lift.
 
 The diagonal torus is computed as the orthogonal complement, inside the
 diagonal matrices, of the weight vectors F_ij^k of the nonzero structure
@@ -117,6 +118,14 @@ def diagonal_derivation(D, b: Bracket) -> list:
             raise PreconditionError(
                 f"not a derivation, d_k - d_i - d_j = {r} at {(i, j, k)}")
     return d
+
+
+def _positive_trace(diag) -> bool:
+    """Whether the entries diag that diagonal_derivation returned sum to
+    a positive trace: decided exactly when every entry is a Fraction,
+    as a float sum above 1e-10 otherwise."""
+    total = sum(diag)
+    return total > 0 if isinstance(total, Fraction) else float(total) > 1e-10
 
 
 def _leibniz_rows_rational(b: Bracket):
@@ -303,176 +312,42 @@ def _diagonal_torus(b: Bracket) -> Torus:
 
 
 # ---------------------------------------------------------------------------
-# additive Jordan decomposition
-
-
-@dataclass(frozen=True)
-class JordanParts:
-    """D = real_part + imaginary_part + nilpotent_part, all commuting.
-
-    real_part is diagonalizable over R, imaginary_part is diagonalizable
-    over C with purely imaginary spectrum, nilpotent_part is nilpotent.
-    """
-
-    real_part: np.ndarray
-    imaginary_part: np.ndarray
-    nilpotent_part: np.ndarray
-
-
-def _cluster_eigenvalues(vals, tol):
-    """Union-find clustering of complex eigenvalues by absolute gap tol."""
-    m = len(vals)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def jordan_decompose(D) -> JordanParts:
-    """Additive Jordan decomposition via clustered generalized eigenspaces.
-
-    Eigenvalues within 1e-7 relative to the spectral radius share a
-    cluster.  Raises NumericalError when the clusters cannot be separated
-    to that accuracy (the achieved residual is reported).
-    """
-    tol = 1e-7
-    D = derivation_matrix(D)
-    n = D.shape[0]
-    if n == 0:
-        z = np.zeros((0, 0))
-        return JordanParts(z, z, z)
-    vals = np.linalg.eigvals(D)
-    scale = max(1.0, float(np.abs(vals).max()))
-    groups = _cluster_eigenvalues(list(vals), tol * scale)
-
-    reps = []
-    for g in groups:
-        reps.append((complex(np.mean([vals[i] for i in g])), len(g)))
-    # force conjugate symmetry of the representative list
-    cleaned = []
-    used = [False] * len(reps)
-    for a, (lam, m) in enumerate(reps):
-        if used[a]:
-            continue
-        if abs(lam.imag) <= tol * scale:
-            cleaned.append((complex(lam.real), m))
-            used[a] = True
-            continue
-        partner = None
-        for bidx in range(len(reps)):
-            if bidx != a and not used[bidx] and abs(reps[bidx][0] - lam.conjugate()) <= 10 * tol * scale:
-                partner = bidx
-                break
-        if partner is None:
-            raise NumericalError("complex eigenvalue cluster without a conjugate partner")
-        if reps[partner][1] != m:
-            raise NumericalError("conjugate clusters of unequal multiplicity")
-        lam = complex(lam.real, abs(lam.imag))
-        cleaned.append((lam, m))
-        cleaned.append((lam.conjugate(), m))
-        used[a] = used[partner] = True
-
-    cols = []
-    block_vals = []
-    eye = np.eye(n)
-    half = [c for c in cleaned if c[0].imag >= 0]
-    for lam, m in half:
-        A = np.linalg.matrix_power(D.astype(complex) - lam * eye, m)
-        vt = np.linalg.svd(A)[2]
-        W = vt.conj().T[:, n - m:]
-        cols.append(W)
-        block_vals.extend([lam] * m)
-        if lam.imag > 0:
-            cols.append(W.conj())
-            block_vals.extend([lam.conjugate()] * m)
-    V = np.hstack(cols)
-    if V.shape != (n, n):
-        raise NumericalError("generalized eigenspaces do not fill the space")
-    condV = np.linalg.cond(V)
-    if not np.isfinite(condV) or condV > 1e12:
-        raise NumericalError(f"eigenbasis condition number {condV:.2e} too large")
-    Vinv = np.linalg.inv(V)
-
-    def reconstruct(values):
-        M = (V * np.asarray(values)[None, :]) @ Vinv
-        if np.abs(M.imag).max() > 1e-7 * scale:
-            raise NumericalError(
-                f"non-real reconstruction, residual {np.abs(M.imag).max():.3e}")
-        return M.real
-
-    S = reconstruct(block_vals)
-    R = reconstruct([v.real for v in block_vals])
-    I = S - R
-    N = D - S
-
-    # invariant gate: commuting parts, nilpotent remainder
-    resid = 0.0
-    for A, B in ((R, I), (R, N), (I, N)):
-        resid = max(resid, float(np.abs(A @ B - B @ A).max()))
-    npow = np.linalg.matrix_power(N, n)
-    resid = max(resid, float(np.abs(npow).max()) ** (1.0 / max(n, 1)) if np.abs(npow).max() > 0 else 0.0)
-    if resid > 1e-6 * max(1.0, scale) ** 2:
-        raise NumericalError(f"Jordan parts fail invariants, residual {resid:.3e}")
-    return JordanParts(R, I, N)
-
-
-# ---------------------------------------------------------------------------
-# signed permutation Weyl group
+# Weyl group actions on the torus
 
 # Partial permutations, the empty one included, that the Weyl group
-# search may visit: heisenberg:11 takes 18 992, abelian:8 109 601.  Also
-# the most signed permutations orthogonal_weyl_group lists: abelian:6 has
-# 46 080, abelian:7 645 120.
+# search may visit: heisenberg:11 takes 18 992, abelian:8 109 601.
 MAX_PERM_SEARCH_NODES = 50_000
 
 
-def _gf2_rref(masks):
-    """Reduced row echelon form over GF(2) of the bitmask rows masks:
-    (pivots, dependencies), the pivots as (pivot bit, row, combination)
-    and, for each row that reduces to zero, its combination, the bitmask
-    of the input rows that sum to it."""
+def _gf2_dependencies(masks):
+    """The dependencies among the bitmask rows masks over GF(2): for each
+    row that forward elimination reduces to zero, the bitmask of the input
+    rows that sum to it.  They span every dependency."""
     pivots, dependencies = [], []
     for t, row in enumerate(masks):
         comb = 1 << t
         for bit, prow, pcomb in pivots:
             if row & bit:
                 row, comb = row ^ prow, comb ^ pcomb
-        if not row:
+        if row:
+            pivots.append((row & -row, row, comb))
+        else:
             dependencies.append(comb)
-            continue
-        bit = row & -row
-        pivots = [(pb, pr ^ row, pc ^ comb) if pr & bit else (pb, pr, pc)
-                  for pb, pr, pc in pivots]
-        pivots.append((bit, row, comb))
-    return pivots, dependencies
+    return dependencies
 
 
 def _lifting_permutations(b: Bracket):
     """The permutations pi of the basis that lift to automorphisms
-    e_i -> s_i e_pi(i), s_i = +-1, each with the signs of one lift as a
-    bitmask (bit i set when s_i = -1), and a basis of the sign bitmasks
-    that every lift may be multiplied by.
+    e_i -> s_i e_pi(i), s_i = +-1.
 
     Backtracking over permutations, pruned by the multiset of |c_ij^k|
     over k of each pair.  A leaf lifts when each constant c_ij^k meets a
-    constant of the same size at (pi i, pi j, pi k); its signs then solve,
-    over GF(2), s_i + s_j + s_k = [c_ij^k and its image have opposite
-    signs], with the image's sign flipped when pi i > pi j.  Raises
-    PreconditionError past MAX_PERM_SEARCH_NODES search nodes.
+    constant of the same size at (pi i, pi j, pi k) and the sign
+    equations s_i + s_j + s_k = [c_ij^k and its image have opposite
+    signs], with the image's sign flipped when pi i > pi j, are
+    consistent over GF(2): every dependency among their left-hand sides
+    sums an even number of right-hand sides.  Raises PreconditionError
+    past MAX_PERM_SEARCH_NODES search nodes.
     """
     n = b.dim
     sizes = {}
@@ -482,11 +357,8 @@ def _lifting_permutations(b: Bracket):
     prof = [[()] * n for _ in range(n)]  # sorted sizes over k of each pair
     for i, j, _, size, _ in sorted(consts, key=lambda t: t[3]):
         prof[i][j] = prof[j][i] = prof[i][j] + (size,)
-    pivots, dependencies = _gf2_rref(
+    dependencies = _gf2_dependencies(
         [(1 << i) ^ (1 << j) ^ (1 << k) for i, j, k, _, _ in consts])
-    pivot_bits = sum(bit for bit, _, _ in pivots)
-    kernel = [f + sum(bit for bit, row, _ in pivots if row & f)
-              for f in (1 << v for v in range(n)) if not f & pivot_bits]
     found = []
     perm, used, nodes = [0] * n, [False] * n, 0
 
@@ -499,10 +371,8 @@ def _lifting_permutations(b: Bracket):
                 return
             if image[1] ^ (a > c) ^ neg:
                 rhs |= 1 << t
-        if any((comb & rhs).bit_count() & 1 for comb in dependencies):
-            return
-        found.append((tuple(perm),
-                      sum(bit for bit, _, comb in pivots if (comb & rhs).bit_count() & 1)))
+        if not any((comb & rhs).bit_count() & 1 for comb in dependencies):
+            found.append(tuple(perm))
 
     def extend(i):
         nonlocal nodes
@@ -520,7 +390,7 @@ def _lifting_permutations(b: Bracket):
                 used[t] = False
 
     extend(0)
-    return found, kernel
+    return found
 
 
 def _conjugate_pivots(perm, torus: Torus, rows):
@@ -540,53 +410,6 @@ def _conjugate_pivots(perm, torus: Torus, rows):
     return [inv[p] for p in torus.pivots]
 
 
-def torus_coordinate_action(g, torus: Torus):
-    """Matrix of T -> g T g^-1 on torus coordinates, or None if g does
-    not normalize the torus.  g is a signed permutation matrix, of which
-    only the permutation is read; the computation is exact."""
-    perm = np.abs(np.asarray(g)).argmax(axis=0).tolist()
-    rows = [_rational._integer_row(row)[0] for row in torus.basis]
-    pre = _conjugate_pivots(perm, torus, rows)
-    if pre is None:
-        return None
-    return [[row[i] for row in torus.basis] for i in pre]
-
-
-def orthogonal_weyl_group(b: Bracket):
-    """Signed permutation automorphisms of the bracket, as a matrix group,
-    identity first and then by (permutation, signs).
-
-    Every signed permutation automorphism normalizes the diagonal torus
-    (conjugation preserves both Diag and the derivation algebra), so the
-    returned list is closed under products and inverses.  This is an
-    under-approximation of the full orthogonal normalizer: continuous
-    families of orthogonal automorphisms are not searched.  The lifts of
-    each permutation are one solution of its sign equations plus every
-    sum of a kernel basis.  Past MAX_PERM_SEARCH_NODES search nodes, or
-    past as many lifts, raises PreconditionError before any matrix is
-    built.  torus_coordinate_action reads off the exact action on torus
-    coordinates, and weyl_coordinate_actions lists the distinct ones.
-    """
-    n = b.dim
-    found, kernel = _lifting_permutations(b)
-    count = len(found) << len(kernel)
-    if count > MAX_PERM_SEARCH_NODES:
-        raise PreconditionError(
-            f"Weyl group has {count} signed permutations, past {MAX_PERM_SEARCH_NODES}")
-    lifts = []
-    for perm, signs in found:
-        masks = [signs]
-        for k in kernel:
-            masks += [m ^ k for m in masks]
-        lifts += [(perm, tuple(-1 if m >> i & 1 else 1 for i in range(n))) for m in masks]
-    ident = (tuple(range(n)), (1,) * n)
-    mats = []
-    for perm, signs in sorted(lifts, key=lambda ps: (ps != ident, ps)):
-        mats.append(np.zeros((n, n), dtype=int))
-        mats[-1][perm, range(n)] = signs
-    return mats
-
-
 def weyl_coordinate_actions(b: Bracket, torus: Torus | None = None):
     """Distinct exact actions on torus coordinates induced by the signed
     permutation automorphism group, identity first, then in order.
@@ -602,7 +425,7 @@ def weyl_coordinate_actions(b: Bracket, torus: Torus | None = None):
     ranks = [distinct.index(col) for col in columns]
     rows = [_rational._integer_row(row)[0] for row in torus.basis]
     keys = set()
-    for perm, _ in _lifting_permutations(b)[0]:
+    for perm in _lifting_permutations(b):
         pre = _conjugate_pivots(perm, torus, rows)
         if pre is None:
             raise NumericalError("automorphism failed to normalize the torus")

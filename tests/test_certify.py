@@ -67,6 +67,16 @@ class TestNiceLp:
         with pytest.raises(PreconditionError):
             certify_srn_nice(diag(-1, 1, 0), h3)
 
+    def test_trace_gate_is_exact_on_exact_input(self):
+        tiny = [Fraction(x, 10**11) for x in (1, 1, 2)]
+        res = certify_srn_nice(tiny, h3)
+        assert isinstance(res, Infeasible)
+        assert res.margin == Fraction(3, 2 * 10**11)
+        with pytest.raises(PreconditionError, match="trace"):
+            certify_srn_nice([float(x) for x in tiny], h3)
+        with pytest.raises(PreconditionError, match="trace"):
+            certify_srn_nice([Fraction(-1), Fraction(1), Fraction(0)], h3)
+
     def test_torus_membership_gate(self):
         with pytest.raises(PreconditionError):
             certify_srn_nice(diag(1, 1, 1), h3)

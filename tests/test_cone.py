@@ -8,7 +8,7 @@ import pytest
 
 from rnlie import _rational, cone
 from rnlie.brackets import direct_sum
-from rnlie.cone import (EXACT, IN, OUT, SAMPLED_INNER, ConeSection,
+from rnlie.cone import (EXACT, IN, OUT, SAMPLED_INNER, UNKNOWN, ConeSection,
                         _exact_section, cone_membership, cone_section,
                         containment_audit, weyl_invariance_check)
 from rnlie.certify import SrnCertificate, certify_srn_nice
@@ -67,6 +67,16 @@ class TestMembership:
         # within the float gate's tolerance, outside the exact one
         with pytest.raises(PreconditionError):
             cone_membership([Fraction(1), Fraction(1), 2 + Fraction(1, 10**11)], h3)
+
+    def test_trace_gate_is_exact_on_exact_input(self):
+        # trace 4e-11 as Fractions: positive, so the exact margin 3/(2e11)
+        # decides, and it is below the certificate threshold but not <= 0
+        tiny = [Fraction(x, 10**11) for x in (1, 1, 2)]
+        assert cone_membership(tiny, h3) == UNKNOWN
+        assert cone_membership([x * 1000 for x in tiny], h3) == UNKNOWN
+        assert cone_membership([Fraction(-1), Fraction(1), Fraction(0)], h3) == OUT
+        # float entries keep the 1e-10 gate
+        assert cone_membership([float(x) for x in tiny], h3) == OUT
 
     def test_sampled_route(self):
         assert cone_membership(diag(1, 1, 2, 2, 3), t5, seed=7) == IN

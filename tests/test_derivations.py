@@ -8,10 +8,10 @@ import pytest
 from rnlie import _rational
 from rnlie.brackets import Bracket, act, BasisChange
 from rnlie.corpus import corpus
-from rnlie.derivations import (derivation_space, diagonal_derivation,
-                               diagonal_torus, is_derivation, jordan_decompose,
-                               leibniz_residual, orthogonal_weyl_group,
-                               torus_coordinate_action, weyl_coordinate_actions)
+from rnlie.derivations import (_conjugate_pivots, _lifting_permutations,
+                               derivation_space, diagonal_derivation,
+                               diagonal_torus, is_derivation, leibniz_residual,
+                               weyl_coordinate_actions)
 from rnlie.errors import PreconditionError
 
 
@@ -211,90 +211,48 @@ class TestDiagonalGate:
                 assert accepted == inside
 
 
-class TestJordan:
-    def test_diagonal_is_its_own_real_part(self):
-        D = np.diag([1.0, 2.0, 3.0])
-        p = jordan_decompose(D)
-        assert np.allclose(p.real_part, D)
-        assert np.abs(p.imaginary_part).max() < 1e-10
-        assert np.abs(p.nilpotent_part).max() < 1e-10
-
-    def test_vector_reads_as_its_diagonal(self):
-        p = jordan_decompose([1, 1, 2])
-        assert p.real_part.tobytes() == jordan_decompose(np.diag([1.0, 1.0, 2.0])).real_part.tobytes()
-        assert np.allclose(p.real_part, np.diag([1.0, 1.0, 2.0]))
-        assert not p.imaginary_part.any() and not p.nilpotent_part.any()
-
-    def test_rotation_generator(self):
-        R = np.array([[0.0, -1.0], [1.0, 0.0]])
-        p = jordan_decompose(R)
-        assert np.abs(p.real_part).max() < 1e-9
-        assert np.allclose(p.imaginary_part, R, atol=1e-9)
-
-    def test_strictly_upper_triangular(self):
-        N = np.triu(np.ones((4, 4)), 1)
-        p = jordan_decompose(N)
-        assert np.abs(p.real_part).max() < 1e-8
-        assert np.allclose(p.nilpotent_part, N, atol=1e-8)
-
-    def test_mixed_conjugated(self):
-        rng = np.random.default_rng(0)
-        V = rng.normal(size=(5, 5))
-        B = np.zeros((5, 5))
-        B[0, 0] = B[1, 1] = 1.0
-        B[0, 1] = 1.0
-        B[2, 2] = -1.0
-        B[3, 4] = -3.0
-        B[4, 3] = 3.0
-        M = V @ B @ np.linalg.inv(V)
-        p = jordan_decompose(M)
-        assert np.allclose(p.real_part + p.imaginary_part + p.nilpotent_part, M,
-                           atol=1e-7)
-        for A, C in [(p.real_part, p.imaginary_part),
-                     (p.real_part, p.nilpotent_part),
-                     (p.imaginary_part, p.nilpotent_part)]:
-            assert np.abs(A @ C - C @ A).max() < 1e-7
-        assert np.abs(np.linalg.matrix_power(p.nilpotent_part, 5)).max() < 1e-6
-
-    def test_parts_of_a_derivation_are_derivations(self):
-        """Jordan parts of a derivation stay inside the derivation algebra."""
-        b = tricky5()
-        basis = derivation_space(b)
-        rng = np.random.default_rng(5)
-        D = sum(c * M for c, M in zip(rng.normal(size=len(basis)), basis))
-        p = jordan_decompose(D)
-        for part in (p.real_part, p.imaginary_part, p.nilpotent_part):
-            assert leibniz_residual(part, b) < 1e-7
-
-
 class TestWeylGroup:
     def test_h3_group_order_and_swap(self):
-        mats = orthogonal_weyl_group(h3())
-        assert len(mats) == 8
-        # some element has permutation part swapping e1 and e2
-        assert any(abs(g[1, 0]) == 1 and abs(g[0, 1]) == 1 for g in mats)
+        assert _lifting_permutations(h3()) == [(0, 1, 2), (1, 0, 2)]
         actions = weyl_coordinate_actions(h3())
         assert len(actions) == 2
         swap = tuple(tuple(row) for row in actions[1])
         assert swap == ((F(0), F(1)), (F(1), F(0)))
 
     def test_h3_group_closed(self):
-        mats = orthogonal_weyl_group(h3())
-        keys = {tuple(map(tuple, g)) for g in mats}
-        for g in mats:
-            assert tuple(map(tuple, np.linalg.inv(g).astype(int))) in keys
-            for k in mats:
-                assert tuple(map(tuple, g @ k)) in keys
+        """The exact coordinate actions, here of h3 and heisenberg:5, are
+        closed under products and inverses."""
+        for b in (h3(), corpus("heisenberg", 5).bracket):
+            actions = weyl_coordinate_actions(b)
+            keys = {tuple(map(tuple, a)) for a in actions}
+            r = len(actions[0])
+            ident = tuple(tuple(F(int(i == j)) for j in range(r)) for i in range(r))
+            for g in actions:
+                products = []
+                for k in actions:
+                    gk = tuple(tuple(sum(g[i][l] * k[l][j] for l in range(r))
+                                     for j in range(r)) for i in range(r))
+                    assert gk in keys
+                    products.append(gk)
+                assert ident in products
 
     def test_elements_are_automorphisms(self):
+        """Each permutation that lifts has signs whose signed permutation
+        matrix acts on h3 as an automorphism."""
         b = h3()
-        for g in orthogonal_weyl_group(b):
-            moved = act(BasisChange(np.array(g, float)), b.to_float())
-            assert np.abs(moved.tensor() - b.tensor()).max() < 1e-12
+
+        def fixes_b(perm, signs):
+            g = np.zeros((b.dim, b.dim))
+            g[list(perm), range(b.dim)] = signs
+            moved = act(BasisChange(g), b.to_float())
+            return np.abs(moved.tensor() - b.tensor()).max() < 1e-12
+
+        for perm in _lifting_permutations(b):
+            assert any(fixes_b(perm, signs)
+                       for signs in itertools.product((-1, 1), repeat=b.dim))
 
     def test_abelian3_full_signed_permutations(self):
-        mats = orthogonal_weyl_group(Bracket(3, {}))
-        assert len(mats) == 48
+        assert len(_lifting_permutations(Bracket(3, {}))) == 6
         assert len(weyl_coordinate_actions(Bracket(3, {}))) == 6
 
     def test_heisenberg5_contains_pair_swap(self):
@@ -303,24 +261,22 @@ class TestWeylGroup:
         actions = weyl_coordinate_actions(b, t)
         # the coordinate action group contains a non-identity element
         # swapping the two generator pairs
-        assert len(actions) >= 2
-        mats = orthogonal_weyl_group(b)
-        pair_swap = [g for g in mats
-                     if abs(g[2, 0]) == 1 and abs(g[0, 2]) == 1]
-        assert pair_swap
+        assert len(actions) == 8
+        rows = [_rational._integer_row(row)[0] for row in t.basis]
+        swaps = [_conjugate_pivots(perm, t, rows) for perm in _lifting_permutations(b)
+                 if perm[0] == 2 and perm[2] == 0]
+        assert swaps
+        for pre in swaps:
+            assert [[row[i] for row in t.basis] for i in pre] in actions[1:]
 
     def test_torus_action_is_exact_permutation(self):
-        b = h3()
-        t = diagonal_torus(b)
-        for g in orthogonal_weyl_group(b):
-            A = torus_coordinate_action(g, t)
-            assert A is not None
+        for A in weyl_coordinate_actions(h3()):
             flat = [x for row in A for x in row]
             assert all(x in (F(0), F(1)) for x in flat)
 
     def test_dimension_guard(self):
         with pytest.raises(PreconditionError):
-            orthogonal_weyl_group(Bracket(9, {}))
+            weyl_coordinate_actions(Bracket(9, {}))
 
 
 # every corpus entry of dimension at most 5, then sl(2, R), whose sign
@@ -375,12 +331,7 @@ class TestWeylReference:
     @pytest.mark.parametrize("b", SMALL_BRACKETS)
     def test_matches_brute_force(self, b):
         autos = brute_force_automorphisms(b)
-        mats = orthogonal_weyl_group(b)
-        assert len(mats) == len(autos)
-        for g, (perm, signs) in zip(mats, autos):
-            want = np.zeros((b.dim, b.dim), dtype=int)
-            want[list(perm), range(b.dim)] = signs
-            assert np.array_equal(g, want)
+        assert _lifting_permutations(b) == sorted({perm for perm, _ in autos})
         t = diagonal_torus(b)
         actions = {tuple(map(tuple, reference_action(perm, t))) for perm, _ in autos}
         ident = tuple(tuple(F(int(i == j)) for j in range(t.dim)) for i in range(t.dim))
@@ -390,10 +341,11 @@ class TestWeylReference:
     @pytest.mark.parametrize("b", SMALL_BRACKETS)
     def test_torus_action_of_every_permutation(self, b):
         t = diagonal_torus(b)
+        rows = [_rational._integer_row(row)[0] for row in t.basis]
         for perm in itertools.permutations(range(b.dim)):
-            g = np.zeros((b.dim, b.dim), dtype=int)
-            g[list(perm), range(b.dim)] = 1
-            assert torus_coordinate_action(g, t) == reference_action(perm, t)
+            pre = _conjugate_pivots(perm, t, rows)
+            action = None if pre is None else [[row[i] for row in t.basis] for i in pre]
+            assert action == reference_action(perm, t)
 
 
 class TestWeylSearchBudget:
@@ -407,12 +359,3 @@ class TestWeylSearchBudget:
         with pytest.raises(PreconditionError, match="nodes"):
             weyl_coordinate_actions(b, t)
         assert time.perf_counter() - start < 1.0
-
-    def test_abelian7_group_refused_before_listing(self):
-        # 13 700 search nodes, but 5 040 permutations times 2^7 signs
-        b = corpus("abelian", 7).bracket
-        start = time.perf_counter()
-        with pytest.raises(PreconditionError, match="645120 signed permutations"):
-            orthogonal_weyl_group(b)
-        assert time.perf_counter() - start < 1.0
-        assert len(orthogonal_weyl_group(corpus("abelian", 6).bracket)) == 46_080

@@ -1,13 +1,17 @@
-"""Every module-level import in the package is used by its module, and
-every local variable a function assigns is read."""
+"""Every module-level import in the package, its tests and its demos is
+used by its file, and every local variable a package function assigns
+is read."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rnlie"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rnlie"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the package's modules by name, then the tests and demos by their path
+LINTED = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def _unused_imports(path):
@@ -25,7 +29,8 @@ def _unused_imports(path):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: (
+    p.name if p.parent == SRC else str(p.relative_to(ROOT))))
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
