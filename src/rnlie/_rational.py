@@ -11,7 +11,8 @@ update, so each pivot costs integer products and one gcd per row
 instead of a normalising gcd per entry (integer-preserving elimination:
 Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  Fractions are
 built only when results are read out.  `_pivot` is the one elimination
-step, shared with the simplex in `_exactlp`.
+step, shared with the simplex in `_exactlp`, and `_eliminate` the one
+Gauss-Jordan loop, shared with its proof of a proposed basis.
 """
 
 import math
@@ -60,14 +61,9 @@ def _pivot(rows, dens, r, c):
                                     dens[i] * pg)
 
 
-def _rref_integer(rows):
-    """Reduced row echelon form as (numerator rows, denominators, pivot
-    columns), the input scaled to integers row by row."""
-    mat, dens = [], []
-    for row in rows:
-        nums, den = _integer_row(row)
-        mat.append(nums)
-        dens.append(den)
+def _eliminate(mat, dens):
+    """Gauss-Jordan elimination of the integer rows mat / dens in place,
+    to reduced row echelon form; returns the pivot columns."""
     nrows, ncols = len(mat), len(mat[0]) if mat else 0
     pivots = []
     r = 0
@@ -84,7 +80,18 @@ def _rref_integer(rows):
         _pivot(mat, dens, r, c)
         pivots.append(c)
         r += 1
-    return mat, dens, pivots
+    return pivots
+
+
+def _rref_integer(rows):
+    """Reduced row echelon form as (numerator rows, denominators, pivot
+    columns), the input scaled to integers row by row."""
+    mat, dens = [], []
+    for row in rows:
+        nums, den = _integer_row(row)
+        mat.append(nums)
+        dens.append(den)
+    return mat, dens, _eliminate(mat, dens)
 
 
 def rref(rows):

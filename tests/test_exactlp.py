@@ -3,9 +3,15 @@
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from rnlie import _exactlp, certify, degeneration
 from rnlie._exactlp import LpResult, solve_lp
+from rnlie.corpus import corpus
+from rnlie.moment import DERIVATION_CENTRALIZER, orbit_sample
 
 
 def test_margin_lp_feasible_hand_case():
@@ -241,20 +247,187 @@ def test_integer_tableau_matches_fraction_reference():
     assert min(statuses.values()) >= 200, statuses
 
 
-def test_float_derived_margin_lp_matches_fraction_reference():
+def _float_margin_program(rng, npoints, nrows=5):
     """A sampled-style margin LP: measured diagonals become Fractions with
     denominators near 2**52, under a mass penalty of 1e-9 and a cap."""
-    from rnlie.certify import SAMPLING_SLACK
-
-    rng = np.random.default_rng(5)
-    d_exact = [F(float(v)) for v in (0.7, 1.3, 2.0, 2.0, 3.3)]
-    points = [[F(float(v)) for v in rng.normal(0.0, 1.0, 5)] for _ in range(8)]
-    assert max(v.denominator for p in points for v in p) >= 2 ** 52
-    a_ub = [[F(1)] + [p[r] for p in points] for r in range(5)]
-    a_ub.append([F(1)] + [F(0)] * len(points))
+    d_exact = [F(float(v)) for v in (0.7, 1.3, 2.0, 2.0, 3.3)[:nrows]]
+    points = [[F(float(v)) for v in rng.normal(0.0, 1.0, nrows)] for _ in range(npoints)]
+    a_ub = [[F(1)] + [p[r] for p in points] for r in range(nrows)]
+    a_ub.append([F(1)] + [F(0)] * npoints)
     b_ub = d_exact + [1 + 2 * max(abs(v) for v in d_exact)]
-    args = ([F(1)] + [-SAMPLING_SLACK] * len(points),)
-    kwargs = dict(a_ub=a_ub, b_ub=b_ub, nonneg=[False] + [True] * len(points))
+    args = ([F(1)] + [-certify.SAMPLING_SLACK] * npoints,)
+    kwargs = dict(a_ub=a_ub, b_ub=b_ub, nonneg=[False] + [True] * npoints)
+    return args, kwargs
+
+
+def test_float_derived_margin_lp_matches_fraction_reference():
+    args, kwargs = _float_margin_program(np.random.default_rng(5), 8)
+    assert max(v.denominator for row in kwargs["a_ub"] for v in row) >= 2 ** 52
     got = solve_lp(*args, **kwargs)
     assert got.status == "optimal"
     assert repr(got) == repr(reference_solve_lp(*args, **kwargs))
+
+
+# -- proof of a float-proposed basis, and the Bland fallback ---------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the Bland fallback ran")
+
+
+def _counting(monkeypatch, name):
+    """Wrap _exactlp.<name> so that calls to it are counted."""
+    calls = []
+    original = getattr(_exactlp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(_exactlp, name, counted)
+    return calls
+
+
+def _recorded(monkeypatch, owner, call):
+    """The (args, kwargs) of every solve_lp call that `call()` makes
+    through owner.solve_lp."""
+    programs = []
+
+    def record(*args, **kwargs):
+        programs.append((args, kwargs))
+        return solve_lp(*args, **kwargs)
+    monkeypatch.setattr(owner, "solve_lp", record)
+    call()
+    monkeypatch.setattr(owner, "solve_lp", solve_lp)
+    return programs
+
+
+@pytest.mark.parametrize("diag, count, seed", [
+    ((1, 2, 3, 3, 4), 8, 1), ((1, 2, 3, 3, 4), 8, 13), ((1, 2, 3, 3, 4), 8, 29),
+    ((1, 2, 3, 3, 4), 48, 2), ((1, 1, 2, 2, 3), 8, 2), ((1, 1, 2, 2, 3), 8, 3)])
+def test_sampled_margin_programs_are_proved(monkeypatch, diag, count, seed):
+    """tricky5 SampledLP programs are answered by the proof alone."""
+    t5 = corpus("tricky5").bracket
+    D = np.diag(np.array(diag, dtype=float))
+    sample = orbit_sample(DERIVATION_CENTRALIZER, t5, count=count, seed=seed, derivation=D)
+    monkeypatch.setattr(_exactlp, "_bland", _refuse)
+    ((args, kwargs),) = _recorded(
+        monkeypatch, certify, lambda: certify.certify_srn_sampled(D, t5, sample))
+    assert len(kwargs["a_ub"][0]) == count + 1
+    assert repr(solve_lp(*args, **kwargs)) == repr(reference_solve_lp(*args, **kwargs))
+
+
+def test_inexact_float_run_falls_back(monkeypatch):
+    """tricky5 at diag(1, 1, 2, 2, 3), seed 1: two equal entries make the
+    float run pivot on entries near 1e-5 of a degenerate row, so its
+    tableau grows to 1e13 and the basis it ends on is not optimal.  The
+    proof refuses that basis and Bland answers."""
+    t5 = corpus("tricky5").bracket
+    D = np.diag(np.array((1, 1, 2, 2, 3), dtype=float))
+    sample = orbit_sample(DERIVATION_CENTRALIZER, t5, count=8, seed=1, derivation=D)
+    ((args, kwargs),) = _recorded(
+        monkeypatch, certify, lambda: certify.certify_srn_sampled(D, t5, sample))
+    proofs = _counting(monkeypatch, "_proved_optimum")
+    bland = _counting(monkeypatch, "_bland")
+    assert repr(solve_lp(*args, **kwargs)) == repr(reference_solve_lp(*args, **kwargs))
+    assert (len(proofs), len(bland)) == (1, 1)
+
+
+def test_gaussian_margin_program_is_proved(monkeypatch):
+    args, kwargs = _float_margin_program(np.random.default_rng(5), 8)
+    monkeypatch.setattr(_exactlp, "_bland", _refuse)
+    assert repr(solve_lp(*args, **kwargs)) == repr(reference_solve_lp(*args, **kwargs))
+
+
+def test_equality_rows_fall_back(monkeypatch):
+    """A zero-objective program with equality rows, as face steering
+    solves it, goes to Bland."""
+    t5 = corpus("tricky5").bracket
+    ((args, kwargs),) = _recorded(
+        monkeypatch, degeneration._exactlp,
+        lambda: degeneration.face_steering_curve(t5, ((0, 2, 4), (0, 3, 4))))
+    assert kwargs["a_eq"] and not any(args[0])
+    bland = _counting(monkeypatch, "_bland")
+    assert repr(solve_lp(*args, **kwargs)) == repr(reference_solve_lp(*args, **kwargs))
+    assert len(bland) == 1
+
+
+def test_degenerate_nice_optimum_falls_back(monkeypatch):
+    """heisenberg:3 at diag(1, 1, 2): two equal rows make the optimum
+    degenerate, so no basis is proposed and Bland answers."""
+    h3 = corpus("heisenberg", 3).bracket
+    ((args, kwargs),) = _recorded(
+        monkeypatch, certify,
+        lambda: certify.certify_srn_nice([F(1), F(1), F(2)], h3))
+    proposals = _counting(monkeypatch, "_float_basis")
+    bland = _counting(monkeypatch, "_bland")
+    got = solve_lp(*args, **kwargs)
+    assert repr(got) == repr(reference_solve_lp(*args, **kwargs))
+    assert (len(proposals), len(bland)) == (1, 1)
+    assert got.objective == F(3, 2)
+
+
+@pytest.mark.parametrize("proposal", ["slack basis", "singular"])
+def test_bad_proposals_are_refused(monkeypatch, proposal):
+    """A feasible basis that is not optimal (every slack basic, margin 0)
+    and a singular one (a free column with its mirror) both fail the
+    proof, and Bland answers."""
+    args, kwargs = _float_margin_program(np.random.default_rng(5), 8)
+    nstruct, m = 1 + len(args[0]), len(kwargs["a_ub"])   # eps has a mirror
+
+    def propose(rows, col_of, cnums, cden):
+        slacks = [nstruct + r for r in range(m)]
+        return slacks if proposal == "slack basis" else [0, 1] + slacks[2:]
+    monkeypatch.setattr(_exactlp, "_float_basis", propose)
+    bland = _counting(monkeypatch, "_bland")
+    assert repr(solve_lp(*args, **kwargs)) == repr(reference_solve_lp(*args, **kwargs))
+    assert len(bland) == 1
+
+
+def test_singular_proposal_is_refused(monkeypatch):
+    """max x with 0 x <= 1 and x <= 5: the basis {x, slack of row 1}
+    leaves row 0 tight, whose entry under x is 0.  Read past its
+    singular elimination, that basis would claim x = 1."""
+    c, kwargs = [F(1)], dict(a_ub=[[F(0)], [F(1)]], b_ub=[F(1), F(5)], nonneg=[True])
+    monkeypatch.setattr(_exactlp, "_float_basis", lambda *args: [0, 2])
+    bland = _counting(monkeypatch, "_bland")
+    got = solve_lp(c, **kwargs)
+    assert repr(got) == repr(reference_solve_lp(c, **kwargs))
+    assert got.x == [F(5)] and len(bland) == 1
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), npoints=st.integers(8, 48),
+       nrows=st.integers(3, 5))
+def test_float_derived_programs_match_fraction_reference(seed, npoints, nrows):
+    args, kwargs = _float_margin_program(np.random.default_rng(seed), npoints, nrows)
+    assert repr(solve_lp(*args, **kwargs)) == repr(reference_solve_lp(*args, **kwargs))
+
+
+def test_every_proposed_basis_is_proved_or_refused(monkeypatch):
+    """Each basis of small dense inequality programs, proposed in turn:
+    the proof accepts at most the one optimal basis, and every answer is
+    the reference's."""
+    import itertools
+    import random
+    rng = random.Random(28)
+
+    def q():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    accepted = 0
+    for _ in range(60):
+        nvars, m = rng.randint(1, 3), rng.randint(2, 4)
+        c = [q() for _ in range(nvars)]
+        kwargs = {"a_ub": [[q() for _ in range(nvars)] for _ in range(m)],
+                  "b_ub": [q() for _ in range(m)],
+                  "nonneg": [rng.random() < 0.6 for _ in range(nvars)]}
+        ncols = sum(1 if nn else 2 for nn in kwargs["nonneg"]) + m
+        want = repr(reference_solve_lp(c, **kwargs))
+        for basis in itertools.combinations(range(ncols), m):
+            monkeypatch.setattr(_exactlp, "_float_basis", lambda *args: list(basis))
+            bland = _counting(monkeypatch, "_bland")
+            assert repr(solve_lp(c, **kwargs)) == want, (c, kwargs, basis)
+            accepted += not bland
+            monkeypatch.undo()
+    # 17 of the 60 programs have a strictly complementary optimum
+    assert accepted == 17

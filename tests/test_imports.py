@@ -3,6 +3,7 @@ used by its file, and every local variable a package function assigns
 is read."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,24 @@ def _unreferenced_private_names():
 
 def test_no_unreferenced_private_names():
     assert _unreferenced_private_names() == []
+
+
+def _imported_modules(path):
+    """The top-level names of the modules a file imports, relative
+    imports written with their leading dot."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or "").split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("name", ["_exactlp.py", "_rational.py"])
+def test_exact_kernel_imports_only_the_standard_library(name):
+    """The exact LP and rational kernels import the standard library and
+    each other, nothing else: no numpy or scipy behind an exact answer."""
+    allowed = set(sys.stdlib_module_names) | {"._exactlp", "._rational"}
+    assert _imported_modules(SRC / name) - allowed == set()
