@@ -26,8 +26,8 @@ from .derivations import (_is_diagonal, _positive_trace, derivation_matrix,
                           diagonal_derivation, require_derivation)
 from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
-                     _metric_factors, centralizer_blocks, nice_basis_check,
-                     _packed_layout, weight_vector)
+                     _metric_factors, _metric_layout, centralizer_blocks,
+                     nice_basis_check, weight_vector)
 from .rng import default_seed, generator, require_seed
 
 MARGIN_THRESHOLD = Fraction(1, 10_000_000)  # 1e-7
@@ -245,10 +245,9 @@ def necessary_condition(D, b: Bracket) -> bool:
 
 def _scaling_line(blocks, n):
     """The 50 search points of the pure-scaling line h = e^s, s from 0.25
-    to 25: s times the packed identity, then n zeros.  The packed
-    identity of pack_blocks holds a 1 at each block's diagonal and +0.0
-    elsewhere, so s is written at those places of a zero array."""
-    _, diagonal, width = _packed_layout(blocks)
+    to 25: s at the diagonal offsets of _metric_layout and +0.0 at every
+    other coordinate, X included."""
+    (_, _, diagonal), _, width = _metric_layout(tuple(blocks))
     line = np.zeros((50, width + n))
     line[:, diagonal] = np.linspace(0.25, 25.0, 50)[:, None]
     return line
@@ -259,8 +258,10 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
 
     Minimizes the top Ricci eigenvalue over metric parameters: the
     scale is pinned to 1, the shear X ranges over the nilpotent part,
-    and h = exp(A) with A commuting with D when D is diagonal (full
-    otherwise).  Phases: the identity metric, a pure-scaling line, then
+    and h is lower triangular with a positive diagonal e^a, block
+    diagonal on the centralizer blocks when D is diagonal (one block
+    otherwise): _metric_factors, which reaches every metric of those
+    blocks.  Phases: the identity metric, a pure-scaling line, then
     restarted first-improvement compass descent, each restart from the
     best point so far during the first third of the budget and from a
     seeded random point after it.  Returns the first witness below
@@ -272,11 +273,9 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     it would decide nothing.  The gate is also what lets every evaluation
     read the closed-form Ricci blocks of the transported pair, with no
     curvature tensor.  When every centralizer block is 1 x 1 the factors
-    are the diagonals e^A, and the evaluator transports the pair
+    are the diagonals e^a, and the evaluator transports the pair
     entrywise on the diagonal torus.  Otherwise the factors are full
-    matrices and take the dense transport: 2 x 2 blocks exponentiate in
-    closed form, and only blocks of 3 x 3 and up, or the one block of a
-    non-diagonal D, take expm.
+    matrices and take the dense transport.
 
     Points are evaluated as stacks, and each row of a stack reads the
     same bits as it would alone.  The identity metric and the 50 points
@@ -321,7 +320,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
         blocks = centralizer_blocks(np.diag(M))
     else:
         blocks = [tuple(range(n))]
-    asize = sum(len(blk) ** 2 for blk in blocks)
+    asize = _metric_layout(tuple(blocks))[2]
     dim = asize + n
     C = b.tensor()
     state = {"evals": 0, "best": math.inf, "best_x": np.zeros(dim)}

@@ -75,7 +75,10 @@ class MetricParams:
     Encodes the block lower-triangular frame change with c on the
     extension direction, shear X into the nilpotent part, and h on the
     nilpotent part; every positive-definite inner product arises this
-    way with c > 0.
+    way with c > 0.  For orthogonal Q, (Q X, Q h) moves the transported
+    pair by the isometry Q, so its Ricci spectrum is that of (X, h); the
+    metric search therefore takes h lower triangular with a positive
+    diagonal.
     """
 
     c: float

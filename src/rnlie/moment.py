@@ -260,35 +260,15 @@ def centralizer_blocks(entries) -> list:
     return [tuple(blk) for blk in blocks]
 
 
-def pack_blocks(A, blocks) -> np.ndarray:
-    """The entries of A inside the diagonal blocks, block by block, each
-    block row-major; unpack_blocks inverts it."""
-    if not blocks:
-        return np.zeros(0)
-    return np.concatenate([A[np.ix_(blk, blk)].ravel() for blk in blocks])
-
-
 def unpack_blocks(x, blocks, n: int) -> np.ndarray:
     """The n x n matrix, zero off the blocks, whose blocks are read from
-    the front of x in the layout of pack_blocks; a stack of them when x
-    has leading axes."""
+    the front of x, block by block, each block row-major; a stack of them
+    when x has leading axes."""
     x = np.asarray(x)
     flat = [r * n + c for blk in blocks for r in blk for c in blk]
     A = np.zeros(x.shape[:-1] + (n * n,))
     A[..., flat] = x[..., :len(flat)]
     return A.reshape(x.shape[:-1] + (n, n))
-
-
-def _packed_layout(blocks):
-    """The layout of pack_blocks: the offset at which each block starts,
-    the offsets of the diagonal entries, and the packed length."""
-    starts, diagonal, width = [], [], 0
-    for blk in blocks:
-        size = len(blk)
-        starts.append(width)
-        diagonal += range(width, width + size * size, size + 1)
-        width += size * size
-    return starts, diagonal, width
 
 
 def _draw_block_elements(rng, blocks, n, k):
@@ -301,7 +281,11 @@ def _draw_block_elements(rng, blocks, n, k):
     order, so the stack holds the first k well-conditioned elements of the
     stream; 64 such draws in a row raise NumericalError."""
     sizes = [len(blk) for blk in blocks]
-    _, diagonal, width = _packed_layout(blocks)
+    # each block's s * s entries, row-major, as unpack_blocks reads them
+    diagonal, width = [], 0
+    for s in sizes:
+        diagonal += range(width, width + s * s, s + 1)
+        width += s * s
     kept, streak = [], 0
     while len(kept) < k:
         need = k - len(kept)
@@ -323,82 +307,44 @@ def _draw_block_elements(rng, blocks, n, k):
     return np.array(kept)
 
 
-# Taylor coefficients in z = d^2 of cosh(d) and sinh(d)/d, highest power
-# first; for |z| < 1 the terms past these fall below the last bit
-_BLOCK2_SERIES = tuple((1.0 / math.factorial(2 * j), 1.0 / math.factorial(2 * j + 1))
-                       for j in range(12, -1, -1))
-
-
-def _block2_exp(a, b, c, d):
-    """exp([[a, b], [c, d]]) = e^tau (cosh(delta) I + sinh(delta)/delta A0),
-    row-major, with tau half the trace, A0 = A - tau I = [[h, b], [c, -h]]
-    and A0^2 = delta^2 I, where z = delta^2 = h^2 + bc has either sign
-    (cos and sin of sqrt(-z) when z < 0).  Taylor series in z when |z| <
-    1; NaN where it overflows.  Python floats: a 2 x 2 block is a handful
-    of numbers, and numpy's per-call cost would outweigh the arithmetic."""
-    half = 0.5 * (a - d)
-    z = half * half + b * c
-    try:
-        if abs(z) < 1.0:
-            ch = sh = 0.0
-            for p, q in _BLOCK2_SERIES:
-                ch, sh = ch * z + p, sh * z + q
-        elif z > 0:
-            r = math.sqrt(z)
-            ch, sh = math.cosh(r), math.sinh(r) / r
-        else:
-            r = math.sqrt(-z)
-            ch, sh = math.cos(r), math.sin(r) / r
-        scale = math.exp(0.5 * (a + d))
-    except (OverflowError, ValueError):
-        return math.nan, math.nan, math.nan, math.nan
-    ch, sh = scale * ch, scale * sh
-    return ch + sh * half, sh * b, sh * c, ch - sh * half
-
-
 @functools.lru_cache(maxsize=64)
-def _block_layout(blocks):
-    """Where pack_blocks puts each size of block: the indices and packed
-    offsets of the 1 x 1 blocks; the row and column indices and packed
-    offsets of the entries of the 2 x 2 blocks, one row of four per block;
-    and each larger block with its first offset.  `blocks` is a tuple of
-    index tuples."""
-    ones, pairs, larger = [], [], []
-    for blk, pos in zip(blocks, _packed_layout(blocks)[0]):
-        if len(blk) == 1:
-            ones.append((blk[0], pos))
-        elif len(blk) == 2:
-            i, j = blk
-            pairs.append(((i, i, j, j), (i, j, i, j), range(pos, pos + 4)))
-        else:
-            larger.append((blk, pos))
-    return (tuple(np.array(col) for col in zip(*ones)),
-            tuple(np.array(col) for col in zip(*pairs)), tuple(larger))
+def _metric_layout(blocks):
+    """Where the metric search packs its factors: each block's lower
+    triangle, block after block, row by row.  Returns the (row, column,
+    offset) index arrays of the diagonal entries, those of the entries
+    below the diagonal, and the packed width.  `blocks` is a tuple of
+    index tuples; a k x k block takes k(k + 1)/2 coordinates.  The arrays
+    are read-only, since every caller shares them."""
+    diagonal, below, width = [], [], 0
+    for blk in blocks:
+        for r, i in enumerate(blk):
+            below += [(i, j, width + c) for c, j in enumerate(blk[:r])]
+            width += r
+            diagonal.append((i, i, width))
+            width += 1
+    layout = []
+    for entries in (diagonal, below):
+        columns = np.array(entries, dtype=np.intp).reshape(-1, 3).T.copy()
+        columns.setflags(write=False)
+        layout.append(tuple(columns))
+    return layout[0], layout[1], width
 
 
 def _metric_factors(A, blocks, n):
-    """exp(A) for each row of A, packed as pack_blocks lays out the
-    diagonal blocks: the metric factors h of the metric search.  np.exp on
-    the 1 x 1 blocks, the closed form of _block2_exp on the 2 x 2 blocks,
-    expm on larger blocks.  Each row gives the same bits in any stack."""
+    """The metric factors h of the metric search, one for each row of A
+    in the layout of _metric_layout: block diagonal, each block lower
+    triangular, with the entries below the diagonal as given and e^a on
+    the diagonal.  These reach every metric that any invertible factor
+    with the same blocks reaches: such a factor is Q L, with Q orthogonal
+    and L of this form (the QL decomposition), and (X, Q L) gives the
+    metric of (Q^T X, L), Q being an isometry.  Each row gives the same
+    bits in any stack."""
     A = np.asarray(A, dtype=float)
+    (i, _, pos), (rows, cols, at), _ = _metric_layout(tuple(blocks))
     h = np.zeros((len(A), n, n))
-    ones, pairs, larger = _block_layout(tuple(blocks))
-    if ones:
-        i, pos = ones
-        with np.errstate(all="ignore"):
-            h[:, i, i] = np.exp(A[:, pos])
-    if pairs:
-        rows, cols, pos = pairs
-        quads = A[:, pos]
-        h[:, rows, cols] = np.reshape([_block2_exp(*q) for q in quads.reshape(-1, 4).tolist()],
-                                      quads.shape)
-    for blk, pos in larger:
-        from scipy.linalg import expm
-        k = len(blk)
-        rows, cols = np.ix_(blk, blk)
-        with np.errstate(all="ignore"):
-            h[:, rows, cols] = expm(A[:, pos:pos + k * k].reshape(-1, k, k))
+    h[:, rows, cols] = A[:, at]
+    with np.errstate(all="ignore"):
+        h[:, i, i] = np.exp(A[:, pos])
     return h
 
 

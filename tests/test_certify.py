@@ -3,27 +3,32 @@
 import math
 from fractions import Fraction
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.linalg import expm, logm
 
 from rnlie import certify, curvature
 from rnlie.brackets import Bracket
 from rnlie.certify import (DEFAULT_BUDGET, NEGATIVITY_THRESHOLD, Infeasible,
                            RnWitness, SearchFailure, SrnCertificate, Unknown,
-                           _scaling_line, certify_srn_nice, certify_srn_sampled,
+                           _metric_factors, _scaling_line, certify_srn_nice, certify_srn_sampled,
                            necessary_condition, search_rn_metric)
 from rnlie.corpus import corpus
 from rnlie.curvature import MetricParams, is_ricci_negative
 from rnlie.derivations import require_derivation
 from rnlie.errors import NumericalError, PreconditionError
 from rnlie.moment import (DERIVATION_CENTRALIZER, DIAG_POSITIVE,
-                          TORUS_CENTRALIZER, centralizer_blocks, orbit_sample,
-                          pack_blocks, unpack_blocks)
+                          TORUS_CENTRALIZER, _metric_layout, centralizer_blocks,
+                          orbit_sample)
 from rnlie.rng import generator
 
 h3 = corpus("heisenberg", 3).bracket
 h5 = corpus("heisenberg", 5).bracket
+h7 = corpus("heisenberg", 7).bracket
 t5 = corpus("tricky5").bracket
 
 
@@ -325,8 +330,9 @@ class TestSearch:
 def reference_search(D, b, budget=DEFAULT_BUDGET, seed=0):
     """The metric search one point at a time, as it was before stacked
     evaluation: each point is one is_ricci_negative call on the Koszul
-    tensor, with h = expm of the whole block matrix, and a restart from
-    the best point goes back through logm of its h."""
+    tensor, with h built here from the point's coordinates (each block's
+    lower triangle, row by row, e^a on the diagonal), and a restart from
+    the best point starts at that point's coordinates."""
     M = np.asarray(D, dtype=float)
     n = b.dim
     require_derivation(M, b)
@@ -336,20 +342,29 @@ def reference_search(D, b, budget=DEFAULT_BUDGET, seed=0):
         blocks = centralizer_blocks(np.diag(M))
     else:
         blocks = [tuple(range(n))]
-    asize = sum(len(blk) ** 2 for blk in blocks)
+    # the (row, column) of each coordinate of h
+    entries = [(i, j) for blk in blocks for r, i in enumerate(blk) for j in blk[:r + 1]]
+    asize = _metric_layout(tuple(blocks))[2]
+    assert asize == len(entries)
     state = {"evals": 0, "best": math.inf, "best_params": MetricParams.identity(n)}
+
+    def factor(a):
+        h = np.zeros((n, n))
+        for (i, j), v in zip(entries, a):
+            h[i, j] = np.exp(v) if i == j else v
+        return h
 
     def evaluate(x):
         if state["evals"] >= budget:
             return None
         state["evals"] += 1
         try:
-            params = MetricParams(1.0, x[asize:], expm(unpack_blocks(x, blocks, n)))
+            params = MetricParams(1.0, x[asize:], factor(x[:asize]))
             lam = is_ricci_negative(M, b, params)[1]
         except (PreconditionError, NumericalError, np.linalg.LinAlgError):
             return math.inf
         if lam < state["best"]:
-            state["best"], state["best_params"] = lam, params
+            state["best"], state["best_params"], state["best_x"] = lam, params, x
         return lam
 
     def finished():
@@ -378,21 +393,12 @@ def reference_search(D, b, budget=DEFAULT_BUDGET, seed=0):
     dim = asize + n
     if evaluate(np.zeros(dim)) is not None and not finished():
         for s in np.linspace(0.25, 25.0, 50):
-            x = np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
+            x = np.array([s if i == j else 0.0 for i, j in entries] + [0.0] * n)
             if evaluate(x) is None or finished():
                 break
     while not finished() and state["evals"] < budget:
         if state["best"] < math.inf and state["evals"] < budget // 3:
-            base = state["best_params"]
-            A0 = np.zeros((n, n))
-            for blk in blocks:
-                with np.errstate(all="ignore"):
-                    L = logm(base.h[np.ix_(blk, blk)])
-                if np.abs(L.imag).max() > 1e-8:
-                    A0 = np.zeros((n, n))
-                    break
-                A0[np.ix_(blk, blk)] = L.real
-            x = np.concatenate([pack_blocks(A0, blocks), base.X])
+            x = state["best_x"].copy()
         else:
             x = 0.6 * rng.standard_normal(dim)
         descend(x)
@@ -417,7 +423,7 @@ def sequential_search(D, b, budget=DEFAULT_BUDGET, seed=0):
         blocks = centralizer_blocks(np.diag(M))
     else:
         blocks = [tuple(range(n))]
-    asize = sum(len(blk) ** 2 for blk in blocks)
+    asize = _metric_layout(tuple(blocks))[2]
     dim = asize + n
     C = b.tensor()
     state = {"evals": 0, "best": math.inf, "best_x": np.zeros(dim)}
@@ -506,6 +512,9 @@ def _same_params(a, b):
 
 _T5 = 1 / 3
 _NON_DIAGONAL = np.array([[-0.4, 0.3, 0.0], [0.0, 0.9, 0.0], [0.2, 0.0, 0.5]])
+# the seed-2405 heisenberg:7 point of the witness benchmark, with two
+# 3 x 3 centralizer blocks
+H7_BLOCKS3 = diag(31, 33, 31, 33, 33, 31, 64) / 256
 # (bracket, derivation, seed): identity and scaling-line ends, compass
 # descents with restarts, 2 x 2 centralizer blocks (h5 with a repeated
 # pair) and one derivation that is not diagonal
@@ -520,7 +529,7 @@ WITNESS_CASES = [
     (h3, _NON_DIAGONAL, 6),
 ]
 # gate-failing derivations at budget 2000, whose restarts from the best
-# point go through logm in the reference.  Left out: filiform(5)
+# point the reference makes from that point's coordinates.  Left out: filiform(5)
 # diag(4, -7, -3, 1, 5) and the h3-plus-line diag(1, 0, 1, 0) of
 # acceptance 09, whose best values sit at rounding level around 0, where
 # the Koszul tensor and the closed form break ties between points
@@ -745,11 +754,152 @@ class TestStackedSearch:
 ])
 def test_scaling_line_matches_per_point_packing(blocks, n):
     """The scaling line as one outer product holds the same bytes as
-    packing s * I point by point."""
-    want = np.array([np.concatenate([pack_blocks(s * np.eye(n), blocks), np.zeros(n)])
-                     for s in np.linspace(0.25, 25.0, 50)])
+    packing the logs of e^s I point by point: s on the diagonal and +0.0
+    below it, at the offsets of _metric_layout, then X = 0."""
+    diagonal, below, width = _metric_layout(tuple(blocks))
+    want = []
+    for s in np.linspace(0.25, 25.0, 50):
+        x = np.zeros(width + n)
+        for (rows, cols, at), entries in ((diagonal, s * np.eye(n)), (below, np.zeros((n, n)))):
+            x[at] = entries[rows, cols]
+        want.append(x)
+    want = np.array(want)
     got = _scaling_line(blocks, n)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _heisenberg_diagonal(T, *a):
+    """diag(a_1, T - a_1, .., a_k, T - a_k, T) on heisenberg(2k + 1)."""
+    return diag(*[x for ai in a for x in (ai, T - ai)], T)
+
+
+# Searches whose centralizer blocks are larger than 1 x 1 (or whose D is
+# not diagonal), with the verdict class each gave when the search still
+# exponentiated its blocks: (bracket, D, seed, budget, block sizes, class).
+# The witnesses are NiceLP-certified, except the non-diagonal D; the
+# failures fail the necessary condition for D and for -D.
+BLOCK_VERDICTS = [
+    (h5, diag(-1 / 8, _T5 + 1 / 8, -1 / 8, _T5 + 1 / 8, _T5), 3, DEFAULT_BUDGET, [2, 2, 1],
+     RnWitness),
+    (h3, _NON_DIAGONAL, 6, DEFAULT_BUDGET, [3], RnWitness),
+    (h3, diag(1, 1, 2), 1, DEFAULT_BUDGET, [2, 1], RnWitness),
+    (h5, diag(1, 1, 1, 1, 2), 1, DEFAULT_BUDGET, [4, 1], RnWitness),
+    (h5, _heisenberg_diagonal(1 / 3, -0.15, -0.15), 1, DEFAULT_BUDGET, [2, 2, 1], RnWitness),
+    (h5, _heisenberg_diagonal(1 / 3, 0.45, 0.45), 2, DEFAULT_BUDGET, [2, 2, 1], RnWitness),
+    (h7, H7_BLOCKS3, 1, DEFAULT_BUDGET, [3, 3, 1], RnWitness),
+    (h7, _heisenberg_diagonal(0.25, -0.08, -0.08, -0.08), 1, DEFAULT_BUDGET, [3, 3, 1],
+     RnWitness),
+    (h7, _heisenberg_diagonal(0.25, 0.32, 0.32, 0.32), 2, DEFAULT_BUDGET, [3, 3, 1], RnWitness),
+    (h7, _heisenberg_diagonal(0.25, -0.06, -0.06, 0.2), 1, DEFAULT_BUDGET, [2, 2, 1, 1, 1],
+     RnWitness),
+    (h7, diag(*[1 / 8] * 6, 1 / 4), 1, DEFAULT_BUDGET, [6, 1], RnWitness),
+    (Bracket(4, {(0, 1, 2): 1}), diag(1, 0, 1, 0), 507, 2000, [2, 2], SearchFailure),
+    (h3, diag(0, 0, 0), 1, 2000, [3], SearchFailure),
+    (h5, diag(1, -1, 1, -1, 0), 2, 2000, [2, 2, 1], SearchFailure),
+    (h5, diag(1, -1, -1, 1, 0), 3, 2000, [2, 2, 1], SearchFailure),
+    (h7, diag(1, -1, 1, -1, 1, -1, 0), 1, 2000, [3, 3, 1], SearchFailure),
+]
+
+
+@pytest.mark.parametrize("b, D, seed, budget, sizes, verdict", BLOCK_VERDICTS)
+def test_block_search_verdict_classes(b, D, seed, budget, sizes, verdict):
+    """Each search above keeps its verdict class.  A certified D gives a
+    witness and a gate-failing D a failure that spent its whole budget;
+    a class that moves is a finding about the search, not a tolerance."""
+    if np.count_nonzero(D - np.diag(np.diag(D))):
+        assert sizes == [b.dim]
+    else:
+        assert [len(blk) for blk in centralizer_blocks(np.diag(D))] == sizes
+        if verdict is RnWitness:
+            assert isinstance(certify_srn_nice(D, b), SrnCertificate)
+    if verdict is SearchFailure:
+        assert not necessary_condition(D, b) and not necessary_condition(-D, b)
+    res = search_rn_metric(D, b, budget=budget, seed=seed)
+    assert isinstance(res, verdict)
+    if verdict is SearchFailure:
+        assert res.evaluations == budget
+    else:
+        assert res.lambda_max < NEGATIVITY_THRESHOLD
+
+
+def test_block_searches_load_no_scipy():
+    """A search with two 3 x 3 centralizer blocks and one whose D is not
+    diagonal build their triangular factors with numpy alone: neither
+    loads any scipy module."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; import numpy as np; from rnlie import corpus, search_rn_metric; "
+            "h7 = corpus('heisenberg', 7).bracket; h3 = corpus('heisenberg', 3).bracket; "
+            "a = search_rn_metric(np.diag([31, 33, 31, 33, 33, 31, 64]) / 256, h7, seed=1); "
+            "b = search_rn_metric(np.array([[-0.4, 0.3, 0.0], [0.0, 0.9, 0.0], "
+            "[0.2, 0.0, 0.5]]), h3, seed=6); "
+            "print(type(a).__name__, type(b).__name__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["RnWitness RnWitness", "[]"]
+
+
+def test_metric_layout_packs_lower_triangles_row_by_row():
+    """Block after block, each block's lower triangle row by row: a
+    k x k block takes k(k + 1)/2 coordinates, and 1 x 1 blocks keep the
+    torus layout, one coordinate each in block order."""
+    diagonal, below, width = _metric_layout(((0, 2, 3), (1,), (4, 5)))
+    assert width == 6 + 1 + 3
+    assert [tuple(a.tolist()) for a in diagonal] == [(0, 2, 3, 1, 4, 5), (0, 2, 3, 1, 4, 5),
+                                                     (0, 2, 5, 6, 7, 9)]
+    assert [tuple(a.tolist()) for a in below] == [(2, 3, 3, 5), (0, 0, 2, 4), (1, 3, 4, 8)]
+    torus = _metric_layout(((1,), (0,), (2,)))
+    assert [a.tolist() for a in torus[0]] == [[1, 0, 2], [1, 0, 2], [0, 1, 2]]
+    assert all(a.size == 0 for a in torus[1]) and torus[2] == 3
+
+
+def _ql(h):
+    """h = Q L with Q orthogonal and L lower triangular with a positive
+    diagonal, from the QR decomposition of h with its rows and columns
+    reversed."""
+    q, r = np.linalg.qr(h[::-1, ::-1])
+    sign = np.sign(np.diag(r))
+    return (q * sign)[::-1, ::-1], (sign[:, None] * r)[::-1, ::-1]
+
+
+@pytest.mark.parametrize("b, M, blocks", [
+    (h7, H7_BLOCKS3, [(0, 2, 5), (1, 3, 4), (6,)]),
+    (h3, _NON_DIAGONAL, [(0, 1, 2)]),
+])
+def test_triangular_factors_lose_no_metric(b, M, blocks):
+    """Every factor with the search's blocks gives a metric that one of
+    its triangular factors gives: for h = Q L, the metric (X, h) is the
+    metric (Q^T X, L), and L, packed as log-diagonal and lower entries,
+    is a factor _metric_factors builds.  Their top Ricci eigenvalues
+    agree over 200 seeded draws."""
+    n = b.dim
+    rng = np.random.default_rng(29)
+    (rows, cols, pos), (low, high, at), width = _metric_layout(tuple(blocks))
+    hs, Xs, coords, QX = [], [], [], []
+    for _ in range(200):
+        h = np.zeros((n, n))
+        for blk in blocks:
+            h[np.ix_(blk, blk)] = rng.standard_normal((len(blk), len(blk)))
+        X = rng.standard_normal(n)
+        Q, L = _ql(h)
+        assert np.allclose(Q @ L, h, rtol=0, atol=1e-13) and np.allclose(Q.T @ Q, np.eye(n))
+        x = np.zeros(width)
+        x[pos], x[at] = np.log(L[rows, cols]), L[low, high]
+        hs.append(h)
+        Xs.append(X)
+        coords.append(x)
+        QX.append(Q.T @ X)
+    factors = _metric_factors(np.array(coords), blocks, n)
+    assert np.allclose(factors, [_ql(h)[1] for h in hs], rtol=1e-14, atol=0)
+    C = b.tensor()
+    want = curvature._top_eigenvalues(M, C, np.array(Xs), np.array(hs))
+    got = curvature._top_eigenvalues(M, C, np.array(QX), factors)
+    assert np.isfinite(want).all()
+    assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
 
 
 class TestResultTypes:

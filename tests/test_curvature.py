@@ -13,7 +13,7 @@ from rnlie.curvature import (MetricParams, _top_eigenvalues, extension_bracket,
 from rnlie.degeneration import heintze_curve
 from rnlie.derivations import derivation_space, is_derivation, require_derivation
 from rnlie.errors import PreconditionError
-from rnlie.moment import centralizer_blocks, pack_blocks
+from rnlie.moment import _metric_layout, centralizer_blocks
 
 
 def h3():
@@ -292,10 +292,18 @@ def _stack(case, rows=12, seed=0):
     n = b.dim
     diagonal = np.count_nonzero(M - np.diag(np.diag(M))) == 0
     blocks = centralizer_blocks(np.diag(M)) if diagonal else [tuple(range(n))]
-    asize = sum(len(blk) ** 2 for blk in blocks)
+    asize = _metric_layout(tuple(blocks))[2]
     rng = np.random.default_rng(seed)
     xs = 0.5 * rng.standard_normal((rows, asize + n))
     return b, M, blocks, xs, asize
+
+
+def _log_diagonal(entries, blocks):
+    """The packed coordinates of the factor diag(e^entries)."""
+    (rows, _, at), _, width = _metric_layout(tuple(blocks))
+    x = np.zeros(width)
+    x[at] = np.asarray(entries)[rows]
+    return x
 
 
 def _evaluate(b, M, blocks, xs, asize):
@@ -342,8 +350,8 @@ class TestStackedEvaluation:
         n = b.dim
         bad = xs.copy()
         bad[2, :asize] = 1e3
-        bad[5, :asize] = pack_blocks(np.diag([-800.0] + [0.0] * (n - 1)), blocks)
-        bad[7, :asize] = pack_blocks(np.diag([-100.0] * (n - 1) + [400.0]), blocks)
+        bad[5, :asize] = _log_diagonal([-800.0] + [0.0] * (n - 1), blocks)
+        bad[7, :asize] = _log_diagonal([-100.0] * (n - 1) + [400.0], blocks)
         got = _evaluate(b, M, blocks, bad, asize)
         assert got[2] == got[5] == got[7] == np.inf
         keep = np.ones(len(xs), bool)
@@ -382,9 +390,9 @@ class TestStackedEvaluation:
         # below in log det reads inf and the one 1e-12 above does not
         edge = np.log(1e-300) / n
         invalid = [(np.full(asize, 1e3), True),
-                   (pack_blocks(np.diag([-800.0] + [0.0] * (n - 1)), blocks), True),
-                   (pack_blocks(np.diag([-100.0] * (n - 1) + [400.0]), blocks), True)]
-        band = [(pack_blocks(np.diag([edge + t] + [edge] * (n - 1)), blocks), inf)
+                   (_log_diagonal([-800.0] + [0.0] * (n - 1), blocks), True),
+                   (_log_diagonal([-100.0] * (n - 1) + [400.0], blocks), True)]
+        band = [(_log_diagonal([edge + t] + [edge] * (n - 1), blocks), inf)
                 for t, inf in ((-1e-12, True), (0.0, None), (1e-12, False))]
         # a stack whose factors are all valid but whose Ricci operator
         # overflows in some rows, and one with every kind of row

@@ -10,14 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from rnlie import moment
 from rnlie.brackets import Bracket, BasisChange, act, act_tensor, gram_difference
 from rnlie.cone import SAMPLE_COUNT
 from rnlie.corpus import corpus
-from rnlie.curvature import ricci_nilpotent
+from rnlie.curvature import _top_eigenvalues, ricci_nilpotent
 from rnlie.errors import NumericalError, PreconditionError
 from rnlie.moment import (_acted_moment_matrix, _draw_block_elements, _group_blocks,
                           _metric_factors, _slice_jacobian, _slice_layout, _slice_residual,
@@ -912,48 +911,20 @@ class TestTrustRegionPort:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
-# 2 x 2 blocks [[a, b], [c, d]] by the sign and size of delta^2 = ((a - d)/2)^2 + bc
-BLOCK2_CASES = {
-    "delta2>0": [[0.3, 1.2], [0.7, -0.5]],
-    "delta2<0": [[0.2, -1.5], [0.9, 0.4]],
-    "|delta|<1e-6": [[0.4 + 3e-7, 2e-7], [1e-7, 0.4 - 3e-7]],
-    "delta=0": [[1.0, 1.0], [0.0, 1.0]],
-    "delta2=1": [[1.0, 0.0], [0.0, -1.0]],
-    "delta2 just below 1": [[0.5, 0.75 - 1e-12], [1.0, -0.5]],
-    "large tau": [[40.3, 0.8], [-0.6, 39.7]],
-    "large delta2>0": [[3.0, 4.0], [5.0, -2.0]],
-    "large delta2<0": [[0.0, -6.0], [6.0, 0.0]],
-}
-
-
-def _mp_expm(A):
-    """exp(A) at 50 digits, rounded to floats."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
-
-
-class TestBlock2Exp:
-    """The closed-form exp of a 2 x 2 block against 50-digit references,
-    and against scipy's expm, which is itself off by up to 3e-13 (large
-    tau) and 4e-13 (large delta)."""
-
-    @pytest.mark.parametrize("A", BLOCK2_CASES.values(), ids=BLOCK2_CASES.keys())
-    def test_exp(self, A):
-        A = np.array(A)
-        got = _metric_factors(A.ravel()[None], [(0, 1)], 2)[0]
-        want = _mp_expm(A)
-        scale = np.abs(want).max()
-        assert np.abs(got - want).max() <= 1e-15 * scale
-        assert np.abs(got - expm(A)).max() <= 1e-12 * scale
-
+class TestMetricFactors:
     def test_rows_of_a_stack_keep_their_bits(self):
-        """The metric search exponentiates stacks."""
+        """The metric search builds its triangular factors as stacks: each
+        row reads the bits it reads alone, and a row whose diagonal
+        overflows exp reads inf there, and inf at the evaluator."""
         blocks = [(0, 2), (1, 3), (4,)]
-        xs = 0.8 * np.random.default_rng(4).standard_normal((25, 9))
-        xs[3, :4] = [40.3, 0.8, -0.6, 39.7]
-        xs[7, :4] = [1e3, 0.0, 0.0, 1e3]   # overflows
-        h = _metric_factors(xs, blocks, 5)
-        assert np.isnan(h[7][np.ix_((0, 2), (0, 2))]).all()
+        xs = 0.8 * np.random.default_rng(4).standard_normal((25, 7))
+        xs[3, :3] = [40.3, 0.8, 39.7]
+        xs[7, :3] = [1e3, 0.0, 1e3]   # overflows
+        factors = _metric_factors(xs, blocks, 5)
+        assert factors[7, 0, 0] == factors[7, 2, 2] == np.inf and factors[7, 2, 0] == 0.0
         for k in range(len(xs)):
-            assert h[k].tobytes() == _metric_factors(xs[k:k + 1], blocks, 5)[0].tobytes()
+            assert factors[k].tobytes() == _metric_factors(xs[k:k + 1], blocks, 5)[0].tobytes()
+        # h5 with diag(1, -1, 1, -1, 0), whose centralizer blocks these are
+        M = np.diag([1.0, -1.0, 1.0, -1.0, 0.0])
+        lam = _top_eigenvalues(M, h(5).tensor(), np.zeros((25, 5)), factors)
+        assert lam[7] == np.inf and np.isfinite(np.delete(lam, 7)).all()
