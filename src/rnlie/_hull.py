@@ -7,19 +7,21 @@ description method revisited", 1996), in Python integers.
 
 - `hrep_vertices` homogenises {x : A x <= b, E x = f}; its vertices are
   the rays with t > 0.
-- `exact_hull` reads the facets of conv(points) off the rays of the cone
-  of valid inequalities {(beta, phi) : beta - phi . q >= 0 for every q}.
+- `exact_hull` and `extreme_points` read the facets of conv(points) off
+  the rays of the cone {(beta, phi) : beta - phi . q >= 0 for every q}.
 
 Face identifications are therefore combinatorial facts, not tolerance
 calls.  The cone routine grows with its ray count, not with the number
 of row subsets; what stays exponential is the face lattice that
 `exact_hull` closes under intersection (up to 2^m faces of m points),
-and MAX_POINTS bounds that.
+and MAX_POINTS bounds that.  `extreme_points` needs no lattice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,9 +54,6 @@ class Hull:
     extreme: tuple
     facets: tuple
     faces: tuple
-
-    def face_count(self) -> int:
-        return len(self.faces)
 
 
 def _affine_coordinates(unique):
@@ -144,50 +143,57 @@ def _extreme_rays(G):
     return rays
 
 
-def exact_hull(points) -> Hull:
-    """Face lattice, facets, and extreme points of conv(points)."""
+def _distinct(points):
+    """The points as Fraction tuples, their distinct values in first-seen
+    order, and each point's index among those."""
     pts = tuple(_fraction_point(p) for p in points)
     if not pts:
         raise PreconditionError("hull of an empty point set")
-    unique = []
-    seen = {}
-    to_unique = []
-    for p in pts:
-        if p not in seen:
-            seen[p] = len(unique)
-            unique.append(p)
-        to_unique.append(seen[p])
+    index = {}
+    to_unique = tuple(index.setdefault(p, len(index)) for p in pts)
+    return pts, tuple(index), to_unique
+
+
+def _facets(unique):
+    """The affine dimension of distinct points, one bitmask of the points
+    on each facet of their hull (a facet phi . x <= beta holds the points
+    of its ray's zero set), and the extreme points' indices: point i is
+    extreme exactly when the facets through it meet in {i} alone."""
+    d, coords = _affine_coordinates(unique)
+    masks = [zero for _, zero in
+             _extreme_rays([(Fraction(1),) + tuple(-x for x in q) for q in coords])]
+    full = (1 << len(unique)) - 1
+    return d, masks, tuple(i for i in range(len(unique)) if functools.reduce(
+        operator.and_, (zero for zero in masks if zero >> i & 1), full) == 1 << i)
+
+
+def extreme_points(points) -> tuple:
+    """Indices of the input points that are vertices of conv(points), the
+    first occurrence of each, in input order."""
+    _, unique, to_unique = _distinct(points)
+    return tuple(to_unique.index(i) for i in _facets(unique)[2])
+
+
+def exact_hull(points) -> Hull:
+    """Face lattice, facets, and extreme points of conv(points)."""
+    pts, unique, to_unique = _distinct(points)
     if len(unique) > MAX_POINTS:
         raise PreconditionError(
             f"{len(unique)} distinct points exceeds the hull bound {MAX_POINTS}")
-    unique = tuple(unique)
 
-    d, coords = _affine_coordinates(unique)
+    d, masks, extreme = _facets(unique)
     full = frozenset(range(len(unique)))
     if d == 0:
-        return Hull(pts, unique, tuple(to_unique), 0, (0,), (), (full,))
+        return Hull(pts, unique, to_unique, 0, extreme, (), (full,))
 
-    # a facet phi . x <= beta holds the points of its ray's zero set
-    rays = _extreme_rays([(Fraction(1),) + tuple(-x for x in q) for q in coords])
-    facets = {frozenset(i for i in full if zero >> i & 1) for _, zero in rays}
-    faces = set(facets)
-    frontier = set(facets)
+    facets = {frozenset(i for i in full if zero >> i & 1) for zero in masks}
+    faces, frontier = set(facets), set(facets)
     while frontier:
-        fresh = set()
-        for f in frontier:
-            for g in facets:
-                h = f & g
-                if h and h not in faces:
-                    fresh.add(h)
-        faces |= fresh
-        frontier = fresh
+        frontier = {f & g for f in frontier for g in facets} - faces - {frozenset()}
+        faces |= frontier
     faces.add(full)
-    faces = tuple(sorted(faces, key=_face_sort_key))
-    # a point is extreme when the facets through it meet in it alone,
-    # that is when it is a face by itself
-    extreme = tuple(sorted(i for f in faces if len(f) == 1 for i in f))
-    return Hull(pts, unique, tuple(to_unique), d, extreme,
-                tuple(sorted(facets, key=_face_sort_key)), faces)
+    return Hull(pts, unique, to_unique, d, extreme, tuple(sorted(facets, key=_face_sort_key)),
+                tuple(sorted(faces, key=_face_sort_key)))
 
 
 def hrep_vertices(a_ub, b_ub, a_eq=None, b_eq=None):

@@ -6,7 +6,9 @@ torus: Fourier-Motzkin elimination of the multipliers gives the facet
 rows, and double description (`_hull.hrep_vertices`) their vertices.
 Otherwise it is a seeded inner approximation by support probes: float
 LPs over a sampled orbit, which a dense two-phase simplex with Bland's
-rule solves here (one phase 1 per section, one phase 2 per probe).
+rule solves here (one phase 1 per section, one phase 2 per probe).  Its
+vertices are the probe points extreme in the trace plane, which
+`_hull.extreme_points` decides exactly, for any number of points.
 
 MAX_EXACT_TORUS_DIM bounds the exact regime.  What it protects now is
 the elimination, whose row count can square with each multiplier it
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._hull import exact_hull, hrep_vertices
+from ._hull import extreme_points, hrep_vertices
 from .brackets import Bracket
 from .certify import (Infeasible, RnWitness, SrnCertificate, _nice_margin,
                       certify_srn_sampled, search_rn_metric)
@@ -191,7 +193,8 @@ def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSecti
     u . c - 1e-9 sum(a) subject to B^T c - P^T a >= _PROBE_MARGIN,
     sum(a) <= 1e4, tr c = t and a >= 0, with P the diagonals of a
     48-point TorusCentralizer orbit sample.  Points within 1e-7 of an
-    earlier one are dropped, and the extreme ones are the vertices.
+    earlier one are dropped, and those extreme in the trace plane, for
+    any point count, are the vertices (_extreme_subset).
 
     The region does not depend on u, so _probe_points runs phase 1 once
     and a phase 2 per direction.  Where a probe's optimum is a whole
@@ -224,7 +227,7 @@ def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSecti
     for row in found:
         if not any(np.abs(row - k).max() <= 1e-7 for k in keep):
             keep.append(row)
-    verts = _extreme_subset(np.array(keep))
+    verts = _extreme_subset(np.array(keep), trace_row)
     return ConeSection(torus, float(t), verts, SAMPLED_INNER, None)
 
 
@@ -405,25 +408,15 @@ def _pivot(tab, basis, r, j):
     basis[r] = j
 
 
-def _extreme_subset(points: np.ndarray) -> tuple:
-    if len(points) == 1:
-        return (tuple(float(x) for x in points[0]),)
-    if points.shape[1] == 1:
-        lo, hi = points[:, 0].min(), points[:, 0].max()
-        return ((float(lo),), (float(hi),))
-    if len(points) <= 16:
-        hull = exact_hull([tuple(Fraction(float(x)) for x in p)
-                           for p in points])
-        return tuple(tuple(float(x) for x in hull.unique[i])
-                     for i in hull.extreme)
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(points)
-        idx = sorted(set(int(i) for i in hull.vertices))
-    except QhullError:
-        idx = range(len(points))
-    return tuple(tuple(float(x) for x in points[i]) for i in idx)
+def _extreme_subset(points: np.ndarray, trace_row: np.ndarray) -> tuple:
+    """The points that are vertices of their hull in the trace plane, in
+    input order.  Dropping the first coordinate the trace row reads maps
+    the plane onto R^(d-1) affinely, which keeps the vertices and drops
+    the rounding that lifts the points off the plane; there
+    `extreme_points` decides them exactly, on the floats as Fractions."""
+    k = int(np.flatnonzero(trace_row)[0])
+    kept = extreme_points(np.delete(points, k, axis=1))
+    return tuple(tuple(float(x) for x in points[i]) for i in kept)
 
 
 def cone_section(b: Bracket, t, resolution: int = 64, seed=None) -> ConeSection:

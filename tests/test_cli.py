@@ -328,9 +328,8 @@ class TestDeterminism:
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported where a float routine first needs it, so the
-    exact routes and the CLI start without it; numpy.random likewise
-    loads only where a routine first draws."""
+    """The package and the CLI start without scipy; numpy.random loads
+    only where a routine first draws."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -341,3 +340,77 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs in a process whose import system refuses every scipy module.
+_REFUSING_SCIPY = """
+import contextlib, importlib.abc, io, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("scipy is refused: " + name)
+
+sys.meta_path.insert(0, RefuseScipy())
+import numpy as np
+from rnlie import corpus, search_rn_metric
+from rnlie.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([code, out.getvalue()]))
+h7, h3 = corpus("heisenberg", 7).bracket, corpus("heisenberg", 3).bracket
+a = search_rn_metric(np.diag([31, 33, 31, 33, 33, 31, 64]) / 256, h7, seed=1)
+b = search_rn_metric(np.array([[-0.4, 0.3, 0.0], [0.0, 0.9, 0.0], [0.2, 0.0, 0.5]]), h3, seed=6)
+print(json.dumps([type(a).__name__, type(b).__name__]))
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+_H3 = ("--algebra", "heisenberg:3", "--derivation", "[1,1,2]")
+_SAMPLED_CERTIFY = ("certify", "--algebra", "tricky5", "--derivation", "[1, 1, 2, 2, 3]",
+                    "--method", "sampled", "--sample-count", "8", "--seed", "1")
+_EXACT_CONE = ("cone", "--algebra", "heisenberg:5", "--trace-level", "1", "--exact")
+_SAMPLED_CONE = ("cone", "--algebra", "tricky5", "--trace-level", "1", "--resolution", "12",
+                 "--seed", "5")
+
+
+def test_run_time_needs_no_scipy():
+    """Every subcommand, every certify method, orbit-sample for all three
+    groups, exact and sampled cone sections (JSON and CSV), a metric
+    search with two 3 x 3 centralizer blocks on heisenberg:7 and one whose
+    D is not diagonal: all run with every scipy import refused."""
+    commands = [
+        ("ricci", "--algebra", "heisenberg:3"), ("ricci", *_H3),
+        ("derivations", "--algebra", "heisenberg:3"), ("torus", "--algebra", "tricky5"),
+        ("nice", "--algebra", "tricky5"), ("moment", "--algebra", "tricky5"),
+        ("hull", "--algebra", "tricky5"),
+        ("orbit-sample", "--algebra", "tricky5", "--count", "4", "--seed", "3"),
+        ("orbit-sample", "--algebra", "tricky5", "--group", "DiagPositive", "--count", "4",
+         "--seed", "17"),
+        ("orbit-sample", "--group", "DerivationCentralizer", *_H3, "--count", "4"),
+        ("certify", *_H3), ("certify", *_H3, "--method", "nice"), _SAMPLED_CERTIFY,
+        ("certify", *_H3, "--method", "necessary"),
+        _EXACT_CONE, _SAMPLED_CONE, (*_SAMPLED_CONE, "--format", "csv"),
+        ("degenerate", "--algebra", "euclid3", "--curve", "diag:1,0,1",
+         "--predicate", "ScalarNegative", "--t-max", "16"),
+        ("corpus",), ("corpus", "--name", "heisenberg:3"),
+    ]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _REFUSING_SCIPY, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *runs, searches, loaded = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [code for code, _ in runs] == [0] * len(commands)
+    outputs = {argv: out for argv, (_, out) in zip(commands, runs)}
+    subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert {command[0] for command in commands} == set(subcommands)
+    assert '"Certificate"' in outputs[_SAMPLED_CERTIFY]
+    assert '"Exact"' in outputs[_EXACT_CONE]
+    assert '"SampledInner"' in outputs[_SAMPLED_CONE]
+    assert outputs[(*_SAMPLED_CONE, "--format", "csv")].startswith("c1,c2\n")
+    assert searches == ["RnWitness", "RnWitness"]
+    assert loaded == []

@@ -1,5 +1,6 @@
 """Cone membership, sections, Weyl invariance and audits."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -200,6 +201,63 @@ class TestSampledSection:
         a = cone_section(t5, 1, resolution=16, seed=4)
         b = cone_section(t5, 1, resolution=16, seed=4)
         assert a.vertices == b.vertices
+
+
+def _plane_coordinates(points, trace_row):
+    """The points in an orthonormal basis of the trace plane's directions,
+    a chart independent of the coordinate _extreme_subset drops."""
+    return points @ np.linalg.svd(trace_row[None])[2][1:].T
+
+
+class TestSectionVertices:
+    """A sampled section keeps the probe points that are vertices of
+    their hull in the trace plane; scipy's qhull, run on plane
+    coordinates, is the reference."""
+
+    def test_points_of_a_trace_plane(self):
+        """20 seeded points of the plane c2 + 2 c3 = 1 in 3-D, whose first
+        coordinate the trace row does not read."""
+        from scipy.spatial import ConvexHull
+        trace_row = np.array([0.0, 1.0, 2.0])
+        xy = np.random.default_rng(20).standard_normal((20, 2))
+        pts = np.column_stack([xy, (1 - xy[:, 1]) / 2])
+        want = sorted(ConvexHull(_plane_coordinates(pts, trace_row)).vertices)
+        assert 3 <= len(want) < 20
+        assert cone._extreme_subset(pts, trace_row) == tuple(
+            tuple(float(x) for x in pts[i]) for i in want)
+
+    @pytest.mark.parametrize("summand", [("abelian", 1), ("heisenberg", 3)],
+                             ids=["torus3", "torus4"])
+    @pytest.mark.parametrize("resolution,t", [(12, 1), (64, 3)])
+    def test_vertices_are_extreme_in_the_trace_plane(self, monkeypatch, summand,
+                                                     resolution, t):
+        """Each vertex is extreme among the vertices in the trace plane, and
+        the vertices keep every support value of all the probe points
+        within 1e-12: only points that are not extreme are dropped."""
+        from scipy.spatial import ConvexHull
+        b = direct_sum(t5, corpus(*summand).bracket)
+        torus = diagonal_torus(b)
+        trace_row = np.array([float(f) for f in torus.trace_functional()])
+        probes, pick = [], cone._extreme_subset
+        monkeypatch.setattr(cone, "_extreme_subset",
+                            lambda points, row: probes.append(points) or pick(points, row))
+        for seed in range(1, 11):
+            V = np.array(cone_section(b, t, resolution=resolution, seed=seed).vertices)
+            hull = ConvexHull(_plane_coordinates(V, trace_row))
+            assert sorted(hull.vertices) == list(range(len(V)))
+            dirs = cone._probe_directions(torus.dim, resolution,
+                                          generator(seed, cone._CONE_STREAM))
+            gap = (probes[-1] @ dirs.T).max(axis=0) - (V @ dirs.T).max(axis=0)
+            assert np.abs(gap).max() <= 1e-12
+
+    def test_tricky5_sections_keep_their_bytes(self):
+        """tricky5's sections are segments in torus dimension 2: their two
+        ends at trace levels 1 and 3, resolutions 12, 64 and 256, seeds
+        1-20."""
+        text = "".join(repr(cone_section(t5, t, resolution=r, seed=s).vertices)
+                       for t, r in [(1, 12), (3, 64), (1, 256)] for s in range(1, 21))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "64fabe5b792a29073f756a3f83ccb6e6a73f233e9e63151a1c115ce55dbff1eb")
 
 
 def _highs_points(a_ub, b_ub, a_eq, b_eq, directions):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from rnlie import _rational
 from rnlie._exactlp import solve_lp
-from rnlie._hull import Hull, _affine_coordinates, exact_hull, hrep_vertices
+from rnlie._hull import (MAX_POINTS, Hull, _affine_coordinates, exact_hull,
+                         extreme_points, hrep_vertices)
 from rnlie.corpus import _NEEDS_PARAM, corpus, corpus_names
 from rnlie.errors import PreconditionError
 from rnlie.moment import MAX_HULL_DIM, weight_polytope, weight_vector
@@ -68,6 +69,8 @@ def test_too_many_points():
     pts = [(i, i * i) for i in range(17)]
     with pytest.raises(PreconditionError):
         exact_hull(pts)
+    # the extreme points need no face lattice, so no bound
+    assert extreme_points(pts) == tuple(range(17))
 
 
 def test_hrep_unit_square():
@@ -231,6 +234,42 @@ def _point_sets(draw):
 @given(_point_sets())
 def test_hull_matches_subset_enumeration(points):
     _assert_same_hull(points)
+    h = exact_hull(points)
+    first = [h.to_unique.index(u) for u in h.extreme]
+    assert extreme_points(points) == tuple(sorted(first))
+
+
+@st.composite
+def _large_point_sets(draw):
+    """17 to 30 distinct small integer points in one to four dimensions,
+    some sets on a hyperplane, then up to 10 midpoints and repeats of
+    them: past MAX_POINTS, with many points on edges and facets that are
+    not extreme."""
+    n = draw(st.integers(1, 4))
+    flat = n > 1 and draw(st.booleans())
+    key = (lambda c: tuple(c[:-1])) if flat else tuple
+    pts = []
+    for coords in draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                                min_size=17, max_size=30, unique_by=key)):
+        if flat:  # on the hyperplane x_1 + ... + x_n = 1
+            coords[-1] = 1 - sum(coords[:-1])
+        pts.append(tuple(F(x) for x in coords))
+    pts += [tuple((p[t] + q[t]) / 2 for t in range(n))
+            for p, q in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)),
+                                      max_size=10))]
+    return pts
+
+
+@settings(max_examples=40)
+@given(_large_point_sets())
+def test_extreme_points_past_max_points(points):
+    """The lattice-free rule against one LP per point, on sets exact_hull
+    refuses to close into a face lattice."""
+    unique = tuple(dict.fromkeys(points))
+    assert MAX_POINTS < len(unique) <= len(points) <= 40
+    _, coords = _affine_coordinates(unique)
+    want = [points.index(unique[i]) for i in _reference_extreme(coords)]
+    assert extreme_points(points) == tuple(sorted(want))
 
 
 def _corpus_brackets():

@@ -117,20 +117,30 @@ def test_no_unreferenced_private_names():
 
 def _imported_modules(path):
     """The top-level names of the modules a file imports, relative
-    imports written with their leading dot."""
+    imports written with their leading dot (`from . import m` as .m)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add("." * node.level + node.module.split(".")[0])
         elif isinstance(node, ast.ImportFrom):
-            names.add("." * node.level + (node.module or "").split(".")[0])
+            names |= {"." * node.level + alias.name for alias in node.names}
     return names
 
 
-@pytest.mark.parametrize("name", ["_exactlp.py", "_rational.py"])
+@pytest.mark.parametrize("name", ["_exactlp.py", "_hull.py", "_rational.py"])
 def test_exact_kernel_imports_only_the_standard_library(name):
-    """The exact LP and rational kernels import the standard library and
-    each other, nothing else: no numpy or scipy behind an exact answer."""
-    allowed = set(sys.stdlib_module_names) | {"._exactlp", "._rational"}
+    """The exact LP, hull and rational kernels import the standard
+    library, each other and the error types, nothing else: no numpy or
+    scipy behind an exact answer."""
+    allowed = set(sys.stdlib_module_names) | {"._exactlp", "._rational", ".errors"}
     assert _imported_modules(SRC / name) - allowed == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_no_scipy(path):
+    """scipy is a test-only dependency: no module of the package imports
+    it, at module level or inside a function."""
+    assert "scipy" not in _imported_modules(path)
