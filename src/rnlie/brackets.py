@@ -3,8 +3,14 @@
 A bracket is stored sparsely through its structure constants c_ij^k for
 i < j, so that mu(e_i, e_j) = sum_k c_ij^k e_k with respect to the fixed
 orthonormal basis e_1, ..., e_n.  Constants are either exact rationals
-(Fraction) or floats; most structural operations have an exact path when
-the constants are rational.
+(Fraction) or floats.  This module is the one place that expands the
+antisymmetry c_ji^k = -c_ij^k, into two readers of the constants: the
+dense (n, n, n) structure tensor (`Bracket.tensor` in floats, and an
+exact twin of Fractions for rational brackets) and a sparse pair table.
+The Jacobi check, the lower central series, the centre and the
+derivation algebra are each written once over those readers; the scalar
+kind picks only the kernel, exact row reduction (`_rational`) for
+rational constants and an SVD for float ones.
 
 The inner product on the space of brackets sums over ordered index pairs,
 so a single basis bracket mu_ijk = (e^i wedge e^j) otimes e_k has squared
@@ -26,14 +32,6 @@ from .errors import PreconditionError
 
 RATIONAL = "rational"
 FLOAT = "float"
-
-
-def _canon_key(i, j, k):
-    if i == j:
-        raise PreconditionError(f"bracket pair ({i}, {i}) is degenerate")
-    if i < j:
-        return (i, j, k), 1
-    return (j, i, k), -1
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,28 @@ class Bracket:
 
     def tensor(self) -> np.ndarray:
         """Full antisymmetric (n, n, n) float tensor C[i, j, k]."""
-        C = np.zeros((self.dim, self.dim, self.dim))
+        return self._filled(np.zeros((self.dim,) * 3), float)
+
+    def _exact_tensor(self) -> np.ndarray:
+        """tensor() as an exact object array: Fraction constants, and the
+        int 0 elsewhere, so that sums over zero entries stay in ints."""
+        return self._filled(np.zeros((self.dim,) * 3, object), Fraction)
+
+    def _filled(self, C, scalar):
         for (i, j, k), c in self.constants.items():
-            C[i, j, k] = float(c)
-            C[j, i, k] = -float(c)
+            C[i, j, k] = scalar(c)
+            C[j, i, k] = -scalar(c)
         return C
+
+    def _pair_table(self) -> list:
+        """The constants read by ordered pair: table[i][j], i != j, lists
+        the (k, c_ij^k) of the nonzero constants, in the bracket's own
+        scalars and in key order."""
+        table = [{} for _ in range(self.dim)]
+        for (i, j, k), c in self.constants.items():
+            table[i].setdefault(j, []).append((k, c))
+            table[j].setdefault(i, []).append((k, -c))
+        return table
 
     def norm_sq(self):
         """|mu|^2 with the ordered-pair convention (each i < j entry counts twice)."""
@@ -260,39 +275,48 @@ def gram_difference(C: np.ndarray, D: np.ndarray = None) -> np.ndarray:
     return targets - 2.0 * sources
 
 
+def _jacobi_sums(b: Bracket) -> dict:
+    """The Jacobi sums as a sparse table: (i, j, k), i < j < k, maps to
+    {s: J(i, j, k)_s} for each triple that some product of two constants
+    reaches; every other sum is zero.
+
+    J(i, j, k) sums [[e_a, e_b], e_c] = sum_l c_ab^l c_lc^s e_s over the
+    even orderings (a, b, c) of (i, j, k), so one pass over the pairs of
+    constants (c_ab^l, c_lc^s) with (a, b, c) such an ordering finds them
+    all.
+    """
+    table = b._pair_table()
+    zero = Fraction(0) if b.is_rational else 0.0
+    sums = {}
+    for a, row in enumerate(table):
+        for bb, inner in row.items():
+            for l, c1 in inner:
+                for cc, outer in table[l].items():
+                    if cc == a or cc == bb or not _even(a, bb, cc):
+                        continue
+                    acc = sums.setdefault(tuple(sorted((a, bb, cc))), {})
+                    for s, c2 in outer:
+                        acc[s] = acc.get(s, zero) + c1 * c2
+    return sums
+
+
+def _even(a, b, c) -> bool:
+    """Whether the distinct indices (a, b, c) are a cyclic rotation of
+    their sorted order."""
+    return (a < b) + (b < c) + (c < a) == 2
+
+
 def jacobiator(b: Bracket, i: int, j: int, k: int):
     """Cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Returns a coordinate vector (Fractions in rational mode, floats otherwise).
     """
-    n = b.dim
-    if b.is_rational:
-        def mu(a, bb):
-            if a == bb:
-                return {}
-            (p, q, _), _s = _canon_key(a, bb, 0)
-            sign = 1 if a < bb else -1
-            out = {}
-            for (pi, qi, r), c in b.constants.items():
-                if pi == p and qi == q:
-                    out[r] = sign * c
-            return out
-
-        total = [Fraction(0)] * n
-        for (a, bb, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = mu(a, bb)
-            for r, c in inner.items():
-                outer = mu(r, cc)
-                for s, c2 in outer.items():
-                    total[s] += c * c2
-        return total
-    C = b.tensor()
-    ei = np.eye(n)
-    total = np.zeros(n)
-    for (a, bb, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = np.einsum("i,j,ijk->k", ei[a], ei[bb], C)
-        total += np.einsum("i,j,ijk->k", inner, ei[cc], C)
-    return total
+    out = [Fraction(0) if b.is_rational else 0.0] * b.dim
+    if len({i, j, k}) == 3:
+        even = _even(i, j, k)
+        for s, x in _jacobi_sums(b).get(tuple(sorted((i, j, k))), {}).items():
+            out[s] = x if even else -x
+    return out if b.is_rational else np.array(out)
 
 
 def validate_jacobi(b: Bracket):
@@ -303,19 +327,10 @@ def validate_jacobi(b: Bracket):
     norm of the cyclic sum, except in rational mode where the max |entry|
     is used so the result stays rational.
     """
-    n = b.dim
-    worst = Fraction(0) if b.is_rational else 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                res = jacobiator(b, i, j, k)
-                if b.is_rational:
-                    m = max((abs(x) for x in res), default=Fraction(0))
-                else:
-                    m = float(np.linalg.norm(res))
-                if m > worst:
-                    worst = m
-    return worst
+    sums = _jacobi_sums(b).values()
+    if b.is_rational:
+        return max((abs(x) for acc in sums for x in acc.values()), default=Fraction(0))
+    return max((math.hypot(*acc.values()) for acc in sums), default=0.0)
 
 
 def is_lie(b: Bracket) -> bool:
@@ -332,10 +347,19 @@ def _require_lie(b: Bracket):
         raise PreconditionError("input does not satisfy the Jacobi identity")
 
 
-def _span_rows_rational(vectors):
-    """Row-reduce a list of Fraction coordinate vectors, dropping zero rows."""
-    red, pivots = _rational.rref(vectors)
-    return red[: len(pivots)]
+def _row_basis(rows, exact: bool, n: int) -> list:
+    """A basis of the span of rows, as a list of rows: the nonzero rows
+    of the exact RREF, or the right singular vectors of the singular
+    values above max(shape) * 1e-12 * s_max, zero rows counted."""
+    if exact:
+        red, pivots = _rational.rref([r for r in rows if any(r)])
+        return red[: len(pivots)]
+    A = np.array(rows, dtype=float).reshape(-1, n)
+    if not A.size:
+        return []
+    _u, sv, vt = np.linalg.svd(A, full_matrices=False)
+    d = int((sv > max(A.shape) * sv[0] * 1e-12).sum())
+    return vt[:d].tolist()
 
 
 def lower_central_series(b: Bracket):
@@ -347,45 +371,24 @@ def lower_central_series(b: Bracket):
     """
     _require_lie(b)
     n = b.dim
-    if b.is_rational:
-        current = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        dims = [n]
-        while True:
-            products = []
-            for vec in current:
-                for i in range(n):
-                    # [e_i, vec]
-                    out = [Fraction(0)] * n
-                    for (p, q, r), c in b.constants.items():
-                        if p == i:
-                            out[r] += c * vec[q]
-                        elif q == i:
-                            out[r] -= c * vec[p]
-                    if any(x != 0 for x in out):
-                        products.append(out)
-            nxt = _span_rows_rational(products) if products else []
-            d = len(nxt)
-            dims.append(d)
-            if d == 0 or d == dims[-2]:
-                return dims
-            current = nxt
-    C = b.tensor()
-    current = np.eye(n)
+    table = b._pair_table()
+    zero = Fraction(0) if b.is_rational else 0.0
+    current = [[zero + int(i == j) for j in range(n)] for i in range(n)]
     dims = [n]
     while True:
-        prods = np.einsum("ijk,aj->iak", C, current).reshape(-1, n)
-        if prods.size == 0:
-            dims.append(0)
+        products = []
+        for row in table:
+            for vec in current:
+                out = [zero] * n   # [e_i, vec], row = table[i]
+                for j, terms in row.items():
+                    if vec[j]:
+                        for k, c in terms:
+                            out[k] += c * vec[j]
+                products.append(out)
+        current = _row_basis(products, b.is_rational, n)
+        dims.append(len(current))
+        if not current or len(current) == dims[-2]:
             return dims
-        sv = np.linalg.svd(prods, compute_uv=False)
-        tol = max(prods.shape) * (sv[0] if sv.size else 0.0) * 1e-12
-        d = int((sv > tol).sum())
-        dims.append(d)
-        if d == 0 or d == dims[-2]:
-            return dims
-        # orthonormal basis of the row space
-        _u, _s, vt = np.linalg.svd(prods)
-        current = vt[:d]
 
 
 def nilpotency_step(b: Bracket):
@@ -417,35 +420,17 @@ def center(b: Bracket) -> np.ndarray:
     orthonormalized in floats.
     """
     n = b.dim
+    if b.is_rational and b.is_zero():
+        return np.eye(n)   # the QR of np.eye has -0.0 below the diagonal
+    C = b._exact_tensor() if b.is_rational else b.tensor()
+    A = C.transpose(1, 2, 0).reshape(-1, n)  # rows (j, k), columns i
     if b.is_rational:
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                row = [Fraction(0)] * n
-                nontrivial = False
-                for (p, q, r), c in b.constants.items():
-                    if r != k:
-                        continue
-                    if q == j:
-                        row[p] += c
-                        nontrivial = True
-                    if p == j:
-                        row[q] -= c
-                        nontrivial = True
-                if nontrivial:
-                    rows.append(row)
-        if not rows:
-            return np.eye(n)
-        basis = _rational.nullspace(rows, ncols=n)
-        if not basis:
-            return np.zeros((n, 0))
-        M = np.array([[float(x) for x in vec] for vec in basis]).T
+        rows = [r for r in A.tolist() if any(r)]
+        M = np.array(_rational.nullspace(rows, ncols=n), dtype=float).reshape(-1, n).T
     else:
-        C = b.tensor()
-        A = C.transpose(1, 2, 0).reshape(-1, n)  # rows (j, k), columns i
         M = _null_space(A)
-        if M.size == 0:
-            return np.zeros((n, 0))
+    if M.size == 0:
+        return np.zeros((n, 0))
     # orthonormalize columns
     q, _ = np.linalg.qr(M)
     return q[:, : M.shape[1]]

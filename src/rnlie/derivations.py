@@ -11,6 +11,11 @@ and weight multiplicities are decided without tolerances.
 Every route reads a derivation argument through derivation_matrix (as
 floats) or diagonal_derivation, the one gate for a diagonal derivation
 of a bracket.
+
+The derivation algebra is the kernel of one set of Leibniz rows, built
+from the structure tensor that brackets expands from the constants (the
+antisymmetry is written out only there), in floats or exactly; the
+scalars pick only the kernel: an SVD, or exact row reduction.
 """
 
 from __future__ import annotations
@@ -128,63 +133,33 @@ def _positive_trace(diag) -> bool:
     return total > 0 if isinstance(total, Fraction) else float(total) > 1e-10
 
 
-def _leibniz_rows_rational(b: Bracket):
-    n = b.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                # D[e_i,e_j] component k: sum_l c_ij^l D[k,l]
-                for (p, q, l), c in b.constants.items():
-                    if p == i and q == j:
-                        row[k * n + l] += c
-                # -[De_i, e_j]^k: -sum_l D[l,i] c_lj^k  (full tensor)
-                for (p, q, r), c in b.constants.items():
-                    if r != k:
-                        continue
-                    if q == j:
-                        row[p * n + i] -= c
-                    if p == j:
-                        row[q * n + i] += c
-                    if q == i:
-                        row[p * n + j] += c
-                    if p == i:
-                        row[q * n + j] -= c
-                if any(v != 0 for v in row):
-                    rows.append(row)
-    return rows
-
-
 def derivation_space(b: Bracket, scalars: str = "float"):
     """Basis of the derivation algebra Der(b).
 
     scalars="float": orthonormal basis as a list of (n, n) arrays.
     scalars="rational": canonical exact basis as Fraction matrices
-    (requires rational constants).
+    (requires rational constants).  The Leibniz rows are built once,
+    from the structure tensor in the chosen scalars; the scalars pick
+    only the kernel.
     """
     n = b.dim
-    if scalars == "rational":
-        if not b.is_rational:
-            raise PreconditionError("exact derivation space needs rational constants")
-        rows = _leibniz_rows_rational(b)
-        if not rows:
-            basis = [[Fraction(int(a == i)) for a in range(n * n)] for i in range(n * n)]
-        else:
-            basis = _rational.nullspace(rows, ncols=n * n)
-        return [[[vec[r * n + c] for c in range(n)] for r in range(n)] for vec in basis]
-    C = b.tensor()
-    eye = np.eye(n)
+    exact = scalars == "rational"
+    if exact and not b.is_rational:
+        raise PreconditionError("exact derivation space needs rational constants")
+    C = b._exact_tensor() if exact else b.tensor()
     # rows indexed by (i<j, k), unknown D flattened as D[r, c] -> r*n + c
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                row = np.zeros((n, n))
+                row = np.zeros((n, n), C.dtype)
                 row[k, :] += C[i, j, :]
                 row[:, i] -= C[:, j, k]
                 row[:, j] -= C[i, :, k]
                 rows.append(row.ravel())
+    if exact:
+        basis = _rational.nullspace([r.tolist() for r in rows if r.any()], ncols=n * n)
+        return [[[vec[r * n + c] for c in range(n)] for r in range(n)] for vec in basis]
     A = np.array(rows)
     if not A.size or not np.abs(A).max():
         return [eye.copy() for eye in np.eye(n * n).reshape(n * n, n, n)]
@@ -291,10 +266,7 @@ def _diagonal_torus(b: Bracket) -> Torus:
     n = b.dim
     # one row per nonzero constant: d -> d_k - d_i - d_j vanishes on the torus
     rows = [weight_vector(t, n) for t in sorted(b.constants)]
-    if rows:
-        ns = _rational.nullspace(rows, ncols=n)
-    else:
-        ns = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    ns = _rational.nullspace(rows, ncols=n)
     if ns:
         red, piv = _rational.rref(ns)
         basis = tuple(tuple(r) for r in red[: len(piv)])
@@ -343,8 +315,8 @@ def _lifting_permutations(b: Bracket):
     Backtracking over permutations, pruned by the multiset of |c_ij^k|
     over k of each pair.  A leaf lifts when each constant c_ij^k meets a
     constant of the same size at (pi i, pi j, pi k) and the sign
-    equations s_i + s_j + s_k = [c_ij^k and its image have opposite
-    signs], with the image's sign flipped when pi i > pi j, are
+    equations s_i + s_j + s_k = [c_ij^k and its image c_(pi i)(pi j)^(pi k),
+    read from the bracket's pair table, have opposite signs] are
     consistent over GF(2): every dependency among their left-hand sides
     sums an even number of right-hand sides.  Raises PreconditionError
     past MAX_PERM_SEARCH_NODES search nodes.
@@ -353,7 +325,8 @@ def _lifting_permutations(b: Bracket):
     sizes = {}
     consts = [(i, j, k, sizes.setdefault(abs(c), len(sizes)), c < 0)
               for (i, j, k), c in b.constants.items()]
-    image_of = {(i, j, k): (size, neg) for i, j, k, size, neg in consts}
+    image_of = {(i, j, k): (sizes[abs(c)], c < 0) for i, row in enumerate(b._pair_table())
+                for j, terms in row.items() for k, c in terms}
     prof = [[()] * n for _ in range(n)]  # sorted sizes over k of each pair
     for i, j, _, size, _ in sorted(consts, key=lambda t: t[3]):
         prof[i][j] = prof[j][i] = prof[i][j] + (size,)
@@ -365,11 +338,10 @@ def _lifting_permutations(b: Bracket):
     def leaf():
         rhs = 0
         for t, (i, j, k, size, neg) in enumerate(consts):
-            a, c = perm[i], perm[j]
-            image = image_of.get((a, c, perm[k]) if a < c else (c, a, perm[k]))
+            image = image_of.get((perm[i], perm[j], perm[k]))
             if image is None or image[0] != size:
                 return
-            if image[1] ^ (a > c) ^ neg:
+            if image[1] ^ neg:
                 rhs |= 1 << t
         if not any((comb & rhs).bit_count() & 1 for comb in dependencies):
             found.append(tuple(perm))

@@ -55,26 +55,24 @@ class MomentValue:
 
 
 def _moment_exact(b: Bracket):
-    full = {}
-    for (i, j, k), c in b.constants.items():
-        full[(i, j, k)] = Fraction(c)
-        full[(j, i, k)] = -Fraction(c)
-    norm = sum(c * c for c in full.values())
+    """(T - 2S) / |mu|^2 in Fractions, read off the bracket's pair table:
+    T sums c_ij^a c_ij^b over the ordered pairs (i, j), S sums
+    c_aj^k c_bj^k over the tails (j, k)."""
     n = b.dim
     tgt = [[Fraction(0)] * n for _ in range(n)]
     src = [[Fraction(0)] * n for _ in range(n)]
-    by_pair, by_tail = {}, {}
-    for (i, j, k), c in full.items():
-        by_pair.setdefault((i, j), []).append((k, c))
-        by_tail.setdefault((j, k), []).append((i, c))
-    for lst in by_pair.values():
-        for k1, c1 in lst:
-            for k2, c2 in lst:
-                tgt[k1][k2] += c1 * c2
+    by_tail = {}
+    for i, row in enumerate(b._pair_table()):
+        for j, terms in row.items():
+            for k1, c1 in terms:
+                by_tail.setdefault((j, k1), []).append((i, c1))
+                for k2, c2 in terms:
+                    tgt[k1][k2] += c1 * c2
     for lst in by_tail.values():
         for a1, c1 in lst:
             for a2, c2 in lst:
                 src[a1][a2] += c1 * c2
+    norm = b.norm_sq()
     return tuple(tuple((tgt[r][s] - 2 * src[r][s]) / norm for s in range(n))
                  for r in range(n))
 

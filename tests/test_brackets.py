@@ -1,8 +1,13 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import brackets
 
+from rnlie import _rational
 from rnlie import io as rnlie_io
 from rnlie.brackets import (FLOAT, RATIONAL, BasisChange, Bracket, _null_space, act,
                             act_tensor, center, cut_tensor, direct_sum, is_lie, jacobiator,
@@ -304,3 +309,236 @@ def test_direct_sum_block_structure():
     assert s.dim == 4
     assert lower_central_series(s) == [4, 1, 0]
     assert center(s).shape[1] == 2
+
+
+# ---------------------------------------------------------------------------
+# References: the earlier routines, each expanding the antisymmetry by hand
+# and looping over every index triple, kept to check the pair-table readers.
+
+def reference_jacobiator(b, i, j, k):
+    n = b.dim
+    if b.is_rational:
+        def mu(a, bb):
+            if a == bb:
+                return {}
+            p, q = min(a, bb), max(a, bb)
+            sign = 1 if a < bb else -1
+            return {r: sign * c for (pi, qi, r), c in b.constants.items()
+                    if pi == p and qi == q}
+
+        total = [F(0)] * n
+        for (a, bb, cc) in ((i, j, k), (j, k, i), (k, i, j)):
+            for r, c in mu(a, bb).items():
+                for s, c2 in mu(r, cc).items():
+                    total[s] += c * c2
+        return total
+    C = b.tensor()
+    ei = np.eye(n)
+    total = np.zeros(n)
+    for (a, bb, cc) in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = np.einsum("i,j,ijk->k", ei[a], ei[bb], C)
+        total += np.einsum("i,j,ijk->k", inner, ei[cc], C)
+    return total
+
+
+def reference_validate_jacobi(b):
+    worst = F(0) if b.is_rational else 0.0
+    for i, j, k in itertools.combinations(range(b.dim), 3):
+        res = reference_jacobiator(b, i, j, k)
+        if b.is_rational:
+            m = max((abs(x) for x in res), default=F(0))
+        else:
+            m = float(np.linalg.norm(res))
+        worst = max(worst, m)
+    return worst
+
+
+def reference_lower_central_series(b):
+    """The rational loop; raises as the library does on non-Lie input."""
+    if reference_validate_jacobi(b) != 0:
+        raise PreconditionError("input does not satisfy the Jacobi identity")
+    n = b.dim
+    current = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    dims = [n]
+    while True:
+        products = []
+        for vec in current:
+            for i in range(n):
+                out = [F(0)] * n
+                for (p, q, r), c in b.constants.items():
+                    if p == i:
+                        out[r] += c * vec[q]
+                    elif q == i:
+                        out[r] -= c * vec[p]
+                if any(x != 0 for x in out):
+                    products.append(out)
+        if products:
+            red, pivots = _rational.rref(products)
+            nxt = red[: len(pivots)]
+        else:
+            nxt = []
+        dims.append(len(nxt))
+        if not nxt or len(nxt) == dims[-2]:
+            return dims
+        current = nxt
+
+
+def reference_float_lower_central_series(b):
+    """The float loop, with its two SVDs per step."""
+    C = b.tensor()
+    n = b.dim
+    current = np.eye(n)
+    dims = [n]
+    while True:
+        prods = np.einsum("ijk,aj->iak", C, current).reshape(-1, n)
+        if prods.size == 0:
+            dims.append(0)
+            return dims
+        sv = np.linalg.svd(prods, compute_uv=False)
+        tol = max(prods.shape) * (sv[0] if sv.size else 0.0) * 1e-12
+        d = int((sv > tol).sum())
+        dims.append(d)
+        if d == 0 or d == dims[-2]:
+            return dims
+        _u, _s, vt = np.linalg.svd(prods)
+        current = vt[:d]
+
+
+def reference_center(b):
+    """The rational loop, then the shared float orthonormalization."""
+    n = b.dim
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            row = [F(0)] * n
+            nontrivial = False
+            for (p, q, r), c in b.constants.items():
+                if r != k:
+                    continue
+                if q == j:
+                    row[p] += c
+                    nontrivial = True
+                if p == j:
+                    row[q] -= c
+                    nontrivial = True
+            if nontrivial:
+                rows.append(row)
+    if not rows:
+        return np.eye(n)
+    basis = _rational.nullspace(rows, ncols=n)
+    if not basis:
+        return np.zeros((n, 0))
+    M = np.array([[float(x) for x in vec] for vec in basis]).T
+    q, _ = np.linalg.qr(M)
+    return q[:, : M.shape[1]]
+
+
+def reference_leibniz_rows(b):
+    n = b.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                row = [F(0)] * (n * n)
+                for (p, q, l), c in b.constants.items():
+                    if p == i and q == j:
+                        row[k * n + l] += c
+                for (p, q, r), c in b.constants.items():
+                    if r != k:
+                        continue
+                    if q == j:
+                        row[p * n + i] -= c
+                    if p == j:
+                        row[q * n + i] += c
+                    if q == i:
+                        row[p * n + j] += c
+                    if p == i:
+                        row[q * n + j] -= c
+                if any(v != 0 for v in row):
+                    rows.append(row)
+    return rows
+
+
+def reference_derivation_space(b):
+    n = b.dim
+    rows = reference_leibniz_rows(b)
+    if not rows:
+        basis = [[F(int(a == i)) for a in range(n * n)] for i in range(n * n)]
+    else:
+        basis = _rational.nullspace(rows, ncols=n * n)
+    return [[[vec[r * n + c] for c in range(n)] for r in range(n)] for vec in basis]
+
+
+def _outcome(f, b):
+    try:
+        return f(b)
+    except PreconditionError as e:
+        return str(e)
+
+
+ANY_BRACKET = st.one_of(brackets(), brackets(nilpotent=True))
+
+
+class TestAgainstReferences:
+    """The pair-table routines give the references' exact outputs
+    byte for byte, and their float Jacobi residuals to 1e-12 relative,
+    on random brackets: Lie and not Lie, nilpotent support or not."""
+
+    @settings(max_examples=150)
+    @given(ANY_BRACKET)
+    def test_jacobi(self, b):
+        assert repr(validate_jacobi(b)) == repr(reference_validate_jacobi(b))
+        for t in itertools.product(range(b.dim), repeat=3):
+            assert jacobiator(b, *t) == reference_jacobiator(b, *t)
+        f = b.to_float()
+        scale = max(1.0, max((abs(float(c)) for c in b.constants.values()), default=0.0) ** 2)
+        got, want = validate_jacobi(f), reference_validate_jacobi(f)
+        assert abs(got - want) <= 1e-12 * scale
+        assert is_lie(f) == is_lie(b) == (reference_validate_jacobi(b) == 0)
+        for t in itertools.combinations(range(b.dim), 3):
+            assert np.allclose(jacobiator(f, *t), reference_jacobiator(f, *t),
+                               rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=150)
+    @given(ANY_BRACKET)
+    def test_lower_central_series(self, b):
+        want = _outcome(reference_lower_central_series, b)
+        assert _outcome(lower_central_series, b) == want
+        if isinstance(want, list):
+            # the float cut is relative to each step's own largest
+            # singular value, so the float dims may differ from these
+            f = b.to_float()
+            assert lower_central_series(f) == reference_float_lower_central_series(f)
+
+    @settings(max_examples=150)
+    @given(ANY_BRACKET)
+    def test_center(self, b):
+        got, want = center(b), reference_center(b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100)
+    @given(ANY_BRACKET)
+    def test_derivation_space(self, b):
+        assert repr(derivation_space(b, "rational")) == repr(reference_derivation_space(b))
+
+
+class TestScale:
+    """Dimensions past any workload: heisenberg:41 and filiform:24."""
+
+    def test_lie_and_step(self):
+        for name, param, step in [("heisenberg", 41, 2), ("filiform", 24, 23)]:
+            b = corpus(name, param).bracket
+            assert validate_jacobi(b) == 0
+            assert nilpotency_step(b) == step
+
+    def test_broken_jacobi_matches_reference(self):
+        # [e1, e41] = e2 breaks the identity on (e1, e3, e4): [[e3, e4], e1] = -e2
+        b = corpus("heisenberg", 41).bracket
+        broken = Bracket(41, {**b.constants, (0, 40, 1): F(1)})
+        assert repr(validate_jacobi(broken)) == repr(reference_validate_jacobi(broken)) \
+            == repr(F(1))
+        for t in [(0, 2, 3), (3, 2, 0), (0, 1, 2), (0, 40, 1), (2, 3, 5)]:
+            assert jacobiator(broken, *t) == reference_jacobiator(broken, *t)
+        assert jacobiator(broken, 0, 2, 3)[1] == -1
+        with pytest.raises(PreconditionError, match="Jacobi"):
+            lower_central_series(broken)
