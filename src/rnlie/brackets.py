@@ -347,10 +347,10 @@ def _require_lie(b: Bracket):
         raise PreconditionError("input does not satisfy the Jacobi identity")
 
 
-def _row_basis(rows, exact: bool, n: int) -> list:
+def _row_basis(rows, exact: bool, n: int, scale: float) -> list:
     """A basis of the span of rows, as a list of rows: the nonzero rows
     of the exact RREF, or the right singular vectors of the singular
-    values above max(shape) * 1e-12 * s_max, zero rows counted."""
+    values above max(shape) * 1e-12 * scale, zero rows counted."""
     if exact:
         red, pivots = _rational.rref([r for r in rows if any(r)])
         return red[: len(pivots)]
@@ -358,7 +358,7 @@ def _row_basis(rows, exact: bool, n: int) -> list:
     if not A.size:
         return []
     _u, sv, vt = np.linalg.svd(A, full_matrices=False)
-    d = int((sv > max(A.shape) * sv[0] * 1e-12).sum())
+    d = int((sv > max(A.shape) * scale * 1e-12).sum())
     return vt[:d].tolist()
 
 
@@ -367,7 +367,12 @@ def lower_central_series(b: Bracket):
 
     The list ends with a 0 exactly when the bracket is nilpotent;
     otherwise it ends at the stabilized dimension.  Non-Lie input is
-    rejected.
+    rejected.  On float brackets each step's rank is cut against the
+    bracket's own scale |mu|: the products [e_i, v] of a step, v running
+    over orthonormal rows, have no singular value above it, so once the
+    true products vanish their rounding noise stays under the cut, where
+    a cut relative to the step's own products would read it as rank.
+    The series stops at the first dimension that fails to drop.
     """
     _require_lie(b)
     n = b.dim
@@ -375,6 +380,7 @@ def lower_central_series(b: Bracket):
     zero = Fraction(0) if b.is_rational else 0.0
     current = [[zero + int(i == j) for j in range(n)] for i in range(n)]
     dims = [n]
+    scale = 0.0 if b.is_rational else math.sqrt(b.norm_sq())
     while True:
         products = []
         for row in table:
@@ -385,9 +391,9 @@ def lower_central_series(b: Bracket):
                         for k, c in terms:
                             out[k] += c * vec[j]
                 products.append(out)
-        current = _row_basis(products, b.is_rational, n)
+        current = _row_basis(products, b.is_rational, n, scale)
         dims.append(len(current))
-        if not current or len(current) == dims[-2]:
+        if not current or len(current) >= dims[-2]:
             return dims
 
 
@@ -405,10 +411,12 @@ def nilpotency_step(b: Bracket):
 def _null_space(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of a float matrix A: the
     right singular vectors past the singular values above
-    eps * max(A.shape) * s_max, scipy.linalg.null_space's default cut."""
+    eps * max(A.shape) * s_max, scipy.linalg.null_space's default cut.
+    Only a wide A needs the full vh, and so the full U: a tall one has
+    every right singular vector in the reduced SVD, at far less cost."""
     if not np.isfinite(A).all():
         raise PreconditionError("kernel of a matrix with non-finite entries")
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
     return vh[np.count_nonzero(s > tol):].T
 

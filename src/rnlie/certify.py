@@ -285,17 +285,19 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     will probably take next (_compass_descent): x with its whole first
     sweep; after a sweep that finds nothing, every sweep left on the
     step ladder; otherwise the rest of the sweep, from the current
-    coordinate to the last (+step, then -step), or, in the random phase,
-    first only the next coordinate's pair after an improvement.  A
+    coordinate to the last (+step, then -step).  In the random phase the
+    stacks are smaller: the next coordinate's pair after an improvement,
+    the next two coordinates' pairs after a stack that finds nothing.  A
     descent takes a stack's values up to its first improvement, which
     starts a new stack from the point it moved to, so the rows past it
     are computed but never taken.
     The random restarts do not depend on each other, so they run in
-    lockstep: up to eight descents, in the order of their draws, each
+    lockstep: up to 32 descents, in the order of their draws, each
     round evaluating all their pending stacks as one.  A second descent
     joins once one has finished, and more only while the descents in
     flight, at the mean length of those finished, leave room in the
-    budget.  The values are then taken in the order a
+    budget, which at the default budget binds before the 32 does
+    (_LOCKSTEP_WINDOW).  The values are then taken in the order a
     one-point-at-a-time search would make them, descent after descent
     in draw order, up to the budget or the first value below -1e-6, so
     the result is that search's to the byte.  `evaluations` counts the
@@ -384,9 +386,11 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     return SearchFailure(state["best"], params, state["evals"])
 
 
-# the most descents in flight at once: enough stacks per round that the
-# evaluator's fixed cost per call stops dominating
-_LOCKSTEP_WINDOW = 8
+# the most descents in flight at once.  At the default budget the
+# admission rule of _lockstep binds first (a window of 32, 64 or none
+# gives the same calls on the exhaust benchmark's searches), so this
+# only bounds a round's memory at large budgets
+_LOCKSTEP_WINDOW = 32
 
 
 def _lockstep(starts, window, evaluate, take, left):
@@ -397,9 +401,11 @@ def _lockstep(starts, window, evaluate, take, left):
     descent after descent in draw order, and returns True once the search
     is done; left() is the evaluations the budget has left.  With a
     window above one, a descent polls the next coordinate's pair alone
-    after an improvement (_compass_descent): in a shared evaluator call a
-    small stack costs only its rows, where a lone descent would pay the
-    call's fixed cost for it.
+    after an improvement, and the next two coordinates' pairs after a
+    stack that finds nothing, where a lone descent sends the rest of the
+    sweep (_compass_descent): in a shared evaluator call a small stack
+    costs only its rows, where a lone descent would pay the call's fixed
+    cost for each.
 
     A descent is cut where its values would run past the budget, since
     the values kept by the descents ahead of it come first, and after a
@@ -507,8 +513,9 @@ def _compass_descent(x, pairs):
     - otherwise it is the rest of the sweep.  With `pairs`, for a descent
       that shares its evaluator calls with others, a stack after an
       improvement holds only the next coordinate's pair, since most
-      improvements are taken there; the rest of the sweep follows if
-      the pair finds nothing.
+      improvements are taken there, and a stack after one that finds
+      nothing holds the next two coordinates' pairs: the rest of the
+      sweep would mostly be rows past the next improvement.
     A stack's values past its first improvement are computed but never
     consumed: the descent moves there, and the next stack starts from
     the new point."""
@@ -545,7 +552,7 @@ def _compass_descent(x, pairs):
             i, improved = 0, False
         if i < dim:
             steps, lo = [step], i
-            hi = i + 1 if pairs and r is not None else dim
+            hi = min(i + (1 if r is not None else 2), dim) if pairs else dim
         else:
             # a sweep over every coordinate found nothing: the ladder
             steps = []

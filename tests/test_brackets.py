@@ -131,6 +131,42 @@ class TestCenter:
         assert np.allclose(proj, v, atol=1e-10)
 
 
+class TestFloatSeries:
+    """The float lower central series cuts each step's rank against the
+    bracket's scale, so on brackets given in a non-nice basis the
+    rounding noise of products that vanish is no rank: the series ends,
+    and at the exact dimensions."""
+
+    def test_noise_past_the_last_step_is_no_rank(self):
+        b = Bracket(5, {(0, 1, 2): F(-1), (0, 1, 3): F(-1), (0, 2, 3): F(-2)})
+        assert lower_central_series(b) == lower_central_series(b.to_float()) == [5, 2, 1, 0]
+
+    def test_float_images_read_the_exact_series(self):
+        rng = np.random.default_rng(49)
+        entries = [corpus("heisenberg", 3), corpus("heisenberg", 5), corpus("filiform", 4),
+                   corpus("filiform", 5), corpus("tricky5")]
+        for _ in range(8):
+            for e in entries:
+                n = e.dim
+                g = rng.integers(-3, 4, size=(n, n))
+                while round(np.linalg.det(g)) == 0:
+                    g = rng.integers(-3, 4, size=(n, n))
+                exact = act(BasisChange([[F(int(x)) for x in row] for row in g]), e.bracket)
+                image = act(BasisChange(g.astype(float)), e.bracket.to_float())
+                want = lower_central_series(e.bracket)
+                assert lower_central_series(exact) == want
+                assert lower_central_series(image) == want
+                assert nilpotency_step(image) == e.step
+
+
+def full_svd_null_space(A):
+    """The reference for _null_space: the same cut, with the full U of
+    every matrix."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
+    return vh[np.count_nonzero(s > tol):].T
+
+
 class TestNullSpace:
     """The float kernels of center and derivation_space come from numpy's
     SVD with scipy.linalg.null_space's default cut; scipy stays the
@@ -175,6 +211,29 @@ class TestNullSpace:
                 Bracket(3, {(0, 1, 2): bad}, kind)
         with pytest.raises(PreconditionError, match="non-finite"):
             _null_space(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    def test_reduced_svd_keeps_the_bytes(self, monkeypatch):
+        """Only a wide matrix asks for the full U.  The float derivation
+        bases keep their bytes; abelian brackets have a zero Leibniz
+        matrix and never reach the kernel, so wide matrices (m < n) are
+        checked on _null_space itself."""
+        from rnlie import derivations
+
+        entries = ([("heisenberg", m) for m in (3, 5, 7, 9, 15)]
+                   + [("filiform", m) for m in (4, 6, 8, 14)]
+                   + [("tricky5", None), ("abelian", 2), ("abelian", 3)])
+        got = [derivation_space(corpus(name, p).bracket) for name, p in entries]
+        monkeypatch.setattr(derivations, "_null_space", full_svd_null_space)
+        for (name, p), basis in zip(entries, got):
+            want = derivation_space(corpus(name, p).bracket)
+            assert len(basis) == len(want)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(basis, want))
+        rng = np.random.default_rng(31)
+        for m, n in [(1, 2), (2, 4), (2, 5), (3, 7), (4, 4), (6, 3)]:
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            A[:, -1] = A[:, 0]   # equal columns: a kernel in every shape
+            assert _null_space(A).shape == full_svd_null_space(A).shape
+            assert _null_space(A).tobytes() == full_svd_null_space(A).tobytes()
 
     def test_float_center_matches_exact(self):
         rng = np.random.default_rng(29)
@@ -383,27 +442,6 @@ def reference_lower_central_series(b):
         current = nxt
 
 
-def reference_float_lower_central_series(b):
-    """The float loop, with its two SVDs per step."""
-    C = b.tensor()
-    n = b.dim
-    current = np.eye(n)
-    dims = [n]
-    while True:
-        prods = np.einsum("ijk,aj->iak", C, current).reshape(-1, n)
-        if prods.size == 0:
-            dims.append(0)
-            return dims
-        sv = np.linalg.svd(prods, compute_uv=False)
-        tol = max(prods.shape) * (sv[0] if sv.size else 0.0) * 1e-12
-        d = int((sv > tol).sum())
-        dims.append(d)
-        if d == 0 or d == dims[-2]:
-            return dims
-        _u, _s, vt = np.linalg.svd(prods)
-        current = vt[:d]
-
-
 def reference_center(b):
     """The rational loop, then the shared float orthonormalization."""
     n = b.dim
@@ -505,10 +543,9 @@ class TestAgainstReferences:
         want = _outcome(reference_lower_central_series, b)
         assert _outcome(lower_central_series, b) == want
         if isinstance(want, list):
-            # the float cut is relative to each step's own largest
-            # singular value, so the float dims may differ from these
-            f = b.to_float()
-            assert lower_central_series(f) == reference_float_lower_central_series(f)
+            # the float cut is relative to the bracket's scale, so the
+            # float series reads the exact dimensions
+            assert lower_central_series(b.to_float()) == want
 
     @settings(max_examples=150)
     @given(ANY_BRACKET)

@@ -608,6 +608,27 @@ class TestLockstepSearch:
         at = int(np.argmax(crossing < NEGATIVITY_THRESHOLD))
         assert at > 0 and len(crossing) - at - 1 >= 12
 
+    @pytest.mark.parametrize("b, D", EXHAUST_CASES)
+    def test_window_is_a_cost_choice_only(self, monkeypatch, b, D):
+        """The most descents in flight changes the evaluator's calls, not
+        the values taken: full-budget searches give the sequential
+        driver's bytes at windows 2, 8 and 32, and window 2 makes more
+        evaluator calls than window 32."""
+        want = _fingerprint(sequential_search(D, b, seed=3))
+        calls = []
+        inner = certify._top_eigenvalues
+
+        def counted(*args):
+            calls[-1] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(certify, "_top_eigenvalues", counted)
+        for window in (2, 8, 32):
+            monkeypatch.setattr(certify, "_LOCKSTEP_WINDOW", window)
+            calls.append(0)
+            assert _fingerprint(search_rn_metric(D, b, seed=3)) == want
+        assert calls[0] > calls[-1]
+
     @pytest.mark.parametrize("budget", [1, 2, 50, 51, 52])
     @pytest.mark.parametrize("b, D, seed",
                              FAILURE_CASES + WITNESS_CASES
@@ -729,10 +750,11 @@ class TestStackedSearch:
         """The random restarts of a full-budget search go to the
         evaluator together, in stacks sized to what each descent takes:
         one descent at a time, a sweep per stack, took 2177 calls here,
-        and lockstep rounds of such stacks 637 calls of 20 679 rows.  The
-        stacks now take 425 calls of 15 798 rows; without the ladder or
-        the merged first stack the calls go up, and without the pairs
-        the rows do."""
+        lockstep rounds of such stacks 637 calls of 20 679 rows, and
+        rounds with the rest of the sweep after a pair that finds nothing
+        425 calls of 15 798 rows.  The stacks now take 309 calls of
+        12 658 rows; without the ladder or the merged first stack the
+        calls go up, and without the pairs the rows do."""
         calls = []
         inner = certify._top_eigenvalues
 
@@ -743,8 +765,8 @@ class TestStackedSearch:
         monkeypatch.setattr(certify, "_top_eigenvalues", counted)
         res = search_rn_metric(diag(-1, 1, 0), h3, seed=11)
         assert isinstance(res, SearchFailure) and res.evaluations == DEFAULT_BUDGET
-        assert len(calls) <= 440
-        assert sum(calls) <= 16_300
+        assert len(calls) <= 320
+        assert sum(calls) <= 13_000
 
 
 @pytest.mark.parametrize("blocks, n", [
