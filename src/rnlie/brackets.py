@@ -243,11 +243,11 @@ def act_tensor(C: np.ndarray, H) -> np.ndarray:
     Hi = np.linalg.inv(H)
     n = C.shape[-1]
     stack = H.shape[:-2]
-    out = C.reshape(n * n, n) @ np.swapaxes(H, -1, -2)                 # [p, q, k]
-    out = np.swapaxes(Hi, -1, -2) @ out.reshape(stack + (n, n * n))    # [i, q, k]
-    out = np.swapaxes(out.reshape(stack + (n, n, n)), -1, -2)          # [i, k, q]
+    out = C.reshape(n * n, n) @ H.mT                                   # [p, q, k]
+    out = Hi.mT @ out.reshape(stack + (n, n * n))                      # [i, q, k]
+    out = out.reshape(stack + (n, n, n)).mT                            # [i, k, q]
     out = out.reshape(stack + (n * n, n)) @ Hi                         # [i, k, j]
-    return np.swapaxes(out.reshape(stack + (n, n, n)), -1, -2)         # [i, j, k]
+    return out.reshape(stack + (n, n, n)).mT                           # [i, j, k]
 
 
 def gram_difference(C: np.ndarray, D: np.ndarray = None) -> np.ndarray:
@@ -270,8 +270,8 @@ def gram_difference(C: np.ndarray, D: np.ndarray = None) -> np.ndarray:
     d_pairs_out, d_out_pairs = (pairs_out, out_pairs) if D is None else layouts(D)
     # contiguous transposed copies, never views: a product of a matrix
     # with its own transposed view goes to syrk instead of gemm
-    targets = np.ascontiguousarray(np.swapaxes(pairs_out, -1, -2)) @ d_pairs_out
-    sources = out_pairs @ np.ascontiguousarray(np.swapaxes(d_out_pairs, -1, -2))
+    targets = np.ascontiguousarray(pairs_out.mT) @ d_pairs_out
+    sources = out_pairs @ np.ascontiguousarray(d_out_pairs.mT)
     return targets - 2.0 * sources
 
 

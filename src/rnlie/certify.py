@@ -11,6 +11,7 @@ refutations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -281,32 +282,25 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     same bits as it would alone.  The identity metric and the 50 points
     of the scaling line are one stack of 51 rows, cut to the budget, so
     a search that ends on the line makes one evaluator call.  A descent
-    polls and moves in a fixed order, so its stacks hold what it
-    will probably take next (_compass_descent): x with its whole first
-    sweep; after a sweep that finds nothing, every sweep left on the
-    step ladder; otherwise the rest of the sweep, from the current
-    coordinate to the last (+step, then -step).  In the random phase the
-    stacks are smaller: the next coordinate's pair after an improvement,
-    the next two coordinates' pairs after a stack that finds nothing.  A
-    descent takes a stack's values up to its first improvement, which
-    starts a new stack from the point it moved to, so the rows past it
-    are computed but never taken.
-    The random restarts do not depend on each other, so they run in
-    lockstep: up to 32 descents, in the order of their draws, each
-    round evaluating all their pending stacks as one.  A second descent
-    joins once one has finished, and more only while the descents in
-    flight, at the mean length of those finished, leave room in the
-    budget, which at the default budget binds before the 32 does
-    (_LOCKSTEP_WINDOW).  The values are then taken in the order a
-    one-point-at-a-time search would make them, descent after descent
-    in draw order, up to the budget or the first value below -1e-6, so
-    the result is that search's to the byte.  `evaluations` counts the
-    values taken; rows that a descent in flight computed past that
-    point are never taken and do not count.  A witness is confirmed by
-    is_ricci_negative, the independent Koszul-formula evaluation,
-    before it is returned.  The seeded generator is made at the first
-    random start, so a search that ends before one never makes it; the
-    seed is still checked against Philox's key range at the start.
+    sends the trials it will probably take next as one stack
+    (_compass_descent) and takes its values up to its first improvement,
+    so the rows past it are computed but never taken.  The random
+    restarts do not depend on each other, so they run in lockstep, up to
+    32 in the order of their draws, each round evaluating all their
+    pending stacks as one (_lockstep).  The values are then taken in the
+    order a one-point-at-a-time search would make them, descent after
+    descent in draw order, up to the budget or the first value below
+    -1e-6, so the result is that search's to the byte.  A descent hands
+    over only how many values it consumed and its records, the values
+    that set its running minimum, with their points: a value below the
+    best so far is always a record, so the records decide the best
+    (_Tally.take).  `evaluations` counts the values taken; rows that a
+    descent in flight computed past that point do not count.  A
+    witness is confirmed by is_ricci_negative, the independent
+    Koszul-formula evaluation, before it is returned.  The seeded
+    generator is made at the first random start, so a search that ends
+    before one never makes it; the seed is still checked against
+    Philox's key range at the start.
     """
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
         raise PreconditionError(f"budget must be an int of at least 1, not {budget!r}")
@@ -325,7 +319,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     asize = _metric_layout(tuple(blocks))[2]
     dim = asize + n
     C = b.tensor()
-    state = {"evals": 0, "best": math.inf, "best_x": np.zeros(dim)}
+    tally = _Tally(budget, dim)
 
     def evaluate(rows):
         A = rows[:, :asize]
@@ -337,53 +331,68 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
             h = _metric_factors(A, blocks, n)
         return _top_eigenvalues(M, C, rows[:, asize:], h)
 
-    def finished():
-        return state["best"] < NEGATIVITY_THRESHOLD
-
-    def done():
-        return finished() or state["evals"] >= budget
-
-    def take(values, points):
-        """Take values in order, one evaluation each, until done() holds;
-        points[i] is the point of values[i] wherever that value can set
-        the best.  Returns done()."""
-        for i, lam in enumerate(values):
-            state["evals"] += 1
-            if lam < state["best"]:
-                state["best"], state["best_x"] = float(lam), points[i]
-            if done():
-                return True
-        return False
-
-    def left():
-        return budget - state["evals"]
-
     def random_start():
         nonlocal rng
         if rng is None:
             rng = generator(seed, 21)
         return 0.6 * rng.standard_normal(dim)
 
-    # the identity metric, then the pure-scaling line h = e^s, as one stack
+    # the identity metric, then the pure-scaling line h = e^s, as one
+    # stack: of its values up to the first below -1e-6, only the lowest
+    # (the first of equals) can set the best
     rows = np.concatenate([np.zeros((1, dim)), _scaling_line(blocks, n)])[:budget]
-    take(evaluate(rows), rows)
+    values = evaluate(rows)
+    below = np.flatnonzero(values < NEGATIVITY_THRESHOLD)
+    count = int(below[0]) + 1 if len(below) else len(values)
+    at = int(values[:count].argmin())
+    tally.take(count, [(at, float(values[at]), rows[at])])
 
-    while not done():
-        if state["evals"] < budget // 3:
+    offsets = _sweep_offsets(dim)
+    while not tally.done():
+        if tally.evals < budget // 3:
             # one descent at a time: each restarts from the best point so far
-            x = state["best_x"].copy() if state["best"] < math.inf else random_start()
-            _lockstep([x], 1, evaluate, take, left)
+            x = tally.best_x.copy() if tally.best < math.inf else random_start()
+            _lockstep([x], 1, evaluate, tally, offsets)
         else:
             starts = (random_start() for _ in itertools.count())
-            _lockstep(starts, _LOCKSTEP_WINDOW, evaluate, take, left)
+            _lockstep(starts, _LOCKSTEP_WINDOW, evaluate, tally, offsets)
 
-    x = state["best_x"]
+    x = tally.best_x
     params = MetricParams(1.0, x[asize:], _metric_factors(x[None, :asize], blocks, n)[0])
-    if finished():
+    if tally.best < NEGATIVITY_THRESHOLD:
         flag, lam = is_ricci_negative(M, b, params)
         if flag and lam < NEGATIVITY_THRESHOLD:
             return RnWitness(params, lam)
-    return SearchFailure(state["best"], params, state["evals"])
+    return SearchFailure(tally.best, params, tally.evals)
+
+
+class _Tally:
+    """The values a search has taken under its budget: how many (evals),
+    the lowest (best) and its point (best_x)."""
+
+    def __init__(self, budget, dim):
+        self.budget, self.evals, self.best, self.best_x = budget, 0, math.inf, np.zeros(dim)
+
+    def done(self):
+        return self.best < NEGATIVITY_THRESHOLD or self.evals >= self.budget
+
+    def take(self, count, records):
+        """Take the next `count` values in order, one evaluation each,
+        until done() holds.  `records` lists (position, value, point), in
+        order, of each that set the running minimum of the values before
+        it: any value below the best is one, so the records decide the
+        best and where the first value below -1e-6 stops.  Returns done()."""
+        count = min(count, self.budget - self.evals)
+        for at, lam, x in records:
+            if at >= count:
+                break
+            if lam < self.best:
+                self.best, self.best_x = lam, x
+                if lam < NEGATIVITY_THRESHOLD:
+                    count = at + 1
+                    break
+        self.evals += count
+        return self.done()
 
 
 # the most descents in flight at once.  At the default budget the
@@ -393,19 +402,19 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
 _LOCKSTEP_WINDOW = 32
 
 
-def _lockstep(starts, window, evaluate, take, left):
+def _lockstep(starts, window, evaluate, tally, offsets):
     """Compass descents from `starts`, in draw order, up to `window` of
     them in flight.  Each round evaluates the pending stacks of the
     descents in flight as one stack and sends each descent its values.
-    take(values, points) then receives the values each descent consumed,
-    descent after descent in draw order, and returns True once the search
-    is done; left() is the evaluations the budget has left.  With a
-    window above one, a descent polls the next coordinate's pair alone
-    after an improvement, and the next two coordinates' pairs after a
-    stack that finds nothing, where a lone descent sends the rest of the
-    sweep (_compass_descent): in a shared evaluator call a small stack
-    costs only its rows, where a lone descent would pay the call's fixed
-    cost for each.
+    Each descent, its stacks built from `offsets` (_sweep_offsets),
+    then hands tally.take the number of values it consumed and its
+    records, descent after descent in draw order, until the search is
+    done.  With a window above one, a descent polls the next
+    coordinate's pair alone after an improvement, and the next two
+    coordinates' pairs after a stack that finds nothing, where a lone
+    descent sends the rest of the sweep (_compass_descent): in a shared
+    evaluator call a small stack costs only its rows, where a lone
+    descent would pay the call's fixed cost for each.
 
     A descent is cut where its values would run past the budget, since
     the values kept by the descents ahead of it come first, and after a
@@ -421,10 +430,10 @@ def _lockstep(starts, window, evaluate, take, left):
     flight = []
     lengths = []
     while True:
-        room = left()
+        room = tally.budget - tally.evals
         stacks = []
         for k, d in enumerate(flight):
-            room -= len(d.values)
+            room -= d.fresh
             if room <= 0 or d.low < NEGATIVITY_THRESHOLD:
                 del flight[k + 1:]
                 room = 0
@@ -433,11 +442,11 @@ def _lockstep(starts, window, evaluate, take, left):
                 stacks.append((d, d.pending[:room]))
         mean = sum(lengths) / len(lengths) if lengths else math.inf
         while (room > 0 and len(flight) < window
-               and left() > sum(max(d.count, mean) for d in flight)):
+               and tally.budget - tally.evals > sum(max(d.count, mean) for d in flight)):
             x = next(starts, None)
             if x is None:
                 break
-            d = _Descent(x, window > 1)
+            d = _Descent(x, window > 1, offsets)
             flight.append(d)
             stacks.append((d, d.pending[:room]))
         if not stacks:
@@ -450,9 +459,9 @@ def _lockstep(starts, window, evaluate, take, left):
             at += len(rows)
         while flight:
             d = flight[0]
-            if take(d.values, d.lows):
+            if tally.take(d.fresh, d.records):
                 return
-            d.values, d.lows = [], {}
+            d.fresh, d.records = 0, []
             if d.pending is not None:
                 break
             lengths.append(flight.pop(0).count)
@@ -460,18 +469,16 @@ def _lockstep(starts, window, evaluate, take, left):
 
 class _Descent:
     """One compass descent in flight: the stack it waits on (None once
-    it has stopped), the number of values it consumed, and those of them
-    that the search has not taken yet.  `lows` keeps, by position in
-    `values`, a copy of each point whose value set the descent's running
-    minimum `low`: only such a point can become the best point of the
-    search."""
+    it has stopped), how many values it consumed (count), and of those
+    the search has not taken yet, how many (fresh) and the records:
+    (position among them, value, a copy of the point) of each that set
+    the descent's running minimum `low`, the only values kept."""
 
-    def __init__(self, x, pairs):
-        self.steps = _compass_descent(x, pairs)
+    def __init__(self, x, pairs, offsets):
+        self.steps = _compass_descent(x, pairs, offsets)
         self.pending = next(self.steps)[1]
-        self.count = 0
-        self.values = []
-        self.lows = {}
+        self.count = self.fresh = 0
+        self.records = []
         self.low = math.inf
 
     def send(self, rows, values):
@@ -479,30 +486,43 @@ class _Descent:
         stack.  A descent that consumes every row it was sent of a stack
         cut short stops: its next value lies past the cut."""
         cut = len(rows) < len(self.pending)
+        values = values.tolist()
         try:
             taken, self.pending = self.steps.send(values)
         except StopIteration as stop:
             taken, self.pending = stop.value, None
-        self.count += taken
-        kept = values[:taken].tolist()
-        for i, lam in enumerate(kept):
+        for i, lam in enumerate(values[:taken]):
             if lam < self.low:
                 self.low = lam
-                self.lows[len(self.values) + i] = rows[i].copy()
-        self.values += kept
+                self.records.append((self.fresh + i, lam, rows[i].copy()))
+        self.count += taken
+        self.fresh += taken
         if (cut and taken == len(rows)) or self.low < NEGATIVITY_THRESHOLD:
             self.pending = None
 
 
-def _compass_descent(x, pairs):
+def _sweep_offsets(dim):
+    """offsets(steps, lo, hi), for a tuple of steps: the moves of the
+    compass sweeps over coordinates lo..hi-1 at each step in turn, as one
+    array whose rows 2i and 2i + 1 of a sweep move coordinate lo + i by
+    +step and -step, made once per search and argument triple."""
+    moves = np.zeros((2 * dim, dim))
+    moves[0::2] = np.eye(dim)
+    moves[1::2] = -np.eye(dim)
+    return functools.cache(lambda steps, lo, hi: np.multiply.outer(
+        steps, moves[2 * lo:2 * hi]).reshape(-1, dim))
+
+
+def _compass_descent(x, pairs, offsets):
     """First-improvement compass descent from x, from step 0.5 until the
     step falls below 1e-3, as a coroutine.  It yields (taken, stack):
     the number of values it consumed of the stack before, and the next
-    stack of trial points, whose values it is then sent; it returns the
-    number it consumed of the last stack.  A sweep tries +step, then
-    -step, on each coordinate in turn and moves to the first trial that
-    improves; the next sweep goes on from the next coordinate, and a
-    sweep over every coordinate that finds nothing halves the step.
+    stack of trial points, x plus offsets(steps, lo, hi), whose values
+    it is then sent as a list of floats; it returns the number it
+    consumed of the last stack.  A sweep tries +step, then -step, on
+    each coordinate in turn and moves to the first trial that improves;
+    the next sweep goes on from the next coordinate, and a sweep over
+    every coordinate that finds nothing halves the step.
 
     The order of the trials is fixed, so each stack holds the trials the
     descent will probably take next:
@@ -520,24 +540,15 @@ def _compass_descent(x, pairs):
     consumed: the descent moves there, and the next stack starts from
     the new point."""
     dim = len(x)
-    # rows 2i and 2i + 1 move coordinate i by +1 and -1
-    moves = np.zeros((2 * dim, dim))
-    moves[0::2] = np.eye(dim)
-    moves[1::2] = -np.eye(dim)
-
-    def sweeps(x, steps, lo, hi):
-        # the sweeps over coordinates lo..hi-1 at each of the steps, in order
-        return (x + np.multiply.outer(steps, moves[2 * lo:2 * hi])).reshape(-1, dim)
-
-    steps, lo, hi = [0.5], 0, dim
-    stack = np.concatenate([x[None], sweeps(x, steps, lo, hi)])
+    steps, lo, hi = (0.5,), 0, dim
+    stack = np.concatenate([x[None], x + offsets(steps, lo, hi)])
     head, taken, improved = 1, 0, False
     while True:
         values = yield taken, stack
         if head:
             current = values[0]
         bar = current - 1e-12
-        r = next((r for r, val in enumerate(values[head:].tolist()) if val < bar), None)
+        r = next((r for r, val in enumerate(values[head:]) if val < bar), None)
         if r is None:
             taken = len(values)
             step, i = steps[-1], hi
@@ -551,14 +562,14 @@ def _compass_descent(x, pairs):
             # a new sweep over every coordinate, at the same step
             i, improved = 0, False
         if i < dim:
-            steps, lo = [step], i
+            steps, lo = (step,), i
             hi = min(i + (1 if r is not None else 2), dim) if pairs else dim
         else:
             # a sweep over every coordinate found nothing: the ladder
-            steps = []
+            steps = ()
             while (step := step * 0.5) >= 1e-3:
-                steps.append(step)
+                steps += (step,)
             if not steps:
                 return taken
             lo, hi = 0, dim
-        stack = sweeps(x, steps, lo, hi)
+        stack = x + offsets(steps, lo, hi)

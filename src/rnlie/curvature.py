@@ -2,19 +2,19 @@
 solvable extensions.
 
 Two independent computations are kept side by side.  The Ricci operator
-of an extension comes from closed-form blocks, with no curvature tensor;
-the evaluation behind every metric search reads those blocks on stacks of
-transported pairs (_top_eigenvalues).  On the diagonal torus, with metric
-factors h = diag(e^a), the pair moves entrywise, mu_ij^k to
+of an extension comes from closed-form blocks, with no curvature tensor,
+which one kernel (_ricci_stack) writes into one stack of operators, for
+ricci_extension and for the evaluation behind every metric search, on
+stacks of transported pairs (_top_eigenvalues).  On the diagonal torus,
+with metric factors h = diag(e^a), the pair moves entrywise, mu_ij^k to
 e^(a_k - a_i - a_j) mu_ij^k, with no inverse, determinant or dense
 action; centralizer blocks larger than 1 x 1 and non-diagonal
-derivations take the dense products.  The Koszul-formula oracle
-evaluates the full curvature tensor of any left-invariant metric from
-structure constants alone; it is the independent reference that the
-closed forms are tested against.  The Ricci-negativity test
-(is_ricci_negative) reads the same formula on the dense transported
-structure tensor, with no Bracket in between, and confirms each search
-witness once.
+derivations take the dense products.  The Koszul-formula oracle evaluates
+the full curvature tensor of any left-invariant metric from structure
+constants alone; it is the independent reference that the closed forms
+are tested against.  The Ricci-negativity test (is_ricci_negative) reads
+the same formula on the dense transported structure tensor, with no
+Bracket in between, and confirms each search witness once.
 
 Convention: the basis is orthonormal and squared norms sum over ordered
 index pairs, so a single basis bracket e_i ^ e_j -> e_k has squared norm
@@ -142,27 +142,26 @@ def _transported_derivation(M, C: np.ndarray, c, X, h) -> np.ndarray:
     hinv = np.linalg.inv(h)
     Y = hinv @ X[..., None]
     # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:]
-    adY = (np.swapaxes(Y, -1, -2) @ C.reshape(n, n * n)).reshape(Y.shape[:-2] + (n, n))
-    return c * (h @ (M - np.swapaxes(adY, -1, -2)) @ hinv)
+    adY = (Y.mT @ C.reshape(n, n * n)).reshape(Y.shape[:-2] + (n, n))
+    return c * (h @ (M - adY.mT) @ hinv)
 
 
 @dataclass(frozen=True)
 class RicciBlock:
-    """Ricci operator of a rank-one extension in block form.
+    """Ricci operator of a rank-one extension, in the basis (a, e_1, ..,
+    e_n), and its blocks in closed form: ff the extension-direction
+    diagonal entry, fn_row the mixed row and nn the nilpotent block."""
 
-    ff is the extension-direction diagonal entry, fn_row the mixed row
-    and nn the nilpotent block, all in closed form.
-    """
-
-    ff: float
-    fn_row: np.ndarray
-    nn: np.ndarray
+    operator: np.ndarray
+    ff = property(lambda self: float(self.operator[0, 0]))
+    fn_row = property(lambda self: self.operator[0, 1:])
+    nn = property(lambda self: self.operator[1:, 1:])
 
     def assembled(self) -> np.ndarray:
-        return _assembled(self.ff, self.fn_row, self.nn)
+        return self.operator.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.assembled())
+        return np.linalg.eigvalsh(self.operator)
 
     @property
     def lambda_max(self) -> float:
@@ -183,36 +182,27 @@ def ricci_extension(D, b: Bracket) -> RicciBlock:
     """
     M = derivation_matrix(D, b.dim)
     require_derivation(M, b)
-    ff, fn, nn = _ricci_blocks(M, b.tensor())
-    return RicciBlock(float(ff), fn, nn)
+    return RicciBlock(_ricci_stack(M[None], b.tensor()[None])[0])
 
 
-def _ricci_blocks(M, C):
-    """The closed-form blocks (ff, fn_row, nn) of ricci_extension for the
-    derivation M of the structure tensor C, valid only when M is one.  M
-    and C may carry the same leading stack axes; every product is taken
-    slice by slice, so a slice never depends on the others."""
-    n = C.shape[-1]
-    Mt = np.swapaxes(M, -1, -2)
+def _ricci_stack(M, C):
+    """The Ricci operators of ricci_extension for the (K, n, n) stack of
+    derivations M of the (K, n, n, n) structure tensors C, valid only
+    where each M[r] is one, written block by block into one (K, n+1, n+1)
+    stack.  Every product is taken slice by slice, so a slice never
+    depends on the others."""
+    K, n = M.shape[:2]
+    out = np.empty((K, n + 1, n + 1))
+    Mt = M.mT
     S = 0.5 * (M + Mt)
-    ff = -np.trace(S @ S, axis1=-2, axis2=-1)
-    nn = (0.25 * gram_difference(C) + 0.5 * (M @ Mt - Mt @ M)
-          - np.trace(M, axis1=-2, axis2=-1)[..., None, None] * S)
+    out[:, 0, 0] = -(S @ S).trace(axis1=1, axis2=2)
+    out[:, 1:, 1:] = (0.25 * gram_difference(C) + 0.5 * (M @ Mt - Mt @ M)
+                      - M.trace(axis1=1, axis2=2)[:, None, None] * S)
     # tr(S ad e_i) = sum_ab S[a,b] C[i,a,b]; 0 - t rather than -t, so that
     # a vanishing entry is +0.0, not -0.0
-    flat = C.reshape(C.shape[:-3] + (n, n * n))
-    fn = 0.0 - (flat @ S.reshape(S.shape[:-2] + (n * n, 1)))[..., 0]
-    return ff, fn, nn
-
-
-def _assembled(ff, fn, nn):
-    """The Ricci operator from its blocks, over any leading stack axes."""
-    n = nn.shape[-1]
-    out = np.zeros(nn.shape[:-2] + (n + 1, n + 1))
-    out[..., 0, 0] = ff
-    out[..., 0, 1:] = fn
-    out[..., 1:, 0] = fn
-    out[..., 1:, 1:] = nn
+    fn = 0.0 - (C.reshape(K, n, n * n) @ S.reshape(K, n * n, 1))[:, :, 0]
+    out[:, 0, 1:] = fn
+    out[:, 1:, 0] = fn
     return out
 
 
@@ -296,14 +286,14 @@ _LOG_SINGULAR = float(np.log(1e-300))
 
 
 def _clearly_nonsingular(d: np.ndarray) -> bool:
-    """Whether every row of the (K, n) stack of diagonal factors d is
-    finite and passes the singularity test of _top_eigenvalues by a wide
-    margin: n log min |d| bounds each row's log |det| from below, and
-    lying 1 above log(1e-300) puts it beyond any rounding of the running
-    sum of logs that numpy's det takes."""
-    low = float(np.abs(d).min(initial=np.inf))
-    return bool(low > 0.0 and d.shape[-1] * math.log(low) > _LOG_SINGULAR + 1.0
-                and np.isfinite(d).all())
+    """Whether every entry of the (K, n) stack of diagonal factors d is
+    positive and finite and every row passes the singularity test of
+    _top_eigenvalues by a wide margin: n log min d bounds each row's
+    log |det| from below, and lying 1 above log(1e-300) puts it beyond
+    any rounding of the running sum of logs that numpy's det takes.  A
+    negative factor (the search's are e^a) is left to that test."""
+    low, high = float(d.min(initial=np.inf)), float(d.max(initial=-np.inf))
+    return low > 0.0 and high < np.inf and d.shape[-1] * math.log(low) > _LOG_SINGULAR + 1.0
 
 
 def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -311,49 +301,48 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
     (1, X[r], h[r]) of a stack: X is (K, n), and h is (K, n, n), or (K, n)
     for diagonal factors h[r] = diag(h[r]).
 
-    This is the evaluation of every metric search.  It reads the
-    closed-form blocks of ricci_extension on the transported pair
-    (h(M - ad Y)h^{-1}, h.C) with Y = h^{-1}X, which is again a
-    derivation with its bracket, so no curvature tensor is built; the
-    blocks are valid only because the caller has checked M with
-    require_derivation.  On the diagonal torus the pair moves entrywise
-    (_torus_transport), with no inverse and no matrix product with h;
-    full (K, n, n) factors, from centralizer blocks larger than 1 x 1 or
-    a non-diagonal M, take the dense products.  A row whose h is not
-    finite or is singular (|det h| < 1e-300), or whose Ricci operator is
-    not finite, reads inf and leaves the other rows as they are.  A
-    stack of diagonals that _clearly_nonsingular passes, every factor
-    finite and n log min|h| more than 1 above log(1e-300), skips the
+    This is the evaluation of every metric search.  The kernel of
+    ricci_extension (_ricci_stack) writes the closed-form blocks of the
+    transported pairs (h(M - ad Y)h^{-1}, h.C) with Y = h^{-1}X, each
+    again a derivation with its bracket, into one stack of Ricci
+    operators, which one eigvalsh call reads; no curvature tensor is
+    built, and the blocks are valid only because the caller has checked
+    M with require_derivation.  On the diagonal torus the pair moves
+    entrywise (_torus_transport), with no inverse and no matrix product
+    with h; full (K, n, n) factors, from centralizer blocks larger than
+    1 x 1 or a non-diagonal M, take the dense products.  A row whose h
+    is not finite or is singular (|det h| < 1e-300), or whose Ricci
+    operator is not finite, reads inf and leaves the other rows as they
+    are: the rows that fail the test on h leave the stack.  A stack of
+    diagonals that _clearly_nonsingular passes, every factor positive
+    and finite and n log min h more than 1 above log(1e-300), skips the
     per-row det of that test, which no row of it could fail; any other
     stack of diagonals takes det on its diagonal matrices, as full
-    factors do.  Each row is bit-identical to the same row evaluated
-    alone, and a row of diagonals to the same row given as the diagonal
-    matrix.
+    factors do.  All of it runs under one np.errstate.  Each row is
+    bit-identical to the same row evaluated alone, and a row of
+    diagonals to the same row given as the diagonal matrix.
     """
     torus = h.ndim == 2
+    lam = None
     with np.errstate(all="ignore"):
-        if torus and _clearly_nonsingular(h):
-            ok = np.ones(len(h), dtype=bool)
-        else:
+        if not (torus and _clearly_nonsingular(h)):
             full = h[:, :, None] * np.eye(h.shape[1]) if torus else h
             ok = np.isfinite(full).all(axis=(1, 2))
             ok[ok] = np.abs(np.linalg.det(full[ok])) >= 1e-300
-        if not ok.all():
-            # the valid rows again, as a stack of their own
-            lam = np.full(len(h), np.inf)
-            if ok.any():
-                lam[ok] = _top_eigenvalues(M, C, X[ok], h[ok])
-            return lam
-        if torus:
-            Dn, hC = _torus_transport(M, C, X, h)
-        else:
-            Dn, hC = _transported_derivation(M, C, 1.0, X, h), act_tensor(C, h)
-        ric = _assembled(*_ricci_blocks(Dn, hC))
+            if not ok.all():
+                lam = np.full(len(h), np.inf)
+                X, h = X[ok], h[ok]
+        ric = _ricci_stack(*(_torus_transport(M, C, X, h) if torus else
+                             (_transported_derivation(M, C, 1.0, X, h), act_tensor(C, h))))
         if np.isfinite(ric).all():
-            return np.linalg.eigvalsh(ric)[:, -1]
-        finite = np.isfinite(ric).all(axis=(1, 2))
-        lam = np.full(len(h), np.inf)
-        lam[finite] = np.linalg.eigvalsh(ric[finite])[:, -1]
+            top = np.linalg.eigvalsh(ric)[:, -1]
+        else:
+            finite = np.isfinite(ric).all(axis=(1, 2))
+            top = np.full(len(ric), np.inf)
+            top[finite] = np.linalg.eigvalsh(ric[finite])[:, -1]
+    if lam is None:
+        return top
+    lam[ok] = top
     return lam
 
 
@@ -376,8 +365,8 @@ def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray):
     Y = dinv * X + 0.0
     # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:], the dense product
     adY = (Y[:, None, :] @ C.reshape(n, n * n)).reshape(-1, n, n)
-    Dn = d[:, :, None] * (M - np.swapaxes(adY, -1, -2)) * dinv[:, None, :] + 0.0
+    Dn = d[:, :, None] * (M - adY.mT) * dinv[:, None, :] + 0.0
     i, j, k = np.nonzero(C)
     hC = np.zeros((len(d), n, n, n))
-    hC[:, i, j, k] = C[i, j, k] * d[:, k] * dinv[:, i] * dinv[:, j] + 0.0
+    hC[:, i, j, k] = C[i, j, k] * d.take(k, 1) * dinv.take(i, 1) * dinv.take(j, 1) + 0.0
     return Dn, hC

@@ -769,6 +769,112 @@ class TestStackedSearch:
         assert sum(calls) <= 13_000
 
 
+def per_value_take(state, budget, values, points):
+    """The search's take as it was before descents handed over records:
+    every value one by one, one evaluation each, until the budget is
+    spent or the best is below -1e-6.  Returns whether the search is
+    done; the bit-level reference for _Tally.take."""
+    for i, lam in enumerate(values):
+        state["evals"] += 1
+        if lam < state["best"]:
+            state["best"], state["best_x"] = float(lam), points[i]
+        if state["best"] < NEGATIVITY_THRESHOLD or state["evals"] >= budget:
+            return True
+    return False
+
+
+# values with ties (+0.0 against -0.0, repeats), inf rows, and -1e-6
+# itself, which is not below the threshold
+_TIES = [0.5, 0.5, 1e-3, 1e-3, 0.0, -0.0, -1e-7, -1e-7, -1e-6, np.inf, np.inf, 2e-9]
+
+
+class TestTakeFromRecords:
+    """_Tally.take, given the count of a descent's values and the records
+    of its running minimum, against the per-value loop on the values."""
+
+    @staticmethod
+    def _records(values, points, low):
+        """Each value that sets the running minimum, which starts at low
+        and goes on across the descent's handovers, with its position and
+        a copy of its point; and the minimum after them."""
+        records = []
+        for i, lam in enumerate(values):
+            if lam < low:
+                low = lam
+                records.append((i, lam, points[i].copy()))
+        return records, low
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_as_per_value_loop(self, seed):
+        """Seeded descents in draw order, each handing over several
+        batches, at budgets that cut some batch short; in some batches a
+        value below -1e-6 falls in the middle.  evals, the bits of best
+        and the bytes of best_x agree after every handover."""
+        rng = np.random.default_rng(seed)
+        budget = int(rng.integers(1, 120))
+        tally = certify._Tally(budget, 3)
+        state = {"evals": 0, "best": math.inf, "best_x": np.zeros(3)}
+        done = False
+        while not done:
+            low = math.inf
+            for _ in range(int(rng.integers(1, 5))):
+                count = int(rng.integers(0, 14))
+                values = [_TIES[i] for i in rng.integers(0, len(_TIES), count)]
+                if count > 2 and rng.random() < 0.15:
+                    values[int(rng.integers(1, count - 1))] = -2e-6
+                points = rng.standard_normal((count, 3))
+                records, low = self._records(values, points, low)
+                done = tally.take(count, records)
+                assert done == per_value_take(state, budget, values, points)
+                assert tally.evals == state["evals"]
+                assert np.float64(tally.best).tobytes() == np.float64(state["best"]).tobytes()
+                assert tally.best_x.tobytes() == state["best_x"].tobytes()
+                if done:
+                    break
+        assert tally.evals == budget or tally.best < NEGATIVITY_THRESHOLD
+
+    @pytest.mark.parametrize("budget", [11, 12, 31, 32, 200])
+    @pytest.mark.parametrize("line", ["ties", "threshold"])
+    def test_first_stack_from_its_lowest_value(self, monkeypatch, line, budget):
+        """The identity and scaling line are taken from their lowest
+        value up to the first below -1e-6.  A row-wise evaluator puts
+        ties (+0.0 at line point 10, -0.0 at 20, and 0.0 twice more),
+        inf rows, or a value below -1e-6 at point 30 with lower values
+        after it, on the 51 rows; the search and the sequential driver
+        give the same bytes.  The first value below -1e-6 stops the taking
+        (the confirmation then refuses it), and of ties the first counts."""
+        s = np.round(np.linspace(0.25, 25.0, 50), 6)
+        table = {0.0: 0.75}
+        for k, v in enumerate(s):
+            table[v] = 1.0 + k % 3 if k % 7 else np.inf
+        if line == "ties":
+            for k, v in ((10, 0.0), (20, -0.0), (25, 0.0), (40, 0.0)):
+                table[s[k]] = v
+        else:
+            for k, v in ((12, 1e-9), (30, -3e-6), (31, -5e-6), (45, -1.0)):
+                table[s[k]] = v
+
+        def wells(M, C, X, h):
+            z = np.concatenate([np.log(h), X], axis=1)
+            out = 1.0 + (z * z).sum(axis=1)
+            for r, row in enumerate(np.round(z, 6)):
+                if (row[:3] == row[0]).all() and not row[3:].any():
+                    out[r] = table.get(row[0], out[r])
+            return out
+
+        monkeypatch.setattr(certify, "_top_eigenvalues", wells)
+        D = diag(-1, 1, 0)
+        want = sequential_search(D, h3, budget=budget, seed=4)
+        got = search_rn_metric(D, h3, budget=budget, seed=4)
+        assert _fingerprint(got) == _fingerprint(want)
+        if line == "threshold" and budget >= 32:
+            assert got.evaluations == 32 and got.lambda_best == -3e-6
+        elif line == "ties" and budget >= 12:
+            assert np.float64(got.lambda_best).tobytes() == np.float64(0.0).tobytes()
+            assert np.array_equal(got.params.h,
+                                  np.exp(np.linspace(0.25, 25.0, 50)[10]) * np.eye(3))
+
+
 @pytest.mark.parametrize("blocks, n", [
     ([(i,) for i in range(5)], 5),
     ([(0, 1, 2, 3), (4,)], 5),

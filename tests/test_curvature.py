@@ -463,15 +463,102 @@ class TestStackedEvaluation:
                 assert values(rows).tobytes() == got.tobytes()
 
     def test_clearly_nonsingular_refuses_what_the_checks_decide(self):
-        """Zero, non-finite and tiny factors, and the empty row, are left
-        to the checks; so is a tiny factor that a huge one makes up for,
-        since only the smallest factor is read."""
+        """Zero, non-finite, negative and tiny factors, and the empty row,
+        are left to the checks; so is a tiny factor that a huge one makes
+        up for, since only the smallest factor is read.  A stack with a
+        negative factor reads, through the checks, the bytes of its dense
+        factors."""
         bound = curvature._LOG_SINGULAR + 1.0
         for d in ([[1.0, 0.0]], [[1.0, np.nan]], [[np.inf, 1.0]], [[1.0, -np.inf]],
-                  [[np.exp(bound / 2 - 1e-6)] * 2], [[-1e200, 1e-200]], np.zeros((2, 0))):
+                  [[np.exp(bound / 2 - 1e-6)] * 2], [[1e200, 1e-200]], [[-1e100, 1e-100]],
+                  [[-2.0, -2.0]], np.zeros((2, 0))):
             assert not curvature._clearly_nonsingular(np.array(d, dtype=float))
-        for d in ([[np.exp(bound / 2 + 1e-6)] * 2], [[-1e100, 1e-100]], np.zeros((0, 3))):
+        for d in ([[np.exp(bound / 2 + 1e-6)] * 2], [[1e100, 1e-100]], np.zeros((0, 3))):
             assert curvature._clearly_nonsingular(np.array(d, dtype=float))
+        b = corpus("heisenberg", 3).bracket
+        M = np.diag([1.0, 1.0, 2.0])
+        d = np.array([[-1.0, 2.0, -2.0], [0.5, -1.5, 3.0], [2.0, 1.0, 0.5]])
+        X = 0.3 * np.ones((3, 3))
+        dense = _top_eigenvalues(M, b.tensor(), X, d[:, :, None] * np.eye(3))
+        assert _top_eigenvalues(M, b.tensor(), X, d).tobytes() == dense.tobytes()
+
+
+def reference_ricci_operators(M, C):
+    """The Ricci operators of the pairs (M, C), over any leading stack
+    axes, as _ricci_blocks and _assembled composed them before one kernel
+    wrote the stack in place, gram_difference with its np.swapaxes
+    copies included: the bit-level reference for _ricci_stack."""
+    n = C.shape[-1]
+    Mt = np.swapaxes(M, -1, -2)
+    S = 0.5 * (M + Mt)
+    pairs_out = C.reshape(C.shape[:-3] + (n * n, n))
+    out_pairs = C.reshape(C.shape[:-3] + (n, n * n))
+    targets = np.ascontiguousarray(np.swapaxes(pairs_out, -1, -2)) @ pairs_out
+    sources = out_pairs @ np.ascontiguousarray(np.swapaxes(out_pairs, -1, -2))
+    ff = -np.trace(S @ S, axis1=-2, axis2=-1)
+    nn = (0.25 * (targets - 2.0 * sources) + 0.5 * (M @ Mt - Mt @ M)
+          - np.trace(M, axis1=-2, axis2=-1)[..., None, None] * S)
+    fn = 0.0 - (out_pairs @ S.reshape(S.shape[:-2] + (n * n, 1)))[..., 0]
+    out = np.zeros(nn.shape[:-2] + (n + 1, n + 1))
+    out[..., 0, 0] = ff
+    out[..., 0, 1:] = fn
+    out[..., 1:, 0] = fn
+    out[..., 1:, 1:] = nn
+    return out
+
+
+class TestRicciStack:
+    """The one kernel that writes the Ricci stack, byte for byte against
+    the block composition it replaced."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 64, 256])
+    @pytest.mark.parametrize("case", STACK_CASES)
+    def test_same_bytes_as_the_block_composition(self, case, rows):
+        """Dense pairs of full factors, and torus pairs of diagonals,
+        from one row to the lockstep sizes; every fifth row of the torus
+        stacks has h overflowing, h underflowing to 0, or a Ricci
+        operator that overflows, and so do the dense stacks with the
+        last kind, which finite regular factors can give."""
+        b, M, blocks, xs, asize = _stack(case, rows=rows, seed=rows)
+        n = b.dim
+        C = b.tensor()
+        bad = [np.full(asize, 1e3), _log_diagonal([-800.0] + [0.0] * (n - 1), blocks),
+               _log_diagonal([-100.0] * (n - 1) + [400.0], blocks)]
+        with np.errstate(all="ignore"):
+            dense = xs.copy()
+            dense[::5, :asize] = bad[2]
+            h = _metric_factors(dense[:, :asize], blocks, n)
+            pairs = [(curvature._transported_derivation(M, C, 1.0, dense[:, asize:], h),
+                      act_tensor(C, h))]
+            if asize == n:
+                torus = xs.copy()
+                for k, r in enumerate(range(0, rows, 5)):
+                    torus[r, :n] = bad[k % 3]
+                pairs.append(curvature._torus_transport(M, C, torus[:, n:], np.exp(torus[:, :n])))
+            for Dn, hC in pairs:
+                want = reference_ricci_operators(Dn, hC)
+                assert not np.isfinite(want[0]).all()
+                assert curvature._ricci_stack(Dn, hC).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", STACK_CASES)
+    def test_ricci_extension_keeps_its_bytes(self, case):
+        """ff, fn_row and nn of ricci_extension, on the case's pair and on
+        pairs transported by random metrics, are the reference's bytes."""
+        (name, param), M = case
+        b = corpus(name, param).bracket
+        rng = np.random.default_rng(5)
+        pairs = [(M, b)]
+        for _ in range(3):
+            n = b.dim
+            p = MetricParams(1.0, rng.normal(size=n), np.eye(n) + 0.3 * rng.normal(size=(n, n)))
+            pairs.append(transport_metric(p, M, b))
+        for D, bracket in pairs:
+            blk = ricci_extension(D, bracket)
+            want = reference_ricci_operators(D, bracket.tensor())
+            assert np.float64(blk.ff).tobytes() == want[0, 0].tobytes()
+            assert blk.fn_row.tobytes() == want[0, 1:].tobytes()
+            assert blk.nn.tobytes() == want[1:, 1:].tobytes()
+            assert blk.assembled().tobytes() == want.tobytes()
 
 
 class TestVectorDerivation:

@@ -144,3 +144,50 @@ def test_package_imports_no_scipy(path):
     """scipy is a test-only dependency: no module of the package imports
     it, at module level or inside a function."""
     assert "scipy" not in _imported_modules(path)
+
+
+def _private_numpy_names(path):
+    """The dotted names under numpy with a private part (one leading
+    underscore, as in numpy.linalg._umath_linalg) that a file imports,
+    or reaches as an attribute of a name bound to a numpy module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    bound.add(alias.asname or "numpy")
+                    found.add(alias.name)
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            if node.module.split(".")[0] == "numpy":
+                found |= {f"{node.module}.{alias.name}" for alias in node.names}
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            found.add(".".join(["numpy"] + chain))
+    return sorted(name for name in found
+                  if any(part.startswith("_") and not part.startswith("__")
+                         for part in name.split(".")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_uses_public_numpy_only(path):
+    """The evaluator's speed comes from the public numpy API alone
+    (np.linalg.eigvalsh, one call per stack), not from numpy's private
+    modules such as numpy.linalg._umath_linalg; no module of the package
+    imports or reaches one."""
+    assert _private_numpy_names(path) == []
+
+
+def test_private_numpy_names_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy.linalg import _umath_linalg\n"
+                     "import numpy._core.umath\n"
+                     "w = np.linalg._umath_linalg.eigvalsh_lo\nv = np.__version__\n"
+                     "x = np.linalg.eigvalsh\n")
+    assert _private_numpy_names(probe) == [
+        "numpy._core.umath", "numpy.linalg._umath_linalg",
+        "numpy.linalg._umath_linalg.eigvalsh_lo"]
