@@ -10,7 +10,11 @@ positive int denominator, reduced by their common gcd after every
 update, so each pivot costs integer products and one gcd per row
 instead of a normalising gcd per entry (integer-preserving elimination:
 Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  Fractions are
-built only when results are read out.  `_pivot` is the one elimination
+built only when results are read out.  `_integer_row` is where an exact
+row becomes integers: callers hand over ints, Fractions or floats as
+they are, each read exactly, and `_exactlp.solve_lp` and
+`_hull._integer_row` (a primitive row, for double description and the
+cone's elimination) scale through it.  `_pivot` is the one elimination
 step, shared with the simplex in `_exactlp`, and `_eliminate` the one
 Gauss-Jordan loop, shared with its proof of a proposed basis.
 """

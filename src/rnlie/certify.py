@@ -100,27 +100,25 @@ class SearchFailure:
     evaluations: int
 
 
-def _margin_lp(d_entries, points, cap=None, mass_penalty=Fraction(0)):
+def _margin_lp(d_entries, points, cap=None, mass_penalty=0):
     """Maximize eps - penalty*sum(coeffs) with coeffs >= 0 and
     D - sum coeff*point >= eps entrywise.
 
-    `points` is a list of exact diagonal vectors.  The penalty keeps a
-    solve over measured points honest: a combination that only works by
-    scaling measurement noise up with enormous coefficients scores
-    below zero instead of above the margin threshold.  Returns the
-    LpResult of the exact solve; variables are (eps, coeff_0, ..).
+    `points` is a list of diagonal vectors.  Entries go to solve_lp as
+    they are, ints, Fractions or floats, and it reads each one exactly.
+    The penalty keeps a solve over measured points honest: a combination
+    that only works by scaling measurement noise up with enormous
+    coefficients scores below zero instead of above the margin
+    threshold.  Returns the LpResult of the exact solve; variables are
+    (eps, coeff_0, ..).
     """
-    n = len(d_entries)
-    a_ub, b_ub = [], []
-    for r in range(n):
-        row = [Fraction(1)] + [Fraction(p[r]) for p in points]
-        a_ub.append(row)
-        b_ub.append(Fraction(d_entries[r]))
+    a_ub = [[1] + [p[r] for p in points] for r in range(len(d_entries))]
+    b_ub = list(d_entries)
     if cap is not None:
-        a_ub.append([Fraction(1)] + [Fraction(0)] * len(points))
-        b_ub.append(Fraction(cap))
+        a_ub.append([1] + [0] * len(points))
+        b_ub.append(cap)
     nonneg = [False] + [True] * len(points)
-    return solve_lp([Fraction(1)] + [-Fraction(mass_penalty)] * len(points),
+    return solve_lp([1] + [-mass_penalty] * len(points),
                     a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
 
 
@@ -144,15 +142,15 @@ def certify_srn_nice(D, b: Bracket):
     diag = diagonal_derivation(D, b)
     if not _positive_trace(diag):
         raise PreconditionError("certification needs trace(D) > 0")
-    return _nice_margin([Fraction(v) for v in diag], b)
+    return _nice_margin(diag, b)
 
 
-def _nice_margin(d_exact, b: Bracket):
-    """The exact margin program of certify_srn_nice on the exact diagonal
+def _nice_margin(diag, b: Bracket):
+    """The exact margin program of certify_srn_nice on the diagonal
     entries of a derivation its callers have already checked."""
     triples = tuple(sorted(b.constants))
     points = [weight_vector(t, b.dim) for t in triples]
-    res = _margin_lp(d_exact, points)
+    res = _margin_lp(diag, points)
     if res.status != "optimal":
         raise NumericalError(f"margin program ended {res.status}")
     eps = res.objective
@@ -206,16 +204,15 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
             raise PreconditionError(
                 "sample moment values must lie on the diagonal slice")
     blocks = centralizer_blocks(diag)
-    d_exact = [Fraction(v) for v in diag]
     points = []
     for _, mv in sample.points:
-        p = [Fraction(float(x)) for x in np.diag(mv.matrix)]
+        p = [float(x) for x in np.diag(mv.matrix)]
         for blk in blocks:
             for i, v in zip(blk, sorted(p[i] for i in blk)):
                 p[i] = v
         points.append(p)
-    cap = 1 + 2 * max(abs(v) for v in d_exact)
-    res = _margin_lp(d_exact, points, cap=cap, mass_penalty=SAMPLING_SLACK)
+    cap = 1 + 2 * max(abs(Fraction(v)) for v in diag)
+    res = _margin_lp(diag, points, cap=cap, mass_penalty=SAMPLING_SLACK)
     if res.status != "optimal":
         raise NumericalError(f"margin program ended {res.status}")
     # the objective already discounts the coefficient mass by the sample

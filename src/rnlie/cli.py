@@ -8,7 +8,8 @@ emitted as strings: rationals as "p/q", floats with 17 significant
 digits.  Bracket triples appear 1-based, matching the file format.
 
 Exit codes: 0 success, 1 usage error, 2 precondition failure,
-3 inconclusive result, 4 numerical failure.
+3 inconclusive result, 4 numerical failure (a value past float range
+among them).
 """
 
 import argparse
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(ex), "kind": "precondition"}),
               file=sys.stderr)
         return EXIT_PRECONDITION
-    except NumericalError as ex:
+    except (NumericalError, OverflowError) as ex:
         print(json.dumps({"error": str(ex), "kind": "numerical"}),
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -10,6 +10,11 @@ rule solves here (one phase 1 per section, one phase 2 per probe).  Its
 vertices are the probe points extreme in the trace plane, which
 `_hull.extreme_points` decides exactly, for any number of points.
 
+The rows of the margin system become primitive integer rows a . x <= 0
+in one place, `_hull._integer_row`.  The elimination stays in integers,
+and each facet row it keeps becomes Fractions with |lead| = 1 once, for
+`ConeSection.halfspaces`.
+
 MAX_EXACT_TORUS_DIM bounds the exact regime.  What it protects now is
 the elimination, whose row count can square with each multiplier it
 drops, and the vertex count, which double description pays for (3^k
@@ -25,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._hull import extreme_points, hrep_vertices
+from ._hull import _integer_row, _primitive, extreme_points, hrep_vertices
 from .brackets import Bracket
 from .certify import (Infeasible, RnWitness, SrnCertificate, _nice_margin,
                       certify_srn_sampled, search_rn_metric)
@@ -68,7 +73,7 @@ def cone_membership(D, b: Bracket, seed=None) -> str:
     if not _positive_trace(diag):
         return OUT  # the cone sits inside the open half space tr > 0
     if _exact_regime(b, torus):
-        res = _nice_margin([Fraction(v) for v in diag], b)
+        res = _nice_margin(diag, b)
         if isinstance(res, SrnCertificate):
             return IN
         assert isinstance(res, Infeasible)
@@ -97,74 +102,52 @@ class ConeSection:
         tr = self.torus.trace_functional()
         for v in self.vertices:
             total = sum(f * x for f, x in zip(tr, v))
-            if abs(float(total) - float(self.trace_level)) > 1e-8:
+            if abs(total - self.trace_level) > 1e-8:
                 raise NumericalError("section vertex off the trace level")
 
 
-def _fm_eliminate(rows, keep, drop):
-    """Fourier-Motzkin elimination of the `drop` columns from exact rows
-    (a, rhs) read as a . x <= rhs; returns rows over the `keep` columns."""
-    work = [([Fraction(x) for x in a], Fraction(r)) for a, r in rows]
-    for col in drop:
-        pos, neg, zero = [], [], []
-        for a, r in work:
-            if a[col] > 0:
-                pos.append((a, r))
-            elif a[col] < 0:
-                neg.append((a, r))
-            else:
-                zero.append((a, r))
-        out = list(zero)
-        for ap, rp in pos:
-            for an, rn in neg:
+def _fm_eliminate(rows, d):
+    """Fourier-Motzkin elimination of every column past the first d from
+    integer rows a read as a . x <= 0.  Each sum of a positive and a
+    negative row that cancels the column is made primitive; what comes
+    back is the distinct primitive rows over the first d columns, in the
+    order found, less those that vanish there."""
+    work = rows
+    for col in range(d, len(rows[0])):
+        pos, neg, out = [], [], []
+        for a in work:
+            (pos if a[col] > 0 else neg if a[col] < 0 else out).append(a)
+        for ap in pos:
+            for an in neg:
                 s, t = ap[col], -an[col]
-                a_new = [t * x + s * y for x, y in zip(ap, an)]
-                out.append((a_new, t * rp + s * rn))
+                out.append(_primitive([t * x + s * y for x, y in zip(ap, an)]))
         work = out
-    cleaned = []
-    seen = set()
-    for a, r in work:
-        proj = [a[c] for c in keep]
-        lead = next((x for x in proj if x != 0), None)
-        if lead is None:
-            if r < 0:
-                raise NumericalError("elimination produced an empty system")
-            continue
-        scale = abs(lead)
-        key = (tuple(x / scale for x in proj), r / scale)
-        if key not in seen:
-            seen.add(key)
-            cleaned.append(([x / scale for x in proj], r / scale))
-    return cleaned
+    return list(dict.fromkeys(_primitive(a[:d]) for a in work if any(a[:d])))
 
 
 def _exact_section(b: Bracket, torus: Torus, t) -> ConeSection:
     d = torus.dim
-    triples = tuple(sorted(b.constants))
-    m = len(triples)
-    # variables (c_1..c_d, b_1..b_m); closure rows of the margin system
-    rows = []
-    basis_cols = [[torus.basis[l][i] for l in range(d)] for i in range(b.dim)]
-    weights = [weight_vector(tr, b.dim) for tr in triples]
-    for r in range(b.dim):
-        a = [-Fraction(v) for v in basis_cols[r]]
-        a += [Fraction(w[r]) for w in weights]
-        rows.append((a, Fraction(0)))
-    for a_i in range(m):
-        a = [Fraction(0)] * (d + m)
-        a[d + a_i] = Fraction(-1)
-        rows.append((a, Fraction(0)))
-    halfspaces = _fm_eliminate(rows, keep=list(range(d)),
-                               drop=list(range(d, d + m)))
-    a_ub = [a for a, _ in halfspaces]
-    b_ub = [r for _, r in halfspaces]
-    trace_row = [Fraction(f) for f in torus.trace_functional()]
+    weights = [weight_vector(tr, b.dim) for tr in sorted(b.constants)]
+    m = len(weights)
+    # variables (c_1..c_d, b_1..b_m): the closure rows of the margin
+    # system, sum_t b_t w_t <= B^T c entrywise, and b >= 0, as primitive
+    # integer rows a . x <= 0
+    rows = [_integer_row([-row[r] for row in torus.basis] + [w[r] for w in weights])
+            for r in range(b.dim)]
+    for i in range(m):
+        a = [0] * (d + m)
+        a[d + i] = -1
+        rows.append(a)
+    halfspaces = []
+    for a in _fm_eliminate(rows, d):
+        lead = abs(next(x for x in a if x))
+        halfspaces.append((tuple(Fraction(x, lead) for x in a), Fraction(0)))
     level = Fraction(t)
-    verts = hrep_vertices(a_ub, b_ub, a_eq=[trace_row], b_eq=[level])
+    verts = hrep_vertices([a for a, _ in halfspaces], [0] * len(halfspaces),
+                          a_eq=[torus.trace_functional()], b_eq=[level])
     if not verts:
         raise NumericalError("empty section; is the trace level positive?")
-    return ConeSection(torus, level, tuple(verts), EXACT,
-                       tuple((tuple(a), r) for a, r in halfspaces))
+    return ConeSection(torus, level, tuple(verts), EXACT, tuple(halfspaces))
 
 
 def _probe_directions(d: int, resolution: int, rng) -> np.ndarray:
@@ -429,7 +412,7 @@ def cone_section(b: Bracket, t, resolution: int = 64, seed=None) -> ConeSection:
     Any torus of larger dimension raises PreconditionError.  Otherwise a
     seeded inner approximation from support probes over a sampled orbit.
     """
-    if float(t) <= 0:
+    if t <= 0:
         raise PreconditionError("the cone meets only positive trace levels")
     torus = diagonal_torus(b)
     if torus.dim == 0:

@@ -102,9 +102,8 @@ def face_steering_curve(source: Bracket, face) -> DegenerationCurve:
     off = [t for t in poly.triples if t not in face]
     a_eq = [list(weight_vector(t, n)) for t in face]
     a_ub = [list(weight_vector(t, n)) for t in off]
-    res = _exactlp.solve_lp([Fraction(0)] * n, a_ub=a_ub,
-                            b_ub=[Fraction(-1)] * len(off),
-                            a_eq=a_eq, b_eq=[Fraction(0)] * len(face))
+    res = _exactlp.solve_lp([0] * n, a_ub=a_ub, b_ub=[-1] * len(off),
+                            a_eq=a_eq, b_eq=[0] * len(face))
     if res.status != "optimal":
         raise NumericalError(f"no supporting functional found: {res.status}")
     denom = math.lcm(*(v.denominator for v in res.x))

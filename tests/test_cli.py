@@ -276,6 +276,29 @@ class TestCone:
         assert code == 0
         assert data["vertices"] == [["-1", "2"], ["2", "-1"]]
 
+    def test_level_below_float_range(self, capsys):
+        # 1e-400 is a positive Fraction, though it rounds to 0.0 as a float
+        code, data, _ = run_json(capsys, "cone", "--algebra", "heisenberg:3",
+                                 "--trace-level", "1e-400")
+        assert code == 0
+        assert data["trace_level"] == f"1/{10**400}"
+        assert data["vertices"] == [[f"-1/{2 * 10**400}", f"1/{10**400}"],
+                                    [f"1/{10**400}", f"-1/{2 * 10**400}"]]
+        assert data["weyl_report"]["ok"] is True
+
+    def test_level_above_float_range(self, capsys):
+        # the exact section has its bytes; the Weyl check reads the
+        # vertices as floats, which overflow: a numerical failure
+        code, out, _ = run(capsys, "cone", "--algebra", "heisenberg:3",
+                           "--trace-level", "1e400", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["c1,c2", f"-{5 * 10**399},{10**400}",
+                                    f"{10**400},-{5 * 10**399}"]
+        code, out, err = run(capsys, "cone", "--algebra", "heisenberg:3",
+                             "--trace-level", "1e400")
+        assert code == 4 and out == ""
+        assert json.loads(err)["kind"] == "numerical"
+
 
 class TestDegenerate:
     def test_transfer(self, capsys):

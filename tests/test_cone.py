@@ -6,16 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from strategies import nice_brackets
 
 from rnlie import _rational, cone
+from rnlie._hull import hrep_vertices
 from rnlie.brackets import direct_sum
 from rnlie.cone import (EXACT, IN, OUT, SAMPLED_INNER, UNKNOWN, ConeSection,
                         _exact_section, cone_membership, cone_section,
                         containment_audit, weyl_invariance_check)
-from rnlie.certify import SrnCertificate, certify_srn_nice
+from rnlie.certify import SrnCertificate, certify_srn_nice, certify_srn_sampled
 from rnlie.corpus import corpus
 from rnlie.derivations import diagonal_torus
 from rnlie.errors import NumericalError, PreconditionError
+from rnlie.moment import TORUS_CENTRALIZER, orbit_sample, weight_vector
 from rnlie.rng import generator
 
 h3 = corpus("heisenberg", 3).bracket
@@ -142,6 +146,18 @@ class TestExactSections:
             cone_section(h3, 0)
         with pytest.raises(PreconditionError):
             cone_section(h3, -1)
+        with pytest.raises(PreconditionError):
+            cone_section(h3, Fraction(-1, 10**400))
+
+    @pytest.mark.parametrize("t", [Fraction(1, 10**400), 10**400], ids=["1e-400", "1e400"])
+    def test_levels_outside_float_range(self, t):
+        # the sign is decided exactly, and the vertices are checked on
+        # the level in their own scalars: 1e-400 rounds to 0.0 as a
+        # float and 1e400 overflows one
+        s = cone_section(h3, t)
+        assert s.exactness == EXACT and s.trace_level == t
+        assert s.vertices == tuple(tuple(t * x for x in v)
+                                   for v in cone_section(h3, 1).vertices)
 
     def test_torus_dimension_guard(self):
         h9 = corpus("heisenberg", 9).bracket
@@ -187,6 +203,155 @@ class TestExactSections:
         m1, m2 = (margin_at(c) for c in interior)
         mid = tuple((x + y) / 2 for x, y in zip(interior[0], interior[1]))
         assert margin_at(mid) >= min(m1, m2)
+
+
+def _fraction_fm_eliminate(rows, keep, drop):
+    """Fourier-Motzkin elimination of the `drop` columns from rows
+    (a, rhs) read as a . x <= rhs, in Fraction arithmetic; returns the
+    distinct rows over the `keep` columns scaled to |lead| = 1, in the
+    order found.  The reference for cone._fm_eliminate."""
+    work = [([Fraction(x) for x in a], Fraction(r)) for a, r in rows]
+    for col in drop:
+        pos, neg, zero = [], [], []
+        for a, r in work:
+            if a[col] > 0:
+                pos.append((a, r))
+            elif a[col] < 0:
+                neg.append((a, r))
+            else:
+                zero.append((a, r))
+        out = list(zero)
+        for ap, rp in pos:
+            for an, rn in neg:
+                s, t = ap[col], -an[col]
+                out.append(([t * x + s * y for x, y in zip(ap, an)], t * rp + s * rn))
+        work = out
+    cleaned, seen = [], set()
+    for a, r in work:
+        proj = [a[c] for c in keep]
+        lead = next((x for x in proj if x != 0), None)
+        if lead is None:
+            assert r >= 0
+            continue
+        scale = abs(lead)
+        key = (tuple(x / scale for x in proj), r / scale)
+        if key not in seen:
+            seen.add(key)
+            cleaned.append(key)
+    return cleaned
+
+
+def _fraction_section(b, torus, t):
+    """The halfspaces and vertices of the exact section, from Fraction
+    rows of the margin system through _fraction_fm_eliminate."""
+    d, n = torus.dim, b.dim
+    weights = [weight_vector(tr, n) for tr in sorted(b.constants)]
+    m = len(weights)
+    rows = [([-Fraction(row[r]) for row in torus.basis] + [Fraction(w[r]) for w in weights],
+             Fraction(0)) for r in range(n)]
+    for i in range(m):
+        a = [Fraction(0)] * (d + m)
+        a[d + i] = Fraction(-1)
+        rows.append((a, Fraction(0)))
+    halfspaces = tuple(_fraction_fm_eliminate(rows, range(d), range(d, d + m)))
+    verts = hrep_vertices([a for a, _ in halfspaces], [r for _, r in halfspaces],
+                          a_eq=[[Fraction(f) for f in torus.trace_functional()]],
+                          b_eq=[Fraction(t)])
+    return halfspaces, verts
+
+
+def _assert_matches_fraction_section(b, t):
+    torus = diagonal_torus(b)
+    halfspaces, verts = _fraction_section(b, torus, t)
+    if not verts:
+        with pytest.raises(NumericalError):
+            _exact_section(b, torus, t)
+        return
+    s = _exact_section(b, torus, t)
+    assert repr((s.halfspaces, s.vertices)) == repr((halfspaces, verts))
+
+
+_SWEEP = ([("heisenberg", k) for k in (3, 5, 7, 9, 11)]
+          + [("filiform", k) for k in (3, 4, 5, 6, 7, 8, 10)]
+          + [("abelian", k) for k in (1, 2, 3)]
+          + [("milnor_heis",), ("h3+h3",), ("f4+a1",)])
+
+
+def _sweep_bracket(entry):
+    if entry == ("h3+h3",):
+        return direct_sum(h3, h3)
+    if entry == ("f4+a1",):
+        return direct_sum(corpus("filiform", 4).bracket, corpus("abelian", 1).bracket)
+    return corpus(*entry).bracket
+
+
+class TestIntegerElimination:
+    """cone._fm_eliminate works on primitive integer rows; its sections
+    keep the bytes of the Fraction elimination with a right-hand side."""
+
+    @pytest.mark.parametrize("entry", _SWEEP, ids=[":".join(map(str, e)) for e in _SWEEP])
+    @pytest.mark.parametrize("t", [1, Fraction(3, 7)], ids=["1", "3/7"])
+    def test_corpus_sweep(self, entry, t):
+        _assert_matches_fraction_section(_sweep_bracket(entry), t)
+
+    @settings(max_examples=60)
+    @given(nice_brackets())
+    def test_drawn_nice_brackets(self, b):
+        torus = diagonal_torus(b)
+        assume(torus.multiplicity_free and 1 <= torus.dim <= 4)
+        _assert_matches_fraction_section(b, 1)
+
+    def test_rows_are_primitive_and_distinct(self):
+        # column 2 has rows of either sign: (1, 1, 0) stays, then each
+        # positive row meets each negative one.  (12, 12, 0) is (1, 1, 0)
+        # again, (-6, 0, 0) and (-3, 0, 0) are one row, and (0, 0, 2)
+        # with (0, 0, -1) leaves nothing over the first two columns
+        rows = [(2, 0, -4), (0, 3, 6), (1, 1, 0), (-3, 0, 3), (0, 0, -1), (0, 0, 2)]
+        assert cone._fm_eliminate(rows, 2) == [(1, 1), (0, 1), (-1, 0), (1, 0)]
+
+
+# (c_1, .., c_d) torus points, all with tr D > 0, for the sampled-route
+# oracle; some lie in the cone and some outside it
+_ORACLE_POINTS = {
+    2: [(1, 1), (Fraction(-1, 4), 1), (1, Fraction(-1, 3)), (2, Fraction(-1, 2)),
+        (Fraction(-1, 2), 3), (Fraction(1, 3), Fraction(2, 5)), (3, -2), (Fraction(-1, 2), 1)],
+    3: [(1, 1, 1), (Fraction(-1, 4), 1, Fraction(1, 2)), (1, Fraction(-1, 3), 2),
+        (2, -1, 1), (Fraction(-1, 2), 3, Fraction(1, 2)),
+        (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)), (3, -2, 1),
+        (Fraction(1, 2), Fraction(1, 2), -1)],
+}
+
+
+class TestSampledAgainstExact:
+    """On a nice multiplicity-free basis NiceLP and the exact section are
+    exact, so they are an oracle for the sampled route: a SampledLP
+    certificate needs a NiceLP one, its margin is never larger, and a
+    sampled section lies strictly inside every exact facet row."""
+
+    @pytest.mark.parametrize("name, k", [("heisenberg", 3), ("heisenberg", 5),
+                                         ("filiform", 5)])
+    def test_sampled_route_within_exact(self, name, k):
+        b = corpus(name, k).bracket
+        torus = diagonal_torus(b)
+        diags = [torus.diagonal_entries(list(c)) for c in _ORACLE_POINTS[torus.dim]]
+        assert all(sum(d) > 0 for d in diags)
+        nice = [certify_srn_nice(d, b) for d in diags]
+        for seed in (1, 2):
+            for count in (8, 48):
+                sample = orbit_sample(TORUS_CENTRALIZER, b, count=count, seed=seed)
+                for d, exact in zip(diags, nice):
+                    res = certify_srn_sampled(d, b, sample)
+                    assert (not isinstance(res, SrnCertificate)
+                            or isinstance(exact, SrnCertificate)), d
+                    assert res.margin <= exact.margin, d
+        assert any(isinstance(r, SrnCertificate) for r in nice)
+        assert any(r.margin <= 0 for r in nice)
+        halfspaces = cone_section(b, 1).halfspaces
+        for seed in (1, 2):
+            for v in cone._sampled_section(b, torus, 1, 12, seed).vertices:
+                v = [Fraction(x) for x in v]
+                for a, r in halfspaces:
+                    assert sum(x * y for x, y in zip(a, v)) < r, (seed, v, a)
 
 
 class TestSampledSection:
