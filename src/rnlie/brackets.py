@@ -72,8 +72,11 @@ class Bracket:
     # -- basic views ---------------------------------------------------
 
     def tensor(self) -> np.ndarray:
-        """Full antisymmetric (n, n, n) float tensor C[i, j, k]."""
-        return self._filled(np.zeros((self.dim,) * 3), float)
+        """Full antisymmetric (n, n, n) float tensor C[i, j, k], built on
+        the first call for this instance and read-only, since every later
+        call returns that same array."""
+        return _memo(self, "_tensor", lambda b: _read_only(
+            b._filled(np.zeros((b.dim,) * 3), float)))
 
     def _exact_tensor(self) -> np.ndarray:
         """tensor() as an exact object array: Fraction constants, and the
@@ -129,6 +132,30 @@ class Bracket:
         parts = ", ".join(f"[e{i + 1},e{j + 1}]->e{k + 1}:{c}"
                           for (i, j, k), c in sorted(self.constants.items()))
         return f"Bracket(dim={self.dim}, {parts or 'abelian'})"
+
+
+def _norm(b: Bracket) -> float:
+    """|mu| as a float, computed once per Bracket instance."""
+    return _memo(b, "_norm", lambda b: float(np.sqrt(float(b.norm_sq()))))
+
+
+def _tensor_support(b: Bracket):
+    """_nonzero_entries(b.tensor()), read-only and computed once per
+    Bracket instance."""
+    return _memo(b, "_tensor_support", lambda b: tuple(
+        map(_read_only, _nonzero_entries(b.tensor()))))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _nonzero_entries(C: np.ndarray):
+    """The nonzero entries of a structure tensor: the index arrays
+    (i, j, k) of np.nonzero(C) and the values C[i, j, k]."""
+    i, j, k = np.nonzero(C)
+    return i, j, k, C[i, j, k]
 
 
 def _memo(b: Bracket, name: str, build):
@@ -240,7 +267,11 @@ def act_tensor(C: np.ndarray, H) -> np.ndarray:
     make, in the same order and layout.
     """
     H = np.asarray(H, float)
-    Hi = np.linalg.inv(H)
+    return _acted(C, H, np.linalg.inv(H))
+
+
+def _acted(C: np.ndarray, H: np.ndarray, Hi: np.ndarray) -> np.ndarray:
+    """act_tensor(C, H) for a float H whose inverse Hi the caller has."""
     n = C.shape[-1]
     stack = H.shape[:-2]
     out = C.reshape(n * n, n) @ H.mT                                   # [p, q, k]
@@ -380,7 +411,7 @@ def lower_central_series(b: Bracket):
     zero = Fraction(0) if b.is_rational else 0.0
     current = [[zero + int(i == j) for j in range(n)] for i in range(n)]
     dims = [n]
-    scale = 0.0 if b.is_rational else math.sqrt(b.norm_sq())
+    scale = 0.0 if b.is_rational else _norm(b)
     while True:
         products = []
         for row in table:

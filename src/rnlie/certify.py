@@ -244,10 +244,17 @@ def necessary_condition(D, b: Bracket) -> bool:
 def _scaling_line(blocks, n):
     """The 50 search points of the pure-scaling line h = e^s, s from 0.25
     to 25: s at the diagonal offsets of _metric_layout and +0.0 at every
-    other coordinate, X included."""
-    (_, _, diagonal), _, width = _metric_layout(tuple(blocks))
+    other coordinate, X included.  Read-only, since every search with
+    these blocks shares it."""
+    return _shared_scaling_line(tuple(blocks), n)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_scaling_line(blocks, n):
+    (_, _, diagonal), _, width = _metric_layout(blocks)
     line = np.zeros((50, width + n))
     line[:, diagonal] = np.linspace(0.25, 25.0, 50)[:, None]
+    line.setflags(write=False)
     return line
 
 
@@ -298,6 +305,14 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     generator is made at the first random start, so a search that ends
     before one never makes it; the seed is still checked against
     Philox's key range at the start.
+
+    What depends only on the shape is made once and shared, read-only,
+    by every search of that shape: the scaling line, for each tuple of
+    centralizer blocks and n (_scaling_line), and the sweep's move matrix,
+    for each number of coordinates (_sweep_moves).  The stacks of moves
+    at each step and span are cached per search only (_sweep_offsets).
+    The bracket keeps its own structure tensor and nonzero entries, so
+    the searches on one bracket build them once.
     """
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
         raise PreconditionError(f"budget must be an int of at least 1, not {budget!r}")
@@ -310,12 +325,11 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     rng = None
 
     if _is_diagonal(M):
-        blocks = centralizer_blocks(np.diag(M))
+        blocks = tuple(centralizer_blocks(np.diag(M)))
     else:
-        blocks = [tuple(range(n))]
-    asize = _metric_layout(tuple(blocks))[2]
+        blocks = (tuple(range(n)),)
+    asize = _metric_layout(blocks)[2]
     dim = asize + n
-    C = b.tensor()
     tally = _Tally(budget, dim)
 
     def evaluate(rows):
@@ -326,7 +340,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
                 h = np.exp(A)
         else:
             h = _metric_factors(A, blocks, n)
-        return _top_eigenvalues(M, C, rows[:, asize:], h)
+        return _top_eigenvalues(M, b, rows[:, asize:], h)
 
     def random_start():
         nonlocal rng
@@ -498,14 +512,23 @@ class _Descent:
             self.pending = None
 
 
+@functools.lru_cache(maxsize=16)
+def _sweep_moves(dim):
+    """Rows 2i and 2i + 1 move coordinate i by +1 and -1; read-only,
+    since every search with `dim` coordinates shares it."""
+    moves = np.zeros((2 * dim, dim))
+    moves[0::2] = np.eye(dim)
+    moves[1::2] = -np.eye(dim)
+    moves.setflags(write=False)
+    return moves
+
+
 def _sweep_offsets(dim):
     """offsets(steps, lo, hi), for a tuple of steps: the moves of the
     compass sweeps over coordinates lo..hi-1 at each step in turn, as one
     array whose rows 2i and 2i + 1 of a sweep move coordinate lo + i by
     +step and -step, made once per search and argument triple."""
-    moves = np.zeros((2 * dim, dim))
-    moves[0::2] = np.eye(dim)
-    moves[1::2] = -np.eye(dim)
+    moves = _sweep_moves(dim)
     return functools.cache(lambda steps, lo, hi: np.multiply.outer(
         steps, moves[2 * lo:2 * hi]).reshape(-1, dim))
 

@@ -14,7 +14,10 @@ the full curvature tensor of any left-invariant metric from structure
 constants alone; it is the independent reference that the closed forms
 are tested against.  The Ricci-negativity test (is_ricci_negative) reads
 the same formula on the dense transported structure tensor, with no
-Bracket in between, and confirms each search witness once.
+Bracket in between, and confirms each search witness once: it inverts
+the metric factor once, for the derivation and the bracket, and
+contracts the Levi-Civita connection straight to the Ricci operator
+(_koszul_ricci), with no Riemann tensor.
 
 Convention: the basis is orthonormal and squared norms sum over ordered
 index pairs, so a single basis bracket e_i ^ e_j -> e_k has squared norm
@@ -30,7 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .brackets import BasisChange, Bracket, act, act_tensor, gram_difference
+from .brackets import (BasisChange, Bracket, _acted, _nonzero_entries, _tensor_support, act,
+                       act_tensor, gram_difference)
 from .derivations import _matrix_of, derivation_matrix, require_derivation
 from .errors import PreconditionError
 
@@ -132,18 +136,29 @@ def transport_metric(p: MetricParams, D, b: Bracket):
             act(BasisChange(p.h), b))
 
 
-def _transported_derivation(M, C: np.ndarray, c, X, h) -> np.ndarray:
-    """c h (M - ad Y) h^{-1} with Y = h^{-1}X, on the structure tensor C.
-    X and h may carry the same leading stack axes; each slice is
-    bit-identical to the call on that slice alone."""
+def _transported_derivation(M, C: np.ndarray, c, X, h, hinv=None) -> np.ndarray:
+    """c h (M - ad Y) h^{-1} with Y = h^{-1}X, on the structure tensor C;
+    hinv is h^{-1}, taken here when not given.  X and h may carry the
+    same leading stack axes; each slice is bit-identical to the call on
+    that slice alone."""
     n = C.shape[0]
     if h.shape[-1] != n:
         raise PreconditionError("metric parameter dimension mismatch")
-    hinv = np.linalg.inv(h)
+    if hinv is None:
+        hinv = np.linalg.inv(h)
     Y = hinv @ X[..., None]
     # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:]
     adY = (Y.mT @ C.reshape(n, n * n)).reshape(Y.shape[:-2] + (n, n))
     return c * (h @ (M - adY.mT) @ hinv)
+
+
+def _transported_pair(M, C: np.ndarray, c, X, h):
+    """The transported pair (c h (M - ad Y) h^{-1}, h.C) of
+    _transported_derivation and act_tensor, with h inverted once for
+    both.  Each would take the same inverse of the same h, so the bytes
+    are theirs."""
+    hinv = np.linalg.inv(h)
+    return _transported_derivation(M, C, c, X, h, hinv), _acted(C, h, hinv)
 
 
 @dataclass(frozen=True)
@@ -249,12 +264,17 @@ def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
     return KoszulReport(riemann, sec, ricci, float(np.trace(ric_frame)), V)
 
 
+def _connection(C: np.ndarray) -> np.ndarray:
+    """Gamma[i,j,k] = <nabla_{e_i} e_j, e_k> of the structure tensor C in
+    its orthonormal frame, by the Koszul formula:
+    2 Gamma_ijk = C_ijk - C_jki + C_kij."""
+    return 0.5 * (C - np.transpose(C, (2, 0, 1)) + np.transpose(C, (1, 2, 0)))
+
+
 def _koszul(C: np.ndarray):
     """Riemann tensor R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> and the symmetrised
     Ricci operator of the structure tensor C, in its orthonormal frame."""
-    # Gamma[i,j,k] = <nabla_{e_i} e_j, e_k> in the orthonormal frame:
-    # 2 Gamma_ijk = C_ijk - C_jki + C_kij
-    gamma = 0.5 * (C - np.transpose(C, (2, 0, 1)) + np.transpose(C, (1, 2, 0)))
+    gamma = _connection(C)
     term = np.einsum("jkm,iml->ijkl", gamma, gamma)
     riemann = term - np.transpose(term, (1, 0, 2, 3)) - np.einsum(
         "ijm,mkl->ijkl", C, gamma)
@@ -262,24 +282,53 @@ def _koszul(C: np.ndarray):
     return riemann, 0.5 * (ric + ric.T)
 
 
+def _koszul_ricci(C: np.ndarray) -> np.ndarray:
+    """The symmetrised Ricci operator of _koszul(C), contracted from the
+    connection with no Riemann tensor: with v_m = sum_i Gamma[i,m,i] and
+    W[(a,b),l] = Gamma[b,l,a], the trace over i of
+    R[i,k,l,i] = sum_m (Gamma[k,l,m] Gamma[i,m,i] - Gamma[i,l,m] Gamma[k,m,i]
+    - C[i,k,m] Gamma[m,l,i]) is Gamma v - (Gamma + C^(1 0 2)) W, over the
+    flattened index pairs: two matrix products, O(m^4) for an (m, m, m)
+    tensor.  The same sums in another order, so the entries agree with
+    _koszul's up to rounding."""
+    m = C.shape[0]
+    gamma = _connection(C)
+    v = np.trace(gamma, axis1=0, axis2=2)
+    W = np.transpose(gamma, (2, 0, 1)).reshape(m * m, m)
+    ric = ((gamma.reshape(m * m, m) @ v).reshape(m, m)
+           - (gamma + np.transpose(C, (1, 0, 2))).reshape(m, m * m) @ W)
+    return 0.5 * (ric + ric.T)
+
+
 def is_ricci_negative(D, b: Bracket, p: MetricParams | None = None):
     """Whether the extension of b by D is Ricci negative in the metric p.
 
     Returns (flag, lambda_max) where lambda_max is the top eigenvalue of
-    the Ricci operator that the oracle's Koszul formula reads on the dense
+    the Ricci operator that the oracle's Koszul formula gives on the dense
     (n+1)^3 structure tensor of the transported pair (no Bracket is
-    built); the flag is lambda_max < -1e-9.
+    built); the flag is lambda_max < -1e-9.  h is inverted once, for the
+    transported derivation and for the action on the structure tensor,
+    and the Ricci operator is contracted straight from the connection
+    (_koszul_ricci), with no (n+1)^4 Riemann tensor.  So the check stays
+    independent of the closed-form blocks the search evaluates.
     """
     if p is None:
         p = MetricParams.identity(b.dim)
-    C = b.tensor()
-    Dn = _transported_derivation(derivation_matrix(D, b.dim), C, p.c, p.X, p.h)
+    E = _extension_tensor(derivation_matrix(D, b.dim), b, p)
+    lam = float(np.linalg.eigvalsh(_koszul_ricci(E)).max())
+    return lam < -1e-9, lam
+
+
+def _extension_tensor(M, b: Bracket, p: MetricParams) -> np.ndarray:
+    """The dense (n+1, n+1, n+1) structure tensor of the extension of b by
+    the derivation matrix M, transported to the orthonormal frame of p,
+    with the new generator at index 0."""
+    Dn, hC = _transported_pair(M, b.tensor(), p.c, p.X, p.h)
     E = np.zeros((b.dim + 1,) * 3)
     E[0, 1:, 1:] = Dn.T  # [f, e_i] = sum_j Dn[j, i] e_j
     E[1:, 0, 1:] = -Dn.T
-    E[1:, 1:, 1:] = act_tensor(C, p.h)
-    lam = float(np.linalg.eigvalsh(_koszul(E)[1]).max())
-    return lam < -1e-9, lam
+    E[1:, 1:, 1:] = hC
+    return E
 
 
 _LOG_SINGULAR = float(np.log(1e-300))
@@ -296,10 +345,13 @@ def _clearly_nonsingular(d: np.ndarray) -> bool:
     return low > 0.0 and high < np.inf and d.shape[-1] * math.log(low) > _LOG_SINGULAR + 1.0
 
 
-def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _top_eigenvalues(M, C, X: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Top Ricci eigenvalue of the extension of C by M under each metric
     (1, X[r], h[r]) of a stack: X is (K, n), and h is (K, n, n), or (K, n)
-    for diagonal factors h[r] = diag(h[r]).
+    for diagonal factors h[r] = diag(h[r]).  C is a structure tensor, or
+    a Bracket, whose tensor and nonzero entries are then the ones kept on
+    it (brackets._tensor_support), read once per bracket instead of once
+    per call.
 
     This is the evaluation of every metric search.  The kernel of
     ricci_extension (_ricci_stack) writes the closed-form blocks of the
@@ -310,7 +362,8 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
     M with require_derivation.  On the diagonal torus the pair moves
     entrywise (_torus_transport), with no inverse and no matrix product
     with h; full (K, n, n) factors, from centralizer blocks larger than
-    1 x 1 or a non-diagonal M, take the dense products.  A row whose h
+    1 x 1 or a non-diagonal M, take the dense products, with each factor
+    inverted once (_transported_pair).  A row whose h
     is not finite or is singular (|det h| < 1e-300), or whose Ricci
     operator is not finite, reads inf and leaves the other rows as they
     are: the rows that fail the test on h leave the stack.  A stack of
@@ -322,6 +375,9 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
     bit-identical to the same row evaluated alone, and a row of
     diagonals to the same row given as the diagonal matrix.
     """
+    support = None
+    if isinstance(C, Bracket):
+        C, support = C.tensor(), _tensor_support(C)
     torus = h.ndim == 2
     lam = None
     with np.errstate(all="ignore"):
@@ -332,8 +388,8 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
             if not ok.all():
                 lam = np.full(len(h), np.inf)
                 X, h = X[ok], h[ok]
-        ric = _ricci_stack(*(_torus_transport(M, C, X, h) if torus else
-                             (_transported_derivation(M, C, 1.0, X, h), act_tensor(C, h))))
+        ric = _ricci_stack(*(_torus_transport(M, C, X, h, support) if torus else
+                             _transported_pair(M, C, 1.0, X, h)))
         if np.isfinite(ric).all():
             top = np.linalg.eigvalsh(ric)[:, -1]
         else:
@@ -346,10 +402,11 @@ def _top_eigenvalues(M, C: np.ndarray, X: np.ndarray, h: np.ndarray) -> np.ndarr
     return lam
 
 
-def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray):
+def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray, support=None):
     """The transported pair (h(M - ad Y)h^{-1}, h.C) with Y = h^{-1}X for
     the diagonal factors h = diag(d[r]) of a (K, n) stack, entrywise:
-    mu_ij^k moves to d_k mu_ij^k / (d_i d_j).
+    mu_ij^k moves to d_k mu_ij^k / (d_i d_j).  `support` is
+    _nonzero_entries(C), found here when not given.
 
     The products are those of _transported_derivation and act_tensor on
     diag(d), in their order, less the terms with a zero factor of h; only
@@ -366,7 +423,7 @@ def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray):
     # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:], the dense product
     adY = (Y[:, None, :] @ C.reshape(n, n * n)).reshape(-1, n, n)
     Dn = d[:, :, None] * (M - adY.mT) * dinv[:, None, :] + 0.0
-    i, j, k = np.nonzero(C)
+    i, j, k, c = _nonzero_entries(C) if support is None else support
     hC = np.zeros((len(d), n, n, n))
-    hC[:, i, j, k] = C[i, j, k] * d.take(k, 1) * dinv.take(i, 1) * dinv.take(j, 1) + 0.0
+    hC[:, i, j, k] = c * d.take(k, 1) * dinv.take(i, 1) * dinv.take(j, 1) + 0.0
     return Dn, hC

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _rational
-from .brackets import Bracket, _memo, _null_space
+from .brackets import Bracket, _memo, _norm, _null_space
 from .errors import NumericalError, PreconditionError
 
 
@@ -56,7 +56,7 @@ def is_derivation(D, b: Bracket) -> bool:
     """Leibniz residual within 1e-9 relative to |D|_F |b|.  A residual
     that overflows is refused, whatever its scale."""
     with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(derivation_matrix(D))) * float(np.sqrt(float(b.norm_sq())))
+        scale = float(np.linalg.norm(derivation_matrix(D))) * _norm(b)
     residual = leibniz_residual(D, b)
     return bool(np.isfinite(residual)) and residual <= max(1e-12, 1e-9 * scale)
 

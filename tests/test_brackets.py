@@ -68,6 +68,64 @@ class TestReadOnlyConstants:
         assert rnlie_io.loads_algebra(rnlie_io.dumps_algebra(b)) == b
 
 
+class TestPerBracketCaches:
+    """The float data a search reads of its bracket is built once per
+    Bracket instance and kept on it."""
+
+    def test_tensor_built_once_and_read_only(self):
+        for b in (tricky5(), corpus("heisenberg", 5).bracket.to_float()):
+            C = b.tensor()
+            assert b.tensor() is C
+            assert not C.flags.writeable
+            with pytest.raises(ValueError):
+                C[0, 1, 2] = 5.0
+            assert C.tobytes() == b._filled(np.zeros((b.dim,) * 3), float).tobytes()
+
+    def test_derived_brackets_get_their_own_tensor(self):
+        b = tricky5()
+        C = b.tensor()
+        for other in (act(np.diag([1.0, 2.0, 1.0, 1.0, 3.0]), b), b.scaled(F(2)),
+                      b.restricted([(0, 1, 2)]), b.to_float()):
+            got = other.tensor()
+            assert got is not C and not got.flags.writeable
+            assert got.tobytes() == other._filled(np.zeros((5,) * 3), float).tobytes()
+        assert b.tensor() is C
+
+    def test_memoized_norm_bits(self):
+        from rnlie.brackets import _norm
+
+        for b in (tricky5(), tricky5().scaled(F(1, 3)), corpus("filiform", 6).bracket,
+                  Bracket(3, {(0, 1, 2): 0.1, (0, 2, 1): 1e-3}, FLOAT), Bracket(4, {})):
+            want = float(np.sqrt(float(b.norm_sq())))
+            assert np.float64(_norm(b)).tobytes() == np.float64(want).tobytes()
+            assert _norm(b) is _norm(b)
+
+    def test_two_searches_build_the_support_once(self, monkeypatch):
+        from rnlie import brackets, curvature
+        from rnlie.certify import RnWitness, SearchFailure, search_rn_metric
+
+        found = []
+        inner = brackets._nonzero_entries
+
+        def counted(C):
+            found.append(C.shape)
+            return inner(C)
+
+        def refused(C):
+            raise AssertionError("the evaluator read the support off the tensor")
+
+        monkeypatch.setattr(brackets, "_nonzero_entries", counted)
+        monkeypatch.setattr(curvature, "_nonzero_entries", refused)
+        b = h3()
+        assert isinstance(search_rn_metric(np.diag([-0.4, 0.9, 0.5]), b, seed=1), RnWitness)
+        assert isinstance(search_rn_metric(np.diag([-1.0, 1.0, 0.0]), b, budget=300, seed=1),
+                          SearchFailure)
+        assert found == [(3, 3, 3)]
+        i, j, k, c = brackets._tensor_support(b)
+        assert not c.flags.writeable and c.tolist() == [1.0, -1.0]
+        assert (i.tolist(), j.tolist(), k.tolist()) == ([0, 1], [1, 0], [2, 2])
+
+
 class TestJacobi:
     def test_h3_exact_zero(self):
         assert validate_jacobi(h3()) == 0

@@ -664,14 +664,21 @@ class TestStackedSearch:
         assert _same_params(got.params, want.params)
 
     def test_hot_path_builds_no_koszul_tensor(self, monkeypatch):
+        """The Koszul-formula Ricci contraction runs once per witness, to
+        confirm it, and never for a failure; no search builds the
+        Riemann tensor of _koszul."""
         calls = []
-        koszul = curvature._koszul
+        contraction = curvature._koszul_ricci
 
         def counted(C):
             calls.append(C.shape)
-            return koszul(C)
+            return contraction(C)
 
-        monkeypatch.setattr(curvature, "_koszul", counted)
+        def refused(C):
+            raise AssertionError("a search built the Riemann tensor")
+
+        monkeypatch.setattr(curvature, "_koszul_ricci", counted)
+        monkeypatch.setattr(curvature, "_koszul", refused)
         res = search_rn_metric(diag(-0.4, 0.9, 0.5), h3, seed=11)
         assert isinstance(res, RnWitness)
         assert calls == [(4, 4, 4)]  # the confirmation of the witness

@@ -234,6 +234,26 @@ class TestRicciNegative:
         assert ok
         assert lam == pytest.approx(-3.0, abs=1e-12)
 
+    def test_one_inverse_and_no_riemann_tensor(self, monkeypatch):
+        """The witness check inverts h once, for the derivation and the
+        bracket, and reads the Ricci contraction, not _koszul."""
+        inverses = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            inverses.append(np.shape(a))
+            return inv(a)
+
+        def refused(C):
+            raise AssertionError("the witness check built the Riemann tensor")
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(curvature, "_koszul", refused)
+        p = MetricParams(1.0, np.array([0.3, -0.2, 0.1]),
+                         np.array([[1.5, 0.0, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.0]]))
+        ok, lam = is_ricci_negative(np.diag([1.0, 1.0, 2.0]), h3(), p)
+        assert ok and inverses == [(3, 3)]
+
     def test_traceless_fails_under_many_metrics(self):
         """Trace-zero derivations give unimodular extensions, which never
         admit negative Ricci; sampled metrics must all fail."""
@@ -483,6 +503,57 @@ class TestStackedEvaluation:
         assert _top_eigenvalues(M, b.tensor(), X, d).tobytes() == dense.tobytes()
 
 
+class TestOneInverse:
+    """The dense evaluator inverts each factor once, for the derivation
+    and the action on C alike; the diagonal torus inverts none."""
+
+    @pytest.fixture
+    def inverses(self, monkeypatch):
+        shapes = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        return shapes
+
+    @pytest.mark.parametrize("case", STACK_CASES)
+    def test_one_inverse_per_dense_call(self, case, inverses):
+        b, M, blocks, xs, asize = _stack(case, rows=9)
+        h = _metric_factors(xs[:, :asize], blocks, b.dim)
+        _top_eigenvalues(M, b.tensor(), xs[:, asize:], h)
+        assert inverses == [h.shape]
+
+    @pytest.mark.parametrize("case", TORUS_CASES)
+    def test_no_inverse_on_the_torus(self, case, inverses):
+        b, M, blocks, xs, asize = _stack(case, rows=9)
+        _top_eigenvalues(M, b, xs[:, asize:], np.exp(xs[:, :asize]))
+        assert inverses == []
+
+    def test_searches_invert_once_per_dense_call(self, monkeypatch, inverses):
+        """A search with a 2 x 2 centralizer block makes one inverse per
+        evaluator call, and the witness check one more; a search on 1 x 1
+        blocks that ends without a witness makes none."""
+        from rnlie import certify
+
+        calls = []
+        inner = certify._top_eigenvalues
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return inner(*args)
+
+        monkeypatch.setattr(certify, "_top_eigenvalues", counted)
+        found = certify.search_rn_metric(np.diag([1.0, 1.0, 2.0]), h3(), budget=50, seed=1)
+        assert isinstance(found, certify.RnWitness)
+        assert len(inverses) == len(calls) + 1
+        inverses.clear()
+        failed = certify.search_rn_metric(np.diag([-1.0, 1.0, 0.0]), h3(), budget=500, seed=1)
+        assert isinstance(failed, certify.SearchFailure) and inverses == []
+
+
 def reference_ricci_operators(M, C):
     """The Ricci operators of the pairs (M, C), over any leading stack
     axes, as _ricci_blocks and _assembled composed them before one kernel
@@ -505,6 +576,64 @@ def reference_ricci_operators(M, C):
     out[..., 1:, 0] = fn
     out[..., 1:, 1:] = nn
     return out
+
+
+def _witness_tensors():
+    """The transported extension tensors of the witnesses of acceptance
+    05 (certified sweep cases) and 07 (the heisenberg(5) octagon points),
+    searched with those tests' seeds."""
+    from test_acceptance import (_H5_WITNESS_POINTS, _h5_entries, _sweep_cases,
+                                 certify_srn_nice, certify_srn_sampled, orbit_sample)
+
+    from rnlie.certify import RnWitness, SrnCertificate, search_rn_metric
+    from rnlie.derivations import derivation_matrix
+
+    runs = []
+    for idx, (route, b, D) in enumerate(_sweep_cases()):
+        try:
+            if route == "nice":
+                cert = certify_srn_nice(D, b)
+            else:
+                cert = certify_srn_sampled(D, b, orbit_sample("TorusCentralizer", b, count=24,
+                                                              seed=900 + idx))
+        except PreconditionError:
+            continue
+        if isinstance(cert, SrnCertificate):
+            runs.append((np.array([[float(v) for v in row] for row in D]), b, 1000 + idx))
+    h5 = corpus("heisenberg", 5).bracket
+    for idx, (a1, a3) in enumerate(_H5_WITNESS_POINTS):
+        runs.append((np.diag([float(e) for e in _h5_entries(a1, a3)]), h5, 700 + idx))
+    tensors = []
+    for D, b, seed in runs:
+        found = search_rn_metric(D, b, seed=seed)
+        assert isinstance(found, RnWitness)
+        tensors.append(curvature._extension_tensor(derivation_matrix(D, b.dim), b, found.params))
+    return tensors
+
+
+class TestKoszulRicci:
+    """The Ricci operator contracted from the connection, entrywise
+    against the one read off _koszul's Riemann tensor."""
+
+    @staticmethod
+    def _agrees(E):
+        want = curvature._koszul(E)[1]
+        got = curvature._koszul_ricci(E)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_random_antisymmetric_tensors(self, m):
+        rng = np.random.default_rng(3500 + m)
+        for _ in range(5):
+            A = rng.standard_normal((m, m, m))
+            self._agrees(A - A.transpose(1, 0, 2))
+
+    def test_witness_tensors_of_acceptance_05_and_07(self):
+        tensors = _witness_tensors()
+        assert len(tensors) > 2
+        for E in tensors:
+            self._agrees(E)
 
 
 class TestRicciStack:

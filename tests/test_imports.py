@@ -191,3 +191,80 @@ def test_private_numpy_names_are_found(tmp_path):
     assert _private_numpy_names(probe) == [
         "numpy._core.umath", "numpy.linalg._umath_linalg",
         "numpy.linalg._umath_linalg.eigvalsh_lo"]
+
+
+def _unbounded_caches(path):
+    """Process-wide caches that can grow without bound: a functools
+    lru_cache at module level (on a function, a method of a module-level
+    class, or called in a module-level statement) that is not given an
+    int maxsize, and a functools cache there on anything but a function
+    without parameters.  A cache made inside a function lives as long as
+    what holds it, and is not counted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {}   # local name -> "lru_cache" or "cache"
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update({alias.asname or alias.name: alias.name for alias in node.names})
+
+    def kind(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            return node.attr
+        return names.get(node.id) if isinstance(node, ast.Name) else None
+
+    def bounded(node):
+        """An lru_cache(...) call whose maxsize is an int literal."""
+        if not isinstance(node, ast.Call):
+            return False
+        given = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+        return any(isinstance(v, ast.Constant) and type(v.value) is int for v in given)
+
+    functions = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        functions += [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for fn in functions:
+        a = fn.args
+        takes = a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg
+        for deco in fn.decorator_list:
+            if ((kind(deco) == "lru_cache" and not bounded(deco))
+                    or (kind(deco) == "cache" and takes)):
+                found.append((deco.lineno, fn.name))
+    statements = [n for n in tree.body if not isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for stmt in statements:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and (
+                    (kind(node) == "lru_cache" and not bounded(node))
+                    or kind(node) == "cache"):
+                found.append((node.lineno, "<module>"))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unbounded_process_wide_cache(path):
+    """Every module-level lru_cache of the package passes an int maxsize,
+    and a module-level functools.cache sits only on a function without
+    parameters (cli.build_parser), so the memory a long-running process
+    holds in caches stays bounded."""
+    assert _unbounded_caches(path) == []
+
+
+def test_unbounded_caches_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import functools\nfrom functools import lru_cache as lru, cache\n"
+        "@functools.lru_cache(maxsize=8)\ndef ok(a):\n    return a\n"
+        "@functools.cache\ndef ok_too():\n    return 1\n"
+        "@functools.lru_cache\ndef bare(a):\n    return a\n"
+        "@lru(None)\ndef unbounded(a):\n    return a\n"
+        "@functools.lru_cache(maxsize=True)\ndef flag(a):\n    return a\n"
+        "@cache\ndef keyed(a):\n    return a\n"
+        "class K:\n    @functools.cache\n    def method(self):\n        return 1\n"
+        "held = functools.cache(lambda: 1)\n"
+        "def inner(a):\n    return functools.cache(lambda x: x + a)\n")
+    assert _unbounded_caches(probe) == [
+        "probe.py:9 bare", "probe.py:12 unbounded", "probe.py:15 flag",
+        "probe.py:18 keyed", "probe.py:22 method", "probe.py:25 <module>"]
