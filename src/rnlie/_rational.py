@@ -12,7 +12,9 @@ instead of a normalising gcd per entry (integer-preserving elimination:
 Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  Fractions are
 built only when results are read out.  `_integer_row` is where an exact
 row becomes integers: callers hand over ints, Fractions or floats as
-they are, each read exactly, and `_exactlp.solve_lp` and
+they are, each read exactly by its integer ratio with no Fraction built
+(a float's as_integer_ratio is its exact dyadic value), and
+`_exactlp.solve_lp` and
 `_hull._integer_row` (a primitive row, for double description and the
 cone's elimination) scale through it.  `_pivot` is the one elimination
 step, shared with the simplex in `_exactlp`, and `_eliminate` the one
@@ -25,10 +27,15 @@ from fractions import Fraction
 
 def _integer_row(row):
     """A rational row as (numerators, denominator), the denominator being
-    the lcm of the entries' denominators, so the pair is already reduced."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row], den
+    the lcm of the entries' denominators, so the pair is already reduced.
+    Each entry is read exactly as an integer ratio: an int, a Fraction or
+    a float (numpy's float64 among them) by its own as_integer_ratio,
+    anything else through Fraction.  An infinite float raises
+    OverflowError and a NaN ValueError, as Fraction does."""
+    ratios = [x.as_integer_ratio() if isinstance(x, (int, float, Fraction))
+              else Fraction(x).as_integer_ratio() for x in row]
+    den = math.lcm(*(d for _, d in ratios))
+    return [v * (den // d) for v, d in ratios], den
 
 
 def _reduced(nums, den):

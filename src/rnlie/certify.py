@@ -168,15 +168,18 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
     nothing.  The sample must have been drawn for b (OrbitSample.verify
     recomputes every moment value from its group element), every
     sampled group element must commute with D and every sampled moment
-    value must lie on the diagonal slice of the orbit.  Each diagonal is
-    then moved into a fixed fundamental domain by sorting its entries
-    within blocks of equal D-eigenvalue; the permutations doing so
-    commute with D, so the sorted vector is again a genuine point of
-    the slice.  The sort is load-bearing: the
-    attainable diagonal set is convex within one domain but its union
-    over domains need not be, and conic combinations that mix domains
-    can overshoot it (for paired directions the unsorted test can
-    certify derivations that only sit on the boundary).  Failure is
+    value must lie on the diagonal slice of the orbit; both gates run on
+    the sample's (K, n, n) stacks, the commutation gate first, and refuse
+    the sample if any point fails.  Each diagonal is then moved into a
+    fixed fundamental domain by sorting its entries within blocks of
+    equal D-eigenvalue, a stable sort of the stack's columns per block,
+    and handed to the margin program as Python floats; the permutations
+    doing so commute with D, so the sorted vector is again a genuine
+    point of the slice.  The sort is load-bearing: the attainable
+    diagonal set is convex within one domain but its union over domains
+    need not be, and conic combinations that mix domains can overshoot
+    it (for paired directions the unsorted test can certify derivations
+    that only sit on the boundary).  Failure is
     only Unknown, since the finite sample can miss the region a
     certificate would use.  The margin variable is capped so the
     program stays bounded even when combinations of sampled points are
@@ -191,26 +194,26 @@ def certify_srn_sampled(D, b: Bracket, sample: OrbitSample):
     if not _positive_trace(diag):
         raise PreconditionError("certification needs trace(D) > 0")
     sample.verify(b)
-    Dm = np.diag([float(v) for v in diag])
-    dscale = max(1.0, float(np.abs(Dm).max()))
-    for g, _ in sample.points:
-        if np.abs(g @ Dm - Dm @ g).max() > 1e-6 * dscale:
-            raise PreconditionError(
-                "sample does not commute with this derivation")
-    for _, mv in sample.points:
-        M = np.asarray(mv.matrix, dtype=float)
-        off = M - np.diag(np.diag(M))
-        if off.size and np.abs(off).max() > 1e-8 * max(1.0, np.abs(M).max()):
-            raise PreconditionError(
-                "sample moment values must lie on the diagonal slice")
-    blocks = centralizer_blocks(diag)
-    points = []
-    for _, mv in sample.points:
-        p = [float(x) for x in np.diag(mv.matrix)]
-        for blk in blocks:
-            for i, v in zip(blk, sorted(p[i] for i in blk)):
-                p[i] = v
-        points.append(p)
+    d = np.array([float(v) for v in diag])
+    dscale = max(1.0, float(np.abs(d).max()))
+    # g D - D g entrywise, the bits of the products with diag(d)
+    G = np.array([g for g, _ in sample.points])
+    if (np.abs(G * d - d[:, None] * G).max(axis=(-2, -1)) > 1e-6 * dscale).any():
+        raise PreconditionError(
+            "sample does not commute with this derivation")
+    M = np.array([mv.matrix for _, mv in sample.points], dtype=float)
+    at = np.arange(b.dim)
+    P, off = M[:, at, at], np.abs(M)
+    scale = np.maximum(1.0, off.max(axis=(-2, -1)))
+    off[:, at, at] = 0.0
+    if (off.max(axis=(-2, -1)) > 1e-8 * scale).any():
+        raise PreconditionError(
+            "sample moment values must lie on the diagonal slice")
+    for blk in centralizer_blocks(diag):
+        if len(blk) > 1:
+            blk = list(blk)
+            P[:, blk] = np.sort(P[:, blk], axis=-1, kind="stable")
+    points = P.tolist()
     cap = 1 + 2 * max(abs(Fraction(v)) for v in diag)
     res = _margin_lp(diag, points, cap=cap, mass_penalty=SAMPLING_SLACK)
     if res.status != "optimal":

@@ -352,11 +352,11 @@ def _bland(tab, basis, ncols) -> bool:
     on the lower basis index.  False if the entering column is
     unbounded."""
     for _ in range(_MAX_PIVOTS):
-        enter = np.flatnonzero(tab[-1, :ncols] < -_COST_TOL)
-        if not enter.size:
+        enters = tab[-1, :ncols] < -_COST_TOL
+        j = enters.argmax()
+        if not enters[j]:
             return True
-        j = enter[0]
-        cand = np.flatnonzero(tab[:-1, j] > _PIVOT_TOL)
+        cand = (tab[:-1, j] > _PIVOT_TOL).nonzero()[0]
         if not cand.size:
             return False
         ratios = np.maximum(tab[cand, -1], 0.0) / tab[cand, j]
@@ -371,11 +371,11 @@ def _dual(tab, basis, ncols) -> bool:
     ratio reduced cost / -entry enters, ties on the lower index.  False
     if a row cannot be repaired."""
     for _ in range(_MAX_PIVOTS):
-        low = np.flatnonzero(tab[:-1, -1] < -_FEAS_TOL)
+        low = (tab[:-1, -1] < -_FEAS_TOL).nonzero()[0]
         if not low.size:
             return True
-        r = low[np.argmin(basis[low])]
-        cand = np.flatnonzero(tab[r, :ncols] < -_PIVOT_TOL)
+        r = low[basis[low].argmin()]
+        cand = (tab[r, :ncols] < -_PIVOT_TOL).nonzero()[0]
         if not cand.size:
             return False
         ratios = np.maximum(tab[-1, cand], 0.0) / -tab[r, cand]
@@ -385,9 +385,9 @@ def _dual(tab, basis, ncols) -> bool:
 
 def _pivot(tab, basis, r, j):
     tab[r] /= tab[r, j]
-    col = tab[:, j].copy()
+    col = tab[:, j, None].copy()
     col[r] = 0.0
-    tab -= np.outer(col, tab[r])
+    tab -= col * tab[r]
     basis[r] = j
 
 

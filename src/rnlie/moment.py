@@ -39,11 +39,7 @@ class MomentValue:
     exact: tuple = None
 
     def __post_init__(self):
-        m = self.matrix
-        if np.abs(m - m.T).max() > 1e-10:
-            raise NumericalError("moment value lost symmetry")
-        if abs(np.trace(m) + 1.0) > 1e-10:
-            raise NumericalError(f"moment value trace {np.trace(m):.3e} is not -1")
+        _check_moment_matrices(self.matrix[None])
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -52,6 +48,32 @@ class MomentValue:
     def offdiagonal_max(self) -> float:
         off = self.matrix - np.diag(np.diag(self.matrix))
         return float(np.abs(off).max()) if off.size else 0.0
+
+
+def _check_moment_matrices(M):
+    """MomentValue's checks on each matrix of the stack M, as one stack:
+    NumericalError for the first that has lost symmetry or whose trace is
+    not -1, both to 1e-10."""
+    trace = np.trace(M, axis1=-2, axis2=-1)
+    bad = ((np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10)
+           | (np.abs(trace + 1.0) > 1e-10))
+    if bad.any():
+        m = M[bad.argmax()]
+        if np.abs(m - m.T).max() > 1e-10:
+            raise NumericalError("moment value lost symmetry")
+        raise NumericalError(f"moment value trace {np.trace(m):.3e} is not -1")
+
+
+def _checked_values(M):
+    """A MomentValue for each matrix of the stack M, whose checks
+    (_check_moment_matrices) the caller has run on the stack."""
+    values = []
+    for m in M:
+        mv = object.__new__(MomentValue)
+        object.__setattr__(mv, "matrix", m)
+        object.__setattr__(mv, "exact", None)
+        values.append(mv)
+    return values
 
 
 def _moment_exact(b: Bracket):
@@ -424,16 +446,22 @@ def _scaled_onto_slice(C, g0, blocks):
     return np.diag(np.exp(s))
 
 
-def _nearest_identity(V):
-    """The columns of the orthogonal V, permuted and signed so that each
-    sits at the basis vector it leans on most, with a positive entry
-    there: largest |entry| first, each row and column taken once."""
-    W, free = np.empty_like(V), np.ones(V.shape, bool)
-    for flat in np.argsort(-np.abs(V), axis=None, kind="stable").tolist():
-        r, c = divmod(flat, len(V))
-        if free[r, c]:
-            W[:, r] = V[:, c] if V[r, c] > 0 else -V[:, c]
-            free[r], free[:, c] = False, False
+def _nearest_identities(V):
+    """The columns of each orthogonal V of the stack, permuted and signed
+    so that each sits at the basis vector it leans on most, with a
+    positive entry there: the greedy assignment, largest |entry| first,
+    each row and column taken once.  One argmax a round over the stack,
+    on |V| with the taken rows and columns masked to -1; argmax gives a
+    tie to the first entry in row-major order, as a stable sort of the
+    entries would."""
+    count, s, _ = V.shape
+    A, W, at = np.abs(V), np.empty_like(V), np.arange(count)
+    for _ in range(s):
+        r, c = np.divmod(A.reshape(count, s * s).argmax(axis=1), s)
+        col = V[at, :, c]
+        W[at, :, r] = np.where((V[at, r, c] > 0)[:, None], col, -col)
+        A[at, r, :] = -1.0
+        A[at, :, c] = -1.0
     return W
 
 
@@ -456,9 +484,10 @@ def _rotated_draws(C, G0, blocks):
     m(K . nu) = K m(nu) K^T.  For g0 in a centralizer group m is block
     diagonal, exactly: every product off the blocks has an exactly zero
     factor.  K's blocks are eigenvectors of m's, one stacked eigh per block
-    larger than 1 x 1, in the order nearest the identity, not eigh's
-    ascending one.  A row of NaN for a draw that is not finite, is
-    singular, or whose m is not finite on such a block."""
+    larger than 1 x 1, put in the order nearest the identity, not eigh's
+    ascending one, by one stacked greedy assignment (_nearest_identities)
+    per block.  A row of NaN for a draw that is not finite, is singular, or
+    whose m is not finite on such a block."""
     G = np.full(G0.shape, np.nan)
     ok = _invertible(G0)
     m = _acted_moment_matrix(C, G0[ok])
@@ -469,8 +498,8 @@ def _rotated_draws(C, G0, blocks):
             sub = m[:, rows, cols]
             fine = np.isfinite(sub).all(axis=(-2, -1))
             K[~fine] = np.nan
-            for r, V in zip(np.flatnonzero(fine), np.linalg.eigh(sub[fine])[1]):
-                K[r, rows, cols] = _nearest_identity(V).T
+            K[np.ix_(fine, blk, blk)] = _nearest_identities(
+                np.linalg.eigh(sub[fine])[1]).swapaxes(-1, -2)
     G[ok] = K @ G0[ok]
     return G
 
@@ -495,10 +524,12 @@ def _sliced_points(rng, b, blocks, count, onto_slice):
     measures it once, and keeps, in draw order, each g that is finite and
     invertible, whose acted constants after act's cut (cut_tensor) are
     finite and not all zero, and whose moment value is within 1e-11 of
-    diagonal.  Every draw spends one of 80 * count.  No draw depends on an
-    earlier outcome, and no draw is taken past the last one kept, so the
-    points, and the rng state after them, are those of drawing one element
-    at a time."""
+    diagonal.  MomentValue's checks run once on the stack of those usable
+    draws, kept or not, and raise for the first that fails them; the kept
+    values are not checked again.  Every draw spends one of 80 * count.
+    No draw depends on an earlier outcome, and no draw is taken past the
+    last one kept, so the points, and the rng state after them, are those
+    of drawing one element at a time."""
     C, points = b.tensor(), []
     budget, diagonal = 80 * count, np.arange(b.dim)
     while len(points) < count:
@@ -517,10 +548,8 @@ def _sliced_points(rng, b, blocks, count, onto_slice):
             off = M.copy()   # m - diag(m), as MomentValue.offdiagonal_max forms it
             off[:, diagonal, diagonal] -= M[:, diagonal, diagonal]
             lands = np.abs(off).max(axis=(-2, -1)) <= 1e-11
-            for g, m, keep in zip(G, M, lands):
-                mv = MomentValue(m)   # its checks raise on any usable draw, kept or not
-                if keep:
-                    points.append((g, mv))
+            _check_moment_matrices(M)   # raises on any usable draw, kept or not
+            points += zip(G[lands], _checked_values(M[lands]))
     return points
 
 
@@ -548,8 +577,9 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     minimum-norm Gauss-Newton in its log scales (_scaled_onto_slice):
     diag(e^s) . C is C scaled entrywise, so the residual and its Jacobian
     are closed forms in s.  The draws still needed are drawn, moved, acted
-    on and measured as one stack (_sliced_points), with the bytes of one
-    draw at a time.
+    on, measured and checked as one stack (_sliced_points), with the bytes
+    and the errors of one draw at a time; only the generator calls, and
+    Gauss-Newton's solves, go one draw at a time.
     """
     if tag not in GROUP_TAGS:
         raise PreconditionError(f"unknown group tag {tag!r}; "

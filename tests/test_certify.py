@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rnlie import certify, curvature
-from rnlie.brackets import Bracket
+from rnlie.brackets import Bracket, act_tensor, cut_tensor
 from rnlie.certify import (DEFAULT_BUDGET, NEGATIVITY_THRESHOLD, Infeasible,
                            RnWitness, SearchFailure, SrnCertificate, Unknown,
                            _metric_factors, _scaling_line, certify_srn_nice, certify_srn_sampled,
@@ -21,8 +21,9 @@ from rnlie.corpus import corpus
 from rnlie.curvature import MetricParams, is_ricci_negative
 from rnlie.derivations import require_derivation
 from rnlie.errors import NumericalError, PreconditionError
-from rnlie.moment import (DERIVATION_CENTRALIZER, DIAG_POSITIVE,
-                          TORUS_CENTRALIZER, _metric_layout, centralizer_blocks,
+from rnlie.moment import (DERIVATION_CENTRALIZER, DIAG_POSITIVE, TORUS_CENTRALIZER,
+                          MomentValue, OrbitSample, _draw_block_elements, _group_blocks,
+                          _metric_layout, _moment_matrices, centralizer_blocks,
                           orbit_sample)
 from rnlie.rng import generator
 
@@ -185,8 +186,24 @@ class TestSampledLp:
     def test_commutation_gate(self):
         sample = orbit_sample(DERIVATION_CENTRALIZER, t5, count=6, seed=7,
                               derivation=diag(1, 1, 2, 2, 3))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="commute"):
             certify_srn_sampled(diag(1, -1, 0, 0, 1), t5, sample)
+
+    def test_slice_gate(self):
+        """A TorusCentralizer sample whose last element is a raw draw, not
+        rotated onto the slice: it commutes with D and its moment value
+        recomputes, but the value is off the diagonal."""
+        blocks = _group_blocks(TORUS_CENTRALIZER, t5)
+        g0 = _draw_block_elements(generator(1, 12), blocks, 5, 1)
+        m = _moment_matrices(cut_tensor(act_tensor(t5.tensor(), g0)))
+        assert np.abs(m[0, 2, 3]) > 1e-3
+        drawn = orbit_sample(TORUS_CENTRALIZER, t5, count=3, seed=1)
+        sample = OrbitSample(TORUS_CENTRALIZER, drawn.points + ((g0[0], MomentValue(m[0])),), 1)
+        sample.verify(t5)
+        assert isinstance(certify_srn_sampled(diag(1, 1, 2, 2, 3), t5, drawn),
+                          SrnCertificate)
+        with pytest.raises(PreconditionError, match="diagonal slice"):
+            certify_srn_sampled(diag(1, 1, 2, 2, 3), t5, sample)
 
 
 class TestConstructive:
@@ -689,9 +706,12 @@ class TestStackedSearch:
 
     def test_torus_search_builds_no_dense_factor(self, monkeypatch):
         """With 1 x 1 centralizer blocks the search evaluates on the
-        diagonals: no act_tensor, and one _metric_factors call, for the
-        parameters it returns."""
-        counts = {"act_tensor": 0, "_metric_factors": 0}
+        diagonals: no dense transport (_transported_pair, or act_tensor,
+        which no evaluator branch calls), and one _metric_factors call,
+        for the parameters it returns.  A search with a 2 x 2 block takes
+        the dense transport on every evaluator call and on the witness
+        check, so the counter reads what it guards."""
+        counts = {"act_tensor": 0, "_transported_pair": 0, "_metric_factors": 0}
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -703,10 +723,18 @@ class TestStackedSearch:
             monkeypatch.setattr(module, name, call)
 
         counted(curvature, "act_tensor")
+        counted(curvature, "_transported_pair")
         counted(certify, "_metric_factors")
         res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
         assert isinstance(res, SearchFailure) and res.evaluations == 2000
-        assert counts == {"act_tensor": 0, "_metric_factors": 1}
+        assert counts == {"act_tensor": 0, "_transported_pair": 0, "_metric_factors": 1}
+        calls, evaluate = [], certify._top_eigenvalues
+        monkeypatch.setattr(certify, "_top_eigenvalues",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        res = search_rn_metric(diag(1, 1, 2), h3, budget=50, seed=1)
+        assert isinstance(res, RnWitness)
+        assert counts["_transported_pair"] == len(calls) + 1 >= 2
+        assert counts["act_tensor"] == 0
 
     def test_search_ending_on_the_scaling_line_makes_one_evaluator_call(self, monkeypatch):
         """The identity reads 0.18 here and the first point of the

@@ -489,6 +489,27 @@ class TestProbeSimplex:
             gap = np.abs((ours @ dirs.T).max(axis=0) - (ref @ dirs.T).max(axis=0))
             assert gap.max() <= 1e-8 * t
 
+    @pytest.mark.parametrize("resolution,t,counts", [
+        (12, 1, {22: 33, 26: 31, 29: 32, 30: 36, 38: 36}),
+        (64, 3, {22: 88, 26: 88, 29: 80, 30: 86, 38: 86})])
+    def test_probe_counts_on_tricky5_heisenberg3(self, monkeypatch, resolution, t, counts):
+        """How many of the 36 or 88 probes give a point on tricky5 (+)
+        heisenberg(3), at the seeds where some fail their check even after
+        the dual repair: the counts the simplex gave before its pivots
+        were written with argmax and nonzero."""
+        b = direct_sum(t5, corpus("heisenberg", 3).bracket)
+        found, probe = {}, cone._probe_points
+
+        def counted(*lp):
+            points = probe(*lp)
+            found[seed] = len(points)
+            return points
+
+        monkeypatch.setattr(cone, "_probe_points", counted)
+        for seed in counts:
+            cone_section(b, t, resolution=resolution, seed=seed)
+        assert found == counts
+
     @pytest.mark.parametrize("seed", [17, 42])
     def test_tricky5_segment_at_trace_three(self, seed):
         """The section is a segment.  HiGHS returned an endpoint 1.1e-7

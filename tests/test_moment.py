@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -460,7 +461,86 @@ class TestRotatedDraws:
         c, s = math.cos(0.3), math.sin(0.3)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         V = R[:, [2, 0, 1]] * np.array([-1.0, 1.0, -1.0])
-        assert np.array_equal(moment._nearest_identity(V), R)
+        assert np.array_equal(nearest_identity(V), R)
+        assert np.array_equal(moment._nearest_identities(V[None])[0], R)
+
+
+def nearest_identity(V):
+    """The columns of the orthogonal V, permuted and signed so that each
+    sits at the basis vector it leans on most, with a positive entry
+    there: largest |entry| first, each row and column taken once, in the
+    order of a stable sort.  One matrix at a time, as _rotated_draws did
+    it; the reference for moment._nearest_identities."""
+    W, free = np.empty_like(V), np.ones(V.shape, bool)
+    for flat in np.argsort(-np.abs(V), axis=None, kind="stable").tolist():
+        r, c = divmod(flat, len(V))
+        if free[r, c]:
+            W[:, r] = V[:, c] if V[r, c] > 0 else -V[:, c]
+            free[r], free[:, c] = False, False
+    return W
+
+
+def _signed_permutations(rng, V):
+    """V with its columns permuted and signed at random, both ways for
+    each matrix of the stack."""
+    out = []
+    for v in V:
+        n = len(v)
+        out.append(v[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n))
+        out.append(v[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)[:, None])
+    return np.array(out)
+
+
+def _tied_blocks(n):
+    """Orthogonal n x n matrices whose entries tie exactly: the identity,
+    45-degree rotations (both entries sqrt(1/2)) alone and side by side,
+    for n >= 3 the reflection I - 2/3 J in the first three coordinates,
+    whose six off-diagonal entries 2/3 tie above its diagonal 1/3, so that
+    which tie goes first decides the assignment, and for n = 4 the
+    Hadamard matrix over 2, every entry 1/2."""
+    r = math.sqrt(0.5)
+    rot = np.array([[r, -r], [r, r]])
+    out = [np.eye(n)]
+    for at in range(n - 1):
+        m = np.eye(n)
+        m[at:at + 2, at:at + 2] = rot
+        out.append(m)
+    if n >= 3:
+        m = np.eye(n)
+        m[:3, :3] = np.array([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]]) / 3.0
+        out.append(m)
+    if n == 4:
+        m = np.zeros((4, 4))
+        m[:2, :2], m[2:, 2:] = rot, rot.T
+        out.append(m)
+        out.append(0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                                   [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float))
+    return np.array(out)
+
+
+class TestNearestIdentities:
+    """The stacked greedy assignment has the bytes of the loop over one
+    matrix at a time (nearest_identity), ties included."""
+
+    @staticmethod
+    def _same_as_loop(V):
+        want = np.array([nearest_identity(v) for v in V])
+        assert moment._nearest_identities(V).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_random_orthogonal_stacks(self, n):
+        rng = np.random.default_rng(100 + n)
+        V = np.linalg.qr(rng.standard_normal((300, n, n)))[0]
+        self._same_as_loop(V)
+        self._same_as_loop(_signed_permutations(rng, V[:50]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_signed_permutations_and_exact_ties(self, n):
+        rng = np.random.default_rng(200 + n)
+        tied = _tied_blocks(n)
+        self._same_as_loop(tied)
+        for _ in range(20):
+            self._same_as_loop(_signed_permutations(rng, tied))
 
 
 def lands(fun):
@@ -494,7 +574,7 @@ def rotated_onto_slice(C, g0, blocks):
     for blk in blocks:
         if len(blk) > 1:
             block = np.ix_(blk, blk)
-            K[block] = moment._nearest_identity(np.linalg.eigh(m[block])[1]).T
+            K[block] = nearest_identity(np.linalg.eigh(m[block])[1]).T
     return K @ g0
 
 
@@ -855,6 +935,53 @@ class TestStackedSamples:
         assert [(g.tobytes(), mv.matrix.tobytes()) for g, mv in s.points] == \
             [(g.tobytes(), m.tobytes()) for g, m in want]
         assert len(drawn) == 8
+
+    def test_moment_checks_raise_for_the_first_bad_matrix(self):
+        """The stacked checks raise what checking one MomentValue at a
+        time (moment_value_checks) raised first: a lost symmetry before a
+        trace on the same matrix, an earlier matrix before a later one."""
+        s = orbit_sample("TorusCentralizer", t5(), count=6, seed=3)
+        good = np.array([mv.matrix for _, mv in s.points])
+        moment._check_moment_matrices(good)
+        bends = {"symmetry": lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-9),
+                 "trace": lambda m: m.__setitem__((2, 2), m[2, 2] + 1e-9)}
+        for marks in ([(1, "trace")], [(4, "symmetry")], [(2, "trace"), (2, "symmetry")],
+                      [(3, "symmetry"), (1, "trace")], [(5, "trace"), (4, "trace")]):
+            M = good.copy()
+            for at, how in marks:
+                bends[how](M[at])
+            with pytest.raises(NumericalError) as want:
+                for m in M:
+                    moment_value_checks(m)
+            with pytest.raises(NumericalError) as got:
+                moment._check_moment_matrices(M)
+            assert str(got.value) == str(want.value)
+            first = min(at for at, _ in marks)
+            with pytest.raises(NumericalError, match=re.escape(str(want.value))):
+                moment.MomentValue(M[first])
+
+    def test_usable_draws_are_checked_kept_or_not(self, monkeypatch):
+        """A usable draw whose moment matrix has lost symmetry is off the
+        slice, so it would not be kept; the sample raises all the same."""
+        measure = moment._moment_matrices
+
+        def last_bent(C):
+            M = measure(C)
+            M[-1, 0, 1] += 1e-9
+            return M
+
+        monkeypatch.setattr(moment, "_moment_matrices", last_bent)
+        with pytest.raises(NumericalError, match="moment value lost symmetry"):
+            orbit_sample("DiagPositive", t5(), count=4, seed=41)
+
+
+def moment_value_checks(m):
+    """MomentValue's checks on one matrix, as they ran before they ran on
+    stacks."""
+    if np.abs(m - m.T).max() > 1e-10:
+        raise NumericalError("moment value lost symmetry")
+    if abs(np.trace(m) + 1.0) > 1e-10:
+        raise NumericalError(f"moment value trace {np.trace(m):.3e} is not -1")
 
 
 class TestTrustRegionPort:

@@ -1,7 +1,11 @@
 """Exact row reduction, checked against Gauss-Jordan on Fractions."""
 
+import math
 import random
 from fractions import Fraction as F
+
+import numpy as np
+import pytest
 
 from rnlie import _rational
 
@@ -110,3 +114,45 @@ def test_rref_takes_ints_floats_and_empty_input():
     assert _rational.rref([]) == ([], [])
     assert _rational.rref([[0.5, 2], [1, 4]]) == ([[F(1), F(4)], [F(0), F(0)]], [0])
     assert _rational.inverse([[2]]) == [[F(1, 2)]]
+
+
+def reference_integer_row(row):
+    """_integer_row with a Fraction built from every entry that is not an
+    int or a Fraction, as it read rows before floats went through
+    as_integer_ratio."""
+    row = [x if isinstance(x, (int, F)) else F(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def test_integer_row_matches_fraction_reference():
+    """The same integers, of the same types, for ints, Fractions, Python
+    and numpy floats, numpy ints, -0.0, subnormals and +-1e308, alone and
+    in seeded mixed rows."""
+    tiny = 2.2250738585072014e-308
+    entries = [0, 1, -7, 2 ** 70, True, F(3, 4), F(-5, 12), F(2 ** 80, 3 ** 40),
+               0.1, -2.5, 0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny, 1e308, -1e308,
+               np.float64(0.1), np.float64(-0.0), np.float64(5e-324), np.float64(-1e308),
+               np.int64(-9), np.int32(12), np.int64(0)]
+    rows = [[x] for x in entries] + [entries]
+    rng = random.Random(5)
+    rows += [rng.sample(entries, rng.randint(1, 8)) for _ in range(500)]
+    def outcome(read, row):
+        try:
+            nums, den = read(row)
+        except (OverflowError, ValueError) as exc:   # numpy ints times huge ones
+            return type(exc)
+        return nums, den, [type(v) for v in nums], type(den)
+
+    for row in rows:
+        assert outcome(_rational._integer_row, row) == outcome(reference_integer_row, row), row
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 np.float64(np.inf), np.float64(np.nan)])
+def test_integer_row_refuses_inf_and_nan_as_fraction_does(bad):
+    with pytest.raises(Exception) as want:
+        reference_integer_row([1, bad])
+    with pytest.raises(type(want.value)):
+        _rational._integer_row([1, bad])
+    assert type(want.value) is (ValueError if math.isnan(bad) else OverflowError)
