@@ -6,9 +6,10 @@ torus: Fourier-Motzkin elimination of the multipliers gives the facet
 rows, and double description (`_hull.hrep_vertices`) their vertices.
 Otherwise it is a seeded inner approximation by support probes: float
 LPs over a sampled orbit, which a dense two-phase simplex with Bland's
-rule solves here (one phase 1 per section, one phase 2 per probe).  Its
-vertices are the probe points extreme in the trace plane, which
-`_hull.extreme_points` decides exactly, for any number of points.
+rule solves here (one phase 1 per section, then phase 2 for every probe
+direction in lockstep, as one stack of tableaus).  Its vertices are the
+probe points extreme in the trace plane, which `_hull.extreme_points`
+decides exactly, for any number of points.
 
 The rows of the margin system become primitive integer rows a . x <= 0
 in one place, `_hull._integer_row`.  The elimination stays in integers,
@@ -180,10 +181,11 @@ def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSecti
     any point count, are the vertices (_extreme_subset).
 
     The region does not depend on u, so _probe_points runs phase 1 once
-    and a phase 2 per direction.  Where a probe's optimum is a whole
-    face, any optimal vertex of the (c, a) program may come back: two LP
-    solvers can give different points for one section, each a valid
-    optimum with the same support value u . c.
+    and phase 2 for all directions together, one stack of tableaus.
+    Where a probe's optimum is a whole face, any optimal vertex of the
+    (c, a) program may come back: two LP solvers can give different
+    points for one section, each a valid optimum with the same support
+    value u . c.
     """
     seed = default_seed() if seed is None else int(seed)
     rng = generator(seed, _CONE_STREAM)
@@ -231,17 +233,19 @@ def _probe_points(a_ub, b_ub, a_eq, b_eq, directions) -> list:
     each direction u (c has len(u) entries).
 
     Dense two-phase simplex with Bland's rule.  Phase 1 runs once
-    (_feasible_basis); each u runs phase 2 on a copy of the feasible
-    tableau.  The final tableau is rebuilt from its basis, and its
-    vertex, coefficients clipped at zero, is kept if it meets the
-    unscaled rows within 1e-9 and the equalities within
-    1e-9 max(1, |b_eq|).  Pivots on small entries let a tableau drift
-    from the basis it stands for, so a final basis can be slightly
-    infeasible or look unbounded; then dual simplex steps on the rebuilt
-    tableau restore feasibility and phase 2 runs again, _PHASE2_RUNS
-    runs in all.  A u that stays unbounded or never passes gives no
-    point.  An empty region and a phase that reaches _MAX_PIVOTS pivots
-    raise NumericalError.
+    (_feasible_basis).  Phase 2 runs for every u in lockstep: the
+    feasible tableau is copied and priced once per u, the stack pivots
+    until each tableau is optimal or unbounded, and every final tableau
+    is rebuilt from its basis in one solve.  Each u's vertex,
+    coefficients clipped at zero, is kept if it meets the unscaled rows
+    within 1e-9 and the equalities within 1e-9 max(1, |b_eq|).  Pivots
+    on small entries let a tableau drift from the basis it stands for,
+    so a final basis can be slightly infeasible or look unbounded; then,
+    for that u alone, dual simplex steps on the rebuilt tableau restore
+    feasibility and phase 2 runs again, _PHASE2_RUNS runs in all.  A u
+    that stays unbounded, never passes or ends on a singular basis gives
+    no point.  An empty region and a phase that reaches _MAX_PIVOTS
+    pivots raise NumericalError.
     """
     d = len(directions[0])
     m = a_ub.shape[1] - d
@@ -250,25 +254,35 @@ def _probe_points(a_ub, b_ub, a_eq, b_eq, directions) -> list:
     if start is None:
         raise NumericalError("phase 1 ended on a singular basis")
     eq_tol = 1e-9 * np.maximum(1.0, np.abs(b_eq))
+    ncols = rows.shape[1]
+    costs = np.zeros((len(directions), ncols))
+    costs[:, :d], costs[:, d:2 * d], costs[:, 2 * d:2 * d + m] = (
+        directions, -directions, -_MASS_COST)
+    finals = np.repeat(basis[None], len(directions), axis=0)
+    tabs = _priced(np.repeat(start[None], len(directions), axis=0), finals, costs)
+    bounded = _bland(tabs, finals, ncols)
+    rebuilt = _tableau(rows, rhs, finals)
+    if rebuilt is None:  # a singular basis costs only its own direction
+        rebuilt = [_tableau(rows, rhs, final) for final in finals]
+    else:
+        rebuilt = np.moveaxis(rebuilt, -1, 0)
     points = []
-    for u in directions:
-        cost = np.zeros(rows.shape[1])
-        cost[:2 * d + m] = np.concatenate([u, -u, np.full(m, -_MASS_COST)])
-        tab, final = _priced(start.copy(), basis, cost), basis.copy()
-        for _ in range(_PHASE2_RUNS):
-            bounded = _bland(tab, final, len(cost))
-            tab = _tableau(rows, rhs, final)
+    for cost, final, tab, ok in zip(costs, finals, rebuilt, bounded):
+        for run in range(_PHASE2_RUNS):
+            if run:
+                ok = _bland(tab[None], final[None], ncols)[0]
+                tab = _tableau(rows, rhs, final)
             if tab is None:
                 break
-            x = np.zeros(len(cost))
+            x = np.zeros(ncols)
             x[final] = tab[:-1, -1]
             c, a = x[:d] - x[d:2 * d], np.maximum(x[2 * d:2 * d + m], 0.0)
             ca = np.concatenate([c, a])
-            if (bounded and (a_ub @ ca - b_ub <= 1e-9).all()
+            if (ok and (a_ub @ ca - b_ub <= 1e-9).all()
                     and (np.abs(a_eq @ ca - b_eq) <= eq_tol).all()):
                 points.append(c)
                 break
-            if not _dual(_priced(tab, final, cost), final, len(cost)):
+            if not _dual(_priced(tab, final, cost), final, ncols):
                 break
     return points
 
@@ -309,7 +323,7 @@ def _feasible_basis(rows, rhs, slack):
         tab[r] /= tab[r, slack[r]]
     tab[-1] = -tab[art].sum(axis=0)  # maximise -sum(artificials)
     tab[-1, ncols:-1] = 0.0
-    _bland(tab, basis, ncols)
+    _bland(tab[None], basis[None], ncols)
     if tab[-1, -1] < -1e-9:
         raise NumericalError("no certified probe point at this trace level")
     keep = []
@@ -318,50 +332,74 @@ def _feasible_basis(rows, rhs, slack):
             j = int(np.argmax(np.abs(tab[r, :ncols])))
             if abs(tab[r, j]) <= _PIVOT_TOL:
                 continue
-            _pivot(tab, basis, r, j)
+            _pivot(tab[None], basis[None], [r], [j])
         keep.append(r)
     return rows[keep], rhs[keep], basis[keep]
 
 
 def _tableau(rows, rhs, basis):
     """The tableau of `basis` solved afresh from the rows, with an
-    objective row left zero; None if the basis is singular."""
-    tab = np.zeros((len(rows) + 1, rows.shape[1] + 1))
+    objective row left zero; None if the basis is singular.
+
+    A (K, R) stack of bases is solved in one np.linalg.solve, which runs
+    LAPACK on each slice alone, so each tableau has the bits of its own
+    solve.  The K tableaus come back along a last axis, where tab[:-1, -1]
+    still reads the basic values; None if any basis of the stack is
+    singular."""
+    stack = np.atleast_2d(basis)
+    tab = np.zeros((len(stack), len(rows) + 1, rows.shape[1] + 1))
     try:
-        tab[:-1] = np.linalg.solve(rows[:, basis], np.column_stack([rows, rhs]))
+        tab[:, :-1] = np.linalg.solve(np.swapaxes(rows.T[stack], 1, 2),
+                                      np.column_stack([rows, rhs]))
     except np.linalg.LinAlgError:
         return None
-    tab[:-1, basis] = np.eye(len(basis))
-    return tab
+    np.put_along_axis(tab[:, :-1], stack[:, None], np.eye(len(rows)), axis=2)
+    return tab[0] if np.ndim(basis) == 1 else np.moveaxis(tab, 0, -1)
 
 
 def _priced(tab, basis, cost):
     """Fill the objective row: reduced costs, zero on the basis, and the
-    objective value last."""
-    tab[-1] = cost[basis] @ tab[:-1]
-    tab[-1, :-1] -= cost
-    tab[-1, basis] = 0.0
+    objective value last.  On a stack, tableau k takes basis k and cost
+    k, all in one product."""
+    tab[..., -1, :] = (np.take_along_axis(cost, basis, -1)[..., None, :]
+                       @ tab[..., :-1, :])[..., 0, :]
+    tab[..., -1, :-1] -= cost
+    np.put_along_axis(tab[..., -1, :], basis, 0.0, -1)
     return tab
 
 
-def _bland(tab, basis, ncols) -> bool:
-    """Primal simplex on a float tableau whose last row holds the reduced
-    costs and the objective value, maximising, from a feasible basis.
-    Bland's rule: the first of the first `ncols` columns with a reduced
-    cost below -_COST_TOL enters, and the least ratio leaves, exact ties
-    on the lower basis index.  False if the entering column is
-    unbounded."""
+def _bland(tab, basis, ncols) -> np.ndarray:
+    """Primal simplex on a stack of float tableaus (K, R+1, C) with bases
+    (K, R), each tableau's last row holding the reduced costs and the
+    objective value, maximising, from feasible bases.  Bland's rule in
+    each tableau: the first of the first `ncols` columns with a reduced
+    cost below -_COST_TOL enters, and the least ratio over entries above
+    _PIVOT_TOL leaves, exact ties on the lower basis index.  A tableau
+    leaves the stack once it is optimal or its entering column is
+    unbounded; the others pivot together.  Returns each tableau's
+    bounded flag: False if its entering column is unbounded."""
+    bounded = np.ones(len(tab), dtype=bool)
+    live, work, wbasis = np.arange(len(tab)), tab, basis
+    k = live
     for _ in range(_MAX_PIVOTS):
-        enters = tab[-1, :ncols] < -_COST_TOL
-        j = enters.argmax()
-        if not enters[j]:
-            return True
-        cand = (tab[:-1, j] > _PIVOT_TOL).nonzero()[0]
-        if not cand.size:
-            return False
-        ratios = np.maximum(tab[cand, -1], 0.0) / tab[cand, j]
-        ties = cand[ratios == ratios.min()]
-        _pivot(tab, basis, ties[np.argmin(basis[ties])], j)
+        enters = work[:, -1, :ncols] < -_COST_TOL
+        j = enters.argmax(axis=1)
+        col = work[k, :-1, j]
+        cand = col > _PIVOT_TOL
+        entering = enters[k, j]
+        moves = entering & cand.any(axis=1)
+        if not moves.all():
+            bounded[live[entering & ~moves]] = False
+            done = ~moves
+            tab[live[done]], basis[live[done]] = work[done], wbasis[done]
+            live, work, wbasis = live[moves], work[moves], wbasis[moves]
+            if not live.size:
+                return bounded
+            k, j, col, cand = np.arange(len(live)), j[moves], col[moves], cand[moves]
+        ratios = np.divide(np.maximum(work[:, :-1, -1], 0.0), col,
+                           out=np.full(col.shape, np.inf), where=cand)
+        ties = cand & (ratios == ratios.min(axis=1, keepdims=True))
+        _pivot(work, wbasis, np.where(ties, wbasis, tab.shape[-1]).argmin(axis=1), j)
     raise NumericalError(f"simplex reached {_MAX_PIVOTS} pivots")
 
 
@@ -379,16 +417,20 @@ def _dual(tab, basis, ncols) -> bool:
         if not cand.size:
             return False
         ratios = np.maximum(tab[-1, cand], 0.0) / -tab[r, cand]
-        _pivot(tab, basis, r, cand[np.argmin(ratios)])
+        _pivot(tab[None], basis[None], [r], [cand[np.argmin(ratios)]])
     raise NumericalError(f"simplex reached {_MAX_PIVOTS} pivots")
 
 
 def _pivot(tab, basis, r, j):
-    tab[r] /= tab[r, j]
-    col = tab[:, j, None].copy()
-    col[r] = 0.0
-    tab -= col * tab[r]
-    basis[r] = j
+    """Pivot tableau k of a stack on row r[k] and column j[k]: the row is
+    divided by its pivot entry, then tab -= col * row."""
+    k = np.arange(len(tab))
+    row = tab[k, r] / tab[k, r, j][:, None]
+    tab[k, r] = row
+    col = tab[k, :, j]
+    col[k, r] = 0.0
+    tab -= col[:, :, None] * row[:, None, :]
+    basis[k, r] = j
 
 
 def _extreme_subset(points: np.ndarray, trace_row: np.ndarray) -> tuple:
@@ -437,10 +479,15 @@ class WeylReport:
 def weyl_invariance_check(section: ConeSection) -> WeylReport:
     """Check that each coordinate action of the signed permutation
     automorphisms carries the vertex set to itself: the Hausdorff
-    distance between the vertices and their image, measured in floats on
-    exact and sampled sections alike, must stay within 1e-6."""
+    distance between the vertices and their image, measured in floats,
+    must stay within 1e-6.  An exact section is measured on its level-1
+    vertices, each Fraction divided by the level before it becomes a
+    float: the section is positively homogeneous in its level, so levels
+    past float range are checked too.  A sampled section is measured as
+    it is."""
     actions = weyl_coordinate_actions(section.torus.bracket, section.torus)
-    V = np.array([[float(x) for x in v] for v in section.vertices])
+    level = section.trace_level if section.exactness == EXACT else 1
+    V = np.array([[float(x / level) for x in v] for v in section.vertices])
     worst = 0.0
     failures = []
     for a_i, act in enumerate(actions):

@@ -287,17 +287,20 @@ class TestCone:
         assert data["weyl_report"]["ok"] is True
 
     def test_level_above_float_range(self, capsys):
-        # the exact section has its bytes; the Weyl check reads the
-        # vertices as floats, which overflow: a numerical failure
+        # the exact section has its bytes in both formats; the Weyl check
+        # measures it on its level-1 vertices, which are floats
         code, out, _ = run(capsys, "cone", "--algebra", "heisenberg:3",
                            "--trace-level", "1e400", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["c1,c2", f"-{5 * 10**399},{10**400}",
                                     f"{10**400},-{5 * 10**399}"]
-        code, out, err = run(capsys, "cone", "--algebra", "heisenberg:3",
-                             "--trace-level", "1e400")
-        assert code == 4 and out == ""
-        assert json.loads(err)["kind"] == "numerical"
+        code, data, _ = run_json(capsys, "cone", "--algebra", "heisenberg:3",
+                                 "--trace-level", "1e400")
+        assert code == 0
+        assert data["trace_level"] == str(10**400)
+        assert data["vertices"] == [[f"-{5 * 10**399}", str(10**400)],
+                                    [str(10**400), f"-{5 * 10**399}"]]
+        assert data["weyl_report"]["ok"] is True
 
 
 class TestDegenerate:

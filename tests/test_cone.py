@@ -456,6 +456,148 @@ def _probe_lp(d, rows, rhs, trace_row, level):
             np.array([float(level)]))
 
 
+# cone._probe_points before phase 2 ran in lockstep, kept as the reference
+# for the stacked simplex: phase 1, then phase 2 for one direction after
+# another, each pivot on a single tableau.
+
+def _ref_tableau(rows, rhs, basis):
+    tab = np.zeros((len(rows) + 1, rows.shape[1] + 1))
+    try:
+        tab[:-1] = np.linalg.solve(rows[:, basis], np.column_stack([rows, rhs]))
+    except np.linalg.LinAlgError:
+        return None
+    tab[:-1, basis] = np.eye(len(basis))
+    return tab
+
+
+def _ref_priced(tab, basis, cost):
+    tab[-1] = cost[basis] @ tab[:-1]
+    tab[-1, :-1] -= cost
+    tab[-1, basis] = 0.0
+    return tab
+
+
+def _ref_pivot(tab, basis, r, j):
+    tab[r] /= tab[r, j]
+    col = tab[:, j, None].copy()
+    col[r] = 0.0
+    tab -= col * tab[r]
+    basis[r] = j
+
+
+def _ref_bland(tab, basis, ncols):
+    for _ in range(cone._MAX_PIVOTS):
+        enters = tab[-1, :ncols] < -cone._COST_TOL
+        j = enters.argmax()
+        if not enters[j]:
+            return True
+        cand = (tab[:-1, j] > cone._PIVOT_TOL).nonzero()[0]
+        if not cand.size:
+            return False
+        ratios = np.maximum(tab[cand, -1], 0.0) / tab[cand, j]
+        ties = cand[ratios == ratios.min()]
+        _ref_pivot(tab, basis, ties[np.argmin(basis[ties])], j)
+    raise NumericalError(f"simplex reached {cone._MAX_PIVOTS} pivots")
+
+
+def _ref_dual(tab, basis, ncols):
+    for _ in range(cone._MAX_PIVOTS):
+        low = (tab[:-1, -1] < -cone._FEAS_TOL).nonzero()[0]
+        if not low.size:
+            return True
+        r = low[basis[low].argmin()]
+        cand = (tab[r, :ncols] < -cone._PIVOT_TOL).nonzero()[0]
+        if not cand.size:
+            return False
+        ratios = np.maximum(tab[-1, cand], 0.0) / -tab[r, cand]
+        _ref_pivot(tab, basis, r, cand[np.argmin(ratios)])
+    raise NumericalError(f"simplex reached {cone._MAX_PIVOTS} pivots")
+
+
+def _ref_feasible_basis(rows, rhs, slack):
+    nrows, ncols = rows.shape
+    art = np.flatnonzero(slack < 0)
+    tab = np.zeros((nrows + 1, ncols + len(art) + 1))
+    tab[:-1, :ncols], tab[:-1, -1] = rows, rhs
+    tab[art, ncols + np.arange(len(art))] = 1.0
+    basis = slack.copy()
+    basis[art] = ncols + np.arange(len(art))
+    for r in np.flatnonzero(slack >= 0):
+        tab[r] /= tab[r, slack[r]]
+    tab[-1] = -tab[art].sum(axis=0)
+    tab[-1, ncols:-1] = 0.0
+    _ref_bland(tab, basis, ncols)
+    if tab[-1, -1] < -1e-9:
+        raise NumericalError("no certified probe point at this trace level")
+    keep = []
+    for r in range(nrows):
+        if basis[r] >= ncols:
+            j = int(np.argmax(np.abs(tab[r, :ncols])))
+            if abs(tab[r, j]) <= cone._PIVOT_TOL:
+                continue
+            _ref_pivot(tab, basis, r, j)
+        keep.append(r)
+    return rows[keep], rhs[keep], basis[keep]
+
+
+def _ref_probes(a_ub, b_ub, a_eq, b_eq, directions):
+    """Each direction's probe point, or None where it gives none."""
+    d = len(directions[0])
+    m = a_ub.shape[1] - d
+    rows, rhs, basis = _ref_feasible_basis(*cone._standard_rows(a_ub, b_ub, a_eq, b_eq, d))
+    start = _ref_tableau(rows, rhs, basis)
+    if start is None:
+        raise NumericalError("phase 1 ended on a singular basis")
+    eq_tol = 1e-9 * np.maximum(1.0, np.abs(b_eq))
+    found = []
+    for u in directions:
+        cost = np.zeros(rows.shape[1])
+        cost[:2 * d + m] = np.concatenate([u, -u, np.full(m, -cone._MASS_COST)])
+        tab, final = _ref_priced(start.copy(), basis, cost), basis.copy()
+        found.append(None)
+        for _ in range(cone._PHASE2_RUNS):
+            bounded = _ref_bland(tab, final, len(cost))
+            tab = _ref_tableau(rows, rhs, final)
+            if tab is None:
+                break
+            x = np.zeros(len(cost))
+            x[final] = tab[:-1, -1]
+            c, a = x[:d] - x[d:2 * d], np.maximum(x[2 * d:2 * d + m], 0.0)
+            ca = np.concatenate([c, a])
+            if (bounded and (a_ub @ ca - b_ub <= 1e-9).all()
+                    and (np.abs(a_eq @ ca - b_eq) <= eq_tol).all()):
+                found[-1] = c
+                break
+            if not _ref_dual(_ref_priced(tab, final, cost), final, len(cost)):
+                break
+    return found
+
+
+def _ref_probe_points(*lp):
+    return [p for p in _ref_probes(*lp) if p is not None]
+
+
+def _bytes(points):
+    return [p.tobytes() for p in points]
+
+
+def _section_lps(b, t, resolution, seed):
+    """The probe programs (a_ub, b_ub, a_eq, b_eq, directions) that
+    cone_section hands to cone._probe_points."""
+    lps, probe = [], cone._probe_points
+
+    def grab(*lp):
+        lps.append(lp)
+        return probe(*lp)
+
+    cone._probe_points = grab
+    try:
+        cone_section(b, t, resolution=resolution, seed=seed)
+    finally:
+        cone._probe_points = probe
+    return lps
+
+
 class TestProbeSimplex:
     """cone._probe_points, the float simplex behind sampled sections,
     against HiGHS.  Where a probe's optimum is a whole face the two
@@ -552,6 +694,148 @@ class TestProbeSimplex:
         assert cone._probe_points(*lp, np.array([[-1.0, 0.0]])) == []
 
 
+_GRID_SUMMANDS = [None, ("abelian", 1), ("heisenberg", 3)]
+_GRID_SEEDS = [*range(1, 11), 22, 23, 26, 29, 30, 31, 38]
+t5h3 = direct_sum(t5, corpus("heisenberg", 3).bracket)
+
+
+def _random_probe_lp(rng):
+    """A probe program with small integer rows around a known interior
+    point (c0, a0), a0 > 0: k <= 5 rows, so that many directions are
+    unbounded, and now and then the trace row twice, which phase 1 drops
+    as redundant.  The directions: seeded normals, one of them repeated,
+    the signed axes (exact ratio ties on integer rows), and zero, whose
+    only cost is the mass, so that phase 1's basis is often optimal."""
+    d, m, k = (int(x) for x in rng.integers([2, 1, 1], [4, 4, 6]))
+    x0 = np.concatenate([rng.integers(-2, 3, d), rng.integers(1, 3, m) / 2])
+    rows = rng.integers(-3, 4, (k, d + m)).astype(float)
+    b_ub = rows @ x0 + rng.integers(1, 4, k)
+    a_eq = np.zeros((1 + int(rng.integers(2)), d + m))
+    a_eq[:, :d] = rng.integers(1, 3, d)
+    normals = rng.standard_normal((3, d))
+    dirs = np.vstack([normals, normals[:1], np.eye(d), -np.eye(d), np.zeros((1, d))])
+    return rows, b_ub, a_eq, a_eq @ x0, dirs
+
+
+def _outcome(probe, lp):
+    try:
+        return _bytes(probe(*lp))
+    except NumericalError as exc:
+        return str(exc)
+
+
+class TestLockstepProbes:
+    """cone._probe_points runs phase 2 for every direction as one stack;
+    each output keeps the bytes of the per-direction loop above
+    (_ref_probe_points)."""
+
+    @pytest.mark.parametrize("summand", _GRID_SUMMANDS, ids=["tricky5", "torus3", "torus4"])
+    @pytest.mark.parametrize("resolution,t", [(12, 1), (64, 3)])
+    def test_sections_keep_their_bytes(self, summand, resolution, t):
+        b = t5 if summand is None else direct_sum(t5, corpus(*summand).bracket)
+        for seed in _GRID_SEEDS:
+            [lp] = _section_lps(b, t, resolution, seed)
+            assert _bytes(cone._probe_points(*lp)) == _bytes(_ref_probe_points(*lp)), seed
+
+    def test_random_programs_keep_their_bytes(self, monkeypatch):
+        """300 seeded programs.  Across them some directions leave the
+        stack at once and some are unbounded; the signed axes on integer
+        rows give exact ratio ties."""
+        flags, still, bland = [], [], cone._bland
+
+        def watched(tab, basis, ncols):
+            before = basis.copy()
+            bounded = bland(tab, basis, ncols)
+            if len(tab) > 1:
+                flags.extend(bounded)
+                still.extend((before == basis).all(axis=1) & bounded)
+            return bounded
+
+        monkeypatch.setattr(cone, "_bland", watched)
+        rng = np.random.default_rng(37)
+        for i in range(300):
+            lp = _random_probe_lp(rng)
+            assert _outcome(cone._probe_points, lp) == _outcome(_ref_probe_points, lp), i
+        assert any(still) and not all(flags)
+
+    @pytest.mark.parametrize("seed", [23, 31])
+    def test_mixed_stack(self, monkeypatch, seed):
+        """tricky5 (+) heisenberg(3)'s program at resolution 12 with a free
+        coordinate that no row reads: one stack holds directions optimal
+        after the first run, directions that look unbounded after it and
+        that the dual repair brings to a kept vertex, and five truly
+        unbounded ones (along the free coordinate)."""
+        [(a_ub, b_ub, a_eq, b_eq, dirs)] = _section_lps(t5h3, 1, 12, seed)
+        d = dirs.shape[1]
+        free = np.eye(d + 1)[d]
+        widen = lambda a: np.insert(a, d, 0.0, axis=1)
+        dirs = np.vstack([widen(dirs), free, -free, widen(dirs[:3]) + free])
+        lp = widen(a_ub), b_ub, widen(a_eq), b_eq, dirs
+        flags, bland = [], cone._bland
+
+        def watched(tab, basis, ncols):
+            flags.append(bland(tab, basis, ncols))
+            return flags[-1]
+
+        monkeypatch.setattr(cone, "_bland", watched)
+        got = cone._probe_points(*lp)
+        want = _ref_probes(*lp)
+        assert _bytes(got) == _bytes([p for p in want if p is not None])
+        first = next(f for f in flags if len(f) == len(dirs))
+        kept = np.array([p is not None for p in want])
+        assert (first & kept).any() and (~first & kept).any()
+        assert not kept[-5:].any() and not first[-5:].any()
+
+    def test_singular_basis_costs_only_its_directions(self, monkeypatch):
+        """A final basis made singular in the stack: the stacked solve
+        raises, every direction is rebuilt alone, and only the directions
+        that end on that basis give no point."""
+        [lp] = _section_lps(t5, 1, 12, 5)
+        want = _ref_probes(*lp)
+        solve, seen = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append(a.copy()) or solve(a, b))
+        cone._probe_points(*lp)
+        start, finals = seen[0][0], seen[1]
+        assert len(finals) == len(want)
+        k = next(i for i, B in enumerate(finals) if not np.array_equal(B, start))
+
+        def singular(a, b):
+            if len(a) > 1 or np.array_equal(a[0], finals[k]):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        got = cone._probe_points(*lp)
+        lost = [np.array_equal(B, finals[k]) for B in finals]
+        assert 0 < sum(lost) < len(lost)
+        assert _bytes(got) == _bytes([p for p, gone in zip(want, lost)
+                                      if p is not None and not gone])
+
+    def test_pivot_cap_holds_in_the_stack(self, monkeypatch):
+        """On tricky5's program (resolution 12, seed 5) phase 1 takes 10
+        pivots and phase 2 up to 13: a cap of 13 lets phase 1 finish and
+        stops the stack, 14 lets it finish with the reference's bytes."""
+        [lp] = _section_lps(t5, 1, 12, 5)
+        monkeypatch.setattr(cone, "_MAX_PIVOTS", 13)
+        for probe in (cone._probe_points, _ref_probe_points):
+            with pytest.raises(NumericalError, match="13 pivots"):
+                probe(*lp)
+        monkeypatch.setattr(cone, "_MAX_PIVOTS", 14)
+        assert _bytes(cone._probe_points(*lp)) == _bytes(_ref_probe_points(*lp))
+
+    def test_stacked_pricing_matches_one_tableau_at_a_time(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            K, R, C = (int(x) for x in rng.integers([1, 1, 1], [9, 9, 60]))
+            C += R
+            tabs = rng.standard_normal((K, R + 1, C + 1))
+            bases = np.array([rng.choice(C, R, replace=False) for _ in range(K)])
+            costs = rng.standard_normal((K, C))
+            want = [_ref_priced(t.copy(), bs, c) for t, bs, c in zip(tabs, bases, costs)]
+            got = cone._priced(tabs.copy(), bases, costs)
+            assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestWeylInvariance:
     def test_exact_sections_invariant(self):
         for b in (h3, h5, ab3):
@@ -568,6 +852,21 @@ class TestWeylInvariance:
     def test_action_count(self):
         rep = weyl_invariance_check(cone_section(h5, 1))
         assert rep.actions_checked == 8
+
+    @pytest.mark.parametrize("t", [Fraction(1, 10**400), Fraction(3, 7), 10**400],
+                             ids=["1e-400", "3/7", "1e400"])
+    def test_exact_sections_are_measured_at_level_one(self, t):
+        """An exact section's report, a violated one too, is its level-1
+        report at every level, in float range or past it."""
+        def report(section, drop):
+            rep = weyl_invariance_check(ConeSection(
+                section.torus, section.trace_level, section.vertices[drop:],
+                section.exactness, section.halfspaces))
+            return rep.ok, rep.actions_checked, rep.worst_distance, rep.failures
+
+        for b in (h3, h5):
+            for drop in (0, 1):
+                assert report(cone_section(b, t), drop) == report(cone_section(b, 1), drop)
 
 
 class TestAudit:
