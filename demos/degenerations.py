@@ -1,10 +1,10 @@
 """Bracket degenerations and the transfer of curvature conditions.
 
-A diagonal one-parameter family collapses the 3-dimensional euclidean
-motion algebra onto the Heisenberg algebra.  Scalar curvature along the
-family crosses into negative territory at finite time, and the witness
-metric is returned explicitly.  The same machinery steers along faces
-of the weight polytope and handles extension families.
+A diagonal power curve collapses the 3-dimensional euclidean motion
+algebra onto the Heisenberg algebra.  Scalar curvature along the curve
+crosses into negative territory at finite time, and the witness metric
+is returned explicitly.  Diagonal power curves also steer along faces
+of the weight polytope and rescale rank-one extensions.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from rnlie import (
 
 def main():
     e3 = corpus("euclid3").bracket
-    curve = diagonal_power_curve(e3, (1, 0, 1), label="collapse")
+    curve = diagonal_power_curve(e3, (1, 0, 1))
     print("limit of the collapse:", limit_bracket(curve))
 
     print("\nscalar curvature along the family:")

@@ -272,7 +272,7 @@ def _parse_curve(text: str, b: Bracket):
         try:
             exps = [int(x) if float(x) == int(float(x)) else float(x)
                     for x in rest.split(",")]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # int() of nan, of inf
             raise PreconditionError(f"bad exponent list {rest!r}") from exc
         return diagonal_power_curve(b, exps)
     if kind == "heintze":

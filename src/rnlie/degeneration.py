@@ -1,15 +1,12 @@
-"""Bracket degenerations along explicit curves and curvature transfer.
+"""Bracket degenerations along diagonal power curves and curvature transfer.
 
-A degeneration curve is a parametrized family t -> h_t of basis changes
-applied to a fixed source bracket.  The limit of act(h_t, source) as
-t grows, when it exists, is again a Lie bracket; curvature properties
-holding strictly at the limit transfer back to the source group at a
-finite parameter, each h_t being a linear isomorphism.
-
-Diagonal power curves h_t = diag(t^w_1, ..., t^w_n) are the workhorse:
-each structure constant c_ij^k is rescaled by t to the power
-w_k - w_i - w_j, so the limit keeps the exponent-zero constants, kills
-the negative ones, and fails to exist when a positive one is present.
+A degeneration curve h_t = diag(t^w_1, ..., t^w_n) acts on a fixed
+source bracket, rescaling each structure constant c_ij^k by t to the
+power w_k - w_i - w_j.  The limit as t grows is that closed form: it
+keeps the exponent-zero constants, kills the negative ones, and fails
+to exist when a positive one is present.  Curvature properties holding
+strictly at the limit transfer back to the source group at a finite
+parameter, each h_t being a linear isomorphism.
 """
 
 import math
@@ -27,7 +24,6 @@ from .errors import NumericalError, PreconditionError
 from .moment import weight_polytope, weight_vector
 
 SCHEDULE = tuple(2 ** k for k in range(21))
-CAUCHY_TOL = 1e-10
 
 RICCI_NEGATIVE = "RicciNegative"
 SCALAR_NEGATIVE = "ScalarNegative"
@@ -38,35 +34,26 @@ _STRICT = -1e-9
 
 @dataclass(frozen=True)
 class DegenerationCurve:
-    """Family t -> h_t of basis changes acting on a source bracket.
-
-    Exactly one of `exponents` (diagonal power curve) and `family`
-    (a callable t -> BasisChange for user-supplied matrices) is set.
-    """
+    """The diagonal power curve t -> h_t = diag(t^w) acting on a source
+    bracket: `exponents` is w, one finite real per basis direction."""
 
     source: Bracket
-    exponents: tuple | None = None
-    family: object = None
-    label: str = "curve"
+    exponents: tuple
 
     def __post_init__(self):
-        if (self.exponents is None) == (self.family is None):
-            raise PreconditionError(
-                "provide exactly one of exponents and family")
-        if self.exponents is not None and len(self.exponents) != self.source.dim:
+        if len(self.exponents) != self.source.dim:
             raise PreconditionError(
                 f"expected {self.source.dim} exponents, got {len(self.exponents)}")
+        # an int may be past float range; any other exponent must be finite
+        if not all(isinstance(w, int) or math.isfinite(w) for w in self.exponents):
+            raise PreconditionError(f"exponents must be finite, got {self.exponents}")
 
     @property
     def is_rational(self) -> bool:
-        return (self.exponents is not None and self.source.is_rational
-                and all(isinstance(w, int) for w in self.exponents))
+        return self.source.is_rational and all(isinstance(w, int) for w in self.exponents)
 
     def element(self, t) -> BasisChange:
         """The basis change h_t; exact for integer t on integer exponents."""
-        if self.family is not None:
-            h = self.family(t)
-            return h if isinstance(h, BasisChange) else BasisChange(h)
         if t <= 0:
             raise PreconditionError("curve parameter must be positive")
         if self.is_rational and isinstance(t, (int, Fraction)):
@@ -80,9 +67,8 @@ class DegenerationCurve:
         return act(self.element(t), self.source)
 
 
-def diagonal_power_curve(source: Bracket, exponents,
-                         label: str = "diagonal-power") -> DegenerationCurve:
-    return DegenerationCurve(source, tuple(exponents), None, label)
+def diagonal_power_curve(source: Bracket, exponents) -> DegenerationCurve:
+    return DegenerationCurve(source, tuple(exponents))
 
 
 def face_steering_curve(source: Bracket, face) -> DegenerationCurve:
@@ -108,7 +94,7 @@ def face_steering_curve(source: Bracket, face) -> DegenerationCurve:
         raise NumericalError(f"no supporting functional found: {res.status}")
     denom = math.lcm(*(v.denominator for v in res.x))
     exponents = tuple(int(v * denom) for v in res.x)
-    return diagonal_power_curve(source, exponents, label="face-steering")
+    return diagonal_power_curve(source, exponents)
 
 
 def heintze_curve(D, b: Bracket, t=1.0) -> Bracket:
@@ -122,14 +108,14 @@ def heintze_curve(D, b: Bracket, t=1.0) -> Bracket:
 
 
 def heintze_degeneration(D, b: Bracket) -> DegenerationCurve:
-    """Normalized extension family, rescaled to converge as t grows.
+    """The normalized extension curve, rescaled to converge as t grows.
 
     The curve point at t is 1/t times the extension with generator
     action t*D, a global scaling that preserves every curvature sign.
     The limit is the extension of the abelian algebra by D.
     """
     source = heintze_curve(D, b, 1)
-    return diagonal_power_curve(source, (0,) + (1,) * b.dim, label="heintze")
+    return diagonal_power_curve(source, (0,) + (1,) * b.dim)
 
 
 def _schedule(t_max):
@@ -139,55 +125,43 @@ def _schedule(t_max):
     return ts
 
 
-def limit_bracket(curve: DegenerationCurve, t_max=2 ** 20) -> Bracket:
-    """Entrywise limit of the curve, validated as a Lie bracket.
+def limit_bracket(curve: DegenerationCurve) -> Bracket:
+    """Limit of the curve in closed form, validated as a Lie bracket.
 
-    Diagonal power curves on exact sources are resolved in closed form
-    from the constant-rescaling exponents; any positively-rescaled
-    constant means divergence.  Other curves are sampled on a geometric
-    schedule and must be Cauchy below CAUCHY_TOL at t_max.
+    A constant whose rescaling exponent is zero is kept, a negative one
+    is dropped, and a positive one means divergence (NumericalError).
+    The limit is exact when the curve is.
     """
-    if curve.exponents is not None:
-        w = curve.exponents
-        kept = {}
-        for (i, j, k), c in curve.source.constants.items():
-            e = w[k] - w[i] - w[j]
-            if abs(e) < 1e-12:
-                kept[(i, j, k)] = c
-            elif e > 0:
-                raise NumericalError(
-                    f"constant at {(i, j, k)} grows like t^{e}; "
-                    "the curve does not converge")
-        kind = RATIONAL if curve.source.is_rational and all(
-            isinstance(x, int) for x in w) else FLOAT
-        if kind == FLOAT:
-            kept = {t: float(c) for t, c in kept.items()}
-        limit = Bracket(curve.source.dim, kept, kind)
-    else:
-        ts = _schedule(t_max)
-        prev, last = curve.at(ts[-2]), curve.at(ts[-1])
-        keys = set(prev.constants) | set(last.constants)
-        gap = max((abs(float(last.constants.get(t, 0))
-                       - float(prev.constants.get(t, 0))) for t in keys),
-                  default=0.0)
-        if gap >= CAUCHY_TOL:
+    w = curve.exponents
+    kept = {}
+    for (i, j, k), c in curve.source.constants.items():
+        e = w[k] - w[i] - w[j]
+        if abs(e) < 1e-12:
+            kept[(i, j, k)] = c
+        elif e > 0:
             raise NumericalError(
-                f"curve is not Cauchy at t_max={t_max}: gap {gap:.3e} >= {CAUCHY_TOL}")
-        kept = {t: float(c) for t, c in last.constants.items()
-                if abs(float(c)) >= CAUCHY_TOL}
-        limit = Bracket(curve.source.dim, kept, FLOAT)
+                f"constant at {(i, j, k)} grows like t^{e}; "
+                "the curve does not converge")
+    if curve.is_rational:
+        limit = Bracket(curve.source.dim, kept, RATIONAL)
+    else:
+        limit = Bracket(curve.source.dim, {t: float(c) for t, c in kept.items()}, FLOAT)
     if not is_lie(limit):
         raise NumericalError(
             f"limit violates the Jacobi identity: residual {validate_jacobi(limit)}")
     return limit
 
 
-def _predicate_value(b: Bracket, predicate: str) -> float:
+def _curvature(b: Bracket) -> tuple:
+    """(largest eigenvalue of the symmetrized Ricci operator, scalar
+    curvature) of b at the standard metric."""
     rep = koszul_oracle(b)
-    if predicate == RICCI_NEGATIVE:
-        sym = 0.5 * (rep.ricci + rep.ricci.T)
-        return float(np.linalg.eigvalsh(sym).max())
-    return rep.scalar
+    return float(np.linalg.eigvalsh(0.5 * (rep.ricci + rep.ricci.T)).max()), rep.scalar
+
+
+def _predicate_value(b: Bracket, predicate: str) -> float:
+    lam, scalar = _curvature(b)
+    return lam if predicate == RICCI_NEGATIVE else scalar
 
 
 @dataclass(frozen=True)
@@ -204,10 +178,8 @@ def trajectory(curve: DegenerationCurve, t_max=2 ** 12):
     rows = []
     for t in _schedule(t_max):
         nu = curve.at(t)
-        rep = koszul_oracle(nu)
-        lam = float(np.linalg.eigvalsh(0.5 * (rep.ricci + rep.ricci.T)).max())
         rows.append(TrajectoryPoint(float(t), float(np.sqrt(float(nu.norm_sq()))),
-                                    lam, rep.scalar))
+                                    *_curvature(nu)))
     return tuple(rows)
 
 
@@ -243,7 +215,7 @@ def pinching_transfer(curve: DegenerationCurve, predicate: str,
     """
     if predicate not in PREDICATES:
         raise PreconditionError(f"predicate must be one of {PREDICATES}")
-    lim = limit_bracket(curve, t_max=t_max)
+    lim = limit_bracket(curve)
     v_lim = _predicate_value(lim, predicate)
     if not v_lim < _STRICT:
         raise PreconditionError(

@@ -27,8 +27,6 @@ TORUS_CENTRALIZER = "TorusCentralizer"
 DERIVATION_CENTRALIZER = "DerivationCentralizer"
 GROUP_TAGS = (DIAG_POSITIVE, TORUS_CENTRALIZER, DERIVATION_CENTRALIZER)
 
-MAX_HULL_DIM = 8
-
 
 @dataclass(frozen=True, eq=False)
 class MomentValue:
@@ -161,11 +159,11 @@ class WeightPolytope:
 
 
 def weight_polytope(b: Bracket) -> WeightPolytope:
+    """The hull of the weight vectors of b's constants, its vertices and
+    faces read back as index triples.  Its one size bound is exact_hull's:
+    16 distinct points (`_hull.MAX_POINTS`), whatever b.dim."""
     if b.is_zero():
         raise PreconditionError("zero bracket has no weight polytope")
-    if b.dim > MAX_HULL_DIM:
-        raise PreconditionError(
-            f"dimension {b.dim} exceeds the hull bound {MAX_HULL_DIM}")
     triples = tuple(sorted(b.constants))
     points = [weight_vector(t, b.dim) for t in triples]
     hull = exact_hull(points)

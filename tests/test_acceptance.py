@@ -454,7 +454,7 @@ def test_08_pinching_on_corpus_curves():
     h3 = corpus("heisenberg", 3).bracket
     e3 = corpus("euclid3").bracket
 
-    milnor = diagonal_power_curve(e3, (1, 0, 1), label="milnor")
+    milnor = diagonal_power_curve(e3, (1, 0, 1))
     milnor_limit = limit_bracket(milnor)
     limit_scalar = float(koszul_oracle(milnor_limit).scalar)
     milnor_hit = pinching_transfer(milnor, "ScalarNegative")

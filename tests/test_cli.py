@@ -146,6 +146,15 @@ class TestReports:
         assert data["face_count"] == 9
         assert [1, 2, 3] in data["vertices"]
 
+    def test_hull_bound_is_on_points(self, capsys):
+        # heisenberg:9 has 19 basis directions but 4 weight points
+        code, data, _ = run_json(capsys, "hull", "--algebra", "heisenberg:9")
+        assert code == 0
+        assert data["face_count"] == 15
+        code, _, err = run(capsys, "hull", "--algebra", "filiform:19")
+        assert code == 2
+        assert "17 distinct points exceeds the hull bound 16" in err
+
     def test_ricci_extension(self, capsys):
         code, data, _ = run_json(capsys, "ricci", "--algebra", "heisenberg:3",
                                  "--derivation", "[1,1,2]")
@@ -333,6 +342,13 @@ class TestDegenerate:
         code, _, err = run(capsys, "degenerate", "--algebra", "euclid3",
                            "--curve", "spiral:1")
         assert code == 2
+
+    @pytest.mark.parametrize("exponent", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_exponent_is_a_bad_list(self, capsys, exponent):
+        code, _, err = run(capsys, "degenerate", "--algebra", "euclid3",
+                           "--curve", f"diag:{exponent},0,1")
+        assert code == 2
+        assert "bad exponent list" in err
 
 
 class TestDeterminism:

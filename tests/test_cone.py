@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -672,6 +673,28 @@ class TestProbeSimplex:
         points = cone._probe_points(*lp, dirs)
         assert len(points) == 2
         assert all(np.abs(p - [0.0, 1.0]).max() <= 1e-12 for p in points)
+
+    def test_phase1_drives_out_artificials(self, monkeypatch):
+        """c1 <= 0, -c1 <= 0, c2 <= 1 and -c2 <= -1 pin c to (0, 1) on the
+        trace row c1 + c2 = 1.  Phase 1 ends with two artificials basic at
+        zero, pivots both out, and the signed-axis probes keep the bytes
+        of the per-direction reference."""
+        lp = _probe_lp(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                       [0.0, 0.0, 1.0, -1.0], [1.0, 1.0], 1)
+        dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        drive_outs, pivot = [], cone._pivot
+        phase1 = cone._feasible_basis.__code__
+
+        def watched(tab, basis, r, j):
+            if sys._getframe(1).f_code is phase1:
+                drive_outs.append((r, j))
+            return pivot(tab, basis, r, j)
+
+        monkeypatch.setattr(cone, "_pivot", watched)
+        points = cone._probe_points(*lp, dirs)
+        assert len(drive_outs) == 2
+        assert _bytes(points) == _bytes(_ref_probe_points(*lp, dirs))
+        assert len(points) == 4 and all(np.abs(p - [0.0, 1.0]).max() <= 1e-12 for p in points)
 
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(cone, "_MAX_PIVOTS", 2)

@@ -24,15 +24,23 @@ e3 = corpus("euclid3").bracket
 
 
 class TestCurves:
-    def test_exactly_one_parametrization(self):
-        with pytest.raises(PreconditionError):
-            DegenerationCurve(h3)
-        with pytest.raises(PreconditionError):
-            DegenerationCurve(h3, (1, 0, 0), lambda t: None)
-
     def test_exponent_count(self):
         with pytest.raises(PreconditionError):
             diagonal_power_curve(h3, (1, 0))
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_exponent_refused(self, w):
+        # a NaN exponent is neither zero nor positive, so the closed form
+        # would drop its constant and call the limit abelian
+        with pytest.raises(PreconditionError, match="finite"):
+            limit_bracket(diagonal_power_curve(h3, (w, 0, 0)))
+        with pytest.raises(PreconditionError, match="finite"):
+            DegenerationCurve(h3, (0, 0, w))
+
+    def test_integer_exponent_past_float_range(self):
+        c = diagonal_power_curve(h3, (10 ** 400, 0, 0))
+        assert c.is_rational
+        assert limit_bracket(c).is_zero()
 
     def test_exact_element(self):
         c = diagonal_power_curve(h3, (1, 0, -1))
@@ -66,19 +74,6 @@ class TestLimits:
     def test_divergent_curve_rejected(self):
         with pytest.raises(NumericalError):
             limit_bracket(diagonal_power_curve(h3, (0, 0, 1)))
-
-    def test_user_matrix_curve(self):
-        fam = DegenerationCurve(
-            e3, None, lambda t: BasisChange(np.diag([t, 1.0, t])), "user")
-        lim = limit_bracket(fam)
-        assert set(lim.constants) == {(0, 1, 2)}
-        assert abs(lim.constants[(0, 1, 2)] - 1.0) < 1e-12
-
-    def test_slow_user_curve_not_cauchy(self):
-        fam = DegenerationCurve(
-            h3, None, lambda t: BasisChange(np.diag([t, 1.0, 1.0])), "slow")
-        with pytest.raises(NumericalError):
-            limit_bracket(fam)
 
 
 class TestFaceSteering:

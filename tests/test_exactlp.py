@@ -338,6 +338,30 @@ def test_gaussian_margin_program_is_proved(monkeypatch):
     assert repr(solve_lp(*args, **kwargs)) == repr(reference_solve_lp(*args, **kwargs))
 
 
+def test_rows_past_float_range_fall_back(monkeypatch):
+    """The margin LP with every row scaled by 10**400: the float proposal
+    overflows and names no basis, and Bland answers on the same integer
+    rows, at the unscaled program's vertex."""
+    args, kwargs = _float_margin_program(np.random.default_rng(5), 8)
+    unscaled = solve_lp(*args, **kwargs)
+    big = 10 ** 400
+    kwargs["a_ub"] = [[v * big for v in row] for row in kwargs["a_ub"]]
+    kwargs["b_ub"] = [v * big for v in kwargs["b_ub"]]
+    proposals, propose = [], _exactlp._float_basis
+
+    def watched(*lp):
+        proposals.append((lp, propose(*lp)))
+        return proposals[-1][1]
+    monkeypatch.setattr(_exactlp, "_float_basis", watched)
+    got = solve_lp(*args, **kwargs)
+    [((rows, col_of, cnums, cden), basis)] = proposals
+    assert basis is None
+    want = _exactlp._bland(rows, len(rows), col_of, cnums, cden)
+    assert (got.x, got.objective, got.dual_ub) == (want.x, want.objective, want.dual_ub)
+    assert got.status == "optimal"
+    assert (got.x, got.objective) == (unscaled.x, unscaled.objective)
+
+
 def test_equality_rows_fall_back(monkeypatch):
     """A zero-objective program with equality rows, as face steering
     solves it, goes to Bland."""

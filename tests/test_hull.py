@@ -11,7 +11,7 @@ from rnlie._hull import (MAX_POINTS, Hull, _affine_coordinates, exact_hull,
                          extreme_points, hrep_vertices)
 from rnlie.corpus import _NEEDS_PARAM, corpus, corpus_names
 from rnlie.errors import PreconditionError
-from rnlie.moment import MAX_HULL_DIM, weight_polytope, weight_vector
+from rnlie.moment import weight_polytope, weight_vector
 
 
 def wv(i, j, k, n=5):
@@ -273,22 +273,25 @@ def test_extreme_points_past_max_points(points):
 
 
 def _corpus_brackets():
+    """The nonzero corpus brackets of dimension at most 8, the entries
+    the subset enumeration below checks in a few seconds."""
+    max_dim = 8
     for name in corpus_names():
-        params = range(1, MAX_HULL_DIM + 1) if name in _NEEDS_PARAM else [None]
+        params = range(1, max_dim + 1) if name in _NEEDS_PARAM else [None]
         for param in params:
             try:
                 b = corpus(name, param).bracket
             except PreconditionError:
-                continue  # outside the family's range
-            if not b.is_zero() and b.dim <= MAX_HULL_DIM:
+                continue  # outside the entry's parameter range
+            if not b.is_zero() and b.dim <= max_dim:
                 yield f"{name}:{param}", b
 
 
 def test_corpus_weight_polytopes_match_subset_enumeration():
     checked = 0
-    for label, b in _corpus_brackets():
+    for entry, b in _corpus_brackets():
         wp = weight_polytope(b)
         want = _reference_hull([weight_vector(t, b.dim) for t in sorted(b.constants)])
-        assert repr(wp.hull) == repr(want), label
+        assert repr(wp.hull) == repr(want), entry
         checked += 1
     assert checked == 19

@@ -162,9 +162,13 @@ class TestWeightPolytope:
         assert ((0, 1, 2), (0, 2, 4)) not in edge_sets
         assert ((0, 1, 3), (0, 3, 4)) not in edge_sets
 
-    def test_dimension_guard(self):
-        with pytest.raises(PreconditionError):
-            weight_polytope(corpus("heisenberg", 9).bracket)
+    def test_point_bound(self):
+        # the one bound is 16 distinct weight points, whatever the dimension
+        wp = weight_polytope(corpus("heisenberg", 9).bracket)
+        assert len(wp.hull.unique) == 4 and wp.dim == 3 and wp.face_count() == 15
+        with pytest.raises(PreconditionError,
+                           match="17 distinct points exceeds the hull bound 16"):
+            weight_polytope(corpus("filiform", 19).bracket)
 
 
 class TestWeightCoordinates:
