@@ -72,7 +72,6 @@ class LpResult:
     x: list | None = None
     objective: Fraction | None = None
     dual_ub: list | None = None
-    dual_eq: list | None = None
     certificate: list | None = None  # phase-1 duals (ub rows then eq rows) if infeasible
 
 
@@ -267,7 +266,7 @@ def _proved_optimum(rows, col_of, cnums, cden, basis):
     dual_ub = [Fraction(0)] * m
     for r, y in zip(tight, ys):
         dual_ub[r] = Fraction(y * rows[r][1], den * cden)
-    return LpResult(OPTIMAL, x=x, objective=objective, dual_ub=dual_ub, dual_eq=[])
+    return LpResult(OPTIMAL, x=x, objective=objective, dual_ub=dual_ub)
 
 
 def _objective_row(cost, cden, tab, dens, basis):
@@ -369,6 +368,5 @@ def _bland(rows, n_ub, col_of, cnums, cden):
             x[v] += s * Fraction(tab[r][-1], dens[r])
     # the artificials cost nothing here, so their reduced costs are the duals
     z, zden = tab[-1], dens[-1]
-    duals = [row_sign[r] * Fraction(z[art0 + r], zden) for r in range(m)]
-    return LpResult(OPTIMAL, x=x, objective=Fraction(z[-1], zden),
-                    dual_ub=duals[:n_ub], dual_eq=duals[n_ub:])
+    dual_ub = [row_sign[r] * Fraction(z[art0 + r], zden) for r in range(n_ub)]
+    return LpResult(OPTIMAL, x=x, objective=Fraction(z[-1], zden), dual_ub=dual_ub)

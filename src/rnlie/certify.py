@@ -29,7 +29,7 @@ from .errors import NumericalError, PreconditionError
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
                      _metric_factors, _metric_layout, centralizer_blocks,
                      nice_basis_check, weight_vector)
-from .rng import default_seed, generator, require_seed
+from .rng import generator, require_seed
 
 MARGIN_THRESHOLD = Fraction(1, 10_000_000)  # 1e-7
 SAMPLING_SLACK = Fraction(1, 10**9)
@@ -261,7 +261,7 @@ def _shared_scaling_line(blocks, n):
     return line
 
 
-def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
+def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed: int = 0):
     """Derivative-free search for a metric with negative Ricci.
 
     Minimizes the top Ricci eigenvalue over metric parameters: the
@@ -323,7 +323,7 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed=None):
     n = b.dim
     M = derivation_matrix(D, n)
     require_derivation(M, b)
-    seed = default_seed() if seed is None else int(seed)
+    seed = int(seed)
     require_seed(seed)
     rng = None
 

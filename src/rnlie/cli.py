@@ -33,7 +33,6 @@ from .derivations import derivation_space, diagonal_torus
 from .errors import NumericalError, PreconditionError
 from .moment import (GROUP_TAGS, moment_map, nice_basis_check, orbit_sample,
                      weight_polytope)
-from .rng import default_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -317,8 +316,7 @@ def _cmd_corpus(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="rnlie", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: RNL_SEED or a fixed constant)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub = p.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
@@ -388,8 +386,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = default_seed()
     try:
         return args.func(args)
     except (PreconditionError, OSError) as ex:

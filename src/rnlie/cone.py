@@ -40,7 +40,7 @@ from .derivations import (Torus, _positive_trace, diagonal_derivation,
 from .errors import NumericalError, PreconditionError
 from .moment import (TORUS_CENTRALIZER, nice_basis_check, orbit_sample,
                      weight_vector)
-from .rng import default_seed, generator
+from .rng import generator
 
 IN = "In"
 OUT = "Out"
@@ -60,7 +60,7 @@ def _exact_regime(b: Bracket, torus: Torus) -> bool:
     return nice_basis_check(b).ok and torus.multiplicity_free
 
 
-def cone_membership(D, b: Bracket, seed=None) -> str:
+def cone_membership(D, b: Bracket, seed: int = 0) -> str:
     """Verdict for a diagonal derivation against the open cone.
 
     "In" needs a positive trace and a certificate (exact LP on a nice
@@ -187,7 +187,7 @@ def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSecti
     points for one section, each a valid optimum with the same support
     value u . c.
     """
-    seed = default_seed() if seed is None else int(seed)
+    seed = int(seed)
     rng = generator(seed, _CONE_STREAM)
     sample = orbit_sample(TORUS_CENTRALIZER, b, count=SAMPLE_COUNT, seed=seed)
     pts = sample.diagonals()
@@ -444,7 +444,7 @@ def _extreme_subset(points: np.ndarray, trace_row: np.ndarray) -> tuple:
     return tuple(tuple(float(x) for x in points[i]) for i in kept)
 
 
-def cone_section(b: Bracket, t, resolution: int = 64, seed=None) -> ConeSection:
+def cone_section(b: Bracket, t, resolution: int = 64, seed: int = 0) -> ConeSection:
     """Cross-section of the cone at trace level t, as a polytope in
     torus coordinates.
 
@@ -485,7 +485,7 @@ def weyl_invariance_check(section: ConeSection) -> WeylReport:
     float: the section is positively homogeneous in its level, so levels
     past float range are checked too.  A sampled section is measured as
     it is."""
-    actions = weyl_coordinate_actions(section.torus.bracket, section.torus)
+    actions = weyl_coordinate_actions(section.torus.bracket)
     level = section.trace_level if section.exactness == EXACT else 1
     V = np.array([[float(x / level) for x in v] for v in section.vertices])
     worst = 0.0
@@ -509,7 +509,7 @@ class AuditReport:
 
 
 def containment_audit(b: Bracket, section: ConeSection, probes: int = 50,
-                      seed=None) -> AuditReport:
+                      seed: int = 0) -> AuditReport:
     """Drive interior points of the section through the metric search.
 
     Every probe must produce a witness with a negative top Ricci
@@ -519,7 +519,7 @@ def containment_audit(b: Bracket, section: ConeSection, probes: int = 50,
     """
     if probes <= 0:
         raise PreconditionError("need a positive probe count")
-    seed = default_seed() if seed is None else int(seed)
+    seed = int(seed)
     rng = generator(seed, _CONE_STREAM + 1)
     V = np.array([[float(x) for x in v] for v in section.vertices])
     centroid = V.mean(axis=0)

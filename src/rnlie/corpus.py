@@ -23,7 +23,6 @@ class CorpusEntry:
     name: str
     params: tuple
     bracket: Bracket
-    note: str
     step: int | None  # nilpotency step, None for non-nilpotent entries
 
     @property
@@ -31,7 +30,7 @@ class CorpusEntry:
         return self.bracket.dim
 
 
-def _entry(name, params, constants, dim, note, step):
+def _entry(name, params, constants, dim, step):
     b = Bracket(dim, {k: Fraction(v) for k, v in constants.items()})
     if validate_jacobi(b) != 0:
         raise AssertionError(f"corpus entry {name} violates the Jacobi identity")
@@ -39,13 +38,13 @@ def _entry(name, params, constants, dim, note, step):
     if actual != step:
         raise AssertionError(
             f"corpus entry {name}: nilpotency step {actual}, recorded {step}")
-    return CorpusEntry(name, params, b, note, step)
+    return CorpusEntry(name, params, b, step)
 
 
 def abelian(n: int) -> CorpusEntry:
     if n < 1:
         raise PreconditionError("abelian algebra needs dimension >= 1")
-    return _entry("abelian", (n,), {}, n, f"abelian R^{n}", 1)
+    return _entry("abelian", (n,), {}, n, 1)
 
 
 def heisenberg(m: int) -> CorpusEntry:
@@ -55,8 +54,7 @@ def heisenberg(m: int) -> CorpusEntry:
         raise PreconditionError("heisenberg dimension must be odd and >= 3")
     n = (m - 1) // 2
     constants = {(2 * i, 2 * i + 1, m - 1): 1 for i in range(n)}
-    return _entry("heisenberg", (m,), constants, m,
-                  f"Heisenberg algebra h_{m}, {n} generator pairs", 2)
+    return _entry("heisenberg", (m,), constants, m, 2)
 
 
 def filiform(n: int) -> CorpusEntry:
@@ -64,23 +62,20 @@ def filiform(n: int) -> CorpusEntry:
     if n < 3:
         raise PreconditionError("filiform needs dimension >= 3")
     constants = {(0, i, i + 1): 1 for i in range(1, n - 1)}
-    return _entry("filiform", (n,), constants, n,
-                  f"filiform algebra of maximal step in dimension {n}", n - 1)
+    return _entry("filiform", (n,), constants, n, n - 1)
 
 
 def tricky5() -> CorpusEntry:
     """5-dimensional 3-step algebra whose standard basis is not nice:
     [e1,e2] = e3+e4, [e1,e3] = e5, [e1,e4] = e5."""
     constants = {(0, 1, 2): 1, (0, 1, 3): 1, (0, 2, 4): 1, (0, 3, 4): 1}
-    return _entry("tricky5", (), constants, 5,
-                  "5-dim 3-step algebra with a non-nice standard basis", 3)
+    return _entry("tricky5", (), constants, 5, 3)
 
 
 def milnor_heis() -> CorpusEntry:
     """3-dimensional Heisenberg bracket, the nilpotent entry of the
     3-dimensional unimodular degeneration frame."""
-    return _entry("milnor_heis", (), {(0, 1, 2): 1}, 3,
-                  "3-dim Heisenberg algebra as a degeneration target", 2)
+    return _entry("milnor_heis", (), {(0, 1, 2): 1}, 3, 2)
 
 
 def milnor_hyp(n: int) -> CorpusEntry:
@@ -89,16 +84,14 @@ def milnor_hyp(n: int) -> CorpusEntry:
     if n < 2:
         raise PreconditionError("milnor_hyp needs dimension >= 2")
     constants = {(i, n - 1, i): -1 for i in range(n - 1)}
-    return _entry("milnor_hyp", (n,), constants, n,
-                  f"solvable frame of real hyperbolic {n}-space", None)
+    return _entry("milnor_hyp", (n,), constants, n, None)
 
 
 def euclid3() -> CorpusEntry:
     """Euclidean motion algebra e(2): [e1,e2] = e3, [e1,e3] = -e2.
     Flat and unimodular; degenerates to the Heisenberg bracket along
     diagonal curves."""
-    return _entry("euclid3", (), {(0, 1, 2): 1, (0, 2, 1): -1}, 3,
-                  "Euclidean motion algebra of the plane (flat, solvable)", None)
+    return _entry("euclid3", (), {(0, 1, 2): 1, (0, 2, 1): -1}, 3, None)
 
 
 _GENERATORS = {

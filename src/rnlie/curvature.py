@@ -229,7 +229,6 @@ class KoszulReport:
     sectional: np.ndarray    # sec of the (i,j) frame plane, NaN on the diagonal
     ricci: np.ndarray        # Ricci operator in the ORIGINAL coordinates
     scalar: float
-    frame: np.ndarray        # columns are the orthonormal frame used
 
 
 def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
@@ -238,8 +237,10 @@ def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
 
     Works for any Lie bracket, solvable or not.  With a non-identity
     metric the bracket is rewritten in a metric-orthonormal frame via
-    Cholesky; the Ricci operator is conjugated back to the original
-    coordinates (same spectrum either way).
+    Cholesky, the columns of (L^T)^-1 for metric = L L^T: the Riemann and
+    sectional curvatures are given in that frame, and the Ricci operator
+    is conjugated back to the original coordinates (same spectrum either
+    way).
     """
     n = b.dim
     C = b.tensor()
@@ -261,7 +262,7 @@ def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
     sec = np.einsum("ijji->ij", riemann).copy()
     np.fill_diagonal(sec, np.nan)
     ricci = V @ ric_frame @ np.linalg.inv(V)
-    return KoszulReport(riemann, sec, ricci, float(np.trace(ric_frame)), V)
+    return KoszulReport(riemann, sec, ricci, float(np.trace(ric_frame)))
 
 
 def _connection(C: np.ndarray) -> np.ndarray:

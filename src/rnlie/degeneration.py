@@ -19,9 +19,8 @@ from . import _exactlp
 from .brackets import (FLOAT, RATIONAL, BasisChange, Bracket, act, is_lie,
                        validate_jacobi)
 from .curvature import extension_bracket, koszul_oracle
-from .derivations import derivation_matrix, require_derivation
+from .derivations import derivation_matrix, require_derivation, weight_vector
 from .errors import NumericalError, PreconditionError
-from .moment import weight_polytope, weight_vector
 
 SCHEDULE = tuple(2 ** k for k in range(21))
 
@@ -72,26 +71,27 @@ def diagonal_power_curve(source: Bracket, exponents) -> DegenerationCurve:
 
 
 def face_steering_curve(source: Bracket, face) -> DegenerationCurve:
-    """Diagonal curve whose limit keeps exactly the constants on `face`.
+    """Diagonal curve whose limit keeps exactly the constants on `face`,
+    a nonempty set of distinct triples of the source's constants.
 
-    `face` must be a face of the weight hull of the source (a tuple of
-    index triples); the steering exponents come from an exact LP for a
-    supporting functional, so the off-face constants decay strictly.
+    Every weight vector e_k - e_i - e_j has coordinate sum -1, so such a
+    set spans a face of the weight hull exactly when a functional
+    vanishes on it and is at most -1 on the other constants; the
+    exponents are one, from an exact LP, so the off-face constants decay
+    strictly.  Any other `face` raises PreconditionError.
     """
     face = tuple(sorted(tuple(t) for t in face))
-    poly = weight_polytope(source)
-    if face not in poly.hull_faces:
-        raise PreconditionError(
-            f"{face} does not span a face of the weight hull; "
-            f"faces: {poly.hull_faces}")
+    refusal = f"{face} does not span a face of the weight hull"
+    if not face or len(set(face)) < len(face) or not set(face) <= source.constants.keys():
+        raise PreconditionError(refusal)
     n = source.dim
-    off = [t for t in poly.triples if t not in face]
+    off = [t for t in sorted(source.constants) if t not in face]
     a_eq = [list(weight_vector(t, n)) for t in face]
     a_ub = [list(weight_vector(t, n)) for t in off]
     res = _exactlp.solve_lp([0] * n, a_ub=a_ub, b_ub=[-1] * len(off),
                             a_eq=a_eq, b_eq=[0] * len(face))
     if res.status != "optimal":
-        raise NumericalError(f"no supporting functional found: {res.status}")
+        raise PreconditionError(refusal)
     denom = math.lcm(*(v.denominator for v in res.x))
     exponents = tuple(int(v * denom) for v in res.x)
     return diagonal_power_curve(source, exponents)

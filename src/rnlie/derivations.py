@@ -20,7 +20,7 @@ scalars pick only the kernel: an SVD, or exact row reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -178,7 +178,7 @@ class Torus:
 
     bracket: Bracket
     basis: tuple  # tuple of tuples of Fraction
-    weights: tuple = field(default=())  # ((coeffs over torus coords, indices), ...)
+    weights: tuple  # ((coeffs over torus coords, indices), ...)
 
     @property
     def dim(self) -> int:
@@ -313,13 +313,14 @@ def _lifting_permutations(b: Bracket):
     e_i -> s_i e_pi(i), s_i = +-1.
 
     Backtracking over permutations, pruned by the multiset of |c_ij^k|
-    over k of each pair.  A leaf lifts when each constant c_ij^k meets a
-    constant of the same size at (pi i, pi j, pi k) and the sign
-    equations s_i + s_j + s_k = [c_ij^k and its image c_(pi i)(pi j)^(pi k),
-    read from the bracket's pair table, have opposite signs] are
-    consistent over GF(2): every dependency among their left-hand sides
-    sums an even number of right-hand sides.  Raises PreconditionError
-    past MAX_PERM_SEARCH_NODES search nodes.
+    over k of each pair, and by the constants: once the last of i, j, k
+    is placed, c_ij^k must meet a constant of the same size at
+    (pi i, pi j, pi k).  A leaf lifts when the sign equations
+    s_i + s_j + s_k = [c_ij^k and its image c_(pi i)(pi j)^(pi k), read
+    from the bracket's pair table, have opposite signs] are consistent
+    over GF(2): every dependency among their left-hand sides sums an even
+    number of right-hand sides.  Raises PreconditionError past
+    MAX_PERM_SEARCH_NODES search nodes.
     """
     n = b.dim
     sizes = {}
@@ -330,18 +331,22 @@ def _lifting_permutations(b: Bracket):
     prof = [[()] * n for _ in range(n)]  # sorted sizes over k of each pair
     for i, j, _, size, _ in sorted(consts, key=lambda t: t[3]):
         prof[i][j] = prof[j][i] = prof[i][j] + (size,)
+    completed = [[] for _ in range(n)]  # the constants whose last index is i
+    for i, j, k, size, _ in consts:
+        completed[max(i, j, k)].append((i, j, k, size))
     dependencies = _gf2_dependencies(
         [(1 << i) ^ (1 << j) ^ (1 << k) for i, j, k, _, _ in consts])
     found = []
     perm, used, nodes = [0] * n, [False] * n, 0
 
+    def lands(i):  # each constant completed at i meets one of its size
+        return all(image_of.get((perm[p], perm[q], perm[r]), (None,))[0] == size
+                   for p, q, r, size in completed[i])
+
     def leaf():
         rhs = 0
-        for t, (i, j, k, size, neg) in enumerate(consts):
-            image = image_of.get((perm[i], perm[j], perm[k]))
-            if image is None or image[0] != size:
-                return
-            if image[1] ^ neg:
+        for t, (i, j, k, _, neg) in enumerate(consts):
+            if image_of[perm[i], perm[j], perm[k]][1] ^ neg:
                 rhs |= 1 << t
         if not any((comb & rhs).bit_count() & 1 for comb in dependencies):
             found.append(tuple(perm))
@@ -358,7 +363,8 @@ def _lifting_permutations(b: Bracket):
         for t in range(n):
             if not used[t] and all(prof[a][i] == prof[perm[a]][t] for a in range(i)):
                 perm[i], used[t] = t, True
-                extend(i + 1)
+                if lands(i):
+                    extend(i + 1)
                 used[t] = False
 
     extend(0)
@@ -382,16 +388,16 @@ def _conjugate_pivots(perm, torus: Torus, rows):
     return [inv[p] for p in torus.pivots]
 
 
-def weyl_coordinate_actions(b: Bracket, torus: Torus | None = None):
-    """Distinct exact actions on torus coordinates induced by the signed
-    permutation automorphism group, identity first, then in order.
+def weyl_coordinate_actions(b: Bracket):
+    """Distinct exact actions on the coordinates of diagonal_torus(b)
+    induced by the signed permutation automorphism group, identity
+    first, then in order.
 
     Signs commute with the torus, so each permutation that lifts gives
     one action, whose row l is the torus basis column at pi^-1 of the
     l-th pivot; actions are told apart and sorted by those columns' ranks.
     """
-    if torus is None:
-        torus = diagonal_torus(b)
+    torus = diagonal_torus(b)
     columns = [tuple(row[i] for row in torus.basis) for i in range(b.dim)]
     distinct = sorted(set(columns))
     ranks = [distinct.index(col) for col in columns]

@@ -20,7 +20,7 @@ from ._hull import Hull, exact_hull
 from .brackets import Bracket, _memo, act_tensor, cut_tensor, gram_difference
 from .derivations import diagonal_derivation, diagonal_torus, weight_vector
 from .errors import NumericalError, PreconditionError
-from .rng import default_seed, generator
+from .rng import generator
 
 DIAG_POSITIVE = "DiagPositive"
 TORUS_CENTRALIZER = "TorusCentralizer"
@@ -554,7 +554,7 @@ def _sliced_points(rng, b, blocks, count, onto_slice):
 _TAG_STREAM = {DIAG_POSITIVE: 11, TORUS_CENTRALIZER: 12, DERIVATION_CENTRALIZER: 13}
 
 
-def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
+def orbit_sample(tag, b: Bracket, count: int = 32, seed: int = 0,
                  derivation=None) -> OrbitSample:
     """Sample `count` group elements and the moment values they induce.
 
@@ -585,7 +585,7 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed=None,
     if count < 1:
         raise PreconditionError("count must be positive")
     blocks = _group_blocks(tag, b, derivation)
-    seed = default_seed() if seed is None else int(seed)
+    seed = int(seed)
     rng = generator(seed, _TAG_STREAM[tag])
     onto_slice = _scaled_draws if tag == DIAG_POSITIVE else _rotated_draws
     return OrbitSample(tag, tuple(_sliced_points(rng, b, blocks, count, onto_slice)), seed)

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from rnlie.cli import build_parser, main
-from rnlie.rng import SEED_ENV
 
 
 def run(capsys, *argv):
@@ -111,13 +110,27 @@ class TestSharedParser:
         assert run(capsys, *self.CERTIFY) == first
         assert first[0] == 0 and json.loads(first[1])["result"] == "Certificate"
 
-    def test_seed_does_not_stick(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, "5")
+    def test_seed_does_not_stick(self, capsys):
         args = ("orbit-sample", "--algebra", "tricky5", "--count", "4")
         seeded = run(capsys, *args, "--seed", "3")
         unseeded = run(capsys, *args)
-        assert unseeded == run(capsys, *args, "--seed", "5")
+        assert unseeded == run(capsys, *args, "--seed", "0")
         assert unseeded != seeded
+
+    def test_seed_reads_no_environment(self, capsys, monkeypatch):
+        """An unseeded run prints the bytes of --seed 0 even where every
+        environment variable reads "5"."""
+        class EveryVariable(dict):
+            def __getitem__(self, key):
+                return "5"
+
+            def get(self, key, default=None):
+                return "5"
+
+        args = ("orbit-sample", "--algebra", "tricky5", "--count", "4")
+        want = run(capsys, *args, "--seed", "0")
+        monkeypatch.setattr(os, "environ", EveryVariable(os.environ))
+        assert run(capsys, *args) == want
 
     def test_seed_before_or_after_the_command(self, capsys):
         after = run(capsys, *self.CERTIFY)
@@ -310,6 +323,13 @@ class TestCone:
         assert data["vertices"] == [[f"-{5 * 10**399}", str(10**400)],
                                     [str(10**400), f"-{5 * 10**399}"]]
         assert data["weyl_report"]["ok"] is True
+
+    def test_filiform_weyl_report(self, capsys):
+        code, data, _ = run_json(capsys, "cone", "--algebra", "filiform:10",
+                                 "--trace-level", "1")
+        assert code == 0
+        assert data["weyl_report"] == {"actions_checked": 1, "ok": True,
+                                       "worst_distance": "0"}
 
 
 class TestDegenerate:

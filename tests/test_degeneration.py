@@ -106,6 +106,19 @@ class TestFaceSteering:
         with pytest.raises(PreconditionError):
             face_steering_curve(t5, ((0, 1, 2), (0, 2, 4)))
 
+    @pytest.mark.parametrize("face", [((0, 1, 2),), ((0, 1, 2), (0, 17, 18))])
+    def test_no_bound_on_weight_points(self, face):
+        # filiform:19 has 17 distinct weight points, past the hull's bound
+        f19 = corpus("filiform", 19).bracket
+        lim = limit_bracket(face_steering_curve(f19, face))
+        assert lim.constants == {t: Fraction(1) for t in face}
+
+    @pytest.mark.parametrize("face", [(), ((0, 1, 2), (0, 1, 2)), ((0, 1, 4),)],
+                             ids=["empty", "repeated", "not-a-constant"])
+    def test_not_a_face_of_constants(self, face):
+        with pytest.raises(PreconditionError, match="does not span a face"):
+            face_steering_curve(t5, face)
+
 
 class TestHeintze:
     def test_t1_is_standard_extension(self):

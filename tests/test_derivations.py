@@ -258,7 +258,7 @@ class TestWeylGroup:
     def test_heisenberg5_contains_pair_swap(self):
         b = corpus("heisenberg", 5).bracket
         t = diagonal_torus(b)
-        actions = weyl_coordinate_actions(b, t)
+        actions = weyl_coordinate_actions(b)
         # the coordinate action group contains a non-identity element
         # swapping the two generator pairs
         assert len(actions) == 8
@@ -354,8 +354,17 @@ class TestWeylSearchBudget:
 
     def test_heisenberg13_refused_quickly(self):
         b = corpus("heisenberg", 13).bracket
-        t = diagonal_torus(b)
+        diagonal_torus(b)  # memoised on b, so the clock times the search alone
         start = time.perf_counter()
         with pytest.raises(PreconditionError, match="nodes"):
-            weyl_coordinate_actions(b, t)
+            weyl_coordinate_actions(b)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", range(10, 17))
+    def test_filiform_has_one_action(self, n):
+        """Every filiform constant is 1, so the pair profiles separate no
+        index; the constants, each checked once its last index is placed,
+        leave the identity alone within the node budget."""
+        b = corpus("filiform", n).bracket
+        assert _lifting_permutations(b) == [tuple(range(n))]
+        assert len(weyl_coordinate_actions(b)) == 1

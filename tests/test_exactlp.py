@@ -206,8 +206,7 @@ def reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=Non
         y = sum(cost[basis[i]] * tab[i][art0 + r] for i in range(m))
         duals.append(row_sign[r] * y)
     objective = sum(ci * xi for ci, xi in zip(c, x))
-    return LpResult("optimal", x=x, objective=objective,
-                    dual_ub=duals[:n_ub], dual_eq=duals[n_ub:])
+    return LpResult("optimal", x=x, objective=objective, dual_ub=duals[:n_ub])
 
 
 def _random_lp(rng):

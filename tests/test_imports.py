@@ -1,6 +1,6 @@
 """Every module-level import in the package, its tests and its demos is
-used by its file, and every local variable a package function assigns
-is read."""
+used by its file, every local variable a package function assigns is
+read, and so is every field of the package's dataclasses."""
 
 import ast
 import sys
@@ -79,6 +79,50 @@ def _unread_locals(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert _unread_locals(path) == []
+
+
+def _unread_dataclass_fields(defining, readers):
+    """The annotated fields of each @dataclass class in the files
+    `defining` that no file of `readers` reads as an attribute."""
+    read = set()
+    for path in readers:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+    def is_dataclass(deco):
+        deco = deco.func if isinstance(deco, ast.Call) else deco
+        return getattr(deco, "id", getattr(deco, "attr", None)) == "dataclass"
+
+    found = []
+    for path in defining:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef) and any(map(is_dataclass, cls.decorator_list)):
+                found += [f"{path.name}:{node.lineno} {cls.name}.{node.target.id}"
+                          for node in cls.body if isinstance(node, ast.AnnAssign)
+                          and isinstance(node.target, ast.Name)
+                          and node.target.id not in read]
+    return sorted(found)
+
+
+def test_every_dataclass_field_is_read():
+    """A field that neither the package, its tests, its demos nor the
+    benchmark reads is state that no answer depends on."""
+    readers = sorted(SRC.glob("*.py")) + sorted(
+        path for folder in ("tests", "demos", "bench") for path in ROOT.glob(f"{folder}/*.py"))
+    assert _unread_dataclass_fields(sorted(SRC.glob("*.py")), readers) == []
+
+
+def test_unread_dataclass_fields_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    read: int\n    unread: int = 0\n"
+        "    def total(self):\n        return self.read\n"
+        "@dataclasses.dataclass\nclass B:\n    written: int\n"
+        "class Plain:\n    ignored: int\n"
+        "def store(b):\n    b.written = 1\n")
+    assert _unread_dataclass_fields([probe], [probe]) == [
+        "probe.py:11 B.written", "probe.py:6 A.unread"]
 
 
 def _unreferenced_private_names():
