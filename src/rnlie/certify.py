@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,10 +24,9 @@ from .brackets import Bracket, center
 from .curvature import MetricParams, _top_eigenvalues, is_ricci_negative
 from .derivations import (_is_diagonal, _positive_trace, derivation_matrix,
                           diagonal_derivation, require_derivation)
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, require_count
 from .moment import (DERIVATION_CENTRALIZER, TORUS_CENTRALIZER, OrbitSample,
-                     _metric_factors, _metric_layout, centralizer_blocks,
-                     nice_basis_check, weight_vector)
+                     centralizer_blocks, nice_basis_check, weight_vector)
 from .rng import generator, require_seed
 
 MARGIN_THRESHOLD = Fraction(1, 10_000_000)  # 1e-7
@@ -244,16 +242,58 @@ def necessary_condition(D, b: Bracket) -> bool:
     return float(np.linalg.eigvals(restricted).real.min()) > 1e-10
 
 
+@functools.lru_cache(maxsize=64)
+def _metric_layout(blocks):
+    """Where the metric search packs its factors: each block's lower
+    triangle, block after block, row by row.  Returns the (row, column,
+    offset) index arrays of the diagonal entries, those of the entries
+    below the diagonal, and the packed width.  `blocks` is a tuple of
+    index tuples; a k x k block takes k(k + 1)/2 coordinates.  The arrays
+    are read-only, since every caller shares them."""
+    diagonal, below, width = [], [], 0
+    for blk in blocks:
+        for r, i in enumerate(blk):
+            below += [(i, j, width + c) for c, j in enumerate(blk[:r])]
+            width += r
+            diagonal.append((i, i, width))
+            width += 1
+    layout = []
+    for entries in (diagonal, below):
+        columns = np.array(entries, dtype=np.intp).reshape(-1, 3).T.copy()
+        columns.setflags(write=False)
+        layout.append(tuple(columns))
+    return layout[0], layout[1], width
+
+
+def _metric_factors(A, blocks, n):
+    """The metric factors h of the metric search, one for each row of A
+    in the layout of _metric_layout: block diagonal, each block lower
+    triangular, with the entries below the diagonal as given and e^a on
+    the diagonal; as the (K, n) diagonals e^a when every block is 1 x 1.
+    These reach every metric that any invertible factor with the same
+    blocks reaches: such a factor is Q L, with Q orthogonal and L of this
+    form (the QL decomposition), and (X, Q L) gives the metric of
+    (Q^T X, L), Q being an isometry.  Each row gives the same bits in any
+    stack."""
+    A = np.asarray(A, dtype=float)
+    (i, _, pos), (rows, cols, at), width = _metric_layout(tuple(blocks))
+    with np.errstate(all="ignore"):
+        if width == n:
+            h = np.empty((len(A), n))
+            h[:, i] = np.exp(A)
+            return h
+        h = np.zeros((len(A), n, n))
+        h[:, rows, cols] = A[:, at]
+        h[:, i, i] = np.exp(A[:, pos])
+    return h
+
+
+@functools.lru_cache(maxsize=64)
 def _scaling_line(blocks, n):
     """The 50 search points of the pure-scaling line h = e^s, s from 0.25
     to 25: s at the diagonal offsets of _metric_layout and +0.0 at every
     other coordinate, X included.  Read-only, since every search with
-    these blocks shares it."""
-    return _shared_scaling_line(tuple(blocks), n)
-
-
-@functools.lru_cache(maxsize=64)
-def _shared_scaling_line(blocks, n):
+    these blocks, a tuple of index tuples, shares it."""
     (_, _, diagonal), _, width = _metric_layout(blocks)
     line = np.zeros((50, width + n))
     line[:, diagonal] = np.linspace(0.25, 25.0, 50)[:, None]
@@ -280,10 +320,9 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed: int = 0)
     the extension by anything else is no Lie algebra, and a search over
     it would decide nothing.  The gate is also what lets every evaluation
     read the closed-form Ricci blocks of the transported pair, with no
-    curvature tensor.  When every centralizer block is 1 x 1 the factors
-    are the diagonals e^a, and the evaluator transports the pair
-    entrywise on the diagonal torus.  Otherwise the factors are full
-    matrices and take the dense transport.
+    curvature tensor.  The factors of 1 x 1 blocks are the diagonals
+    e^a, which the evaluator transports entrywise on the diagonal torus;
+    full factors take the dense transport.
 
     Points are evaluated as stacks, and each row of a stack reads the
     same bits as it would alone.  The identity metric and the 50 points
@@ -306,8 +345,8 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed: int = 0)
     witness is confirmed by is_ricci_negative, the independent
     Koszul-formula evaluation, before it is returned.  The seeded
     generator is made at the first random start, so a search that ends
-    before one never makes it; the seed is still checked against
-    Philox's key range at the start.
+    before one never makes it; the seed is still checked at the start,
+    an int (not a bool) in Philox's key range.
 
     What depends only on the shape is made once and shared, read-only,
     by every search of that shape: the scaling line, for each tuple of
@@ -317,14 +356,11 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed: int = 0)
     The bracket keeps its own structure tensor and nonzero entries, so
     the searches on one bracket build them once.
     """
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-        raise PreconditionError(f"budget must be an int of at least 1, not {budget!r}")
-    budget = int(budget)
+    require_count(budget, "budget")
+    require_seed(seed)
     n = b.dim
     M = derivation_matrix(D, n)
     require_derivation(M, b)
-    seed = int(seed)
-    require_seed(seed)
     rng = None
 
     if _is_diagonal(M):
@@ -336,14 +372,8 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed: int = 0)
     tally = _Tally(budget, dim)
 
     def evaluate(rows):
-        A = rows[:, :asize]
-        if asize == n:
-            # 1 x 1 blocks: the diagonals _metric_factors would place
-            with np.errstate(all="ignore"):
-                h = np.exp(A)
-        else:
-            h = _metric_factors(A, blocks, n)
-        return _top_eigenvalues(M, b, rows[:, asize:], h)
+        return _top_eigenvalues(M, b, rows[:, asize:],
+                                _metric_factors(rows[:, :asize], blocks, n))
 
     def random_start():
         nonlocal rng
@@ -372,7 +402,8 @@ def search_rn_metric(D, b: Bracket, budget: int = DEFAULT_BUDGET, seed: int = 0)
             _lockstep(starts, _LOCKSTEP_WINDOW, evaluate, tally, offsets)
 
     x = tally.best_x
-    params = MetricParams(1.0, x[asize:], _metric_factors(x[None, :asize], blocks, n)[0])
+    h = _metric_factors(x[None, :asize], blocks, n)[0]
+    params = MetricParams(1.0, x[asize:], np.diag(h) if h.ndim == 1 else h)
     if tally.best < NEGATIVITY_THRESHOLD:
         flag, lam = is_ricci_negative(M, b, params)
         if flag and lam < NEGATIVITY_THRESHOLD:

@@ -26,6 +26,8 @@ its own.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,10 +39,10 @@ from .certify import (Infeasible, RnWitness, SrnCertificate, _nice_margin,
                       certify_srn_sampled, search_rn_metric)
 from .derivations import (Torus, _positive_trace, diagonal_derivation,
                           diagonal_torus, weyl_coordinate_actions)
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, require_count
 from .moment import (TORUS_CENTRALIZER, nice_basis_check, orbit_sample,
                      weight_vector)
-from .rng import generator
+from .rng import generator, require_seed
 
 IN = "In"
 OUT = "Out"
@@ -67,8 +69,10 @@ def cone_membership(D, b: Bracket, seed: int = 0) -> str:
     multiplicity-free basis, sampled LP over a torus-centralizer orbit
     otherwise).  "Out" is only asserted when it is definitive: trace
     not positive, or exact infeasibility in the exact regime.  D must
-    pass diagonal_derivation.
+    pass diagonal_derivation, and seed must be an int (require_seed) in
+    either regime.
     """
+    require_seed(seed)
     torus = diagonal_torus(b)
     diag = diagonal_derivation(D, b)
     if not _positive_trace(diag):
@@ -162,7 +166,7 @@ def _probe_directions(d: int, resolution: int, rng) -> np.ndarray:
         e2 = [0.0] * d
         e2[i] = -1.0
         dirs.append(e2)
-    extra = rng.standard_normal((max(0, int(resolution)), d))
+    extra = rng.standard_normal((resolution, d))
     for row in extra:
         norm = float(np.linalg.norm(row))
         if norm > 1e-12:
@@ -187,7 +191,6 @@ def _sampled_section(b: Bracket, torus: Torus, t, resolution, seed) -> ConeSecti
     points for one section, each a valid optimum with the same support
     value u . c.
     """
-    seed = int(seed)
     rng = generator(seed, _CONE_STREAM)
     sample = orbit_sample(TORUS_CENTRALIZER, b, count=SAMPLE_COUNT, seed=seed)
     pts = sample.diagonals()
@@ -453,9 +456,15 @@ def cone_section(b: Bracket, t, resolution: int = 64, seed: int = 0) -> ConeSect
     the multipliers, then the vertices by exact double description).
     Any torus of larger dimension raises PreconditionError.  Otherwise a
     seeded inner approximation from support probes over a sampled orbit.
+    t is a finite number, resolution an int of at least 0 and seed an
+    int (require_count, require_seed), in either regime.
     """
+    if not (isinstance(t, numbers.Rational) or math.isfinite(t)):
+        raise PreconditionError(f"trace level {t} is not finite")
     if t <= 0:
         raise PreconditionError("the cone meets only positive trace levels")
+    require_count(resolution, "resolution", 0)
+    require_seed(seed)
     torus = diagonal_torus(b)
     if torus.dim == 0:
         raise PreconditionError("the diagonal torus is zero dimensional")
@@ -515,11 +524,10 @@ def containment_audit(b: Bracket, section: ConeSection, probes: int = 50,
     Every probe must produce a witness with a negative top Ricci
     eigenvalue within 4000 evaluations; any failure lands in the report
     and signals that the section over-approximates, which must not
-    happen.
+    happen.  probes is an int of at least 1 and seed an int
+    (require_count, require_seed).
     """
-    if probes <= 0:
-        raise PreconditionError("need a positive probe count")
-    seed = int(seed)
+    require_count(probes, "probes")
     rng = generator(seed, _CONE_STREAM + 1)
     V = np.array([[float(x) for x in v] for v in section.vertices])
     centroid = V.mean(axis=0)

@@ -5,14 +5,14 @@ Two independent computations are kept side by side.  The Ricci operator
 of an extension comes from closed-form blocks, with no curvature tensor,
 which one kernel (_ricci_stack) writes into one stack of operators, for
 ricci_extension and for the evaluation behind every metric search, on
-stacks of transported pairs (_top_eigenvalues).  On the diagonal torus,
-with metric factors h = diag(e^a), the pair moves entrywise, mu_ij^k to
-e^(a_k - a_i - a_j) mu_ij^k, with no inverse, determinant or dense
-action; centralizer blocks larger than 1 x 1 and non-diagonal
-derivations take the dense products.  The Koszul-formula oracle evaluates
-the full curvature tensor of any left-invariant metric from structure
-constants alone; it is the independent reference that the closed forms
-are tested against.  The Ricci-negativity test (is_ricci_negative) reads
+stacks of transported pairs (_top_eigenvalues), which reads a Bracket
+and the factors of certify._metric_factors.  On the diagonal torus,
+with factors the diagonals of h = diag(e^a), the pair moves entrywise,
+mu_ij^k to e^(a_k - a_i - a_j) mu_ij^k, with no inverse, determinant or
+dense action; full factors take the dense products.  The Koszul-formula
+oracle evaluates the full curvature tensor of any left-invariant metric
+from structure constants alone; it is the independent reference that
+the closed forms are tested against.  The Ricci-negativity test (is_ricci_negative) reads
 the same formula on the dense transported structure tensor, with no
 Bracket in between, and confirms each search witness once: it inverts
 the metric factor once, for the derivation and the bracket, and
@@ -33,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .brackets import (BasisChange, Bracket, _acted, _nonzero_entries, _tensor_support, act,
-                       act_tensor, gram_difference)
+from .brackets import (BasisChange, Bracket, _acted, _tensor_support, act, act_tensor,
+                       gram_difference)
 from .derivations import _matrix_of, derivation_matrix, require_derivation
 from .errors import PreconditionError
 
@@ -82,7 +82,7 @@ class MetricParams:
     way with c > 0.  For orthogonal Q, (Q X, Q h) moves the transported
     pair by the isometry Q, so its Ricci spectrum is that of (X, h); the
     metric search therefore takes h lower triangular with a positive
-    diagonal.
+    diagonal.  c, X and h must be finite, c nonzero and h invertible.
     """
 
     c: float
@@ -92,6 +92,9 @@ class MetricParams:
     def __post_init__(self):
         object.__setattr__(self, "X", np.asarray(self.X, float))
         object.__setattr__(self, "h", np.asarray(self.h, float))
+        if not (math.isfinite(self.c) and np.isfinite(self.X).all()
+                and np.isfinite(self.h).all()):
+            raise PreconditionError("metric parameters must be finite")
         if self.c == 0:
             raise PreconditionError("scale c must be nonzero")
         n = self.h.shape[0]
@@ -235,7 +238,8 @@ def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
     """Curvature of the left-invariant metric defined by `metric` (the
     identity by default) on the Lie algebra of b.
 
-    Works for any Lie bracket, solvable or not.  With a non-identity
+    Works for any Lie bracket, solvable or not; `metric` must be finite,
+    symmetric and positive definite.  With a non-identity
     metric the bracket is rewritten in a metric-orthonormal frame via
     Cholesky, the columns of (L^T)^-1 for metric = L L^T: the Riemann and
     sectional curvatures are given in that frame, and the Ricci operator
@@ -250,6 +254,8 @@ def koszul_oracle(b: Bracket, metric: np.ndarray | None = None) -> KoszulReport:
         G = np.asarray(metric, float)
         if G.shape != (n, n):
             raise PreconditionError("metric shape mismatch")
+        if not np.isfinite(G).all():
+            raise PreconditionError("metric entries must be finite")
         if np.abs(G - G.T).max() > 1e-10 * max(1.0, np.abs(G).max()):
             raise PreconditionError("metric must be symmetric")
         try:
@@ -346,13 +352,12 @@ def _clearly_nonsingular(d: np.ndarray) -> bool:
     return low > 0.0 and high < np.inf and d.shape[-1] * math.log(low) > _LOG_SINGULAR + 1.0
 
 
-def _top_eigenvalues(M, C, X: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Top Ricci eigenvalue of the extension of C by M under each metric
+def _top_eigenvalues(M, b: Bracket, X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Top Ricci eigenvalue of the extension of b by M under each metric
     (1, X[r], h[r]) of a stack: X is (K, n), and h is (K, n, n), or (K, n)
-    for diagonal factors h[r] = diag(h[r]).  C is a structure tensor, or
-    a Bracket, whose tensor and nonzero entries are then the ones kept on
-    it (brackets._tensor_support), read once per bracket instead of once
-    per call.
+    for diagonal factors h[r] = diag(h[r]), as certify._metric_factors
+    gives them.  b's tensor and nonzero entries are the ones kept on it
+    (brackets._tensor_support), read once per bracket.
 
     This is the evaluation of every metric search.  The kernel of
     ricci_extension (_ricci_stack) writes the closed-form blocks of the
@@ -376,9 +381,7 @@ def _top_eigenvalues(M, C, X: np.ndarray, h: np.ndarray) -> np.ndarray:
     bit-identical to the same row evaluated alone, and a row of
     diagonals to the same row given as the diagonal matrix.
     """
-    support = None
-    if isinstance(C, Bracket):
-        C, support = C.tensor(), _tensor_support(C)
+    C = b.tensor()
     torus = h.ndim == 2
     lam = None
     with np.errstate(all="ignore"):
@@ -389,7 +392,7 @@ def _top_eigenvalues(M, C, X: np.ndarray, h: np.ndarray) -> np.ndarray:
             if not ok.all():
                 lam = np.full(len(h), np.inf)
                 X, h = X[ok], h[ok]
-        ric = _ricci_stack(*(_torus_transport(M, C, X, h, support) if torus else
+        ric = _ricci_stack(*(_torus_transport(M, C, X, h, _tensor_support(b)) if torus else
                              _transported_pair(M, C, 1.0, X, h)))
         if np.isfinite(ric).all():
             top = np.linalg.eigvalsh(ric)[:, -1]
@@ -403,11 +406,11 @@ def _top_eigenvalues(M, C, X: np.ndarray, h: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray, support=None):
+def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray, support):
     """The transported pair (h(M - ad Y)h^{-1}, h.C) with Y = h^{-1}X for
     the diagonal factors h = diag(d[r]) of a (K, n) stack, entrywise:
-    mu_ij^k moves to d_k mu_ij^k / (d_i d_j).  `support` is
-    _nonzero_entries(C), found here when not given.
+    mu_ij^k moves to d_k mu_ij^k / (d_i d_j).  `support` is the nonzero
+    entries of C (brackets._tensor_support).
 
     The products are those of _transported_derivation and act_tensor on
     diag(d), in their order, less the terms with a zero factor of h; only
@@ -424,7 +427,7 @@ def _torus_transport(M, C: np.ndarray, X: np.ndarray, d: np.ndarray, support=Non
     # column j of ad Y is [Y, e_j] = sum_i Y_i C[i,j,:], the dense product
     adY = (Y[:, None, :] @ C.reshape(n, n * n)).reshape(-1, n, n)
     Dn = d[:, :, None] * (M - adY.mT) * dinv[:, None, :] + 0.0
-    i, j, k, c = _nonzero_entries(C) if support is None else support
+    i, j, k, c = support
     hC = np.zeros((len(d), n, n, n))
     hC[:, i, j, k] = c * d.take(k, 1) * dinv.take(i, 1) * dinv.take(j, 1) + 0.0
     return Dn, hC

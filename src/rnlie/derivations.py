@@ -70,9 +70,12 @@ def require_derivation(D, b: Bracket) -> None:
 
 def derivation_matrix(D, n: int | None = None) -> np.ndarray:
     """D as a float matrix, given as a matrix or a vector of entries (its
-    diagonal matrix).  With n, any shape but n x n raises
-    PreconditionError."""
-    return _matrix_of(D, n, float)
+    diagonal matrix).  A non-finite entry raises PreconditionError, and
+    so does, with n, any shape but n x n."""
+    M = _matrix_of(D, n, float)
+    if not np.isfinite(M).all():
+        raise PreconditionError("derivation entries must be finite")
+    return M
 
 
 def _matrix_of(D, n, dtype) -> np.ndarray:
@@ -108,9 +111,7 @@ def diagonal_derivation(D, b: Bracket) -> list:
     which constants are nonzero, never their size.
     """
     M = _matrix_of(D, b.dim, object)
-    F = M.astype(float)
-    if not np.isfinite(F).all():
-        raise PreconditionError("derivation entries must be finite")
+    F = derivation_matrix(M)
     if not _is_diagonal(F):
         raise PreconditionError("this operation needs a diagonal derivation")
     d = [Fraction(x) if isinstance(x, (int, Fraction)) else float(x)

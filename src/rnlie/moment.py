@@ -4,7 +4,8 @@ The central object is the trace-normalized symmetric matrix m(mu)
 pairing the infinitesimal basis-change action against the bracket
 itself.  Its diagonal part is an exact convex combination of the
 weight matrices F_ij^k, which is what ties curvature questions to the
-small polytopes computed here.
+small polytopes computed here.  The metric search's rule for its
+factors lives with the search, in certify.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ._hull import Hull, exact_hull
 from .brackets import Bracket, _memo, act_tensor, cut_tensor, gram_difference
 from .derivations import diagonal_derivation, diagonal_torus, weight_vector
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, require_count
 from .rng import generator
 
 DIAG_POSITIVE = "DiagPositive"
@@ -325,47 +326,6 @@ def _draw_block_elements(rng, blocks, n, k):
     return np.array(kept)
 
 
-@functools.lru_cache(maxsize=64)
-def _metric_layout(blocks):
-    """Where the metric search packs its factors: each block's lower
-    triangle, block after block, row by row.  Returns the (row, column,
-    offset) index arrays of the diagonal entries, those of the entries
-    below the diagonal, and the packed width.  `blocks` is a tuple of
-    index tuples; a k x k block takes k(k + 1)/2 coordinates.  The arrays
-    are read-only, since every caller shares them."""
-    diagonal, below, width = [], [], 0
-    for blk in blocks:
-        for r, i in enumerate(blk):
-            below += [(i, j, width + c) for c, j in enumerate(blk[:r])]
-            width += r
-            diagonal.append((i, i, width))
-            width += 1
-    layout = []
-    for entries in (diagonal, below):
-        columns = np.array(entries, dtype=np.intp).reshape(-1, 3).T.copy()
-        columns.setflags(write=False)
-        layout.append(tuple(columns))
-    return layout[0], layout[1], width
-
-
-def _metric_factors(A, blocks, n):
-    """The metric factors h of the metric search, one for each row of A
-    in the layout of _metric_layout: block diagonal, each block lower
-    triangular, with the entries below the diagonal as given and e^a on
-    the diagonal.  These reach every metric that any invertible factor
-    with the same blocks reaches: such a factor is Q L, with Q orthogonal
-    and L of this form (the QL decomposition), and (X, Q L) gives the
-    metric of (Q^T X, L), Q being an isometry.  Each row gives the same
-    bits in any stack."""
-    A = np.asarray(A, dtype=float)
-    (i, _, pos), (rows, cols, at), _ = _metric_layout(tuple(blocks))
-    h = np.zeros((len(A), n, n))
-    h[:, rows, cols] = A[:, at]
-    with np.errstate(all="ignore"):
-        h[:, i, i] = np.exp(A[:, pos])
-    return h
-
-
 def _moment_matrices(C):
     """The moment matrix of each structure tensor of the stack C: its
     gram_difference over its squared norm, the bytes of moment_map on a
@@ -556,7 +516,8 @@ _TAG_STREAM = {DIAG_POSITIVE: 11, TORUS_CENTRALIZER: 12, DERIVATION_CENTRALIZER:
 
 def orbit_sample(tag, b: Bracket, count: int = 32, seed: int = 0,
                  derivation=None) -> OrbitSample:
-    """Sample `count` group elements and the moment values they induce.
+    """Sample `count` group elements and the moment values they induce;
+    count and seed are ints (require_count, require_seed).
 
     Diagonal entries are log-uniform in [e^-6, e^6], off-diagonal block
     entries standard normal, near-singular draws rejected.  Each draw g0
@@ -582,10 +543,8 @@ def orbit_sample(tag, b: Bracket, count: int = 32, seed: int = 0,
     if tag not in GROUP_TAGS:
         raise PreconditionError(f"unknown group tag {tag!r}; "
                                 f"expected one of {GROUP_TAGS}")
-    if count < 1:
-        raise PreconditionError("count must be positive")
+    require_count(count, "count")
     blocks = _group_blocks(tag, b, derivation)
-    seed = int(seed)
     rng = generator(seed, _TAG_STREAM[tag])
     onto_slice = _scaled_draws if tag == DIAG_POSITIVE else _rotated_draws
     return OrbitSample(tag, tuple(_sliced_points(rng, b, blocks, count, onto_slice)), seed)

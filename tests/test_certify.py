@@ -15,16 +15,15 @@ from rnlie import certify, curvature
 from rnlie.brackets import Bracket, act_tensor, cut_tensor
 from rnlie.certify import (DEFAULT_BUDGET, NEGATIVITY_THRESHOLD, Infeasible,
                            RnWitness, SearchFailure, SrnCertificate, Unknown,
-                           _metric_factors, _scaling_line, certify_srn_nice, certify_srn_sampled,
-                           necessary_condition, search_rn_metric)
+                           _metric_factors, _metric_layout, _scaling_line, certify_srn_nice,
+                           certify_srn_sampled, necessary_condition, search_rn_metric)
 from rnlie.corpus import corpus
 from rnlie.curvature import MetricParams, is_ricci_negative
 from rnlie.derivations import require_derivation
 from rnlie.errors import NumericalError, PreconditionError
 from rnlie.moment import (DERIVATION_CENTRALIZER, DIAG_POSITIVE, TORUS_CENTRALIZER,
                           MomentValue, OrbitSample, _draw_block_elements, _group_blocks,
-                          _metric_layout, _moment_matrices, centralizer_blocks,
-                          orbit_sample)
+                          _moment_matrices, centralizer_blocks, orbit_sample)
 from rnlie.rng import generator
 
 h3 = corpus("heisenberg", 3).bracket
@@ -442,20 +441,14 @@ def sequential_search(D, b, budget=DEFAULT_BUDGET, seed=0):
         blocks = [tuple(range(n))]
     asize = _metric_layout(tuple(blocks))[2]
     dim = asize + n
-    C = b.tensor()
     state = {"evals": 0, "best": math.inf, "best_x": np.zeros(dim)}
 
     def poll(rows):
         rows = rows[:budget - state["evals"]]
         if not len(rows):
             return
-        A = rows[:, :asize]
-        if asize == n:
-            with np.errstate(all="ignore"):
-                h = np.exp(A)
-        else:
-            h = certify._metric_factors(A, blocks, n)
-        values = certify._top_eigenvalues(M, C, rows[:, asize:], h)
+        h = certify._metric_factors(rows[:, :asize], blocks, n)
+        values = certify._top_eigenvalues(M, b, rows[:, asize:], h)
         for x, lam in zip(rows, values):
             state["evals"] += 1
             if lam < state["best"]:
@@ -496,7 +489,7 @@ def sequential_search(D, b, budget=DEFAULT_BUDGET, seed=0):
     for _ in poll(np.zeros((1, dim))):
         pass
     if not done():
-        for _ in poll(_scaling_line(blocks, n)):
+        for _ in poll(_scaling_line(tuple(blocks), n)):
             if finished():
                 break
     while not done():
@@ -506,8 +499,8 @@ def sequential_search(D, b, budget=DEFAULT_BUDGET, seed=0):
             x = 0.6 * rng.standard_normal(dim)
         descend(x)
     x = state["best_x"]
-    params = MetricParams(1.0, x[asize:],
-                          certify._metric_factors(x[None, :asize], blocks, n)[0])
+    h = certify._metric_factors(x[None, :asize], blocks, n)[0]
+    params = MetricParams(1.0, x[asize:], np.diag(h) if h.ndim == 1 else h)
     if finished():
         flag, lam = is_ricci_negative(M, b, params)
         if flag and lam < NEGATIVITY_THRESHOLD:
@@ -706,12 +699,14 @@ class TestStackedSearch:
 
     def test_torus_search_builds_no_dense_factor(self, monkeypatch):
         """With 1 x 1 centralizer blocks the search evaluates on the
-        diagonals: no dense transport (_transported_pair, or act_tensor,
-        which no evaluator branch calls), and one _metric_factors call,
-        for the parameters it returns.  A search with a 2 x 2 block takes
-        the dense transport on every evaluator call and on the witness
-        check, so the counter reads what it guards."""
-        counts = {"act_tensor": 0, "_transported_pair": 0, "_metric_factors": 0}
+        diagonals: every factor _metric_factors gives it, for the
+        evaluator calls and for the parameters it returns, is a (K, 3)
+        stack of diagonals, and no dense transport runs (_transported_pair,
+        or act_tensor, which no evaluator branch calls).  A search with a
+        2 x 2 block gets (K, 3, 3) factors and takes the dense transport on
+        every evaluator call and on the witness check, so the counters read
+        what they guard."""
+        counts = {"act_tensor": 0, "_transported_pair": 0}
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -724,16 +719,23 @@ class TestStackedSearch:
 
         counted(curvature, "act_tensor")
         counted(curvature, "_transported_pair")
-        counted(certify, "_metric_factors")
-        res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
-        assert isinstance(res, SearchFailure) and res.evaluations == 2000
-        assert counts == {"act_tensor": 0, "_transported_pair": 0, "_metric_factors": 1}
+        shapes, factors = [], certify._metric_factors
+        monkeypatch.setattr(certify, "_metric_factors",
+                            lambda *args: shapes.append(factors(*args).shape[1:])
+                            or factors(*args))
         calls, evaluate = [], certify._top_eigenvalues
         monkeypatch.setattr(certify, "_top_eigenvalues",
                             lambda *args: calls.append(1) or evaluate(*args))
+        res = search_rn_metric(diag(-1, 1, 0), h3, budget=2000, seed=11)
+        assert isinstance(res, SearchFailure) and res.evaluations == 2000
+        assert counts == {"act_tensor": 0, "_transported_pair": 0}
+        assert shapes == [(3,)] * (len(calls) + 1)
+        calls.clear()
+        shapes.clear()
         res = search_rn_metric(diag(1, 1, 2), h3, budget=50, seed=1)
         assert isinstance(res, RnWitness)
         assert counts["_transported_pair"] == len(calls) + 1 >= 2
+        assert shapes == [(3, 3)] * (len(calls) + 1)
         assert counts["act_tensor"] == 0
 
     def test_search_ending_on_the_scaling_line_makes_one_evaluator_call(self, monkeypatch):
@@ -927,7 +929,7 @@ def test_scaling_line_matches_per_point_packing(blocks, n):
             x[at] = entries[rows, cols]
         want.append(x)
     want = np.array(want)
-    got = _scaling_line(blocks, n)
+    got = _scaling_line(tuple(blocks), n)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -1058,11 +1060,38 @@ def test_triangular_factors_lose_no_metric(b, M, blocks):
         QX.append(Q.T @ X)
     factors = _metric_factors(np.array(coords), blocks, n)
     assert np.allclose(factors, [_ql(h)[1] for h in hs], rtol=1e-14, atol=0)
-    C = b.tensor()
-    want = curvature._top_eigenvalues(M, C, np.array(Xs), np.array(hs))
-    got = curvature._top_eigenvalues(M, C, np.array(QX), factors)
+    want = curvature._top_eigenvalues(M, b, np.array(Xs), np.array(hs))
+    got = curvature._top_eigenvalues(M, b, np.array(QX), factors)
     assert np.isfinite(want).all()
     assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+
+
+class TestMetricFactors:
+    def test_rows_of_a_stack_keep_their_bits(self):
+        """The metric search builds its triangular factors as stacks: each
+        row reads the bits it reads alone, and a row whose diagonal
+        overflows exp reads inf there, and inf at the evaluator."""
+        blocks = [(0, 2), (1, 3), (4,)]
+        xs = 0.8 * np.random.default_rng(4).standard_normal((25, 7))
+        xs[3, :3] = [40.3, 0.8, 39.7]
+        xs[7, :3] = [1e3, 0.0, 1e3]   # overflows
+        factors = _metric_factors(xs, blocks, 5)
+        assert factors[7, 0, 0] == factors[7, 2, 2] == np.inf and factors[7, 2, 0] == 0.0
+        for k in range(len(xs)):
+            assert factors[k].tobytes() == _metric_factors(xs[k:k + 1], blocks, 5)[0].tobytes()
+        # h5 with diag(1, -1, 1, -1, 0), whose centralizer blocks these are
+        M = np.diag([1.0, -1.0, 1.0, -1.0, 0.0])
+        lam = curvature._top_eigenvalues(M, h5, np.zeros((25, 5)), factors)
+        assert lam[7] == np.inf and np.isfinite(np.delete(lam, 7)).all()
+
+    def test_one_by_one_blocks_give_diagonals(self):
+        """With every block 1 x 1 the factors are the (K, n) diagonals:
+        column i of the row is e^a of block (i,)'s coordinate, the bytes
+        of np.exp on the packed rows when the blocks are in index order."""
+        xs = 0.8 * np.random.default_rng(5).standard_normal((6, 3))
+        d = _metric_factors(xs, [(0,), (1,), (2,)], 3)
+        assert d.shape == (6, 3) and d.tobytes() == np.exp(xs).tobytes()
+        assert np.array_equal(_metric_factors(xs, [(1,), (0,), (2,)], 3), np.exp(xs[:, [1, 0, 2]]))
 
 
 class TestResultTypes:

@@ -5,7 +5,8 @@ import pytest
 
 from rnlie import curvature
 from rnlie.brackets import Bracket, act_tensor, gram_difference
-from rnlie.certify import _metric_factors
+from rnlie.brackets import _tensor_support
+from rnlie.certify import _metric_factors, _metric_layout
 from rnlie.corpus import corpus
 from rnlie.curvature import (MetricParams, _top_eigenvalues, extension_bracket,
                              is_ricci_negative, koszul_oracle, ricci_extension,
@@ -13,7 +14,7 @@ from rnlie.curvature import (MetricParams, _top_eigenvalues, extension_bracket,
 from rnlie.degeneration import heintze_curve
 from rnlie.derivations import derivation_space, is_derivation, require_derivation
 from rnlie.errors import PreconditionError
-from rnlie.moment import _metric_layout, centralizer_blocks
+from rnlie.moment import centralizer_blocks
 
 
 def h3():
@@ -328,7 +329,17 @@ def _log_diagonal(entries, blocks):
 
 def _evaluate(b, M, blocks, xs, asize):
     h = _metric_factors(xs[:, :asize], blocks, b.dim)
-    return _top_eigenvalues(M, b.tensor(), xs[:, asize:], h)
+    return _top_eigenvalues(M, b, xs[:, asize:], h)
+
+
+def _dense_factors(A, blocks, n):
+    """The factors of _metric_factors as (K, n, n) matrices, its (K, n)
+    diagonals included."""
+    h = _metric_factors(A, blocks, n)
+    if h.ndim == 2:
+        d, h = h, np.zeros(h.shape + (n,))
+        h[:, range(n), range(n)] = d
+    return h
 
 
 class TestStackedEvaluation:
@@ -352,7 +363,7 @@ class TestStackedEvaluation:
     def test_agrees_with_koszul_evaluation(self, case):
         b, M, blocks, xs, asize = _stack(case)
         lam = _evaluate(b, M, blocks, xs, asize)
-        h = _metric_factors(xs[:, :asize], blocks, b.dim)
+        h = _dense_factors(xs[:, :asize], blocks, b.dim)
         for x, hr, got in zip(xs, h, lam):
             want = is_ricci_negative(M, b, MetricParams(1.0, x[asize:], hr))[1]
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -391,15 +402,11 @@ class TestStackedEvaluation:
         derivation each read, row by row, the bytes of the row alone.  So
         do they with invalid rows mixed in, which read inf."""
         b, M, blocks, xs, asize = _stack(case, rows=256, seed=1)
-        C = b.tensor()
         n = b.dim
 
         def values(rows):
-            # the factors the search passes: diagonals on the torus
-            A = rows[:, :asize]
-            with np.errstate(all="ignore"):
-                h = np.exp(A) if asize == n else _metric_factors(A, blocks, n)
-            return _top_eigenvalues(M, C, rows[:, asize:], h)
+            return _top_eigenvalues(M, b, rows[:, asize:],
+                                    _metric_factors(rows[:, :asize], blocks, n))
 
         lam = values(xs)
         for k in range(len(xs)):
@@ -443,10 +450,12 @@ class TestStackedEvaluation:
         xs[5, :n] = [-800.0] + [0.0] * (n - 1)
         xs[7, :n] = [-100.0] * (n - 1) + [400.0]
         xs[9, :n] = np.log(1e-300) / n
-        h = _metric_factors(xs[:, :n], blocks, n)
-        d = np.diagonal(h, axis1=1, axis2=2).copy()
-        dense = _top_eigenvalues(M, b.tensor(), xs[:, n:], h)
-        torus = _top_eigenvalues(M, b.tensor(), xs[:, n:], d)
+        h = _dense_factors(xs[:, :n], blocks, n)
+        d = _metric_factors(xs[:, :n], blocks, n)
+        assert d.shape == (len(xs), n)
+        assert d.tobytes() == np.diagonal(h, axis1=1, axis2=2).tobytes()
+        dense = _top_eigenvalues(M, b, xs[:, n:], h)
+        torus = _top_eigenvalues(M, b, xs[:, n:], d)
         assert dense[2] == dense[5] == dense[7] == np.inf
         assert np.isfinite(np.delete(dense, [2, 5, 7])).all()
         assert torus.tobytes() == dense.tobytes()
@@ -460,7 +469,6 @@ class TestStackedEvaluation:
         give, which the dense factors give too."""
         b, M, blocks, xs, asize = _stack(case, rows=40, seed=2)
         n = b.dim
-        C = b.tensor()
         bound = (curvature._LOG_SINGULAR + 1.0) / n
         above = xs.copy()
         above[3, :n] = [bound + 1e-6] + [0.0] * (n - 1)
@@ -468,16 +476,16 @@ class TestStackedEvaluation:
         below[3, :n] = [bound - 1e-6] + [0.0] * (n - 1)
 
         def values(rows):
-            return _top_eigenvalues(M, C, rows[:, n:], np.exp(rows[:, :n]))
+            return _top_eigenvalues(M, b, rows[:, n:], _metric_factors(rows[:, :n], blocks, n))
 
         for rows, fast in ((xs, True), (above, True), (below, False)):
-            assert curvature._clearly_nonsingular(np.exp(rows[:, :n])) is fast
+            assert curvature._clearly_nonsingular(_metric_factors(rows[:, :n], blocks, n)) is fast
             got = values(rows)
             assert np.isfinite(got).all()
             for k in range(len(rows)):
                 assert values(rows[k:k + 1]).tobytes() == got[k:k + 1].tobytes()
-            h = _metric_factors(rows[:, :n], blocks, n)
-            assert _top_eigenvalues(M, C, rows[:, n:], h).tobytes() == got.tobytes()
+            h = _dense_factors(rows[:, :n], blocks, n)
+            assert _top_eigenvalues(M, b, rows[:, n:], h).tobytes() == got.tobytes()
             with monkeypatch.context() as m:
                 m.setattr(curvature, "_clearly_nonsingular", lambda d: False)
                 assert values(rows).tobytes() == got.tobytes()
@@ -499,8 +507,8 @@ class TestStackedEvaluation:
         M = np.diag([1.0, 1.0, 2.0])
         d = np.array([[-1.0, 2.0, -2.0], [0.5, -1.5, 3.0], [2.0, 1.0, 0.5]])
         X = 0.3 * np.ones((3, 3))
-        dense = _top_eigenvalues(M, b.tensor(), X, d[:, :, None] * np.eye(3))
-        assert _top_eigenvalues(M, b.tensor(), X, d).tobytes() == dense.tobytes()
+        dense = _top_eigenvalues(M, b, X, d[:, :, None] * np.eye(3))
+        assert _top_eigenvalues(M, b, X, d).tobytes() == dense.tobytes()
 
 
 class TestOneInverse:
@@ -522,14 +530,14 @@ class TestOneInverse:
     @pytest.mark.parametrize("case", STACK_CASES)
     def test_one_inverse_per_dense_call(self, case, inverses):
         b, M, blocks, xs, asize = _stack(case, rows=9)
-        h = _metric_factors(xs[:, :asize], blocks, b.dim)
-        _top_eigenvalues(M, b.tensor(), xs[:, asize:], h)
+        h = _dense_factors(xs[:, :asize], blocks, b.dim)
+        _top_eigenvalues(M, b, xs[:, asize:], h)
         assert inverses == [h.shape]
 
     @pytest.mark.parametrize("case", TORUS_CASES)
     def test_no_inverse_on_the_torus(self, case, inverses):
         b, M, blocks, xs, asize = _stack(case, rows=9)
-        _top_eigenvalues(M, b, xs[:, asize:], np.exp(xs[:, :asize]))
+        _top_eigenvalues(M, b, xs[:, asize:], _metric_factors(xs[:, :asize], blocks, b.dim))
         assert inverses == []
 
     def test_searches_invert_once_per_dense_call(self, monkeypatch, inverses):
@@ -656,14 +664,15 @@ class TestRicciStack:
         with np.errstate(all="ignore"):
             dense = xs.copy()
             dense[::5, :asize] = bad[2]
-            h = _metric_factors(dense[:, :asize], blocks, n)
+            h = _dense_factors(dense[:, :asize], blocks, n)
             pairs = [(curvature._transported_derivation(M, C, 1.0, dense[:, asize:], h),
                       act_tensor(C, h))]
             if asize == n:
                 torus = xs.copy()
                 for k, r in enumerate(range(0, rows, 5)):
                     torus[r, :n] = bad[k % 3]
-                pairs.append(curvature._torus_transport(M, C, torus[:, n:], np.exp(torus[:, :n])))
+                d = _metric_factors(torus[:, :n], blocks, n)
+                pairs.append(curvature._torus_transport(M, C, torus[:, n:], d, _tensor_support(b)))
             for Dn, hC in pairs:
                 want = reference_ricci_operators(Dn, hC)
                 assert not np.isfinite(want[0]).all()

@@ -17,10 +17,10 @@ from rnlie import moment
 from rnlie.brackets import Bracket, BasisChange, act, act_tensor, gram_difference
 from rnlie.cone import SAMPLE_COUNT
 from rnlie.corpus import corpus
-from rnlie.curvature import _top_eigenvalues, ricci_nilpotent
+from rnlie.curvature import ricci_nilpotent
 from rnlie.errors import NumericalError, PreconditionError
 from rnlie.moment import (_acted_moment_matrix, _draw_block_elements, _group_blocks,
-                          _metric_factors, _slice_jacobian, _slice_layout, _slice_residual,
+                          _slice_jacobian, _slice_layout, _slice_residual,
                           moment_map, nice_basis_check, orbit_sample, weight_coordinates,
                           weight_matrix, weight_polytope)
 from rnlie.rng import generator
@@ -1040,22 +1040,3 @@ class TestTrustRegionPort:
         assert proc.returncode == 0, proc.stderr
         assert '"SampledInner"' in proc.stdout
         assert proc.stdout.splitlines()[-1] == "[]"
-
-
-class TestMetricFactors:
-    def test_rows_of_a_stack_keep_their_bits(self):
-        """The metric search builds its triangular factors as stacks: each
-        row reads the bits it reads alone, and a row whose diagonal
-        overflows exp reads inf there, and inf at the evaluator."""
-        blocks = [(0, 2), (1, 3), (4,)]
-        xs = 0.8 * np.random.default_rng(4).standard_normal((25, 7))
-        xs[3, :3] = [40.3, 0.8, 39.7]
-        xs[7, :3] = [1e3, 0.0, 1e3]   # overflows
-        factors = _metric_factors(xs, blocks, 5)
-        assert factors[7, 0, 0] == factors[7, 2, 2] == np.inf and factors[7, 2, 0] == 0.0
-        for k in range(len(xs)):
-            assert factors[k].tobytes() == _metric_factors(xs[k:k + 1], blocks, 5)[0].tobytes()
-        # h5 with diag(1, -1, 1, -1, 0), whose centralizer blocks these are
-        M = np.diag([1.0, -1.0, 1.0, -1.0, 0.0])
-        lam = _top_eigenvalues(M, h(5).tensor(), np.zeros((25, 5)), factors)
-        assert lam[7] == np.inf and np.isfinite(np.delete(lam, 7)).all()
